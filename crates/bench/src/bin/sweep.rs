@@ -11,7 +11,9 @@
 //! Sweeps: `size` (runtime vs |V| for PR/PPR/CycleRank), `k` (CycleRank
 //! runtime and cycle counts vs K), `ppr` (exact vs push vs Monte-Carlo
 //! runtime and top-10 NDCG vs exact), `workers` (engine query-set
-//! throughput vs worker count).
+//! throughput vs worker count), `cutover` (per-sweep cost of the parallel
+//! scheme in one chunk vs two, alone and beside a second solve — the table
+//! `relcore::solver::CHUNK_MIN_WORK` is read off).
 
 use relcore::compare::ndcg_at_k;
 use relcore::cyclerank::{cyclerank, CycleRankConfig};
@@ -19,8 +21,11 @@ use relcore::montecarlo::{ppr_monte_carlo, MonteCarloConfig};
 use relcore::pagerank::{pagerank, PageRankConfig};
 use relcore::ppr::personalized_pagerank;
 use relcore::push::{ppr_push, PushConfig};
+use relcore::solver::{SolverConfig, SweepKernel, CHUNK_MIN_WORK};
+use relcore::TeleportVector;
 use reldata::wikilink::{generate, WikilinkConfig};
 use relgraph::NodeId;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 fn ms(f: impl FnOnce()) -> f64 {
@@ -141,6 +146,59 @@ fn sweep_workers() {
     }
 }
 
+/// Per-sweep wall time of the parallel scheme forced to one chunk
+/// (`threads: 1`) and to two (`threads: 2`), first with the process
+/// otherwise idle, then with a second one-chunk solve looping on another
+/// thread. Fixed sweep count (the tolerance is unreachable), median of
+/// `reps` solves per cell. The planner's constant is half the smallest
+/// `work` at which the solo two-chunk column wins; the busy columns are why
+/// the planner divides the cores by the solves in flight.
+fn sweep_cutover() {
+    const SWEEPS: usize = 40;
+    println!(
+        "# sweep=cutover (CHUNK_MIN_WORK = {CHUNK_MIN_WORK}; us per sweep, {SWEEPS} sweeps/solve)"
+    );
+    println!("nodes,work,solo_1chunk_us,solo_2chunk_us,busy_1chunk_us,busy_2chunk_us");
+    for nodes in [2_000u32, 4_000, 6_000, 8_000, 12_000, 16_000, 32_000, 64_000] {
+        let wcfg = WikilinkConfig::default().with_nodes(nodes);
+        let g = generate(&wcfg, 42);
+        let kernel = SweepKernel::new(g.view()).unwrap();
+        let teleport = TeleportVector::single(g.node_count(), NodeId::new(wcfg.hubs + 17)).unwrap();
+        let cfg = SolverConfig { tolerance: 1e-300, max_iterations: SWEEPS, ..Default::default() };
+        let reps = (2_000_000 / (g.node_count() + g.edge_count())).clamp(5, 41);
+        let per_sweep_us = |threads: usize| {
+            let cfg = cfg.with_threads(threads);
+            kernel.solve(&cfg, &teleport).unwrap(); // warm the arena
+            let mut runs: Vec<f64> = (0..reps)
+                .map(|_| ms(|| drop(kernel.solve(&cfg, &teleport).unwrap())) * 1e3 / SWEEPS as f64)
+                .collect();
+            runs.sort_by(f64::total_cmp);
+            runs[runs.len() / 2]
+        };
+        let solo = (per_sweep_us(1), per_sweep_us(2));
+        let stop = AtomicBool::new(false);
+        let busy = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    kernel.solve(&cfg.with_threads(1), &teleport).unwrap();
+                }
+            });
+            let busy = (per_sweep_us(1), per_sweep_us(2));
+            stop.store(true, Ordering::Relaxed);
+            busy
+        });
+        println!(
+            "{},{},{:.1},{:.1},{:.1},{:.1}",
+            g.node_count(),
+            g.node_count() + g.edge_count(),
+            solo.0,
+            solo.1,
+            busy.0,
+            busy.1
+        );
+    }
+}
+
 fn main() {
     let which: Vec<String> = std::env::args().skip(1).collect();
     let want = |t: &str| which.is_empty() || which.iter().any(|w| w == t);
@@ -155,5 +213,8 @@ fn main() {
     }
     if want("workers") {
         sweep_workers();
+    }
+    if want("cutover") {
+        sweep_cutover();
     }
 }

@@ -30,7 +30,7 @@ pub struct RunSpec {
     /// Kernel update scheme (power|gauss-seidel|parallel); wins over
     /// `--solver` when both are given.
     pub scheme: Option<String>,
-    /// Worker threads for the parallel scheme (0 = all cores).
+    /// Threads per sweep of the parallel scheme (0 = planned per sweep).
     pub threads: Option<usize>,
     /// Score-lane precision for the exact kernel schemes (f64|f32).
     pub precision: Option<String>,
@@ -61,7 +61,7 @@ pub struct BatchSpecArgs {
     pub alpha: Option<f64>,
     /// Kernel update scheme (power|gauss-seidel|parallel).
     pub scheme: Option<String>,
-    /// Worker threads (0 = all cores).
+    /// Threads per sweep (0 = planned per sweep).
     pub threads: Option<usize>,
     /// Top-k per seed.
     pub top: usize,

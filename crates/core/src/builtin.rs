@@ -261,7 +261,7 @@ fn sweep_kernel_params() -> Vec<ParamSpec> {
             "threads",
             "int",
             "0",
-            "worker threads for the parallel scheme (0 = all available cores)",
+            "threads per sweep of the parallel scheme (0 = planned from sweep size and free cores)",
         ),
         ParamSpec::new(
             "record_trace",

@@ -53,8 +53,10 @@
 //! 2DRank — is a thin parameterization (view orientation × teleport
 //! vector) of one shared edge-sweep engine, [`solver::SweepKernel`], with
 //! three interchangeable update schemes ([`solver::Scheme`]): sequential
-//! power iteration, hybrid Gauss–Seidel, and chunked multi-threaded pull
-//! (the default). Queries pick a scheme and thread count fluently:
+//! power iteration, hybrid Gauss–Seidel, and chunked pull (the default).
+//! The default scheme forks threads only for sweeps big enough to pay for
+//! it while a core is free — small graphs sweep inline; an explicit
+//! thread count is always honored. Queries pick both fluently:
 //!
 //! ```
 //! use relcore::{Query, Scheme};
@@ -96,6 +98,7 @@ pub mod algorithm;
 pub mod arena;
 pub mod builtin;
 pub mod cheirank;
+mod chunks;
 pub mod compare;
 pub mod cyclerank;
 pub mod error;

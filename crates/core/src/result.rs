@@ -96,9 +96,12 @@ impl ScoreVector {
     }
 
     /// Full ranking of all nodes (descending score, ascending id ties).
+    ///
+    /// One index sort — not an `n`-entry heap-select — so an all-tied
+    /// vector (CycleRank far from its reference) ranks in a single
+    /// already-sorted pass.
     pub fn ranking(&self) -> RankedList {
-        let pairs = self.top_k(self.values.len());
-        RankedList::new(pairs.into_iter().map(|(n, _)| n).collect())
+        RankedList::new(ranked_indices(&self.values).into_iter().map(NodeId::new).collect())
     }
 
     /// Top-`k` as `(label, score)` pairs using the graph's label table.
@@ -122,7 +125,13 @@ pub fn top_k_pairs(values: &[f64], k: usize) -> Vec<(NodeId, f64)> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     let n = values.len();
-    let k = k.min(n);
+    if k >= n {
+        // Nothing to prune: a heap would push and pop every element.
+        return ranked_indices(values)
+            .into_iter()
+            .map(|i| (NodeId::new(i), values[i as usize]))
+            .collect();
+    }
     if k == 0 {
         return Vec::new();
     }
@@ -142,6 +151,17 @@ pub fn top_k_pairs(values: &[f64], k: usize) -> Vec<(NodeId, f64)> {
         .into_iter()
         .map(|(Reverse(OrderedF64(v)), i)| (NodeId::new(i), v))
         .collect()
+}
+
+/// Every index of `values` in rank order — the total key of
+/// [`top_k_pairs`] (descending score by `total_cmp`, ascending id), which
+/// has no equal elements, so the unstable sort is deterministic.
+fn ranked_indices(values: &[f64]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..values.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| {
+        values[b as usize].total_cmp(&values[a as usize]).then(a.cmp(&b))
+    });
+    order
 }
 
 /// Total order over f64 (via `total_cmp`); scores produced by the
@@ -266,6 +286,31 @@ mod tests {
         for (got, want) in top10.iter().zip(full.iter()) {
             assert_eq!(got.0.raw(), want.0);
             assert_eq!(got.1, want.1);
+        }
+
+        // k = n takes the index-sort path instead of the heap; it must
+        // produce the heap's order: on distinct scores, under heavy ties
+        // (seven distinct values, signed zeros among them) and all-zero.
+        let tied: Vec<f64> = scores.iter().map(|v| (v * 7.0).floor() - 3.0).collect();
+        let signed: Vec<f64> =
+            tied.iter().map(|&v| if v == 0.0 { -0.0 } else { v * 0.0 }).collect();
+        for values in [scores, tied, signed, vec![0.0; 500]] {
+            let n = values.len();
+            let mut want: Vec<(u32, f64)> =
+                values.iter().copied().enumerate().map(|(i, v)| (i as u32, v)).collect();
+            want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            let s = ScoreVector::new(values);
+            for k in [n, n + 3] {
+                let got: Vec<(u32, u64)> =
+                    s.top_k(k).iter().map(|(id, v)| (id.raw(), v.to_bits())).collect();
+                let want: Vec<(u32, u64)> = want.iter().map(|&(i, v)| (i, v.to_bits())).collect();
+                assert_eq!(got, want, "k = {k}");
+            }
+            // One below n still runs the heap: same order, last entry cut.
+            let heap: Vec<u32> = s.top_k(n - 1).iter().map(|(id, _)| id.raw()).collect();
+            let ranking: Vec<u32> = s.ranking().as_slice().iter().map(|id| id.raw()).collect();
+            assert_eq!(heap[..], ranking[..n - 1]);
+            assert_eq!(ranking, want.iter().map(|&(i, _)| i).collect::<Vec<_>>());
         }
     }
 

@@ -161,8 +161,9 @@ pub enum Solver {
     Power,
     /// Exact Gauss–Seidel sweeps (in-place updates).
     GaussSeidel,
-    /// Exact chunked multi-threaded pull iteration (the default:
-    /// stationary distributions are parallel by default).
+    /// Exact chunked pull iteration (the default). Threads are forked per
+    /// sweep only when the sweep is large enough and a core is free;
+    /// fixture-sized graphs sweep inline.
     #[default]
     Parallel,
     /// Andersen–Chung–Lang forward push (approximate, local; personalized
@@ -253,8 +254,9 @@ pub struct AlgorithmParams {
     /// default scheme for approximate solvers).
     #[serde(default)]
     pub solver: Solver,
-    /// Worker threads for the parallel kernel scheme; 0 = all available
-    /// cores (clamped to available parallelism and node count).
+    /// Chunks (one thread each) per sweep of the parallel kernel scheme,
+    /// clamped to available parallelism and node count; 0 = planned per
+    /// sweep from the sweep's size and the cores free.
     #[serde(default)]
     // rellint: allow(cache-key) -- thread count changes wall time, never the result
     pub threads: usize,
@@ -343,7 +345,7 @@ impl AlgorithmParams {
         self
     }
 
-    /// Sets the worker-thread count for the parallel scheme (0 = auto).
+    /// Sets the chunk/thread count for the parallel scheme (0 = planned).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

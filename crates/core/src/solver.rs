@@ -20,16 +20,47 @@
 //! * [`Scheme::GaussSeidel`] — hybrid Gauss–Seidel: pulls over in-edges
 //!   using already-updated scores within the sweep (dangling mass lags one
 //!   sweep), typically converging in fewer sweeps on web-like graphs.
-//! * [`Scheme::Parallel`] — the default: chunked multi-threaded pull. The
-//!   node range splits into contiguous chunks, one crossbeam scoped thread
-//!   per chunk, each reading the immutable previous vector — no locks, no
-//!   atomics, deterministic across thread counts.
+//! * [`Scheme::Parallel`] — the default: chunked pull. The node range
+//!   splits into contiguous chunks, each pulled by one thread reading the
+//!   immutable previous vector — no locks, no atomics, bitwise identical
+//!   for every chunk count.
 //!
 //! Every solve can record a [`ConvergenceTrace`] of per-iteration L1
 //! residuals, which the engine, server, and CLI surface as progress
 //! diagnostics.
+//!
+//! ## How a parallel sweep is split
+//!
+//! `Parallel` being the default *scheme* does not mean every solve spawns
+//! threads. The private `chunks` module plans each sweep:
+//!
+//! * **How many chunks.** An explicit [`SolverConfig::threads`] is honored
+//!   on every sweep (clamped to available parallelism and node count).
+//!   With `threads: 0` a sweep takes one chunk per [`CHUNK_MIN_WORK`] of
+//!   its work (`nodes + edges`), at most `cores ÷ parallel solves in
+//!   flight` (a process-wide counter, re-read every sweep). One chunk
+//!   runs inline on the caller with nothing spawned — the case for every
+//!   graph under `2 × CHUNK_MIN_WORK`, and for any graph while another
+//!   solve occupies the other core.
+//! * **Where the cuts fall.** At equal `1 + in_degree` work, not equal
+//!   node counts: hub-first graphs keep most edges in the lowest ids.
+//! * **Who runs them.** Chunk 0 on the calling thread, the rest on scoped
+//!   threads forked for that sweep and joined before it ends. There is no
+//!   pool: nothing spins or parks between sweeps, and a process with no
+//!   solve in flight owns no solver thread.
+//!
+//! [`CHUNK_MIN_WORK`] is measured, not guessed: its docs give the cutover
+//! figures and the command that regenerates the table.
+//!
+//! On unweighted views the pull gathers from `y[u] = x[u]·(1/W(u))`,
+//! filled in the pass that sums the dangling mass: one random read per
+//! edge instead of two, and — the product being rounded once either way,
+//! with nothing reassociated — the same bits. Weighted views evaluate
+//! `x[u]·w·(1/W(u))` per edge as before.
 
 use crate::arena::{current_arena, ArenaBuf, PoolItem};
+pub use crate::chunks::CHUNK_MIN_WORK;
+use crate::chunks::{for_each_chunk, ChunkPlanner};
 use crate::error::AlgoError;
 use crate::ppr::TeleportVector;
 use crate::result::{top_k_pairs, ScoreVector};
@@ -49,7 +80,7 @@ pub enum Scheme {
     Power,
     /// Hybrid Gauss–Seidel sweeps (in-place pull updates).
     GaussSeidel,
-    /// Chunked multi-threaded pull (the default).
+    /// Chunked pull, split per sweep by the chunk planner (the default).
     #[default]
     Parallel,
 }
@@ -317,8 +348,9 @@ pub struct SolverConfig {
     pub max_iterations: usize,
     /// Update scheme (default: [`Scheme::Parallel`]).
     pub scheme: Scheme,
-    /// Worker threads for [`Scheme::Parallel`]; `0` means "all available
-    /// cores". Clamped to available parallelism and node count.
+    /// Chunks (one thread each) per [`Scheme::Parallel`] sweep, clamped to
+    /// available parallelism and node count; `0` plans the count per
+    /// sweep from the sweep's work and the cores free (module docs).
     pub threads: usize,
     /// Record a [`ConvergenceTrace`] of per-iteration residuals.
     pub record_trace: bool,
@@ -354,7 +386,7 @@ impl SolverConfig {
         self
     }
 
-    /// Sets the thread count (0 = auto).
+    /// Sets the chunk/thread count (0 = planned per sweep).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -432,11 +464,6 @@ struct SolvedBuf {
 
 // ----------------------------------------------------------------- kernel
 
-/// Below this many nodes + edges, the auto-threaded parallel scheme runs
-/// its single-chunk sequential path: per-sweep thread spawn/join overhead
-/// exceeds the sweep cost on small graphs.
-pub const PARALLEL_MIN_WORK: usize = 16_384;
-
 /// Widest lane group one fused batch sweep carries: wider batches split
 /// into groups of this size, so [`SweepKernel::solve_batch`] working
 /// memory stays `O(n · MAX_FUSED_LANES)` no matter how many seeds a
@@ -449,9 +476,26 @@ pub const MAX_FUSED_LANES: usize = 32;
 /// cores), capped at available parallelism **and** the unit count, never
 /// below 1.
 pub fn effective_threads(requested: usize, units: usize) -> usize {
-    let available = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    // Read once: on Linux every call re-reads the affinity mask and the
+    // cgroup quota files.
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
+    let available = *AVAILABLE
+        .get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
     let requested = if requested == 0 { available } else { requested };
     requested.min(available).min(units).max(1)
+}
+
+/// What the parallel pull reads for each in-edge `u → v`.
+#[derive(Clone, Copy)]
+enum Gather<'x, T> {
+    /// Unweighted view: `y[u] = x[u]·(1/W(u))`, scaled once per sweep in
+    /// the pass that sums the dangling mass — one random read per edge
+    /// instead of two. The product is rounded once either way, so this is
+    /// bitwise the per-edge expression.
+    Prescaled(&'x [T]),
+    /// Weighted view: `x[u]·w(u,v)·(1/W(u))`, evaluated per edge (scaling
+    /// first would reassociate the product).
+    PerEdge { x: &'x [T], inv_wsum: &'x [T] },
 }
 
 /// One reusable edge-sweep engine over a [`GraphView`].
@@ -678,6 +722,20 @@ impl<'a> SweepKernel<'a> {
         mass
     }
 
+    /// Fills `y[u] = x[u]·(1/W(u))` for [`Gather::Prescaled`] and returns
+    /// the dangling mass, accumulated in the order [`Self::dangling_mass`]
+    /// uses (the two passes are one).
+    fn prescale<T: SolveFloat>(&self, x: &[T], inv_wsum: &[T], y: &mut [T]) -> T {
+        let mut mass = T::ZERO;
+        for ((slot, &xi), &inv) in y.iter_mut().zip(x).zip(inv_wsum) {
+            if inv == T::ZERO {
+                mass += xi;
+            }
+            *slot = xi * inv;
+        }
+        mass
+    }
+
     /// Sequential Jacobi (power) iteration, push formulation.
     fn solve_power<T: SolveFloat>(
         &self,
@@ -831,18 +889,22 @@ impl<'a> SweepKernel<'a> {
         })
     }
 
-    /// Chunked multi-threaded pull: contiguous node chunks, one scoped
-    /// thread per chunk, each reading the immutable previous vector.
-    /// Deterministic across thread counts (each node's sum is accumulated
-    /// by exactly one thread, in in-neighbor order).
+    /// Chunked pull: the node range splits into contiguous chunks, each
+    /// pulled by one thread reading the immutable previous vector.
+    /// Deterministic across chunk counts (each node's sum is accumulated
+    /// by exactly one thread, in in-neighbor order), so how a sweep is
+    /// split shows in wall-clock time only.
     ///
-    /// With `threads: 0` (auto), graphs whose node-plus-edge count falls
-    /// below [`PARALLEL_MIN_WORK`] run the single-chunk path: scoped
-    /// threads are spawned per sweep, and on fixture-sized graphs that
-    /// overhead dwarfs the sweep itself. The scores are bitwise identical
-    /// either way, so the cutover is invisible except in wall-clock time;
-    /// an explicit thread count is always honored (up to the
-    /// available-parallelism clamp).
+    /// The split is planned per sweep by a [`ChunkPlanner`]: an explicit
+    /// thread count is honored exactly (up to the available-parallelism
+    /// and node-count clamp); with `threads: 0` a sweep takes one chunk
+    /// per [`CHUNK_MIN_WORK`] of its `nodes + edges`, within this solve's
+    /// share of the cores. One chunk — every fixture-sized graph, and any
+    /// graph while the cores are busy with other solves — runs inline
+    /// with no thread spawned. Chunks are cut at equal work rather than
+    /// equal node counts, chunk 0 runs on the calling thread, and every
+    /// forked thread is joined before the sweep ends: between sweeps and
+    /// between solves no solver-owned thread exists.
     fn solve_parallel<T: SolveFloat>(
         &self,
         cfg: &SolverConfig,
@@ -853,12 +915,7 @@ impl<'a> SweepKernel<'a> {
         let alpha = T::from_f64(cfg.damping);
         let tol = cfg.tolerance.max(T::TOLERANCE_FLOOR);
         let inv_wsum = T::inv_wsum(self);
-        let work = n + self.view.edge_count();
-        let threads = if cfg.threads == 0 && work < PARALLEL_MIN_WORK {
-            1
-        } else {
-            effective_threads(cfg.threads, n)
-        };
+        let mut planner = ChunkPlanner::new(self.view, cfg.threads);
         let arena = current_arena();
         let mut teleport_dense = arena.take_buf::<T>(n);
         fill_teleport(teleport, &mut teleport_dense);
@@ -868,40 +925,30 @@ impl<'a> SweepKernel<'a> {
             None => x.copy_from_slice(&teleport_dense),
         }
         let mut next = arena.take_buf::<T>(n);
+        let mut scaled = (!self.view.is_weighted()).then(|| arena.take_buf::<T>(n));
         let mut iterations = 0;
         let mut residual = f64::INFINITY;
         let mut trace = cfg.record_trace.then(ConvergenceTrace::default);
-        let chunk = n.div_ceil(threads);
 
         while iterations < cfg.max_iterations {
             iterations += 1;
-            let dangling = self.dangling_mass(&x, inv_wsum);
+            let dangling = match scaled.as_deref_mut() {
+                Some(y) => self.prescale(&x, inv_wsum, y),
+                None => self.dangling_mass(&x, inv_wsum),
+            };
             let base = T::ONE - alpha + alpha * dangling;
-
-            if threads == 1 {
-                self.pull_chunk(&x, &mut next, 0, alpha, base, &teleport_dense, inv_wsum);
-            } else {
-                let x_ref: &[T] = &x;
-                let tel_ref: &[T] = &teleport_dense;
-                crossbeam::thread::scope(|s| {
-                    let mut rest: &mut [T] = &mut next;
-                    let mut lo = 0usize;
-                    while !rest.is_empty() {
-                        let take = chunk.min(rest.len());
-                        let (mine, tail) = rest.split_at_mut(take);
-                        rest = tail;
-                        s.spawn(move |_| {
-                            self.pull_chunk(x_ref, mine, lo, alpha, base, tel_ref, inv_wsum);
-                        });
-                        lo += take;
-                    }
-                })
-                .expect("worker thread panicked");
-            }
+            let gather = match scaled.as_deref() {
+                Some(y) => Gather::Prescaled(y),
+                None => Gather::PerEdge { x: &x, inv_wsum },
+            };
+            let tel: &[T] = &teleport_dense;
+            for_each_chunk(planner.plan(), 1, &mut next, |lo, out| {
+                self.pull_chunk(gather, out, lo, alpha, base, tel);
+            });
 
             // Stopping decision: one sequential index-order pass, so the
             // residual — and with it the iteration count and final scores
-            // — is bitwise identical for every thread count (per-chunk
+            // — is bitwise identical for every chunk count (per-chunk
             // partial sums would regroup float addends at the chunk
             // boundaries and could flip a stop right at the tolerance).
             let mut delta = T::ZERO;
@@ -929,21 +976,42 @@ impl<'a> SweepKernel<'a> {
 
     /// Pulls new scores for the chunk `out` covering nodes
     /// `lo..lo + out.len()`.
-    #[allow(clippy::too_many_arguments)]
     fn pull_chunk<T: SolveFloat>(
         &self,
-        x: &[T],
+        gather: Gather<'_, T>,
         out: &mut [T],
         lo: usize,
         alpha: T,
         base: T,
         teleport_dense: &[T],
-        inv_wsum: &[T],
     ) {
-        for (off, slot) in out.iter_mut().enumerate() {
-            let i = lo + off;
-            let pulled = self.pull(NodeId::from_usize(i), x, inv_wsum);
-            *slot = alpha * pulled + base * teleport_dense[i];
+        let tel = &teleport_dense[lo..lo + out.len()];
+        match gather {
+            Gather::Prescaled(y) => {
+                for (off, (slot, &t)) in out.iter_mut().zip(tel).enumerate() {
+                    let v = NodeId::from_usize(lo + off);
+                    let mut pulled = T::ZERO;
+                    match self.view.in_arrays(v) {
+                        Some((nbrs, _)) => {
+                            for &u in nbrs {
+                                pulled += y[u.index()];
+                            }
+                        }
+                        None => {
+                            for u in self.view.in_neighbors(v) {
+                                pulled += y[u.index()];
+                            }
+                        }
+                    }
+                    *slot = alpha * pulled + base * t;
+                }
+            }
+            Gather::PerEdge { x, inv_wsum } => {
+                for (off, (slot, &t)) in out.iter_mut().zip(tel).enumerate() {
+                    let pulled = self.pull(NodeId::from_usize(lo + off), x, inv_wsum);
+                    *slot = alpha * pulled + base * t;
+                }
+            }
         }
     }
 
@@ -1024,17 +1092,12 @@ impl<'a> SweepKernel<'a> {
         let n = self.node_count();
         let lanes = teleports.len();
         let alpha = cfg.damping;
-        // Same auto-threading cutover as the single-vector solve: the
-        // spawn/join cost is per *sweep*, and a batch sweep traverses the
-        // same node/edge arrays once — fusing lanes widens each visit but
-        // does not change where threading starts to pay.
-        let work = n + self.view.edge_count();
-        let threads = if cfg.threads == 0 && work < PARALLEL_MIN_WORK {
-            1
-        } else {
-            effective_threads(cfg.threads, n)
-        };
-        let chunk = n.div_ceil(threads);
+        // The same planner as the single-vector solve. A fused sweep makes
+        // wider visits over the same node/edge arrays, so forking breaks
+        // even a little earlier than for one vector (measured between 50k
+        // and 100k work at 2–16 lanes); not enough to earn the batch a
+        // constant of its own.
+        let mut planner = ChunkPlanner::new(self.view, cfg.threads);
 
         // Node-major interleave of the dense teleport vectors; `active[c]`
         // is the original lane index living in column `c`. All three
@@ -1090,43 +1153,18 @@ impl<'a> SweepKernel<'a> {
                 *base = 1.0 - alpha + alpha * *base;
             }
 
-            if threads == 1 {
+            let (x_ref, tel_ref, bases_ref): (&[f64], &[f64], &[f64]) = (&x, &tel, &bases);
+            for_each_chunk(planner.plan(), width, &mut next[..n * width], |lo, out| {
                 if width == 1 {
                     // Last live lane: the single-vector chunk pull computes
                     // the identical per-lane expressions without the
                     // interleave bookkeeping.
-                    self.pull_chunk(&x, &mut next[..n], 0, alpha, bases[0], &tel, &self.inv_wsum);
+                    let gather = Gather::PerEdge { x: x_ref, inv_wsum: &self.inv_wsum };
+                    self.pull_chunk(gather, out, lo, alpha, bases_ref[0], tel_ref);
                 } else {
-                    self.pull_chunk_batch(
-                        &x,
-                        &mut next[..n * width],
-                        0,
-                        alpha,
-                        &bases,
-                        &tel,
-                        width,
-                    );
+                    self.pull_chunk_batch(x_ref, out, lo, alpha, bases_ref, tel_ref, width);
                 }
-            } else {
-                let (x_ref, tel_ref): (&[f64], &[f64]) = (&x, &tel);
-                let bases_ref = &bases;
-                crossbeam::thread::scope(|s| {
-                    let mut rest: &mut [f64] = &mut next[..n * width];
-                    let mut lo = 0usize;
-                    while !rest.is_empty() {
-                        let take = (chunk * width).min(rest.len());
-                        let (mine, tail) = rest.split_at_mut(take);
-                        rest = tail;
-                        s.spawn(move |_| {
-                            self.pull_chunk_batch(
-                                x_ref, mine, lo, alpha, bases_ref, tel_ref, width,
-                            );
-                        });
-                        lo += take / width;
-                    }
-                })
-                .expect("worker thread panicked");
-            }
+            });
 
             // Per-lane residuals, each accumulated in node-index order
             // (the same float sequence as the single-vector stopping
@@ -1263,11 +1301,11 @@ impl<'a> SweepKernel<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use relgraph::GraphBuilder;
 
-    fn random_graph(nodes: u32, edges: usize, seed: u64) -> relgraph::DirectedGraph {
+    pub(crate) fn random_graph(nodes: u32, edges: usize, seed: u64) -> relgraph::DirectedGraph {
         let mut b = GraphBuilder::new();
         b.ensure_node(nodes - 1);
         let mut x = seed | 1;
@@ -1357,9 +1395,11 @@ mod tests {
 
     #[test]
     fn chunked_pull_matches_single_chunk_bitwise() {
-        // The determinism-across-thread-counts guarantee reduces to:
+        // The determinism-across-chunk-counts guarantee reduces to:
         // pulling a node range in several (uneven) chunks produces exactly
-        // the values of one full-range pull. Exercised directly so it
+        // the values of one full-range pull — and, on an unweighted view,
+        // gathering from the prescaled vector produces exactly the values
+        // of the per-edge `x·(1/W)` product. Exercised directly so it
         // holds on CI runners with any core count — effective_threads
         // would otherwise clamp high thread requests down and this path
         // would go untested on small machines.
@@ -1369,23 +1409,24 @@ mod tests {
         let teleport = TeleportVector::uniform(n).unwrap().dense();
         let x: Vec<f64> = (0..n).map(|i| (i as f64 + 1.0) / (n * n) as f64).collect();
         let (alpha, base) = (0.85, 0.15);
+        let per_edge = Gather::PerEdge { x: &x, inv_wsum: &kernel.inv_wsum };
+        let mut y = vec![0.0f64; n];
+        let dangling = kernel.prescale(&x, &kernel.inv_wsum, &mut y);
+        assert_eq!(dangling.to_bits(), kernel.dangling_mass(&x, &kernel.inv_wsum).to_bits());
 
         let mut whole = vec![0.0f64; n];
-        kernel.pull_chunk(&x, &mut whole, 0, alpha, base, &teleport, &kernel.inv_wsum);
+        kernel.pull_chunk(per_edge, &mut whole, 0, alpha, base, &teleport);
 
-        for chunks in [2usize, 3, 4, 7] {
-            let chunk = n.div_ceil(chunks);
-            let mut parts = vec![0.0f64; n];
-            let mut rest: &mut [f64] = &mut parts;
-            let mut lo = 0;
-            while !rest.is_empty() {
-                let take = chunk.min(rest.len());
-                let (mine, tail) = rest.split_at_mut(take);
-                kernel.pull_chunk(&x, mine, lo, alpha, base, &teleport, &kernel.inv_wsum);
-                lo += take;
-                rest = tail;
+        for gather in [per_edge, Gather::Prescaled(&y)] {
+            for chunks in [1usize, 2, 3, 4, 7] {
+                let chunk = n.div_ceil(chunks);
+                let bounds: Vec<usize> = (0..=chunks).map(|j| (j * chunk).min(n)).collect();
+                let mut parts = vec![0.0f64; n];
+                for_each_chunk(&bounds, 1, &mut parts, |lo, out| {
+                    kernel.pull_chunk(gather, out, lo, alpha, base, &teleport);
+                });
+                assert_eq!(parts, whole, "{chunks} chunks diverge from one");
             }
-            assert_eq!(parts, whole, "{chunks} chunks diverge from one");
         }
     }
 

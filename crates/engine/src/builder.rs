@@ -88,7 +88,7 @@ impl TaskBuilder {
         self.solver(s.into())
     }
 
-    /// Sets the worker-thread count for the parallel scheme (0 = auto).
+    /// Sets the chunk/thread count for the parallel scheme (0 = planned).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n);
         self
@@ -218,7 +218,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(t.params.solver, Solver::Push);
-        // Parallel by default: the kernel's multi-threaded pull scheme.
+        // Parallel by default: the kernel's chunked pull scheme.
         let t = TaskBuilder::new("ds").build().unwrap();
         assert_eq!(t.params.solver, Solver::Parallel);
     }
