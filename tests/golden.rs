@@ -1,0 +1,95 @@
+//! Golden files for the HTTP JSON shapes a refactor must not move.
+//!
+//! Hand-rolled snapshot testing (dependencies are vendored-only, so no
+//! `insta`): each test renders one response into a stable text form and
+//! compares it with a file under `tests/golden/`. There is deliberately
+//! no update switch — a mismatch prints the actual rendering, and a
+//! change that means to move a shape replaces the file in the same diff.
+
+use cyclerank_platform::prelude::*;
+use cyclerank_platform::server::http::Method;
+use cyclerank_platform::server::routes::route;
+use cyclerank_platform::server::{Request, StatusCode};
+use serde_json::Value;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+fn engine() -> Arc<Scheduler> {
+    Arc::new(Scheduler::builder().workers(1).build())
+}
+
+/// Routes one request and parses the JSON body of its `200`.
+fn ok_json(engine: &Arc<Scheduler>, method: Method, path: &str, query: &str, body: &str) -> Value {
+    let request = Request {
+        method,
+        path: path.to_string(),
+        query: query.to_string(),
+        headers: HashMap::new(),
+        body: body.as_bytes().to_vec(),
+    };
+    let response = route(&request, engine);
+    let text = String::from_utf8(response.body).expect("utf-8 body");
+    assert_eq!(response.status, StatusCode::Ok, "{path}: {text}");
+    serde_json::from_str(&text).expect("JSON body")
+}
+
+/// Dotted paths of every object key under `value`, one per line in
+/// sorted order: the *shape* of a response without its values.
+fn key_paths(value: &Value) -> String {
+    fn walk(value: &Value, prefix: &str, out: &mut Vec<String>) {
+        if let Some(map) = value.as_object() {
+            for (key, child) in map {
+                let path = if prefix.is_empty() { key.clone() } else { format!("{prefix}.{key}") };
+                walk(child, &path, out);
+                out.push(path);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(value, "", &mut out);
+    out.sort();
+    out.join("\n")
+}
+
+fn assert_golden(file: &str, expected: &str, actual: &str) {
+    assert!(
+        expected.trim_end() == actual.trim_end(),
+        "tests/golden/{file} does not match this build; actual rendering:\n{actual}\n"
+    );
+}
+
+#[test]
+fn algorithms_listing_matches_golden() {
+    let listing = ok_json(&engine(), Method::Get, "/api/algorithms", "", "");
+    let actual = serde_json::to_string_pretty(&listing).expect("render");
+    assert_golden("algorithms.json", include_str!("golden/algorithms.json"), &actual);
+}
+
+#[test]
+fn cyclerank_task_result_matches_golden() {
+    let spec = r#"{
+        "dataset": "fixture-enwiki-2018",
+        "params": {"algorithm": "cycle_rank"},
+        "source": "Freddie Mercury",
+        "top_k": 5
+    }"#;
+    let result = ok_json(&engine(), Method::Post, "/api/tasks", "sync=1", spec);
+    let labels: Vec<String> = result["top"]
+        .as_array()
+        .expect("top entries")
+        .iter()
+        .map(|entry| format!("top {}", entry[0].as_str().expect("label")))
+        .collect();
+    let actual = format!("{}\n{}", key_paths(&result), labels.join("\n"));
+    assert_golden("cyclerank_task.txt", include_str!("golden/cyclerank_task.txt"), &actual);
+}
+
+#[test]
+fn dataset_stats_keys_match_golden() {
+    let stats = ok_json(&engine(), Method::Get, "/api/datasets/fixture-fakenews-pl/stats", "", "");
+    assert_golden(
+        "dataset_stats_keys.txt",
+        include_str!("golden/dataset_stats_keys.txt"),
+        &key_paths(&stats),
+    );
+}
