@@ -53,9 +53,9 @@ pub fn algorithms() -> String {
 }
 
 /// `stats`: structural summary of one dataset, including the memory and
-/// locality footprint the reordering work targets and the per-tier
-/// bytes/edge figures (standard CSR vs. the compact delta-varint
-/// representation the `compact` serving tier uses).
+/// locality footprint the reordering work targets and the per-encoding
+/// bytes/edge figures (the standard CSR queries run on vs. the compact
+/// delta-varint encoding the on-disk dataset image uses).
 pub fn stats(dataset: &str) -> Result<String, String> {
     let g = reldata::load_dataset(dataset).ok_or_else(|| format!("unknown dataset {dataset:?}"))?;
     let s = relgraph::GraphStats::compute(&g);
@@ -83,8 +83,8 @@ pub fn stats(dataset: &str) -> Result<String, String> {
          self-loops   {}\n\
          dangling     {}\n\
          memory       {} bytes ({:.2} MiB adjacency)\n\
-         tier csr     {:.1} bytes/edge\n\
-         tier compact {:.1} bytes/edge ({:.0}% of csr)\n\
+         csr          {:.1} bytes/edge\n\
+         compact      {:.1} bytes/edge ({:.0}% of csr, image encoding)\n\
          precision    {}\n\
          ordering     {ordering} (mean edge span {:.1})\n",
         s.nodes,
@@ -954,8 +954,9 @@ mod tests {
         let out = stats("fixture-fakenews-pl").unwrap();
         assert!(out.contains("nodes"));
         assert!(out.contains("reciprocity"));
-        assert!(out.contains("tier csr"), "{out}");
-        assert!(out.contains("tier compact"), "{out}");
+        assert!(out.contains("csr          "), "{out}");
+        assert!(out.contains("compact      "), "{out}");
+        assert!(out.contains("image encoding"), "{out}");
         assert!(out.contains("precision    f64, f32"), "{out}");
         assert!(stats("nope").is_err());
     }

@@ -1,9 +1,8 @@
 //! The open algorithm API: the [`RelevanceAlgorithm`] trait and its
 //! serializable metadata types.
 //!
-//! The seed codebase dispatched every invocation through a closed
-//! `Algorithm` enum and a 300-line `match` in `runner::run`. This module
-//! replaces that contract with an object-safe trait: any type implementing
+//! Invocation goes through an object-safe trait rather than a `match` on
+//! the closed `Algorithm` enum: any type implementing
 //! [`RelevanceAlgorithm`] can be registered in the
 //! [`crate::registry::AlgorithmRegistry`] and invoked through
 //! [`crate::query::Query`] — including algorithms defined outside this

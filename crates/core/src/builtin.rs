@@ -1,10 +1,11 @@
 //! The seven paper algorithms as [`RelevanceAlgorithm`] implementations.
 //!
-//! This is where the body of the old `runner::run` mega-dispatcher lives
-//! now: one small type per algorithm, each owning its slice of the former
-//! `match`. The registry registers all seven at startup
-//! ([`crate::registry::AlgorithmRegistry::global`]); nothing else in the
-//! workspace dispatches on the `Algorithm` enum.
+//! Three types cover the seven: [`Stationary`] (PageRank, PPR, CheiRank,
+//! Pers. CheiRank — one sweep-kernel solve, differing only in view
+//! orientation and personalization), [`TwoDRank`] (both 2DRank variants)
+//! and [`CycleRankAlgorithm`]. The registry registers the seven values at
+//! startup ([`crate::registry::AlgorithmRegistry::global`]); nothing in
+//! the workspace dispatches on the `Algorithm` enum.
 
 use crate::algorithm::{ParamSpec, RelevanceAlgorithm};
 use crate::cyclerank::cyclerank;
@@ -178,40 +179,16 @@ fn require_reference(reference: Option<NodeId>) -> Result<NodeId, AlgoError> {
     reference.ok_or(AlgoError::MissingReference)
 }
 
-/// Runs a kernel-family algorithm directly on a graph **view**, whatever
-/// representation backs it — the tier-agnostic entry the engine's
-/// compact-tier serving path uses, since the [`RelevanceAlgorithm`] trait
-/// itself is typed over the standard CSR. `forward` must be the graph's
-/// forward orientation; the CheiRank variants flip it internally, exactly
-/// as the registered algorithms do.
-///
-/// Only the algorithms for which [`crate::runner::Algorithm::is_kernel_family`] is true
-/// are servable this way; anything else returns
-/// [`AlgoError::InvalidParameter`]. Note that the Monte Carlo solver needs
-/// CSR adjacency slices and fails with [`AlgoError::UnsupportedTier`] on a
-/// compact-backed view — callers route those runs to the CSR path.
-pub fn execute_kernel_family(
-    algorithm: crate::runner::Algorithm,
-    forward: relgraph::GraphView<'_>,
-    params: &AlgorithmParams,
+/// The reference a run personalizes on: required by personalized
+/// algorithms, ignored by global ones.
+fn effective_reference(
+    personalized: bool,
     reference: Option<NodeId>,
-) -> Result<RelevanceOutput, AlgoError> {
-    use crate::runner::Algorithm;
-    validate_damping(params)?;
-    let id = algorithm.id();
-    match algorithm {
-        Algorithm::PageRank => execute_stationary(id, forward, params, None),
-        Algorithm::PersonalizedPageRank => {
-            execute_stationary(id, forward, params, Some(require_reference(reference)?))
-        }
-        Algorithm::CheiRank => execute_stationary(id, forward.flipped(), params, None),
-        Algorithm::PersonalizedCheiRank => {
-            execute_stationary(id, forward.flipped(), params, Some(require_reference(reference)?))
-        }
-        other => Err(AlgoError::InvalidParameter {
-            name: "algorithm",
-            message: format!("{} has no view-level execution path", other.id()),
-        }),
+) -> Result<Option<NodeId>, AlgoError> {
+    if personalized {
+        require_reference(reference).map(Some)
+    } else {
+        Ok(None)
     }
 }
 
@@ -301,179 +278,81 @@ fn cyclerank_params() -> Vec<ParamSpec> {
     ]
 }
 
-// ----------------------------------------------------------------- PageRank
+// ------------------------------------------------------- PageRank family
+
+/// A stationary-distribution algorithm: one sweep-kernel solve over one
+/// orientation of the graph, teleporting uniformly or to the reference.
+/// The four PageRank-family built-ins are four values of this type.
+pub struct Stationary {
+    id: &'static str,
+    display_name: &'static str,
+    aliases: &'static [&'static str],
+    personalized: bool,
+    /// Solve on the transposed graph (the CheiRank variants).
+    transposed: bool,
+}
 
 /// Global PageRank.
-pub struct PageRankAlgorithm;
-
-impl RelevanceAlgorithm for PageRankAlgorithm {
-    fn id(&self) -> &str {
-        "pagerank"
-    }
-
-    fn display_name(&self) -> &str {
-        "PageRank"
-    }
-
-    fn aliases(&self) -> &[&str] {
-        &["pr"]
-    }
-
-    fn is_personalized(&self) -> bool {
-        false
-    }
-
-    fn parameters(&self) -> Vec<ParamSpec> {
-        pagerank_family_params()
-    }
-
-    fn validate(&self, params: &AlgorithmParams) -> Result<(), AlgoError> {
-        validate_damping(params)
-    }
-
-    fn execute(
-        &self,
-        graph: &DirectedGraph,
-        params: &AlgorithmParams,
-        _reference: Option<NodeId>,
-    ) -> Result<RelevanceOutput, AlgoError> {
-        execute_stationary(self.id(), graph.view(), params, None)
-    }
-
-    fn execute_warm(
-        &self,
-        graph: &DirectedGraph,
-        params: &AlgorithmParams,
-        _reference: Option<NodeId>,
-        prev: &[f64],
-    ) -> Result<RelevanceOutput, AlgoError> {
-        execute_stationary_warm(self.id(), graph.view(), params, None, prev)
-    }
-}
+pub const PAGERANK: Stationary = Stationary {
+    id: "pagerank",
+    display_name: "PageRank",
+    aliases: &["pr"],
+    personalized: false,
+    transposed: false,
+};
 
 /// Personalized PageRank.
-pub struct PersonalizedPageRankAlgorithm;
-
-impl RelevanceAlgorithm for PersonalizedPageRankAlgorithm {
-    fn id(&self) -> &str {
-        "ppr"
-    }
-
-    fn display_name(&self) -> &str {
-        "Pers. PageRank"
-    }
-
-    fn aliases(&self) -> &[&str] {
-        &["personalizedpagerank", "pers.pagerank"]
-    }
-
-    fn is_personalized(&self) -> bool {
-        true
-    }
-
-    fn parameters(&self) -> Vec<ParamSpec> {
-        pagerank_family_params()
-    }
-
-    fn validate(&self, params: &AlgorithmParams) -> Result<(), AlgoError> {
-        validate_damping(params)
-    }
-
-    fn execute(
-        &self,
-        graph: &DirectedGraph,
-        params: &AlgorithmParams,
-        reference: Option<NodeId>,
-    ) -> Result<RelevanceOutput, AlgoError> {
-        let r = require_reference(reference)?;
-        execute_stationary(self.id(), graph.view(), params, Some(r))
-    }
-
-    fn execute_warm(
-        &self,
-        graph: &DirectedGraph,
-        params: &AlgorithmParams,
-        reference: Option<NodeId>,
-        prev: &[f64],
-    ) -> Result<RelevanceOutput, AlgoError> {
-        let r = require_reference(reference)?;
-        execute_stationary_warm(self.id(), graph.view(), params, Some(r), prev)
-    }
-
-    fn execute_batch(
-        &self,
-        graph: &DirectedGraph,
-        params: &AlgorithmParams,
-        references: &[NodeId],
-    ) -> Result<Vec<RelevanceOutput>, AlgoError> {
-        solve_batch_personalized(self.id(), graph.view(), params, references)
-    }
-}
-
-// ----------------------------------------------------------------- CheiRank
+pub const PERSONALIZED_PAGERANK: Stationary = Stationary {
+    id: "ppr",
+    display_name: "Pers. PageRank",
+    aliases: &["personalizedpagerank", "pers.pagerank"],
+    personalized: true,
+    transposed: false,
+};
 
 /// CheiRank: PageRank on the transposed graph.
-pub struct CheiRankAlgorithm;
+pub const CHEIRANK: Stationary = Stationary {
+    id: "cheirank",
+    display_name: "CheiRank",
+    aliases: &[],
+    personalized: false,
+    transposed: true,
+};
 
-impl RelevanceAlgorithm for CheiRankAlgorithm {
-    fn id(&self) -> &str {
-        "cheirank"
-    }
+/// Personalized CheiRank.
+pub const PERSONALIZED_CHEIRANK: Stationary = Stationary {
+    id: "pcheirank",
+    display_name: "Pers. CheiRank",
+    aliases: &["personalizedcheirank"],
+    personalized: true,
+    transposed: true,
+};
 
-    fn display_name(&self) -> &str {
-        "CheiRank"
-    }
-
-    fn is_personalized(&self) -> bool {
-        false
-    }
-
-    fn parameters(&self) -> Vec<ParamSpec> {
-        pagerank_family_params()
-    }
-
-    fn validate(&self, params: &AlgorithmParams) -> Result<(), AlgoError> {
-        validate_damping(params)
-    }
-
-    fn execute(
-        &self,
-        graph: &DirectedGraph,
-        params: &AlgorithmParams,
-        _reference: Option<NodeId>,
-    ) -> Result<RelevanceOutput, AlgoError> {
-        execute_stationary(self.id(), graph.transposed(), params, None)
-    }
-
-    fn execute_warm(
-        &self,
-        graph: &DirectedGraph,
-        params: &AlgorithmParams,
-        _reference: Option<NodeId>,
-        prev: &[f64],
-    ) -> Result<RelevanceOutput, AlgoError> {
-        execute_stationary_warm(self.id(), graph.transposed(), params, None, prev)
+impl Stationary {
+    fn view<'g>(&self, graph: &'g DirectedGraph) -> relgraph::GraphView<'g> {
+        if self.transposed {
+            graph.transposed()
+        } else {
+            graph.view()
+        }
     }
 }
 
-/// Personalized CheiRank.
-pub struct PersonalizedCheiRankAlgorithm;
-
-impl RelevanceAlgorithm for PersonalizedCheiRankAlgorithm {
+impl RelevanceAlgorithm for Stationary {
     fn id(&self) -> &str {
-        "pcheirank"
+        self.id
     }
 
     fn display_name(&self) -> &str {
-        "Pers. CheiRank"
+        self.display_name
     }
 
     fn aliases(&self) -> &[&str] {
-        &["personalizedcheirank"]
+        self.aliases
     }
 
     fn is_personalized(&self) -> bool {
-        true
+        self.personalized
     }
 
     fn parameters(&self) -> Vec<ParamSpec> {
@@ -490,8 +369,8 @@ impl RelevanceAlgorithm for PersonalizedCheiRankAlgorithm {
         params: &AlgorithmParams,
         reference: Option<NodeId>,
     ) -> Result<RelevanceOutput, AlgoError> {
-        let r = require_reference(reference)?;
-        execute_stationary(self.id(), graph.transposed(), params, Some(r))
+        let reference = effective_reference(self.personalized, reference)?;
+        execute_stationary(self.id, self.view(graph), params, reference)
     }
 
     fn execute_warm(
@@ -501,8 +380,8 @@ impl RelevanceAlgorithm for PersonalizedCheiRankAlgorithm {
         reference: Option<NodeId>,
         prev: &[f64],
     ) -> Result<RelevanceOutput, AlgoError> {
-        let r = require_reference(reference)?;
-        execute_stationary_warm(self.id(), graph.transposed(), params, Some(r), prev)
+        let reference = effective_reference(self.personalized, reference)?;
+        execute_stationary_warm(self.id, self.view(graph), params, reference, prev)
     }
 
     fn execute_batch(
@@ -511,81 +390,52 @@ impl RelevanceAlgorithm for PersonalizedCheiRankAlgorithm {
         params: &AlgorithmParams,
         references: &[NodeId],
     ) -> Result<Vec<RelevanceOutput>, AlgoError> {
-        solve_batch_personalized(self.id(), graph.transposed(), params, references)
+        if !self.personalized {
+            // Nothing to fuse: a global run ignores its seed.
+            return references.iter().map(|&r| self.execute(graph, params, Some(r))).collect();
+        }
+        solve_batch_personalized(self.id, self.view(graph), params, references)
     }
 }
 
 // ------------------------------------------------------------------ 2DRank
 
-/// 2DRank: combined PageRank × CheiRank ranking (ranking only, no scores).
-pub struct TwoDRankAlgorithm;
-
-impl RelevanceAlgorithm for TwoDRankAlgorithm {
-    fn id(&self) -> &str {
-        "2drank"
-    }
-
-    fn display_name(&self) -> &str {
-        "2DRank"
-    }
-
-    fn aliases(&self) -> &[&str] {
-        &["twodrank"]
-    }
-
-    fn is_personalized(&self) -> bool {
-        false
-    }
-
-    fn produces_scores(&self) -> bool {
-        false
-    }
-
-    fn parameters(&self) -> Vec<ParamSpec> {
-        tworank_params()
-    }
-
-    fn validate(&self, params: &AlgorithmParams) -> Result<(), AlgoError> {
-        validate_damping(params)
-    }
-
-    fn execute(
-        &self,
-        graph: &DirectedGraph,
-        params: &AlgorithmParams,
-        _reference: Option<NodeId>,
-    ) -> Result<RelevanceOutput, AlgoError> {
-        let out = crate::tworank::two_d_rank_with(graph, &params.solver_config(), None)?;
-        Ok(RelevanceOutput {
-            algorithm: self.id().to_string(),
-            ranking: out.ranking,
-            scores: None,
-            top: None,
-            convergence: Some(out.convergence),
-            trace: out.trace,
-            cycles_found: None,
-        })
-    }
+/// 2DRank: combined PageRank × CheiRank ranking (ranking only, no
+/// scores). Both built-in variants are values of this type.
+pub struct TwoDRank {
+    id: &'static str,
+    display_name: &'static str,
+    aliases: &'static [&'static str],
+    personalized: bool,
 }
 
-/// Personalized 2DRank.
-pub struct PersonalizedTwoDRankAlgorithm;
+/// Global 2DRank.
+pub const TWO_D_RANK: TwoDRank =
+    TwoDRank { id: "2drank", display_name: "2DRank", aliases: &["twodrank"], personalized: false };
 
-impl RelevanceAlgorithm for PersonalizedTwoDRankAlgorithm {
+/// Personalized 2DRank.
+pub const PERSONALIZED_TWO_D_RANK: TwoDRank = TwoDRank {
+    id: "p2drank",
+    display_name: "Pers. 2DRank",
+    aliases: &["personalized2drank", "personalizedtwodrank"],
+    personalized: true,
+};
+
+impl RelevanceAlgorithm for TwoDRank {
     fn id(&self) -> &str {
-        "p2drank"
+        self.id
     }
 
     fn display_name(&self) -> &str {
-        "Pers. 2DRank"
+        self.display_name
     }
 
     fn aliases(&self) -> &[&str] {
-        &["personalized2drank", "personalizedtwodrank"]
+        self.aliases
     }
 
     fn is_personalized(&self) -> bool {
-        true
+        self.personalized
     }
 
     fn produces_scores(&self) -> bool {
@@ -606,10 +456,10 @@ impl RelevanceAlgorithm for PersonalizedTwoDRankAlgorithm {
         params: &AlgorithmParams,
         reference: Option<NodeId>,
     ) -> Result<RelevanceOutput, AlgoError> {
-        let r = require_reference(reference)?;
-        let out = crate::tworank::two_d_rank_with(graph, &params.solver_config(), Some(r))?;
+        let reference = effective_reference(self.personalized, reference)?;
+        let out = crate::tworank::two_d_rank_with(graph, &params.solver_config(), reference)?;
         Ok(RelevanceOutput {
-            algorithm: self.id().to_string(),
+            algorithm: self.id.to_string(),
             ranking: out.ranking,
             scores: None,
             top: None,

@@ -44,9 +44,6 @@
 //! assert_eq!(top[0].0, "Pasta");
 //! ```
 //!
-//! The pre-redesign entry point `runner::run` survives as a deprecated
-//! shim over the registry.
-//!
 //! ## The solver layer
 //!
 //! Every stationary-distribution algorithm — PageRank, PPR, CheiRank, and
@@ -102,10 +99,8 @@ mod chunks;
 pub mod compare;
 pub mod cyclerank;
 pub mod error;
-pub mod gauss_seidel;
 pub mod montecarlo;
 pub mod pagerank;
-pub mod parallel;
 pub mod ppr;
 pub mod push;
 pub mod query;
@@ -119,7 +114,6 @@ pub mod tworank;
 
 pub use algorithm::{AlgorithmDescriptor, ParamSpec, RelevanceAlgorithm};
 pub use arena::{with_arena, SolverArena};
-pub use builtin::execute_kernel_family;
 pub use cheirank::{cheirank, personalized_cheirank};
 pub use cyclerank::{CycleRankConfig, CycleRankOutput};
 pub use error::AlgoError;
@@ -128,8 +122,6 @@ pub use ppr::{personalized_pagerank, TeleportVector};
 pub use query::{BatchResult, Query, QueryError, QueryResult, QueryTarget, ReferenceSpec};
 pub use registry::{AlgorithmRegistry, RegistryError};
 pub use result::{RankedList, ScoreVector};
-#[allow(deprecated)]
-pub use runner::run;
 pub use runner::{Algorithm, AlgorithmParams, RelevanceOutput, Solver};
 pub use scoring::ScoringFunction;
 pub use solver::{

@@ -146,12 +146,12 @@ impl AlgorithmRegistry {
     /// Registers the seven paper algorithms (idempotent on a fresh
     /// registry; errors on id collisions).
     pub fn register_builtins(&self) -> Result<(), RegistryError> {
-        self.register(Arc::new(builtin::PageRankAlgorithm))?;
-        self.register(Arc::new(builtin::PersonalizedPageRankAlgorithm))?;
-        self.register(Arc::new(builtin::CheiRankAlgorithm))?;
-        self.register(Arc::new(builtin::PersonalizedCheiRankAlgorithm))?;
-        self.register(Arc::new(builtin::TwoDRankAlgorithm))?;
-        self.register(Arc::new(builtin::PersonalizedTwoDRankAlgorithm))?;
+        self.register(Arc::new(builtin::PAGERANK))?;
+        self.register(Arc::new(builtin::PERSONALIZED_PAGERANK))?;
+        self.register(Arc::new(builtin::CHEIRANK))?;
+        self.register(Arc::new(builtin::PERSONALIZED_CHEIRANK))?;
+        self.register(Arc::new(builtin::TWO_D_RANK))?;
+        self.register(Arc::new(builtin::PERSONALIZED_TWO_D_RANK))?;
         self.register(Arc::new(builtin::CycleRankAlgorithm))?;
         Ok(())
     }
@@ -250,7 +250,7 @@ mod tests {
         let reg = AlgorithmRegistry::new();
         reg.register_builtins().unwrap();
         assert!(matches!(
-            reg.register(std::sync::Arc::new(builtin::PageRankAlgorithm)),
+            reg.register(std::sync::Arc::new(builtin::PAGERANK)),
             Err(RegistryError::DuplicateId(_))
         ));
 

@@ -1,17 +1,13 @@
-//! Legacy uniform dispatch layer (deprecated) and the shared parameter /
-//! output types.
+//! The shared parameter / output types.
 //!
-//! The platform's invocation API now lives in three sibling modules:
+//! The platform's invocation API lives in three sibling modules:
 //! [`crate::algorithm`] (the open `RelevanceAlgorithm` trait),
 //! [`crate::registry`] (the id → implementation table), and
 //! [`crate::query`] (the fluent `Query` front door). This module keeps the
 //! serializable types the task JSON carries — [`Algorithm`], [`Solver`],
-//! [`AlgorithmParams`], [`RelevanceOutput`] — plus [`run`], a deprecated
-//! shim that delegates to the registry so pre-redesign callers keep
-//! compiling.
+//! [`AlgorithmParams`], [`RelevanceOutput`].
 
 use crate::cyclerank::CycleRankConfig;
-use crate::error::AlgoError;
 use crate::pagerank::{Convergence, PageRankConfig};
 use crate::result::{RankedList, ScoreVector};
 use crate::scoring::ScoringFunction;
@@ -74,23 +70,6 @@ impl Algorithm {
     /// produce only a ranking, as the paper notes).
     pub fn produces_scores(self) -> bool {
         !matches!(self, Algorithm::TwoDRank | Algorithm::PersonalizedTwoDRank)
-    }
-
-    /// True if the algorithm is a pure parameterization of the sweep
-    /// kernel — one [`relgraph::GraphView`] orientation plus a teleport
-    /// vector — and can therefore run on **any** graph representation
-    /// through [`crate::execute_kernel_family`] (the engine's compact-tier
-    /// serving path). The 2DRank variants combine two solves with
-    /// CSR-resident rank bookkeeping and CycleRank is a cycle enumeration;
-    /// those stay on the standard CSR.
-    pub fn is_kernel_family(self) -> bool {
-        matches!(
-            self,
-            Algorithm::PageRank
-                | Algorithm::PersonalizedPageRank
-                | Algorithm::CheiRank
-                | Algorithm::PersonalizedCheiRank
-        )
     }
 
     /// Display name matching the paper's tables.
@@ -455,41 +434,28 @@ impl RelevanceOutput {
     }
 }
 
-/// Runs `params.algorithm` on `g`, personalized at `reference` when the
-/// algorithm requires it.
-///
-/// Returns [`AlgoError::MissingReference`] if a personalized algorithm is
-/// invoked without a reference node; global algorithms ignore `reference`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use relcore::Query (fluent, registry-backed, supports custom algorithms) \
-            or AlgorithmRegistry::global().get(id) directly"
-)]
-pub fn run(
-    g: &DirectedGraph,
-    params: &AlgorithmParams,
-    reference: Option<NodeId>,
-) -> Result<RelevanceOutput, AlgoError> {
-    let algo = crate::registry::AlgorithmRegistry::global()
-        .get(params.algorithm.id())
-        .expect("built-in algorithms are always registered");
-    let refn = if algo.is_personalized() {
-        Some(reference.ok_or(AlgoError::MissingReference)?)
-    } else {
-        None
-    };
-    algo.validate(params)?;
-    algo.execute(g, params, refn)
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::error::AlgoError;
+    use crate::query::{Query, QueryError};
     use relgraph::GraphBuilder;
 
     fn sample() -> DirectedGraph {
         GraphBuilder::from_edge_indices([(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2), (3, 0)])
+    }
+
+    /// Runs `params` on `g` through the `Query` front door.
+    fn run(
+        g: &DirectedGraph,
+        params: &AlgorithmParams,
+        reference: Option<NodeId>,
+    ) -> Result<RelevanceOutput, QueryError> {
+        let mut query = Query::on(g).params(*params);
+        if let Some(r) = reference {
+            query = query.reference(r);
+        }
+        query.run().map(|result| result.output)
     }
 
     #[test]
@@ -509,7 +475,10 @@ mod tests {
         let g = sample();
         for algo in Algorithm::ALL.into_iter().filter(|a| a.is_personalized()) {
             let params = AlgorithmParams::new(algo);
-            assert!(matches!(run(&g, &params, None), Err(AlgoError::MissingReference)), "{algo}");
+            assert!(
+                matches!(run(&g, &params, None), Err(QueryError::MissingReference(_))),
+                "{algo}"
+            );
         }
     }
 
@@ -704,7 +673,7 @@ mod tests {
         let params = AlgorithmParams::new(Algorithm::CycleRank);
         assert!(matches!(
             run(&g, &params, Some(NodeId::new(99))),
-            Err(AlgoError::InvalidReference { .. })
+            Err(QueryError::Algorithm(AlgoError::InvalidReference { .. }))
         ));
     }
 }

@@ -5,7 +5,7 @@ use relcore::cyclerank::{cyclerank, CycleRankConfig};
 use relcore::pagerank::{pagerank, PageRankConfig};
 use relcore::ppr::{personalized_pagerank, TeleportVector};
 use relcore::push::{ppr_push, PushConfig};
-use relcore::runner::{Algorithm, AlgorithmParams};
+use relcore::runner::Algorithm;
 use relcore::solver::{Precision, Scheme, SolverConfig, SweepKernel, F32_TOLERANCE_FLOOR};
 use relcore::{AlgorithmRegistry, Query, ScoringFunction};
 use relgraph::{GraphBuilder, NodeId};
@@ -156,39 +156,6 @@ proptest! {
             ids.sort_unstable();
             let want: Vec<u32> = (0..g.node_count() as u32).collect();
             prop_assert_eq!(ids, want, "{} ranking not a permutation", algo);
-        }
-    }
-
-    /// Registry/enum parity, part 3 of 3 (see the plain tests below for
-    /// parts 1–2): `Query` with default parameters matches the legacy
-    /// `run()` entry point **bit-for-bit** — identical rankings, identical
-    /// score vectors down to the last f64 bit — for every algorithm.
-    #[test]
-    fn query_matches_legacy_run_bit_for_bit(edges in edge_list(15, 70), r in 0u32..15) {
-        let g = GraphBuilder::from_edge_indices(edges);
-        let r = NodeId::new(r % g.node_count() as u32);
-        let g = Arc::new(g);
-        for algo in Algorithm::ALL {
-            let params = AlgorithmParams::new(algo);
-            #[allow(deprecated)]
-            let legacy = relcore::runner::run(&g, &params, Some(r)).unwrap();
-            let query = Query::on(&g).algorithm(algo).reference(r).run().unwrap();
-            prop_assert_eq!(&query.output.algorithm, &legacy.algorithm);
-            prop_assert_eq!(&query.output.ranking, &legacy.ranking,
-                "{} ranking differs", algo);
-            match (&query.output.scores, &legacy.scores) {
-                (None, None) => {}
-                (Some(qs), Some(ls)) => {
-                    for u in g.nodes() {
-                        let (a, b) = (qs.get(u), ls.get(u));
-                        prop_assert!(a.to_bits() == b.to_bits(),
-                            "{} score at {:?} differs: {} vs {}", algo, u, a, b);
-                    }
-                }
-                other => prop_assert!(false, "{} score presence differs: {:?}",
-                    algo, (other.0.is_some(), other.1.is_some())),
-            }
-            prop_assert_eq!(query.output.cycles_found, legacy.cycles_found);
         }
     }
 
@@ -456,7 +423,7 @@ proptest! {
     }
 }
 
-/// Registry/enum parity, part 1 of 3: every `Algorithm::ALL` id resolves
+/// Registry/enum parity, part 1 of 2: every `Algorithm::ALL` id resolves
 /// in the global registry, to an entry whose metadata matches the enum's.
 #[test]
 fn every_enum_id_resolves_in_registry() {
@@ -471,7 +438,7 @@ fn every_enum_id_resolves_in_registry() {
     }
 }
 
-/// Registry/enum parity, part 2 of 3: every spelling `Algorithm::from_str`
+/// Registry/enum parity, part 2 of 2: every spelling `Algorithm::from_str`
 /// accepts resolves in the registry to the same algorithm, and the
 /// resolved id round-trips back through `FromStr`.
 #[test]

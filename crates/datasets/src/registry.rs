@@ -24,6 +24,8 @@ use crate::fixtures::{self, Language};
 use crate::{amazon, classic, twitter, wikilink};
 use relgraph::{DirectedGraph, GraphBuilder, NodeOrdering};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Dataset family, mirroring the demo's three sources plus internals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -42,7 +44,7 @@ pub enum DatasetKind {
 }
 
 /// Catalog entry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DatasetSpec {
     /// Stable identifier, e.g. `wiki-en-2018`.
     pub id: String,
@@ -120,9 +122,29 @@ fn seed_for(id: &str) -> u64 {
     h
 }
 
+/// The catalog, built once per process: entries in display order plus
+/// an id → position index, shared by [`catalog`] and [`spec`].
+struct Catalog {
+    entries: Vec<DatasetSpec>,
+    by_id: HashMap<String, usize>,
+}
+
+fn built_catalog() -> &'static Catalog {
+    static CATALOG: OnceLock<Catalog> = OnceLock::new();
+    CATALOG.get_or_init(|| {
+        let entries = build_entries();
+        let by_id = entries.iter().enumerate().map(|(i, s)| (s.id.clone(), i)).collect();
+        Catalog { entries, by_id }
+    })
+}
+
 /// The full 50-entry catalog, in display order.
 pub fn catalog() -> Vec<DatasetSpec> {
     crate::connect_query_api();
+    built_catalog().entries.clone()
+}
+
+fn build_entries() -> Vec<DatasetSpec> {
     let mut out = Vec::with_capacity(50);
     for lang in LANGS {
         for year in YEARS {
@@ -227,7 +249,9 @@ pub fn catalog() -> Vec<DatasetSpec> {
 
 /// Looks up a catalog entry by id.
 pub fn spec(id: &str) -> Option<DatasetSpec> {
-    catalog().into_iter().find(|s| s.id == id)
+    crate::connect_query_api();
+    let catalog = built_catalog();
+    catalog.by_id.get(id).map(|&i| catalog.entries[i].clone())
 }
 
 /// Generates the graph for a dataset id. Returns `None` for unknown ids.
@@ -391,6 +415,12 @@ mod tests {
         let s = spec("wiki-en-2018").unwrap();
         assert_eq!(s.kind, DatasetKind::Wikipedia);
         assert!(spec("bogus").is_none());
+        // The indexed lookup answers exactly what a scan of the catalog
+        // would, for every entry — and nothing for an upload's id.
+        for entry in catalog() {
+            assert_eq!(spec(&entry.id), Some(entry));
+        }
+        assert!(spec("upload-0193a5c2").is_none());
     }
 
     #[test]

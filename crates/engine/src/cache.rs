@@ -38,24 +38,21 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 /// top-k-only serving mode (`params.top_k`, rendered as `ktop`) is
 /// included because its result path (certified adaptive push / pruned
 /// heap-select) produces estimate-accurate scores a full-rank run would
-/// not. `tier` is the representation the solve actually ran on
-/// ([`crate::executor::GraphTier`]) and `precision` its score lane: the
-/// compact tier narrows weights to f32 and the f32 lane carries its own
-/// rounding, so neither may share entries with the bitwise-reproducible
-/// CSR/f64 path.
-pub fn cache_key(spec: &TaskSpec, graph_version: u64, tier: &str) -> String {
+/// not. `precision` is the solve's score lane: the f32 lane carries its
+/// own rounding, so it may not share entries with the
+/// bitwise-reproducible f64 path.
+pub fn cache_key(spec: &TaskSpec, graph_version: u64) -> String {
     let p = &spec.params;
     // The dataset field is length-prefixed: upload names are arbitrary
     // strings, so a bare `dataset={id};` rendering would let an id like
     // `d;x` masquerade as (and get swept up with) dataset `d` by the
     // prefix match in [`ResultCache::invalidate_dataset`].
     format!(
-        "dataset={}:{};v={};tier={};algo={};damping={};k={};scoring={};tolerance={};\
+        "dataset={}:{};v={};algo={};damping={};k={};scoring={};tolerance={};\
          max_iterations={};solver={};precision={};trace={};source={};top_k={};ktop={}",
         spec.dataset.len(),
         spec.dataset,
         graph_version,
-        tier,
         p.algorithm.id(),
         p.damping,
         p.max_cycle_len,
@@ -272,11 +269,6 @@ mod tests {
         }
     }
 
-    /// Key on the standard tier, the shape most tests exercise.
-    fn key(spec: &TaskSpec, version: u64) -> String {
-        cache_key(spec, version, "csr")
-    }
-
     fn result(key_tag: &str) -> TaskResult {
         TaskResult {
             task_id: TaskId::fresh(),
@@ -298,44 +290,42 @@ mod tests {
 
     #[test]
     fn key_separates_result_determining_fields() {
-        let a = key(&spec("d", Some("s")), 0);
-        assert_ne!(a, key(&spec("d2", Some("s")), 0));
-        assert_ne!(a, key(&spec("d", Some("s2")), 0));
-        assert_ne!(a, key(&spec("d", None), 0));
+        let a = cache_key(&spec("d", Some("s")), 0);
+        assert_ne!(a, cache_key(&spec("d2", Some("s")), 0));
+        assert_ne!(a, cache_key(&spec("d", Some("s2")), 0));
+        assert_ne!(a, cache_key(&spec("d", None), 0));
         // The graph version separates pre- and post-mutation states of the
         // same spec — the headline stale-cache fix.
-        assert_ne!(a, key(&spec("d", Some("s")), 1));
+        assert_ne!(a, cache_key(&spec("d", Some("s")), 1));
         let mut with_alpha = spec("d", Some("s"));
         with_alpha.params.damping = 0.3;
-        assert_ne!(a, key(&with_alpha, 0));
+        assert_ne!(a, cache_key(&with_alpha, 0));
         let mut with_top = spec("d", Some("s"));
         with_top.top_k = 9;
-        assert_ne!(a, key(&with_top, 0));
+        assert_ne!(a, cache_key(&with_top, 0));
         // threads is excluded: results are thread-count invariant.
         let mut with_threads = spec("d", Some("s"));
         with_threads.params.threads = 8;
-        assert_eq!(a, key(&with_threads, 0));
+        assert_eq!(a, cache_key(&with_threads, 0));
         // Top-k-only serving mode is a distinct result shape.
         let mut with_ktop = spec("d", Some("s"));
         with_ktop.params.top_k = Some(5);
-        assert_ne!(a, key(&with_ktop, 0));
+        assert_ne!(a, cache_key(&with_ktop, 0));
         let mut with_other_ktop = spec("d", Some("s"));
         with_other_ktop.params.top_k = Some(7);
-        assert_ne!(key(&with_ktop, 0), key(&with_other_ktop, 0));
-        // The representation tier and score lane both separate entries:
-        // compact narrows weights to f32, the f32 lane rounds — neither
-        // may answer for the bitwise-reproducible CSR/f64 path.
-        assert_ne!(a, cache_key(&spec("d", Some("s")), 0, "compact"));
+        assert_ne!(cache_key(&with_ktop, 0), cache_key(&with_other_ktop, 0));
+        // The score lane separates entries: the f32 lane rounds, so it may
+        // not answer for the bitwise-reproducible f64 path.
         let mut with_f32 = spec("d", Some("s"));
         with_f32.params.precision = relcore::Precision::F32;
-        assert_ne!(a, key(&with_f32, 0));
+        assert_ne!(a, cache_key(&with_f32, 0));
     }
 
     #[test]
     fn invalidate_dataset_drops_only_that_dataset() {
         let cache = ResultCache::new(8);
         for (ds, source) in [("d1", "a"), ("d1", "b"), ("d2", "a")] {
-            cache.put(key(&spec(ds, Some(source)), 0), result(ds));
+            cache.put(cache_key(&spec(ds, Some(source)), 0), result(ds));
         }
         assert_eq!(cache.stats().entries, 3);
         let dropped = cache.invalidate_dataset("d1");
@@ -343,8 +333,8 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.entries, 1);
         assert_eq!(s.invalidations, 2);
-        assert!(cache.get(&key(&spec("d1", Some("a")), 0), &TaskId::fresh()).is_none());
-        assert!(cache.get(&key(&spec("d2", Some("a")), 0), &TaskId::fresh()).is_some());
+        assert!(cache.get(&cache_key(&spec("d1", Some("a")), 0), &TaskId::fresh()).is_none());
+        assert!(cache.get(&cache_key(&spec("d2", Some("a")), 0), &TaskId::fresh()).is_some());
         // Idempotent on an already-clean dataset.
         assert_eq!(cache.invalidate_dataset("d1"), 0);
     }
@@ -356,12 +346,12 @@ mod tests {
         // extends "d" past the field delimiter must not match either
         // (the dataset field is length-prefixed for exactly this).
         let cache = ResultCache::new(8);
-        cache.put(key(&spec("d", Some("a")), 0), result("d"));
-        cache.put(key(&spec("d2", Some("a")), 0), result("d2"));
-        cache.put(key(&spec("d;v=0", Some("a")), 0), result("adversarial"));
+        cache.put(cache_key(&spec("d", Some("a")), 0), result("d"));
+        cache.put(cache_key(&spec("d2", Some("a")), 0), result("d2"));
+        cache.put(cache_key(&spec("d;v=0", Some("a")), 0), result("adversarial"));
         assert_eq!(cache.invalidate_dataset("d"), 1);
-        assert!(cache.get(&key(&spec("d2", Some("a")), 0), &TaskId::fresh()).is_some());
-        assert!(cache.get(&key(&spec("d;v=0", Some("a")), 0), &TaskId::fresh()).is_some());
+        assert!(cache.get(&cache_key(&spec("d2", Some("a")), 0), &TaskId::fresh()).is_some());
+        assert!(cache.get(&cache_key(&spec("d;v=0", Some("a")), 0), &TaskId::fresh()).is_some());
         assert_eq!(cache.invalidate_dataset("d;v=0"), 1);
     }
 

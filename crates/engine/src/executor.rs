@@ -18,99 +18,12 @@ use crate::mutation::{EdgeOp, MutationOutcome};
 use crate::persist::GraphPersistence;
 use crate::task::{BatchSpec, TaskId, TaskSpec};
 use parking_lot::Mutex;
-use relcore::runner::Solver;
-use relcore::{
-    execute_kernel_family, with_arena, AlgorithmRegistry, Precision, Query, QueryError,
-    QueryResult, RelevanceOutput, SolverArena,
-};
-use relgraph::{CompactGraph, DirectedGraph, DynamicGraph, NodeId};
+use relcore::{with_arena, Query, QueryError, QueryResult, SolverArena};
+use relgraph::{DirectedGraph, DynamicGraph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
-use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Which in-memory representation serves a dataset's queries.
-///
-/// Every dataset is authoritatively a [`DynamicGraph`] over the standard
-/// CSR (mutations need it); the compact tier adds a version-checked
-/// delta-varint mirror ([`relgraph::CompactGraph`]) and routes the
-/// kernel-family algorithms through it. Queries the compact tier cannot
-/// serve (CycleRank, 2DRank, Monte Carlo) transparently fall back to the
-/// CSR — tier choice is a bandwidth/footprint knob, never a capability
-/// one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum GraphTier {
-    /// Standard CSR arrays (the default): byte-for-byte the seed
-    /// behaviour, every algorithm supported.
-    #[default]
-    Csr,
-    /// Delta-varint compact representation: roughly a third the bytes per
-    /// edge, f32 weights, kernel-family algorithms only (others fall back).
-    Compact,
-}
-
-impl GraphTier {
-    /// Stable machine identifier (wire format, cache keys, CLI flags).
-    pub fn id(self) -> &'static str {
-        match self {
-            GraphTier::Csr => "csr",
-            GraphTier::Compact => "compact",
-        }
-    }
-}
-
-impl std::fmt::Display for GraphTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.id())
-    }
-}
-
-impl FromStr for GraphTier {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "csr" | "standard" => Ok(GraphTier::Csr),
-            "compact" => Ok(GraphTier::Compact),
-            other => Err(format!("unknown graph tier {other:?} (expected csr|compact)")),
-        }
-    }
-}
-
-/// Per-dataset memory-tier accounting, served by `relrank stats` and
-/// `GET /api/datasets/{id}/stats`: both representations' footprints side
-/// by side, so operators can see what switching tiers buys before they
-/// flip the knob.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DatasetTierStats {
-    /// Dataset id.
-    pub dataset: String,
-    /// The tier currently serving this dataset's kernel-family queries.
-    pub tier: GraphTier,
-    /// Graph version the numbers describe.
-    pub version: u64,
-    /// Node count.
-    pub nodes: usize,
-    /// Edge count.
-    pub edges: usize,
-    /// Whether edges carry weights.
-    pub weighted: bool,
-    /// Resident bytes of the standard CSR (both adjacency directions,
-    /// weights, offsets, cached weight sums).
-    pub csr_bytes: u64,
-    /// `csr_bytes / edges` (0 when the graph has no edges).
-    pub csr_bytes_per_edge: f64,
-    /// Resident bytes of the compact representation at this version.
-    pub compact_bytes: u64,
-    /// `compact_bytes / edges` (0 when the graph has no edges).
-    pub compact_bytes_per_edge: f64,
-    /// `compact_bytes / csr_bytes` — the headline compression ratio.
-    pub compact_ratio: f64,
-    /// Score-lane precisions the solver exposes (`precision` task param).
-    pub precision_lanes: Vec<String>,
-}
 
 /// Default base of the degraded-mode exponential backoff.
 pub const DEFAULT_DEGRADED_BACKOFF: Duration = Duration::from_secs(1);
@@ -206,14 +119,6 @@ pub struct Executor {
     /// only traffic on that dataset — the outer map lock is held just
     /// long enough to clone the slot `Arc`.
     datasets: Mutex<HashMap<String, Arc<Mutex<DynamicGraph>>>>,
-    /// Per-dataset representation policy ([`Executor::set_dataset_tier`]);
-    /// absent means [`GraphTier::Csr`].
-    tiers: Mutex<HashMap<String, GraphTier>>,
-    /// Version-checked compact mirrors: `(graph version, compact graph)`.
-    /// An entry whose version trails the dataset's current version is
-    /// stale and rebuilt on the next compact-tier access; mutations drop
-    /// it eagerly to free the memory.
-    compacts: Mutex<HashMap<String, (u64, Arc<CompactGraph>)>>,
     results: ResultCache,
     /// Optional durable store: when attached, uploads snapshot on
     /// registration, every applied mutation batch is journaled (fsynced)
@@ -253,8 +158,6 @@ impl Executor {
     pub fn with_cache_capacity(capacity: usize) -> Self {
         Executor {
             datasets: Mutex::new(HashMap::new()),
-            tiers: Mutex::new(HashMap::new()),
-            compacts: Mutex::new(HashMap::new()),
             results: ResultCache::new(capacity),
             persist: None,
             arenas: Mutex::new(BTreeMap::new()),
@@ -388,9 +291,7 @@ impl Executor {
     /// requests into the cheap admission lane.
     pub fn would_hit_cache(&self, spec: &TaskSpec) -> bool {
         match self.dataset_version(&spec.dataset) {
-            Some(version) => {
-                self.results.contains(&cache_key(spec, version, self.serving_tier(spec).id()))
-            }
+            Some(version) => self.results.contains(&cache_key(spec, version)),
             None => false,
         }
     }
@@ -408,95 +309,6 @@ impl Executor {
             stats.allocations += arena.allocations();
         }
         stats
-    }
-
-    /// Sets which representation serves `id`'s kernel-family queries.
-    /// Switching to [`GraphTier::Compact`] builds the compact mirror
-    /// eagerly (O(E), once per graph version); switching back drops it.
-    /// Results are unaffected for unweighted graphs and graphs whose
-    /// weights are `f32`-exact; otherwise compact scores differ from CSR
-    /// scores within the narrowing error, and the cache keys the two tiers
-    /// apart.
-    pub fn set_dataset_tier(&self, id: &str, tier: GraphTier) -> Result<(), EngineError> {
-        // Validate the id (and load the dataset) before recording policy.
-        let _ = self.dataset_versioned(id)?;
-        self.tiers.lock().insert(id.to_string(), tier);
-        match tier {
-            GraphTier::Compact => {
-                let _ = self.compact_mirror(id)?;
-            }
-            GraphTier::Csr => {
-                self.compacts.lock().remove(id);
-            }
-        }
-        Ok(())
-    }
-
-    /// The representation tier serving `id` ([`GraphTier::Csr`] unless
-    /// [`Executor::set_dataset_tier`] said otherwise).
-    pub fn dataset_tier(&self, id: &str) -> GraphTier {
-        self.tiers.lock().get(id).copied().unwrap_or_default()
-    }
-
-    /// The compact mirror of `id` at its **current** graph version,
-    /// building (outside the map lock) when missing or stale.
-    fn compact_mirror(&self, id: &str) -> Result<(Arc<CompactGraph>, u64), EngineError> {
-        let (graph, version) = self.dataset_versioned(id)?;
-        if let Some((v, compact)) = self.compacts.lock().get(id) {
-            if *v == version {
-                return Ok((Arc::clone(compact), version));
-            }
-        }
-        let compact = Arc::new(CompactGraph::from_csr(&graph));
-        self.compacts.lock().insert(id.to_string(), (version, Arc::clone(&compact)));
-        Ok((compact, version))
-    }
-
-    /// Memory-tier accounting for `id`: resident bytes and bytes/edge of
-    /// both representations at the current version, plus the serving tier
-    /// and available score lanes. Builds (and caches) the compact mirror
-    /// when it isn't materialized yet — the point of the endpoint is to
-    /// show what switching would buy.
-    pub fn dataset_tier_stats(&self, id: &str) -> Result<DatasetTierStats, EngineError> {
-        let (graph, version) = self.dataset_versioned(id)?;
-        let (compact, _) = self.compact_mirror(id)?;
-        let edges = graph.edge_count();
-        let csr_bytes = graph.memory_bytes() as u64;
-        let compact_bytes = compact.memory_bytes() as u64;
-        let per_edge = |bytes: u64| if edges == 0 { 0.0 } else { bytes as f64 / edges as f64 };
-        Ok(DatasetTierStats {
-            dataset: id.to_string(),
-            tier: self.dataset_tier(id),
-            version,
-            nodes: graph.node_count(),
-            edges,
-            weighted: graph.is_weighted(),
-            csr_bytes,
-            csr_bytes_per_edge: per_edge(csr_bytes),
-            compact_bytes,
-            compact_bytes_per_edge: per_edge(compact_bytes),
-            compact_ratio: if csr_bytes == 0 {
-                0.0
-            } else {
-                compact_bytes as f64 / csr_bytes as f64
-            },
-            precision_lanes: Precision::ALL.iter().map(|p| p.id().to_string()).collect(),
-        })
-    }
-
-    /// The tier `spec` would actually execute on: compact only when the
-    /// dataset opted in **and** the algorithm/solver pair has a view-level
-    /// path (kernel family, not Monte Carlo — mirroring
-    /// [`Executor::execute_compact`]'s fallback).
-    fn serving_tier(&self, spec: &TaskSpec) -> GraphTier {
-        if self.dataset_tier(&spec.dataset) == GraphTier::Compact
-            && spec.params.algorithm.is_kernel_family()
-            && !matches!(spec.params.solver, Solver::MonteCarlo)
-        {
-            GraphTier::Compact
-        } else {
-            GraphTier::Csr
-        }
     }
 
     /// Registers a user-uploaded graph under `id` (the demo's "upload your
@@ -668,10 +480,6 @@ impl Executor {
         drop(guard);
         if mutated {
             self.results.invalidate_dataset(id);
-            // The compact mirror is version-keyed (a stale entry can never
-            // serve), but drop it eagerly so the memory doesn't linger;
-            // the next compact-tier query rebuilds at the new version.
-            self.compacts.lock().remove(id);
         }
         Ok(outcome)
     }
@@ -681,11 +489,8 @@ impl Executor {
     /// [`crate::cache::cache_key`]), otherwise through the registry-backed
     /// [`Query`] front door (and cached for the next identical request).
     pub fn execute(&self, id: &TaskId, spec: &TaskSpec) -> Result<TaskResult, EngineError> {
-        if self.serving_tier(spec) == GraphTier::Compact {
-            return self.execute_compact(id, spec);
-        }
         let (graph, version) = self.dataset_versioned(&spec.dataset)?;
-        let key = cache_key(spec, version, GraphTier::Csr.id());
+        let key = cache_key(spec, version);
         if let Some(cached) = self.results.get(&key, id) {
             return Ok(cached);
         }
@@ -698,43 +503,6 @@ impl Executor {
         let result =
             with_arena(&arena, || query.run()).map_err(|e| map_query_error(e, &spec.dataset))?;
         let result = package(id, &spec.dataset, spec.source.clone(), &result);
-        self.results.put(key, result.clone());
-        Ok(result)
-    }
-
-    /// The compact-tier execution path: solves a kernel-family spec
-    /// directly on the dataset's delta-varint mirror through
-    /// [`relcore::execute_kernel_family`] — the `Query` front door is
-    /// typed over the standard CSR, so reference resolution and result
-    /// packaging happen here against the compact label table (same
-    /// label-first-then-unlabeled-index convention). Only reached when
-    /// [`Executor::serving_tier`] says so.
-    fn execute_compact(&self, id: &TaskId, spec: &TaskSpec) -> Result<TaskResult, EngineError> {
-        let (compact, version) = self.compact_mirror(&spec.dataset)?;
-        let key = cache_key(spec, version, GraphTier::Compact.id());
-        if let Some(cached) = self.results.get(&key, id) {
-            return Ok(cached);
-        }
-
-        let reference = match &spec.source {
-            Some(source) => Some(resolve_compact_reference(&compact, source).ok_or_else(|| {
-                EngineError::UnknownSource { dataset: spec.dataset.clone(), source: source.clone() }
-            })?),
-            None if spec.params.algorithm.is_personalized() => {
-                return Err(EngineError::MissingSource)
-            }
-            None => None,
-        };
-
-        let arena = self.arena_for(&spec.dataset);
-        let start = Instant::now();
-        let output = with_arena(&arena, || {
-            execute_kernel_family(spec.params.algorithm, compact.view(), &spec.params, reference)
-        })
-        .map_err(EngineError::from)?;
-        let runtime = start.elapsed();
-
-        let result = package_compact(id, spec, &compact, &output, runtime.as_millis() as u64);
         self.results.put(key, result.clone());
         Ok(result)
     }
@@ -753,11 +521,8 @@ impl Executor {
         let mut slots: Vec<Option<TaskResult>> = Vec::with_capacity(ids.len());
         let mut keys = Vec::with_capacity(ids.len());
         let mut missed = Vec::new();
-        // Batches always run on the CSR snapshot (the fused multi-vector
-        // sweep is CSR-resident), so they key under the CSR tier even for
-        // compact-tier datasets — the entries are correct for both.
         for (i, id) in ids.iter().enumerate() {
-            let key = cache_key(&spec.task_for(i), version, GraphTier::Csr.id());
+            let key = cache_key(&spec.task_for(i), version);
             slots.push(self.results.get(&key, id));
             if slots[i].is_none() {
                 missed.push(i);
@@ -893,61 +658,6 @@ fn map_query_error(e: QueryError, dataset: &str) -> EngineError {
     }
 }
 
-/// Resolves a reference string against a compact graph's label table,
-/// following the query convention exactly ([`relcore::resolve_reference`]):
-/// label first, then — for **unlabeled** nodes only — a numeric index.
-fn resolve_compact_reference(graph: &CompactGraph, reference: &str) -> Option<NodeId> {
-    if let Some(n) = graph.node_by_label(reference) {
-        return Some(n);
-    }
-    let idx: u32 = reference.parse().ok()?;
-    let node = NodeId::new(idx);
-    ((idx as usize) < graph.node_count() && graph.labels().get(node).is_none()).then_some(node)
-}
-
-/// Packages a compact-tier [`RelevanceOutput`] as the engine's stored
-/// result type, labelling the top entries through the compact label table
-/// (the CSR-typed [`QueryResult`] machinery never sees this path). The
-/// parameter summary comes from the registered algorithm so both tiers
-/// render identically.
-fn package_compact(
-    id: &TaskId,
-    spec: &TaskSpec,
-    graph: &CompactGraph,
-    output: &RelevanceOutput,
-    runtime_ms: u64,
-) -> TaskResult {
-    let k = spec.top_k;
-    let top: Vec<(String, f64)> = if let Some(top) = &output.top {
-        top.iter().take(k).map(|&(n, s)| (graph.display_name(n), s)).collect()
-    } else {
-        match &output.scores {
-            Some(s) => s.top_k(k).into_iter().map(|(n, s)| (graph.display_name(n), s)).collect(),
-            None => output.ranking.top_k(k).iter().map(|&n| (graph.display_name(n), 0.0)).collect(),
-        }
-    };
-    let parameters = AlgorithmRegistry::global()
-        .get(spec.params.algorithm.id())
-        .map(|a| a.summarize(&spec.params))
-        .unwrap_or_else(|| format!("α = {}", spec.params.damping));
-    TaskResult {
-        task_id: id.clone(),
-        dataset: spec.dataset.clone(),
-        algorithm: output.algorithm.clone(),
-        parameters,
-        source: spec.source.clone(),
-        top,
-        runtime_ms,
-        nodes: graph.node_count(),
-        edges: graph.edge_count(),
-        iterations: output.convergence.map(|c| c.iterations),
-        residual: output.convergence.map(|c| c.residual),
-        converged: output.convergence.map(|c| c.converged),
-        residuals: output.trace.as_ref().map(|t| t.residuals.clone()),
-        cycles_found: output.cycles_found,
-    }
-}
-
 /// Packages a finished [`QueryResult`] as the engine's stored result type.
 fn package(id: &TaskId, dataset: &str, source: Option<String>, result: &QueryResult) -> TaskResult {
     TaskResult {
@@ -1067,7 +777,7 @@ mod tests {
         served_labels.sort();
         assert_eq!(full_labels, served_labels, "top-k serving must return the exact top-k set");
         // The two modes are distinct cache entries.
-        assert_ne!(cache_key(&full_spec, 0, "csr"), cache_key(&serving_spec, 0, "csr"));
+        assert_ne!(cache_key(&full_spec, 0), cache_key(&serving_spec, 0));
     }
 
     #[test]
@@ -1485,150 +1195,9 @@ mod tests {
     }
 
     #[test]
-    fn compact_tier_matches_csr_for_kernel_family() {
-        let ex = Executor::new();
-        let kernel_specs = |ds: &str| {
-            vec![
-                TaskBuilder::new(ds).top_k(5).build().unwrap(),
-                TaskBuilder::new(ds)
-                    .algorithm(Algorithm::PersonalizedPageRank)
-                    .source("Freddie Mercury")
-                    .top_k(5)
-                    .build()
-                    .unwrap(),
-                TaskBuilder::new(ds).algorithm(Algorithm::CheiRank).top_k(5).build().unwrap(),
-                TaskBuilder::new(ds)
-                    .algorithm(Algorithm::PersonalizedCheiRank)
-                    .source("Freddie Mercury")
-                    .top_k(5)
-                    .build()
-                    .unwrap(),
-            ]
-        };
-        let csr: Vec<TaskResult> = kernel_specs("fixture-enwiki-2018")
-            .iter()
-            .map(|s| ex.execute(&TaskId::fresh(), s).unwrap())
-            .collect();
-        ex.set_dataset_tier("fixture-enwiki-2018", GraphTier::Compact).unwrap();
-        assert_eq!(ex.dataset_tier("fixture-enwiki-2018"), GraphTier::Compact);
-        for (spec, want) in kernel_specs("fixture-enwiki-2018").iter().zip(&csr) {
-            let got = ex.execute(&TaskId::fresh(), spec).unwrap();
-            // The fixture is unweighted, so the compact representation is
-            // numerically identical — scores match bitwise.
-            assert_eq!(got.top, want.top, "{}", spec.params.algorithm);
-            assert_eq!(got.iterations, want.iterations);
-            assert_eq!(got.parameters, want.parameters);
-            assert_eq!(got.nodes, want.nodes);
-            assert_eq!(got.edges, want.edges);
-        }
-        // Switching back restores CSR serving.
-        ex.set_dataset_tier("fixture-enwiki-2018", GraphTier::Csr).unwrap();
-        assert_eq!(ex.dataset_tier("fixture-enwiki-2018"), GraphTier::Csr);
-    }
-
-    #[test]
-    fn compact_tier_falls_back_for_csr_only_algorithms() {
-        let ex = Executor::new();
-        ex.set_dataset_tier("fixture-enwiki-2018", GraphTier::Compact).unwrap();
-        // CycleRank, 2DRank, and the Monte Carlo solver have no compact
-        // path; a compact-tier dataset still serves them from the CSR.
-        let cyclerank = TaskBuilder::new("fixture-enwiki-2018")
-            .algorithm(Algorithm::CycleRank)
-            .source("Freddie Mercury")
-            .top_k(3)
-            .build()
-            .unwrap();
-        let r = ex.execute(&TaskId::fresh(), &cyclerank).unwrap();
-        assert_eq!(r.top[0].0, "Freddie Mercury");
-        let twod = TaskBuilder::new("fixture-enwiki-2018")
-            .algorithm(Algorithm::TwoDRank)
-            .top_k(3)
-            .build()
-            .unwrap();
-        assert!(ex.execute(&TaskId::fresh(), &twod).is_ok());
-        let monte = TaskBuilder::new("fixture-enwiki-2018")
-            .algorithm(Algorithm::PersonalizedPageRank)
-            .solver(relcore::runner::Solver::MonteCarlo)
-            .source("Freddie Mercury")
-            .top_k(3)
-            .build()
-            .unwrap();
-        assert!(ex.execute(&TaskId::fresh(), &monte).is_ok());
-    }
-
-    #[test]
-    fn compact_tier_errors_match_csr_semantics() {
-        let ex = Executor::new();
-        ex.set_dataset_tier("fixture-enwiki-2018", GraphTier::Compact).unwrap();
-        let mut spec = TaskBuilder::new("fixture-enwiki-2018")
-            .algorithm(Algorithm::PersonalizedPageRank)
-            .source("placeholder")
-            .top_k(3)
-            .build()
-            .unwrap();
-        spec.source = Some("No Such Page".into());
-        assert!(matches!(
-            ex.execute(&TaskId::fresh(), &spec),
-            Err(EngineError::UnknownSource { .. })
-        ));
-        spec.source = None;
-        assert!(matches!(ex.execute(&TaskId::fresh(), &spec), Err(EngineError::MissingSource)));
-        // Unknown tier targets are rejected outright.
-        assert!(ex.set_dataset_tier("no-such-dataset", GraphTier::Compact).is_err());
-    }
-
-    #[test]
-    fn tier_stats_report_compact_savings() {
-        let ex = Executor::new();
-        let stats = ex.dataset_tier_stats("fixture-enwiki-2018").unwrap();
-        assert_eq!(stats.tier, GraphTier::Csr);
-        assert!(stats.nodes > 0 && stats.edges > 0);
-        assert!(stats.compact_bytes > 0 && stats.csr_bytes > 0);
-        assert!(
-            stats.compact_bytes_per_edge < stats.csr_bytes_per_edge,
-            "compact must be smaller: {} vs {}",
-            stats.compact_bytes_per_edge,
-            stats.csr_bytes_per_edge
-        );
-        assert!(stats.compact_ratio < 1.0);
-        assert_eq!(stats.precision_lanes, vec!["f64".to_string(), "f32".to_string()]);
-        // Serde surface is stable for the stats route.
-        let json = serde_json::to_value(&stats);
-        assert_eq!(json["tier"], "csr");
-    }
-
-    #[test]
-    fn mutation_invalidates_compact_mirror() {
-        use crate::mutation::EdgeSpec;
-        let ex = Executor::new();
-        let mut b = relgraph::GraphBuilder::new();
-        b.add_labeled_edge("a", "b");
-        b.add_labeled_edge("b", "a");
-        ex.register_graph("tiered", b.build()).unwrap();
-        ex.set_dataset_tier("tiered", GraphTier::Compact).unwrap();
-        let spec = TaskBuilder::new("tiered").top_k(3).build().unwrap();
-        let before = ex.execute(&TaskId::fresh(), &spec).unwrap();
-        assert_eq!(before.nodes, 2);
-        let add = EdgeSpec { source: "b".into(), target: "c".into(), weight: None };
-        ex.mutate_dataset("tiered", &[EdgeOp::Add(add)]).unwrap();
-        // The rebuilt mirror serves the post-mutation graph, not a stale one.
-        let after = ex.execute(&TaskId::fresh(), &spec).unwrap();
-        assert_eq!(after.nodes, 3);
-        assert_eq!(
-            ex.dataset_tier_stats("tiered").unwrap().version,
-            ex.dataset_version("tiered").unwrap()
-        );
-    }
-
-    #[test]
-    fn tiers_and_precision_split_the_result_cache() {
+    fn precision_splits_the_result_cache() {
         let ex = Executor::new();
         let spec = TaskBuilder::new("fixture-fakenews-it").top_k(3).build().unwrap();
-        assert!(!ex.would_hit_cache(&spec));
-        ex.execute(&TaskId::fresh(), &spec).unwrap();
-        assert!(ex.would_hit_cache(&spec));
-        // Flipping the tier changes the serving key: cold again.
-        ex.set_dataset_tier("fixture-fakenews-it", GraphTier::Compact).unwrap();
         assert!(!ex.would_hit_cache(&spec));
         ex.execute(&TaskId::fresh(), &spec).unwrap();
         assert!(ex.would_hit_cache(&spec));

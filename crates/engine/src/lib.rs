@@ -52,8 +52,7 @@ pub use cache::{CacheStats, ResultCache};
 pub use datastore::{Datastore, FileStore, MemoryStore};
 pub use error::EngineError;
 pub use executor::{
-    ArenaPoolStats, DatasetTierStats, DegradedDataset, Executor, GraphTier, TaskResult,
-    DEFAULT_DEGRADED_BACKOFF,
+    ArenaPoolStats, DegradedDataset, Executor, TaskResult, DEFAULT_DEGRADED_BACKOFF,
 };
 pub use mutation::{EdgeOp, EdgeSpec, MutationOutcome};
 pub use persist::{GraphPersistence, RecoveredGraph};

@@ -2,7 +2,7 @@
 //! minimal op sequence that still fails, for one-glance repros.
 
 use crate::model::Scenario;
-use crate::runner::run_scenario;
+use crate::run_scenario;
 
 /// Shrinks `sc` to a locally-minimal failing scenario: repeatedly tries
 /// deleting each op and keeps any deletion under which the scenario

@@ -3,7 +3,7 @@
 //! expanded scenario, and shrinks + dumps failures as replayable repros.
 
 use crate::model::{Scenario, ScenarioDoc};
-use crate::runner::run_scenario;
+use crate::run_scenario;
 use crate::shrink::shrink;
 use std::io;
 use std::path::{Path, PathBuf};

@@ -16,7 +16,6 @@ pub fn route(req: &Request, engine: &Arc<Scheduler>) -> Response {
         (Method::Post, ["api", "datasets"]) => upload_dataset(req, engine),
         (Method::Get, ["api", "datasets", id]) => get_dataset(id, engine),
         (Method::Get, ["api", "datasets", id, "stats"]) => dataset_stats(id, engine),
-        (Method::Post, ["api", "datasets", id, "tier"]) => set_dataset_tier(id, req, engine),
         (Method::Post, ["api", "datasets", id, "edges"]) => mutate_edges(id, req, engine, true),
         (Method::Delete, ["api", "datasets", id, "edges"]) => mutate_edges(id, req, engine, false),
         (Method::Get, ["api", "algorithms"]) => list_algorithms(),
@@ -47,9 +46,8 @@ fn index() -> Response {
         <li>POST /api/datasets — upload a graph {name?, format?, content}</li>\n\
         <li>GET /api/datasets/{id} — one catalog entry + memory/locality footprint</li>\n\
         <li>GET /api/datasets/{id}/stats — structural statistics + graph version, \
-        memory-tier footprint (bytes/edge per representation, precision lanes) \
+        resident memory (CSR bytes, bytes/edge, precision lanes) \
         (+ journal/snapshot/image footprint when running with --data-dir)</li>\n\
-        <li>POST /api/datasets/{id}/tier — select the serving representation {tier: csr|compact}</li>\n\
         <li>POST /api/datasets/{id}/edges — insert/update edges {edges: [{source, target, weight?}]}</li>\n\
         <li>DELETE /api/datasets/{id}/edges — remove edges (same body; bumps the graph version)</li>\n\
         <li>GET /api/algorithms — registered algorithms with parameter schemas</li>\n\
@@ -218,18 +216,29 @@ fn upload_dataset(req: &Request, engine: &Arc<Scheduler>) -> Response {
 /// Structural statistics of any loadable dataset (registry or upload),
 /// plus the dataset's current graph **version** (0 until the first edge
 /// mutation) so clients can detect concurrent mutation between reads.
-/// When the server runs with `--data-dir`, a `persistence` object reports
-/// the dataset's durable footprint: snapshot version/bytes and the
-/// journal's record count, byte size, and highest durable version.
+/// The `memory` object reports what is resident for the dataset, read off
+/// the snapshot in hand: a stats read builds and caches nothing. When the
+/// server runs with `--data-dir`, a `persistence` object reports the
+/// dataset's durable footprint: snapshot version/bytes and the journal's
+/// record count, byte size, and highest durable version.
 fn dataset_stats(id: &str, engine: &Arc<Scheduler>) -> Response {
     match engine.executor().dataset_versioned(id) {
         Ok((g, version)) => {
             let mut value = serde_json::to_value(&relgraph::GraphStats::compute(&g));
             if let serde_json::Value::Object(map) = &mut value {
                 map.insert("version".to_string(), serde_json::Value::U64(version));
-                if let Ok(tiers) = engine.executor().dataset_tier_stats(id) {
-                    map.insert("memory".to_string(), serde_json::to_value(&tiers));
-                }
+                let csr_bytes = g.memory_bytes();
+                let per_edge = match g.edge_count() {
+                    0 => 0.0,
+                    edges => csr_bytes as f64 / edges as f64,
+                };
+                let lanes: Vec<&str> = relcore::Precision::ALL.iter().map(|p| p.id()).collect();
+                let memory = serde_json::json!({
+                    "csr_bytes": csr_bytes,
+                    "csr_bytes_per_edge": per_edge,
+                    "precision_lanes": lanes,
+                });
+                map.insert("memory".to_string(), memory);
                 if let Some(stats) = engine.executor().persistence_stats(id) {
                     map.insert("persistence".to_string(), serde_json::to_value(&stats));
                 }
@@ -240,38 +249,6 @@ fn dataset_stats(id: &str, engine: &Arc<Scheduler>) -> Response {
             Response::json(StatusCode::Ok, &value)
         }
         Err(e) => Response::error(StatusCode::NotFound, e.to_string()),
-    }
-}
-
-/// `POST /api/datasets/{id}/tier`: body `{"tier": "csr" | "compact"}` —
-/// selects which in-memory representation serves the dataset's queries.
-/// `compact` routes the kernel-family algorithms through the delta-varint
-/// mirror (≈⅓ the bytes per edge); algorithms without a compact path fall
-/// back to the CSR transparently. Responds with the dataset's updated
-/// memory-tier stats.
-fn set_dataset_tier(id: &str, req: &Request, engine: &Arc<Scheduler>) -> Response {
-    #[derive(serde::Deserialize)]
-    struct Body {
-        tier: String,
-    }
-    let body = match req.body_str() {
-        Ok(b) => b,
-        Err(e) => return Response::error(StatusCode::BadRequest, e),
-    };
-    let body: Body = match serde_json::from_str(body) {
-        Ok(b) => b,
-        Err(e) => return Response::error(StatusCode::BadRequest, format!("bad tier body: {e}")),
-    };
-    let tier: relengine::GraphTier = match body.tier.parse() {
-        Ok(t) => t,
-        Err(e) => return Response::error(StatusCode::BadRequest, e),
-    };
-    if let Err(e) = engine.executor().set_dataset_tier(id, tier) {
-        return Response::error(StatusCode::NotFound, e.to_string());
-    }
-    match engine.executor().dataset_tier_stats(id) {
-        Ok(stats) => Response::json(StatusCode::Ok, &stats),
-        Err(e) => Response::error(StatusCode::InternalError, e.to_string()),
     }
 }
 
@@ -665,36 +642,21 @@ mod tests {
         let r = route(&get("/api/datasets/fixture-fakenews-pl/stats"), &e);
         assert_eq!(r.status, StatusCode::Ok);
         let v: serde_json::Value = serde_json::from_slice(&r.body).unwrap();
-        let memory = &v["memory"];
-        assert_eq!(memory["tier"], "csr");
-        assert!(memory["csr_bytes_per_edge"].as_f64().unwrap() > 0.0, "{v}");
-        assert!(
-            memory["compact_bytes_per_edge"].as_f64().unwrap()
-                < memory["csr_bytes_per_edge"].as_f64().unwrap()
-        );
+        let memory = v["memory"].as_object().expect("memory object");
+        let keys: Vec<&str> = memory.keys().map(String::as_str).collect();
+        assert_eq!(keys, ["csr_bytes", "csr_bytes_per_edge", "precision_lanes"], "{v}");
+        let csr_bytes = memory["csr_bytes"].as_u64().unwrap();
+        assert!(csr_bytes > 0, "{v}");
+        let per_edge = memory["csr_bytes_per_edge"].as_f64().unwrap();
+        assert_eq!(per_edge, csr_bytes as f64 / v["edges"].as_u64().unwrap() as f64);
         assert_eq!(memory["precision_lanes"][0], "f64");
         assert_eq!(memory["precision_lanes"][1], "f32");
-    }
-
-    #[test]
-    fn tier_route_switches_serving_representation() {
-        let e = engine();
-        let r =
+        // The serving-tier route is gone: the router's typed JSON 404.
+        let gone =
             route(&post("/api/datasets/fixture-fakenews-pl/tier", r#"{"tier": "compact"}"#), &e);
-        assert_eq!(r.status, StatusCode::Ok, "{}", body_str(&r));
-        let v: serde_json::Value = serde_json::from_slice(&r.body).unwrap();
-        assert_eq!(v["tier"], "compact");
-        assert!(v["compact_ratio"].as_f64().unwrap() < 1.0);
-        // Stats reflect the switch; queries still serve (kernel family via
-        // the compact mirror, everything else via CSR fallback).
-        let stats = route(&get("/api/datasets/fixture-fakenews-pl/stats"), &e);
-        let sv: serde_json::Value = serde_json::from_slice(&stats.body).unwrap();
-        assert_eq!(sv["memory"]["tier"], "compact");
-        // Bad tier names and unknown datasets are rejected.
-        let bad = route(&post("/api/datasets/fixture-fakenews-pl/tier", r#"{"tier": "zip"}"#), &e);
-        assert_eq!(bad.status, StatusCode::BadRequest);
-        let missing = route(&post("/api/datasets/nope/tier", r#"{"tier": "compact"}"#), &e);
-        assert_eq!(missing.status, StatusCode::NotFound);
+        assert_eq!(gone.status, StatusCode::NotFound);
+        let body: serde_json::Value = serde_json::from_slice(&gone.body).unwrap();
+        assert_eq!(body["error"], "no route for /api/datasets/fixture-fakenews-pl/tier");
     }
 
     #[test]

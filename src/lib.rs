@@ -68,21 +68,6 @@
 //! [`AlgorithmRegistry`](relcore::AlgorithmRegistry) and are immediately
 //! available to `Query`, the engine, the HTTP API, and the CLI — see the
 //! registry docs for a complete out-of-tree example.
-//!
-//! ## Legacy API
-//!
-//! The pre-redesign entry point `relcore::runner::run(graph, &params,
-//! reference)` is deprecated; it survives as a thin shim over the
-//! registry so existing code keeps compiling. Migrate to [`Query`]:
-//!
-//! ```text
-//! // before
-//! let out = run(&g, &AlgorithmParams::new(Algorithm::CycleRank), Some(node))?;
-//! // after
-//! let out = Query::on(&g).algorithm("cyclerank").reference(node).run()?;
-//! ```
-//!
-//! [`Query`]: relcore::Query
 
 pub use relcore as algorithms;
 pub use reldata as datasets;
@@ -96,8 +81,6 @@ pub mod prelude {
     pub use relcore::cyclerank::cyclerank;
     pub use relcore::pagerank::pagerank;
     pub use relcore::ppr::personalized_pagerank;
-    #[allow(deprecated)]
-    pub use relcore::runner::run;
     pub use relcore::runner::{Algorithm, AlgorithmParams};
     pub use relcore::{
         AlgorithmDescriptor, AlgorithmRegistry, CycleRankConfig, PageRankConfig, ParamSpec, Query,
