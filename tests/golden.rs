@@ -93,3 +93,40 @@ fn dataset_stats_keys_match_golden() {
         &key_paths(&stats),
     );
 }
+
+const UPLOAD: &str = r#"{"name": "golden-net", "content": "*Vertices 2\n1 \"me\"\n2 \"friend\"\n*Arcs\n1 2\n2 1\n"}"#;
+
+#[test]
+fn dataset_upload_keys_match_golden() {
+    let uploaded = ok_json(&engine(), Method::Post, "/api/datasets", "", UPLOAD);
+    assert_golden(
+        "dataset_upload_keys.txt",
+        include_str!("golden/dataset_upload_keys.txt"),
+        &key_paths(&uploaded),
+    );
+}
+
+#[test]
+fn edge_mutation_keys_match_golden() {
+    let engine = engine();
+    ok_json(&engine, Method::Post, "/api/datasets", "", UPLOAD);
+    let batch = r#"{"edges": [{"source": "friend", "target": "stranger", "weight": 2.5}]}"#;
+    let outcome = ok_json(&engine, Method::Post, "/api/datasets/golden-net/edges", "", batch);
+    assert_golden(
+        "edge_mutation_keys.txt",
+        include_str!("golden/edge_mutation_keys.txt"),
+        &key_paths(&outcome),
+    );
+}
+
+#[test]
+fn datasets_listing_with_uploads_keys_match_golden() {
+    let engine = engine();
+    ok_json(&engine, Method::Post, "/api/datasets", "", UPLOAD);
+    let listing = ok_json(&engine, Method::Get, "/api/datasets", "", "");
+    assert_golden(
+        "datasets_listing_with_uploads_keys.txt",
+        include_str!("golden/datasets_listing_with_uploads_keys.txt"),
+        &key_paths(&listing),
+    );
+}
