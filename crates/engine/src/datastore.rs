@@ -7,6 +7,9 @@
 //! * [`FileStore`] — one JSON file per result and one `.log` per task
 //!   under a root directory, matching the container-volume layout a
 //!   deployed instance would use.
+//!
+//! Datasets are not stored here: a graph lives in the executor's registry
+//! and, when a data dir is attached, durably in [`crate::persist`].
 
 use crate::error::EngineError;
 use crate::executor::TaskResult;
@@ -16,7 +19,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Storage interface for task results, logs and uploaded datasets.
+/// Storage interface for task results and logs.
 pub trait Datastore: Send + Sync {
     /// Persists a result.
     fn put_result(&self, result: &TaskResult) -> Result<(), EngineError>;
@@ -32,68 +35,6 @@ pub trait Datastore: Send + Sync {
 
     /// Lists ids of all stored results.
     fn list_results(&self) -> Result<Vec<TaskId>, EngineError>;
-
-    /// Persists an uploaded dataset (the Datastore "is responsible for
-    /// storing and managing datasets", Fig. 1).
-    fn put_dataset(&self, id: &str, graph: &relgraph::DirectedGraph) -> Result<(), EngineError>;
-
-    /// Loads a persisted dataset.
-    fn get_dataset(&self, id: &str) -> Result<Option<relgraph::DirectedGraph>, EngineError>;
-
-    /// Lists ids of persisted datasets.
-    fn list_datasets(&self) -> Result<Vec<String>, EngineError>;
-}
-
-/// Portable JSON encoding of a graph for dataset persistence: node count,
-/// sparse label map, and `[source, target, weight?]` edge triples.
-mod graph_codec {
-    use super::EngineError;
-    use relgraph::{DirectedGraph, GraphBuilder, NodeId};
-    use serde::{Deserialize, Serialize};
-
-    #[derive(Serialize, Deserialize)]
-    struct GraphDoc {
-        nodes: u32,
-        labels: Vec<(u32, String)>,
-        edges: Vec<(u32, u32)>,
-        #[serde(default)]
-        weights: Option<Vec<f64>>,
-    }
-
-    pub fn encode(g: &DirectedGraph) -> Result<String, EngineError> {
-        let doc = GraphDoc {
-            nodes: g.node_count() as u32,
-            labels: g.labels().iter().map(|(n, l)| (n.raw(), l.to_string())).collect(),
-            edges: g.edges().map(|(u, v)| (u.raw(), v.raw())).collect(),
-            weights: g.is_weighted().then(|| g.weighted_edges().map(|(_, _, w)| w).collect()),
-        };
-        serde_json::to_string(&doc).map_err(|e| EngineError::Storage(format!("encode: {e}")))
-    }
-
-    pub fn decode(s: &str) -> Result<DirectedGraph, EngineError> {
-        let doc: GraphDoc =
-            serde_json::from_str(s).map_err(|e| EngineError::Storage(format!("decode: {e}")))?;
-        let mut b = GraphBuilder::with_capacity(doc.nodes as usize, doc.edges.len());
-        if doc.nodes > 0 {
-            b.ensure_node(doc.nodes - 1);
-        }
-        match &doc.weights {
-            Some(ws) if ws.len() == doc.edges.len() => {
-                for (&(u, v), &w) in doc.edges.iter().zip(ws) {
-                    b.add_weighted_edge(NodeId::new(u), NodeId::new(v), w);
-                }
-            }
-            _ => {
-                for &(u, v) in &doc.edges {
-                    b.add_edge_indices(u, v);
-                }
-            }
-        }
-        for (n, l) in doc.labels {
-            b.set_label(NodeId::new(n), l);
-        }
-        b.try_build().map_err(|e| EngineError::Storage(format!("decode: {e}")))
-    }
 }
 
 /// In-memory datastore.
@@ -101,7 +42,6 @@ mod graph_codec {
 pub struct MemoryStore {
     results: Arc<RwLock<HashMap<TaskId, TaskResult>>>,
     logs: Arc<RwLock<HashMap<TaskId, String>>>,
-    datasets: Arc<RwLock<HashMap<String, String>>>,
 }
 
 impl MemoryStore {
@@ -136,27 +76,9 @@ impl Datastore for MemoryStore {
     fn list_results(&self) -> Result<Vec<TaskId>, EngineError> {
         Ok(self.results.read().keys().cloned().collect())
     }
-
-    fn put_dataset(&self, id: &str, graph: &relgraph::DirectedGraph) -> Result<(), EngineError> {
-        let enc = graph_codec::encode(graph)?;
-        self.datasets.write().insert(id.to_string(), enc);
-        Ok(())
-    }
-
-    fn get_dataset(&self, id: &str) -> Result<Option<relgraph::DirectedGraph>, EngineError> {
-        match self.datasets.read().get(id) {
-            Some(enc) => Ok(Some(graph_codec::decode(enc)?)),
-            None => Ok(None),
-        }
-    }
-
-    fn list_datasets(&self) -> Result<Vec<String>, EngineError> {
-        Ok(self.datasets.read().keys().cloned().collect())
-    }
 }
 
-/// File-backed datastore: `<root>/results/<id>.json`, `<root>/logs/<id>.log`,
-/// `<root>/datasets/<id>.json`.
+/// File-backed datastore: `<root>/results/<id>.json`, `<root>/logs/<id>.log`.
 #[derive(Debug, Clone)]
 pub struct FileStore {
     root: PathBuf,
@@ -166,7 +88,7 @@ impl FileStore {
     /// Opens (creating directories as needed) a store rooted at `root`.
     pub fn open(root: impl Into<PathBuf>) -> Result<Self, EngineError> {
         let root = root.into();
-        for sub in ["results", "logs", "datasets"] {
+        for sub in ["results", "logs"] {
             std::fs::create_dir_all(root.join(sub))
                 .map_err(|e| EngineError::Storage(format!("create {sub}: {e}")))?;
         }
@@ -179,10 +101,6 @@ impl FileStore {
 
     fn log_path(&self, id: &TaskId) -> PathBuf {
         self.root.join("logs").join(format!("{}.log", sanitize(id.as_str())))
-    }
-
-    fn dataset_path(&self, id: &str) -> PathBuf {
-        self.root.join("datasets").join(format!("{}.json", sanitize(id)))
     }
 }
 
@@ -231,26 +149,6 @@ impl Datastore for FileStore {
 
     fn list_results(&self) -> Result<Vec<TaskId>, EngineError> {
         Ok(list_json_ids(&self.root.join("results"))?.into_iter().map(TaskId).collect())
-    }
-
-    fn put_dataset(&self, id: &str, graph: &relgraph::DirectedGraph) -> Result<(), EngineError> {
-        let enc = graph_codec::encode(graph)?;
-        std::fs::write(self.dataset_path(id), enc)
-            .map_err(|e| EngineError::Storage(format!("write dataset: {e}")))
-    }
-
-    fn get_dataset(&self, id: &str) -> Result<Option<relgraph::DirectedGraph>, EngineError> {
-        let path = self.dataset_path(id);
-        if !path.exists() {
-            return Ok(None);
-        }
-        let enc = std::fs::read_to_string(&path)
-            .map_err(|e| EngineError::Storage(format!("read dataset: {e}")))?;
-        graph_codec::decode(&enc).map(Some)
-    }
-
-    fn list_datasets(&self) -> Result<Vec<String>, EngineError> {
-        list_json_ids(&self.root.join("datasets"))
     }
 }
 
@@ -310,20 +208,6 @@ mod tests {
 
         let ids = store.list_results().unwrap();
         assert!(ids.contains(&id));
-
-        // Dataset persistence.
-        assert!(store.get_dataset("mine").unwrap().is_none());
-        let mut b = relgraph::GraphBuilder::new();
-        let a = b.add_labeled_node("a");
-        let c = b.add_labeled_node("b");
-        b.add_weighted_edge(a, c, 2.5);
-        let g = b.build();
-        store.put_dataset("mine", &g).unwrap();
-        let back = store.get_dataset("mine").unwrap().unwrap();
-        assert_eq!(back.node_count(), 2);
-        assert_eq!(back.edge_weight(a, c), Some(2.5));
-        assert_eq!(back.node_by_label("b"), Some(c));
-        assert!(store.list_datasets().unwrap().contains(&"mine".to_string()));
     }
 
     #[test]

@@ -357,23 +357,24 @@ impl Executor {
     /// result-cache key embeds this version, so results computed against
     /// one graph state can never answer queries against another.
     pub fn dataset_versioned(&self, id: &str) -> Result<(Arc<DirectedGraph>, u64), EngineError> {
-        let slot = match self.slot_if_cached(id) {
-            Some(slot) => slot,
-            None => {
-                // Generate outside both locks: generation can take a while
-                // and other datasets' lookups shouldn't block on it.
-                let g = reldata::load_dataset(id)
-                    .ok_or_else(|| EngineError::UnknownDataset(id.into()))?;
-                let g = Arc::new(g);
-                Arc::clone(self.datasets.lock().entry(id.to_string()).or_insert_with(|| {
-                    Arc::new(Mutex::new(DynamicGraph::from_arc(Arc::clone(&g))))
-                }))
-            }
-        };
+        let slot = self.slot(id)?;
         // Snapshot under the per-dataset lock only: a post-mutation
         // materialization blocks this dataset's traffic, nobody else's.
         let mut dynamic = slot.lock();
         Ok((dynamic.snapshot(), dynamic.version()))
+    }
+
+    /// The slot `Arc` for `id`, generating a registry dataset on first
+    /// use. Never materializes a pending post-mutation snapshot.
+    fn slot(&self, id: &str) -> Result<Arc<Mutex<DynamicGraph>>, EngineError> {
+        if let Some(slot) = self.slot_if_cached(id) {
+            return Ok(slot);
+        }
+        // Generate outside both locks: generation can take a while
+        // and other datasets' lookups shouldn't block on it.
+        let g = reldata::load_dataset(id).ok_or_else(|| EngineError::UnknownDataset(id.into()))?;
+        let slot = Arc::new(Mutex::new(DynamicGraph::new(g)));
+        Ok(Arc::clone(self.datasets.lock().entry(id.to_string()).or_insert(slot)))
     }
 
     /// The slot `Arc` for `id`, if the dataset is loaded.
@@ -417,10 +418,7 @@ impl Executor {
         // re-probe backoff is pending, mutations bounce immediately
         // (reads never pass through here and keep serving).
         self.check_degraded(id)?;
-        // Ensure the dataset is loaded (generating outside the map lock).
-        let _ = self.dataset_versioned(id)?;
-        let slot =
-            self.slot_if_cached(id).ok_or_else(|| EngineError::UnknownDataset(id.to_string()))?;
+        let slot = self.slot(id)?;
         // Per-dataset lock: the batch (and its clone) stalls only this
         // dataset's traffic. Work on a copy so a mid-batch failure leaves
         // the dataset (and its version) untouched; deltas are small, so

@@ -8,8 +8,10 @@
 //!    [`task::TaskSpec`], [`builder::TaskBuilder`], [`task::QuerySet`]
 //!    (the Fig. 2 interface), [`scheduler::Scheduler::submit`];
 //! 2. *"the Scheduler fetches the dataset and invokes an Executor node"* →
-//!    the worker pool in [`scheduler`] and the dataset cache in
-//!    [`executor::Executor`];
+//!    the worker pool in [`scheduler`] and the dataset registry in
+//!    [`executor::Executor`], the one in-memory home of every graph;
+//!    with a data dir, [`persist`] (over `relstore`) is its one durable
+//!    home;
 //! 3. *"the computation is off-loaded to worker nodes; the Status
 //!    component polls for progress"* → worker threads over crossbeam
 //!    channels, [`status::StatusBoard`];

@@ -75,8 +75,8 @@ impl SchedulerBuilder {
         self
     }
 
-    /// Starts the worker pool, restoring any datasets persisted in the
-    /// datastore into the executor's registry.
+    /// Starts the worker pool, recovering every dataset of the configured
+    /// data dir (if any) into the executor's registry.
     ///
     /// # Panics
     /// Panics when a configured data dir cannot be opened or recovered
@@ -101,20 +101,9 @@ impl SchedulerBuilder {
             executor.attach_persistence(Arc::new(GraphPersistence::open(dir)?));
         }
         let executor = Arc::new(executor);
-        // Durable-store recovery first: a dataset rebuilt from snapshot +
-        // journal carries real version history and must win over the
-        // datastore's plain JSON copy (restored below as DatasetExists
-        // no-ops).
+        // The durable store is the only place an upload outlives its
+        // process: snapshot + journal replay, version history included.
         executor.recover_persisted()?;
-        #[allow(clippy::redundant_clone)]
-        let rx = rx.clone();
-        if let Ok(ids) = self.store.list_datasets() {
-            for id in ids {
-                if let Ok(Some(g)) = self.store.get_dataset(&id) {
-                    let _ = executor.register_graph(&id, g);
-                }
-            }
-        }
         let board = StatusBoard::new();
         let mut handles = Vec::with_capacity(self.workers);
         for worker_id in 0..self.workers {
@@ -261,16 +250,15 @@ impl Scheduler {
         }
     }
 
-    /// Registers a user-uploaded graph so tasks can reference it by id.
-    ///
-    /// The graph is also persisted to the datastore, so a scheduler built
-    /// over the same store later (e.g. after a restart) restores it.
+    /// Registers a user-uploaded graph so tasks can reference it by id
+    /// (see [`Executor::register_graph`]). With a data dir the upload is
+    /// snapshotted before it becomes visible and a restart recovers it;
+    /// without one it lives in memory only.
     pub fn register_dataset(
         &self,
         id: &str,
         graph: relgraph::DirectedGraph,
     ) -> Result<(), EngineError> {
-        self.store.put_dataset(id, &graph)?;
         self.executor.register_graph(id, graph)
     }
 
@@ -325,23 +313,15 @@ impl Scheduler {
 
     /// Applies a batch of edge mutations to a dataset (see
     /// [`Executor::mutate_dataset`]): atomic, version-bumping, and
-    /// cache-invalidating. Mutated *uploads* are re-persisted to the
-    /// datastore so a restart restores the post-mutation graph; registry
-    /// datasets mutate in-memory only (their generators stay pristine).
+    /// cache-invalidating. With a data dir the batch is journaled (fsynced)
+    /// before it commits, so a restart recovers the post-mutation graph;
+    /// without one the edit lives in memory only.
     pub fn mutate_dataset(
         &self,
         id: &str,
         ops: &[crate::mutation::EdgeOp],
     ) -> Result<crate::mutation::MutationOutcome, EngineError> {
-        let outcome = self.executor.mutate_dataset(id, ops)?;
-        if outcome.applied > 0 && reldata::registry::spec(id).is_none() {
-            if let Ok(graph) = self.executor.dataset(id) {
-                // Best effort: a storage hiccup leaves the in-memory state
-                // authoritative; the next mutation retries the write.
-                let _ = self.store.put_dataset(id, &graph);
-            }
-        }
-        Ok(outcome)
+        self.executor.mutate_dataset(id, ops)
     }
 
     /// Adds `n` more worker threads at runtime — the paper's computational
@@ -768,15 +748,6 @@ mod tests {
         fn list_results(&self) -> Result<Vec<TaskId>, EngineError> {
             self.inner.list_results()
         }
-        fn put_dataset(&self, id: &str, g: &relgraph::DirectedGraph) -> Result<(), EngineError> {
-            self.inner.put_dataset(id, g)
-        }
-        fn get_dataset(&self, id: &str) -> Result<Option<relgraph::DirectedGraph>, EngineError> {
-            self.inner.get_dataset(id)
-        }
-        fn list_datasets(&self) -> Result<Vec<String>, EngineError> {
-            self.inner.list_datasets()
-        }
     }
 
     #[test]
@@ -816,21 +787,65 @@ mod tests {
         assert_eq!(m.completed, 1);
     }
 
+    fn temp_data_dir() -> PathBuf {
+        std::env::temp_dir().join(format!("relengine-sched-{}", crate::id::new_uuid()))
+    }
+
+    fn two_node_net(a: &str, b: &str) -> relgraph::DirectedGraph {
+        let mut builder = relgraph::GraphBuilder::new();
+        builder.add_labeled_edge(a, b);
+        builder.add_labeled_edge(b, a);
+        builder.build()
+    }
+
     #[test]
     fn uploads_survive_scheduler_restart() {
+        let dir = temp_data_dir();
+        {
+            let s = Scheduler::builder().workers(1).data_dir(&dir).build();
+            s.register_dataset("persisted-net", two_node_net("me", "pal")).unwrap();
+        } // scheduler dropped
+        let s = Scheduler::builder().workers(1).data_dir(&dir).build();
+        let id = s.submit(cyclerank_task("persisted-net", "me"));
+        let r = s.wait(&id, T).unwrap();
+        assert_eq!(r.top[1].0, "pal");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn upload_without_data_dir_is_not_restored_from_the_datastore() {
         let store: Arc<dyn crate::datastore::Datastore> =
             Arc::new(crate::datastore::MemoryStore::new());
         {
             let s = Scheduler::builder().workers(1).datastore(Arc::clone(&store)).build();
-            let mut b = relgraph::GraphBuilder::new();
-            b.add_labeled_edge("me", "pal");
-            b.add_labeled_edge("pal", "me");
-            s.register_dataset("persisted-net", b.build()).unwrap();
-        } // scheduler dropped
+            s.register_dataset("memory-net", two_node_net("me", "pal")).unwrap();
+            assert!(s.executor().dataset("memory-net").is_ok());
+        }
         let s = Scheduler::builder().workers(1).datastore(store).build();
-        let id = s.submit(cyclerank_task("persisted-net", "me"));
-        let r = s.wait(&id, T).unwrap();
-        assert_eq!(r.top[1].0, "pal");
+        assert!(matches!(s.executor().dataset("memory-net"), Err(EngineError::UnknownDataset(_))));
+    }
+
+    #[test]
+    fn colliding_upload_is_rejected_and_leaves_the_original_unchanged() {
+        let dir = temp_data_dir();
+        let digest_of = |s: &Scheduler| {
+            let (g, v) = s.executor().dataset_versioned("taken-net").unwrap();
+            relstore::graph_digest(&g, v)
+        };
+        let original = {
+            let s = Scheduler::builder().workers(1).data_dir(&dir).build();
+            s.register_dataset("taken-net", two_node_net("me", "pal")).unwrap();
+            let original = digest_of(&s);
+            assert!(matches!(
+                s.register_dataset("taken-net", two_node_net("intruder", "accomplice")),
+                Err(EngineError::DatasetExists(_))
+            ));
+            assert_eq!(digest_of(&s), original);
+            original
+        };
+        let s = Scheduler::builder().workers(1).data_dir(&dir).build();
+        assert_eq!(digest_of(&s), original);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

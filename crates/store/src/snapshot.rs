@@ -49,7 +49,7 @@ pub struct SnapshotMeta {
     pub weighted: bool,
 }
 
-/// Errors decoding a snapshot.
+/// Errors encoding or decoding a snapshot.
 #[derive(Debug)]
 pub enum SnapshotError {
     /// I/O failure.
@@ -75,8 +75,13 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// Encodes `graph` at `version` into snapshot bytes.
-pub fn encode_snapshot(dataset: &str, graph: &DirectedGraph, version: u64) -> Vec<u8> {
+/// Encodes `graph` at `version` into snapshot bytes. Fails when a section
+/// outgrows a frame's `u32` length word.
+pub fn encode_snapshot(
+    dataset: &str,
+    graph: &DirectedGraph,
+    version: u64,
+) -> Result<Vec<u8>, SnapshotError> {
     let meta = SnapshotMeta {
         format: SNAPSHOT_FORMAT,
         dataset: dataset.to_string(),
@@ -86,8 +91,9 @@ pub fn encode_snapshot(dataset: &str, graph: &DirectedGraph, version: u64) -> Ve
         weighted: graph.is_weighted(),
     };
     let mut out = vec![SNAPSHOT_VERSION_BYTE];
-    let meta_json = serde_json::to_vec(&meta).expect("snapshot meta serializes");
-    write_frame(&mut out, &meta_json).expect("vec write");
+    let meta_json = serde_json::to_vec(&meta)
+        .map_err(|e| SnapshotError::Invalid(format!("meta encode: {e}")))?;
+    write_frame(&mut out, &meta_json)?;
 
     let mut endpoints = Vec::with_capacity(graph.edge_count() * 8);
     let mut weights = Vec::new();
@@ -104,14 +110,15 @@ pub fn encode_snapshot(dataset: &str, graph: &DirectedGraph, version: u64) -> Ve
             endpoints.extend_from_slice(&v.raw().to_le_bytes());
         }
     }
-    write_frame(&mut out, &endpoints).expect("vec write");
-    write_frame(&mut out, &weights).expect("vec write");
+    write_frame(&mut out, &endpoints)?;
+    write_frame(&mut out, &weights)?;
 
     let labels: Vec<(u32, String)> =
         graph.labels().iter().map(|(n, l)| (n.raw(), l.to_string())).collect();
-    let labels_json = serde_json::to_vec(&labels).expect("labels serialize");
-    write_frame(&mut out, &labels_json).expect("vec write");
-    out
+    let labels_json = serde_json::to_vec(&labels)
+        .map_err(|e| SnapshotError::Invalid(format!("labels encode: {e}")))?;
+    write_frame(&mut out, &labels_json)?;
+    Ok(out)
 }
 
 /// Decodes snapshot bytes back into metadata and a materialized graph.
@@ -158,13 +165,13 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(SnapshotMeta, DirectedGraph), Sn
     if meta.nodes > 0 {
         b.ensure_node((meta.nodes - 1) as u32);
     }
-    for i in 0..meta.edges as usize {
-        let u = u32::from_le_bytes(endpoints[i * 8..i * 8 + 4].try_into().expect("4 bytes"));
-        let v = u32::from_le_bytes(endpoints[i * 8 + 4..i * 8 + 8].try_into().expect("4 bytes"));
+    let (pairs, _) = endpoints.as_chunks::<8>();
+    let (weight_bits, _) = weights.as_chunks::<8>();
+    for (i, &[u0, u1, u2, u3, v0, v1, v2, v3]) in pairs.iter().enumerate() {
+        let u = u32::from_le_bytes([u0, u1, u2, u3]);
+        let v = u32::from_le_bytes([v0, v1, v2, v3]);
         if meta.weighted {
-            let w = f64::from_bits(u64::from_le_bytes(
-                weights[i * 8..i * 8 + 8].try_into().expect("8 bytes"),
-            ));
+            let w = f64::from_bits(u64::from_le_bytes(weight_bits[i]));
             b.add_weighted_edge(NodeId::new(u), NodeId::new(v), w);
         } else {
             b.add_edge_indices(u, v);
@@ -210,7 +217,7 @@ mod tests {
     #[test]
     fn round_trips_weighted_labeled_graph() {
         let g = sample();
-        let bytes = encode_snapshot("friends", &g, 42);
+        let bytes = encode_snapshot("friends", &g, 42).unwrap();
         let (meta, back) = decode_snapshot(&bytes).unwrap();
         assert_eq!(meta.dataset, "friends");
         assert_eq!(meta.version, 42);
@@ -229,13 +236,13 @@ mod tests {
     #[test]
     fn round_trips_unweighted_and_empty() {
         let g = GraphBuilder::from_edge_indices([(0, 1), (1, 2), (2, 0)]);
-        let bytes = encode_snapshot("ring", &g, 0);
+        let bytes = encode_snapshot("ring", &g, 0).unwrap();
         let (_, back) = decode_snapshot(&bytes).unwrap();
         assert_eq!(g.edges().collect::<Vec<_>>(), back.edges().collect::<Vec<_>>());
         assert!(!back.is_weighted());
 
         let empty = GraphBuilder::new().build();
-        let bytes = encode_snapshot("empty", &empty, 0);
+        let bytes = encode_snapshot("empty", &empty, 0).unwrap();
         let (meta, back) = decode_snapshot(&bytes).unwrap();
         assert_eq!(meta.nodes, 0);
         assert_eq!(back.node_count(), 0);
@@ -244,7 +251,7 @@ mod tests {
     #[test]
     fn leads_with_version_byte_and_rejects_unknown_versions() {
         let g = sample();
-        let bytes = encode_snapshot("friends", &g, 3);
+        let bytes = encode_snapshot("friends", &g, 3).unwrap();
         assert_eq!(bytes[0], SNAPSHOT_VERSION_BYTE);
         // Round trip through the versioned layout.
         let (meta, back) = decode_snapshot(&bytes).unwrap();
@@ -265,7 +272,7 @@ mod tests {
     #[test]
     fn rejects_damaged_bytes() {
         let g = sample();
-        let mut bytes = encode_snapshot("friends", &g, 1);
+        let mut bytes = encode_snapshot("friends", &g, 1).unwrap();
         let n = bytes.len();
         bytes[n / 2] ^= 0x08;
         assert!(decode_snapshot(&bytes).is_err());

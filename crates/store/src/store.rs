@@ -247,9 +247,11 @@ impl DatasetStore {
         version: u64,
     ) -> std::io::Result<()> {
         let mut writers = self.writers.lock().expect("store writer lock");
+        // Encode first: a graph too large for the frame format fails
+        // before anything on disk is touched.
+        let bytes = encode_snapshot(id, graph, version).map_err(std::io::Error::other)?;
         let dir = self.dir(id);
         self.vfs.create_dir_all(&dir)?;
-        let bytes = encode_snapshot(id, graph, version);
         let tmp = dir.join(SNAPSHOT_TMP);
         {
             let mut f = self.vfs.create(&tmp)?;
