@@ -18,8 +18,14 @@ fn engine() -> Arc<Scheduler> {
     Arc::new(Scheduler::builder().workers(1).build())
 }
 
-/// Routes one request and parses the JSON body of its `200`.
-fn ok_json(engine: &Arc<Scheduler>, method: Method, path: &str, query: &str, body: &str) -> Value {
+/// Routes one request and returns its status and parsed JSON body.
+fn respond(
+    engine: &Arc<Scheduler>,
+    method: Method,
+    path: &str,
+    query: &str,
+    body: &str,
+) -> (StatusCode, Value) {
     let request = Request {
         method,
         path: path.to_string(),
@@ -29,8 +35,14 @@ fn ok_json(engine: &Arc<Scheduler>, method: Method, path: &str, query: &str, bod
     };
     let response = route(&request, engine);
     let text = String::from_utf8(response.body).expect("utf-8 body");
-    assert_eq!(response.status, StatusCode::Ok, "{path}: {text}");
-    serde_json::from_str(&text).expect("JSON body")
+    (response.status, serde_json::from_str(&text).expect("JSON body"))
+}
+
+/// Routes one request and parses the JSON body of its `200`.
+fn ok_json(engine: &Arc<Scheduler>, method: Method, path: &str, query: &str, body: &str) -> Value {
+    let (status, value) = respond(engine, method, path, query, body);
+    assert_eq!(status, StatusCode::Ok, "{path}: {value}");
+    value
 }
 
 /// Dotted paths of every object key under `value`, one per line in
@@ -91,6 +103,23 @@ fn dataset_stats_keys_match_golden() {
         "dataset_stats_keys.txt",
         include_str!("golden/dataset_stats_keys.txt"),
         &key_paths(&stats),
+    );
+}
+
+#[test]
+fn task_bad_solver_error_matches_golden() {
+    let spec = r#"{
+        "dataset": "fixture-fakenews-pl",
+        "params": {"algorithm": "page_rank", "solver": "bogus"},
+        "top_k": 3
+    }"#;
+    let (status, body) = respond(&engine(), Method::Post, "/api/tasks", "sync=1", spec);
+    assert_eq!(status, StatusCode::BadRequest, "{body}");
+    let actual = serde_json::to_string_pretty(&body).expect("render");
+    assert_golden(
+        "task_bad_solver_error.json",
+        include_str!("golden/task_bad_solver_error.json"),
+        &actual,
     );
 }
 
