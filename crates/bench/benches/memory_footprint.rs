@@ -1,6 +1,6 @@
 //! `memory_footprint`: the memory-tier trade-offs in one report —
 //! bytes/edge per representation, conversion and image costs, and sweep
-//! throughput per representation × precision lane.
+//! throughput per representation.
 //!
 //! The subjects mirror `reorder_locality`'s cache-busting PA graph (150k
 //! nodes, m = 8), so the figures compose: the same graph that shows the
@@ -18,36 +18,31 @@
 //! * **image/encode · image/load** — dataset-image serialization and the
 //!   server's startup path: decode the image and materialize the CSR,
 //!   i.e. the cost that replaces a full edge-list re-parse.
-//! * **sweep/{csr,compact}/{f64,f32}** — fixed-sweep kernel cost per
-//!   representation × precision lane (ns/edge in the params).
+//! * **sweep/{csr,compact}/f64** — fixed-sweep kernel cost per
+//!   representation (ns/edge in the params). The kernel has one score
+//!   precision; the `f64` suffix keeps the committed case names.
 //!
 //! Results land in `BENCH_memory_footprint.json`; CI's bench-guard
 //! compares the timed cases against the committed baseline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use relbench::record::{measure, BenchReport};
-use relcore::{Precision, SolverConfig, SweepKernel, TeleportVector};
+use relcore::{SolverConfig, SweepKernel, TeleportVector};
 use relgraph::{CompactGraph, GraphView};
 use std::hint::black_box;
 
 const NODES: u32 = 150_000;
 
 /// Fixed-sweep solve (same shape as `reorder_locality`): loose cap,
-/// impossible tolerance, single thread, chosen precision lane.
-fn sweep_cfg(precision: Precision) -> SolverConfig {
-    SolverConfig {
-        tolerance: 1e-300,
-        max_iterations: 8,
-        threads: 1,
-        precision,
-        ..Default::default()
-    }
+/// impossible tolerance, single thread.
+fn sweep_cfg() -> SolverConfig {
+    SolverConfig { tolerance: 1e-300, max_iterations: 8, threads: 1, ..Default::default() }
 }
 
-fn run_sweeps(view: GraphView<'_>, nodes: usize, precision: Precision) -> f64 {
+fn run_sweeps(view: GraphView<'_>, nodes: usize) -> f64 {
     let kernel = SweepKernel::new(view).expect("non-empty");
     let teleport = TeleportVector::uniform(nodes).unwrap();
-    let out = kernel.solve(&sweep_cfg(precision), &teleport).unwrap();
+    let out = kernel.solve(&sweep_cfg(), &teleport).unwrap();
     out.scores.sum()
 }
 
@@ -69,7 +64,7 @@ fn bench_memory_footprint(c: &mut Criterion) {
     let mut report = BenchReport::new("memory_footprint", "pa-150k-m8")
         .param("nodes", g.node_count())
         .param("edges", g.edge_count())
-        .param("sweeps", sweep_cfg(Precision::F64).max_iterations)
+        .param("sweeps", sweep_cfg().max_iterations)
         .param("csr_bytes_per_edge", format!("{csr_bpe:.1}"))
         .param("compact_bytes_per_edge", format!("{compact_bpe:.1}"))
         .param("compact_ratio", format!("{:.3}", compact_bpe / csr_bpe))
@@ -98,30 +93,20 @@ fn bench_memory_footprint(c: &mut Criterion) {
         }),
     );
 
-    // Sweep cost per representation × precision lane.
-    for precision in Precision::ALL {
-        let csr_ns = measure(5, || black_box(run_sweeps(g.view(), g.node_count(), precision)));
-        let compact_ns =
-            measure(5, || black_box(run_sweeps(compact.view(), g.node_count(), precision)));
-        report.case(format!("sweep/csr/{}", precision.id()), csr_ns);
-        report.case(format!("sweep/compact/{}", precision.id()), compact_ns);
-        let per_edge = |ns: f64| ns / (sweep_cfg(precision).max_iterations as f64 * edges);
-        report = report
-            .param(
-                format!("sweep_ns_per_edge_csr_{}", precision.id()),
-                format!("{:.2}", per_edge(csr_ns)),
-            )
-            .param(
-                format!("sweep_ns_per_edge_compact_{}", precision.id()),
-                format!("{:.2}", per_edge(compact_ns)),
-            );
-        println!(
-            "memory_footprint: sweep {} — csr {:.2} ns/edge, compact {:.2} ns/edge",
-            precision.id(),
-            per_edge(csr_ns),
-            per_edge(compact_ns)
-        );
-    }
+    // Sweep cost per representation.
+    let csr_ns = measure(5, || black_box(run_sweeps(g.view(), g.node_count())));
+    let compact_ns = measure(5, || black_box(run_sweeps(compact.view(), g.node_count())));
+    report.case("sweep/csr/f64", csr_ns);
+    report.case("sweep/compact/f64", compact_ns);
+    let per_edge = |ns: f64| ns / (sweep_cfg().max_iterations as f64 * edges);
+    report = report
+        .param("sweep_ns_per_edge_csr_f64", format!("{:.2}", per_edge(csr_ns)))
+        .param("sweep_ns_per_edge_compact_f64", format!("{:.2}", per_edge(compact_ns)));
+    println!(
+        "memory_footprint: sweep — csr {:.2} ns/edge, compact {:.2} ns/edge",
+        per_edge(csr_ns),
+        per_edge(compact_ns)
+    );
     group.finish();
 
     println!(

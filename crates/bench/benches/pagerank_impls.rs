@@ -1,8 +1,8 @@
 //! Solver-scheme ablation: the shared sweep kernel's power iteration vs
-//! Gauss–Seidel vs chunked parallel pull, head-to-head on Wikipedia-like
-//! graphs of growing size. Backs the §II remark that "more efficient
-//! algorithms are available" and the Fig. 1 claim that computational nodes
-//! scale with workload.
+//! chunked parallel pull, head-to-head on Wikipedia-like graphs of growing
+//! size. Backs the §II remark that "more efficient algorithms are
+//! available" and the Fig. 1 claim that computational nodes scale with
+//! workload.
 //!
 //! Every measurement goes through the same [`relcore::SweepKernel`] the
 //! production algorithms use — there are no bench-only code paths.
@@ -24,10 +24,6 @@ fn bench_pagerank_impls(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("power", nodes), &kernel, |b, k| {
             let cfg = base.with_scheme(Scheme::Power);
-            b.iter(|| black_box(k).solve(&cfg, &teleport).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("gauss_seidel", nodes), &kernel, |b, k| {
-            let cfg = base.with_scheme(Scheme::GaussSeidel);
             b.iter(|| black_box(k).solve(&cfg, &teleport).unwrap())
         });
         for threads in [2usize, 4] {

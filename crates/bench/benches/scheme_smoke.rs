@@ -1,4 +1,4 @@
-//! Smoke bench: the three kernel schemes head-to-head on the classic
+//! Smoke bench: the two kernel schemes head-to-head on the classic
 //! `fixture-enwiki-2018` fixture, through the same registry-backed
 //! [`Query`] front door production uses. Small enough that CI runs it on
 //! every push as a regression tripwire for the solver layer.

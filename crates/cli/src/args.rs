@@ -24,16 +24,13 @@ pub struct RunSpec {
     pub k: Option<u32>,
     /// Scoring function name.
     pub sigma: Option<String>,
-    /// PageRank-family solver name
-    /// (power|gauss-seidel|parallel|push|monte-carlo).
-    pub solver: Option<String>,
-    /// Kernel update scheme (power|gauss-seidel|parallel); wins over
-    /// `--solver` when both are given.
-    pub scheme: Option<String>,
+    /// PageRank-family solver (power|parallel|push|monte-carlo).
+    pub solver: Option<relcore::Solver>,
+    /// Kernel update scheme (power|parallel); wins over `--solver` when
+    /// both are given.
+    pub scheme: Option<relcore::Scheme>,
     /// Threads per sweep of the parallel scheme (0 = planned per sweep).
     pub threads: Option<usize>,
-    /// Score-lane precision for the exact kernel schemes (f64|f32).
-    pub precision: Option<String>,
     /// Print the per-iteration residual trace.
     pub trace: bool,
     /// Top-k to print.
@@ -59,8 +56,8 @@ pub struct BatchSpecArgs {
     pub seeds: String,
     /// Damping factor α.
     pub alpha: Option<f64>,
-    /// Kernel update scheme (power|gauss-seidel|parallel).
-    pub scheme: Option<String>,
+    /// Kernel update scheme (power|parallel).
+    pub scheme: Option<relcore::Scheme>,
     /// Threads per sweep (0 = planned per sweep).
     pub threads: Option<usize>,
     /// Top-k per seed.
@@ -365,10 +362,9 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
                 alpha: flags.take("alpha").map(|v| parse_num(&v, "alpha")).transpose()?,
                 k: flags.take("k").map(|v| parse_num(&v, "k")).transpose()?,
                 sigma: flags.take("sigma"),
-                solver: flags.take("solver"),
-                scheme: flags.take("scheme"),
+                solver: flags.take("solver").map(|v| v.parse()).transpose()?,
+                scheme: flags.take("scheme").map(|v| v.parse()).transpose()?,
                 threads: flags.take("threads").map(|v| parse_num(&v, "threads")).transpose()?,
-                precision: flags.take("precision"),
                 trace: flags.has_switch("trace"),
                 top: flags.take("top").map(|v| parse_num(&v, "top")).transpose()?.unwrap_or(5),
                 top_k: flags.take("top-k").map(|v| parse_num(&v, "top-k")).transpose()?,
@@ -383,7 +379,7 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
                 algorithm: flags.take("algorithm").unwrap_or_else(|| "ppr".into()),
                 seeds: flags.require("seeds")?,
                 alpha: flags.take("alpha").map(|v| parse_num(&v, "alpha")).transpose()?,
-                scheme: flags.take("scheme"),
+                scheme: flags.take("scheme").map(|v| v.parse()).transpose()?,
                 threads: flags.take("threads").map(|v| parse_num(&v, "threads")).transpose()?,
                 top: flags.take("top").map(|v| parse_num(&v, "top")).transpose()?.unwrap_or(5),
                 top_k: flags.take("top-k").map(|v| parse_num(&v, "top-k")).transpose()?,
@@ -609,32 +605,29 @@ mod tests {
 
     #[test]
     fn run_scheme_and_threads() {
-        let cli =
-            parse("run --dataset d --algorithm cheirank --scheme gauss-seidel --threads 4 --trace")
-                .unwrap();
+        let cli = parse("run --dataset d --algorithm cheirank --scheme power --threads 4 --trace")
+            .unwrap();
         match cli.command {
             Command::Run(s) => {
-                assert_eq!(s.scheme.as_deref(), Some("gauss-seidel"));
+                assert_eq!(s.scheme, Some(relcore::Scheme::Power));
                 assert_eq!(s.threads, Some(4));
                 assert!(s.trace);
             }
             other => panic!("unexpected {other:?}"),
         }
         assert!(parse("run --dataset d --algorithm pr --threads many").is_err());
+        // Unknown schemes and solvers are bad arguments, caught at parse time.
+        let err = parse("run --dataset d --algorithm pr --scheme quantum").unwrap_err();
+        assert!(err.contains("expected power|parallel"), "{err}");
+        assert!(parse("run --dataset d --algorithm pr --solver quantum").is_err());
+        assert!(parse("batch --dataset d --seeds A --scheme quantum").is_err());
     }
 
     #[test]
-    fn precision_flag() {
-        let cli = parse("run --dataset d --algorithm pagerank --precision f32").unwrap();
-        match cli.command {
-            Command::Run(s) => assert_eq!(s.precision.as_deref(), Some("f32")),
-            other => panic!("unexpected {other:?}"),
-        }
-        let cli = parse("run --dataset d --algorithm pagerank").unwrap();
-        match cli.command {
-            Command::Run(s) => assert!(s.precision.is_none()),
-            other => panic!("unexpected {other:?}"),
-        }
+    fn precision_flag_is_unknown() {
+        // The f32 score lane is gone; its flag is no longer accepted.
+        let err = parse("run --dataset d --algorithm pagerank --precision f32").unwrap_err();
+        assert_eq!(err, "unknown flag --precision");
     }
 
     #[test]

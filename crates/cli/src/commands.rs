@@ -71,7 +71,6 @@ pub fn stats(dataset: &str) -> Result<String, String> {
             bytes as f64 / s.edges as f64
         }
     };
-    let lanes: Vec<&str> = relcore::Precision::ALL.iter().map(|p| p.id()).collect();
     Ok(format!(
         "dataset      {dataset}\n\
          nodes        {}\n\
@@ -85,7 +84,6 @@ pub fn stats(dataset: &str) -> Result<String, String> {
          memory       {} bytes ({:.2} MiB adjacency)\n\
          csr          {:.1} bytes/edge\n\
          compact      {:.1} bytes/edge ({:.0}% of csr, image encoding)\n\
-         precision    {}\n\
          ordering     {ordering} (mean edge span {:.1})\n",
         s.nodes,
         s.edges,
@@ -102,22 +100,19 @@ pub fn stats(dataset: &str) -> Result<String, String> {
         per_edge(compact.memory_bytes()),
         100.0 * per_edge(compact.memory_bytes())
             / per_edge(g.memory_bytes()).max(f64::MIN_POSITIVE),
-        lanes.join(", "),
         g.mean_edge_span(),
     ))
 }
 
 /// Solver-related CLI flags, bundled so `build_query` stays readable.
 #[derive(Debug, Clone, Default)]
-struct SolverFlags<'a> {
+struct SolverFlags {
     /// `--solver`: full solver set, including approximate push/mc.
-    solver: Option<&'a str>,
+    solver: Option<relcore::Solver>,
     /// `--scheme`: exact kernel scheme; wins over `--solver`.
-    scheme: Option<&'a str>,
+    scheme: Option<relcore::Scheme>,
     /// `--threads`: worker threads for the parallel scheme.
     threads: Option<usize>,
-    /// `--precision`: score-lane precision (f64|f32).
-    precision: Option<&'a str>,
     /// `--trace`: record per-iteration residuals.
     trace: bool,
     /// `--top-k`: top-k-only serving mode.
@@ -135,7 +130,7 @@ fn build_query(
     alpha: Option<f64>,
     k: Option<u32>,
     sigma: Option<&str>,
-    solver: SolverFlags<'_>,
+    solver: SolverFlags,
     top: usize,
 ) -> Result<Query, String> {
     // Fail fast on unknown names, with the registry as source of truth.
@@ -144,16 +139,13 @@ fn build_query(
         .ok_or_else(|| format!("unknown algorithm {algorithm:?} (see `relrank algorithms`)"))?;
     let mut q = Query::on(target).algorithm(algorithm).top(top);
     if let Some(s) = solver.solver {
-        q = q.solver(s.parse()?);
+        q = q.solver(s);
     }
     if let Some(s) = solver.scheme {
-        q = q.scheme(s.parse::<relcore::Scheme>()?);
+        q = q.scheme(s);
     }
     if let Some(n) = solver.threads {
         q = q.threads(n);
-    }
-    if let Some(p) = solver.precision {
-        q = q.precision(p.parse()?);
     }
     if let Some(k) = solver.top_k {
         q = q.top_k(k);
@@ -195,10 +187,9 @@ pub fn run_task(spec: RunSpec) -> Result<String, String> {
         spec.k,
         spec.sigma.as_deref(),
         SolverFlags {
-            solver: spec.solver.as_deref(),
-            scheme: spec.scheme.as_deref(),
+            solver: spec.solver,
+            scheme: spec.scheme,
             threads: spec.threads,
-            precision: spec.precision.as_deref(),
             trace: spec.trace,
             top_k: spec.top_k,
         },
@@ -302,8 +293,8 @@ pub fn batch(spec: BatchSpecArgs) -> Result<String, String> {
     if let Some(a) = spec.alpha {
         q = q.alpha(a);
     }
-    if let Some(s) = &spec.scheme {
-        q = q.scheme(s.parse::<relcore::Scheme>()?);
+    if let Some(s) = spec.scheme {
+        q = q.scheme(s);
     }
     if let Some(n) = spec.threads {
         q = q.threads(n);
@@ -957,7 +948,7 @@ mod tests {
         assert!(out.contains("csr          "), "{out}");
         assert!(out.contains("compact      "), "{out}");
         assert!(out.contains("image encoding"), "{out}");
-        assert!(out.contains("precision    f64, f32"), "{out}");
+        assert!(!out.contains("precision"), "{out}");
         assert!(stats("nope").is_err());
     }
 
@@ -978,7 +969,6 @@ mod tests {
             solver: None,
             scheme: None,
             threads: None,
-            precision: None,
             trace: false,
             top_k: None,
             top: 2,
@@ -987,50 +977,6 @@ mod tests {
         let out = run_task(spec).unwrap();
         assert!(out.contains("pal"), "{out}");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn run_with_f32_precision_lane() {
-        let spec = RunSpec {
-            dataset: "fixture-fakenews-it".into(),
-            file: None,
-            algorithm: "pagerank".into(),
-            source: None,
-            alpha: None,
-            k: None,
-            sigma: None,
-            solver: None,
-            scheme: None,
-            threads: None,
-            precision: Some("f32".into()),
-            trace: false,
-            top_k: None,
-            top: 3,
-            json: false,
-        };
-        let out = run_task(spec).unwrap();
-        assert!(out.contains("converged"), "{out}");
-        // Unknown lanes fail fast with the parse error.
-        let mut bad = RunSpec {
-            dataset: "fixture-fakenews-it".into(),
-            file: None,
-            algorithm: "pagerank".into(),
-            source: None,
-            alpha: None,
-            k: None,
-            sigma: None,
-            solver: None,
-            scheme: None,
-            threads: None,
-            precision: Some("f16".into()),
-            trace: false,
-            top_k: None,
-            top: 3,
-            json: false,
-        };
-        assert!(run_task(bad.clone()).is_err());
-        bad.precision = None;
-        assert!(run_task(bad).is_ok());
     }
 
     #[test]
@@ -1046,7 +992,6 @@ mod tests {
             solver: None,
             scheme: None,
             threads: None,
-            precision: None,
             trace: false,
             top_k: None,
             top: 5,
@@ -1071,7 +1016,6 @@ mod tests {
             solver: None,
             scheme: None,
             threads: None,
-            precision: None,
             trace: false,
             top_k: None,
             top: 3,
@@ -1085,10 +1029,10 @@ mod tests {
 
     #[test]
     fn run_any_scheme_for_every_stationary_algorithm() {
-        // The acceptance scenario: --scheme gauss-seidel --threads N works
-        // for the whole PageRank family, global and personalized.
+        // The acceptance scenario: --scheme S --threads N works for the
+        // whole PageRank family, global and personalized.
         for algorithm in ["pagerank", "ppr", "cheirank", "pcheirank", "2drank", "p2drank"] {
-            for scheme in ["power", "gauss-seidel", "parallel"] {
+            for scheme in relcore::Scheme::ALL {
                 let personalized =
                     AlgorithmRegistry::global().get(algorithm).unwrap().is_personalized();
                 let spec = RunSpec {
@@ -1100,9 +1044,8 @@ mod tests {
                     k: None,
                     sigma: None,
                     solver: None,
-                    scheme: Some(scheme.into()),
+                    scheme: Some(scheme),
                     threads: Some(2),
-                    precision: None,
                     trace: false,
                     top_k: None,
                     top: 3,
@@ -1130,7 +1073,6 @@ mod tests {
             solver: None,
             scheme: None,
             threads: None,
-            precision: None,
             trace: true,
             top_k: None,
             top: 3,
@@ -1152,10 +1094,9 @@ mod tests {
             alpha: None,
             k: None,
             sigma: None,
-            solver: Some("push".into()),
+            solver: Some(relcore::Solver::Push),
             scheme: None,
             threads: None,
-            precision: None,
             trace: true,
             top_k: None,
             top: 3,
@@ -1179,7 +1120,6 @@ mod tests {
             solver: None,
             scheme: None,
             threads: None,
-            precision: None,
             trace: false,
             top_k: None,
             top: 3,

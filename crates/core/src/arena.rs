@@ -5,7 +5,8 @@
 //! interleaves for batches). Before this module existed each solve
 //! allocated them fresh, which under request-serving traffic means three
 //! large allocations *per query* and a working set that hops around the
-//! heap. A [`SolverArena`] is a bounded free list of such buffers:
+//! heap. A [`SolverArena`] is one bounded free list of such buffers (the
+//! kernel has one score precision, so there is one pool):
 //! [`SolverArena::take`] checks one out (reusing capacity when a returned
 //! buffer is big enough), the [`ArenaBuf`] guard returns it on drop, and
 //! [`ArenaBuf::detach`] lets a result vector escape permanently (the one
@@ -28,11 +29,11 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Buffers kept in a free list beyond this are dropped instead of
-/// pooled (per element type).
+/// Buffers kept in the free list beyond this are dropped instead of
+/// pooled.
 const MAX_POOLED: usize = 32;
 
-/// Total pooled capacity cap in bytes per pool (128 MiB): enough to keep
+/// Total pooled capacity cap in bytes (128 MiB): enough to keep
 /// one full batch solve's working set (three `n × MAX_FUSED_LANES`
 /// interleaves) warm on graphs into the millions of nodes, while
 /// guaranteeing an idle arena never retains more than this — without it,
@@ -42,45 +43,10 @@ const MAX_POOLED: usize = 32;
 /// would leave the jumbos resident).
 const MAX_POOLED_BYTES: usize = 128 * 1024 * 1024;
 
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for f64 {}
-    impl Sealed for f32 {}
-}
-
-/// Element types the arena pools buffers of: the solver's full-precision
-/// `f64` lane and the narrow `f32` lane. Each type has its own free list,
-/// so the two lanes never trade buffers.
-pub trait PoolItem: sealed::Sealed + Copy + Send + Sync + 'static {
-    /// The value buffers are filled with on checkout.
-    const ZERO: Self;
-
-    #[doc(hidden)]
-    fn pool(arena: &SolverArena) -> &Mutex<Vec<Vec<Self>>>;
-}
-
-impl PoolItem for f64 {
-    const ZERO: Self = 0.0;
-
-    fn pool(arena: &SolverArena) -> &Mutex<Vec<Vec<f64>>> {
-        &arena.free_f64
-    }
-}
-
-impl PoolItem for f32 {
-    const ZERO: Self = 0.0;
-
-    fn pool(arena: &SolverArena) -> &Mutex<Vec<Vec<f32>>> {
-        &arena.free_f32
-    }
-}
-
-/// A bounded, thread-safe free list of solver buffers (one pool per
-/// score-lane element type).
+/// A bounded, thread-safe free list of `f64` solver buffers.
 #[derive(Debug, Default)]
 pub struct SolverArena {
-    free_f64: Mutex<Vec<Vec<f64>>>,
-    free_f32: Mutex<Vec<Vec<f32>>>,
+    free: Mutex<Vec<Vec<f64>>>,
     allocations: AtomicU64,
 }
 
@@ -97,27 +63,15 @@ impl SolverArena {
         GLOBAL.get_or_init(|| Arc::new(SolverArena::new()))
     }
 
-    /// Checks out a zero-filled `f64` buffer of length `n` (see
-    /// [`SolverArena::take_buf`]).
-    pub fn take(self: &Arc<Self>, n: usize) -> ArenaBuf {
-        self.take_buf(n)
-    }
-
-    /// Checks out a zero-filled `f32` buffer of length `n` — the narrow
-    /// score lane's working storage.
-    pub fn take_f32(self: &Arc<Self>, n: usize) -> ArenaBuf<f32> {
-        self.take_buf(n)
-    }
-
     /// Checks out a zero-filled buffer of length `n`, reusing pooled
     /// capacity when possible (best fit: the smallest pooled buffer that
     /// holds `n`; too-small buffers stay pooled for smaller checkouts, so
     /// mixed-size traffic — single solves and wide batches sharing one
     /// per-dataset arena — reuses instead of churning). Counts an
     /// allocation only when nothing pooled fits.
-    pub fn take_buf<T: PoolItem>(self: &Arc<Self>, n: usize) -> ArenaBuf<T> {
+    pub fn take(self: &Arc<Self>, n: usize) -> ArenaBuf {
         let recycled = {
-            let mut free = T::pool(self).lock().unwrap_or_else(|e| e.into_inner());
+            let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
             // The list is kept sorted by capacity (see `give`), so the
             // best fit is the first buffer at or past `n`.
             let pos = free.partition_point(|b| b.capacity() < n);
@@ -131,14 +85,13 @@ impl SolverArena {
             }
         };
         buf.clear();
-        buf.resize(n, T::ZERO);
+        buf.resize(n, 0.0);
         ArenaBuf { arena: Arc::clone(self), buf }
     }
 
-    /// Buffers currently pooled across both lanes (diagnostic).
+    /// Buffers currently pooled (diagnostic).
     pub fn pooled(&self) -> usize {
-        self.free_f64.lock().unwrap_or_else(|e| e.into_inner()).len()
-            + self.free_f32.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.free.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
     /// Total fresh/growing buffer allocations since construction — the
@@ -147,11 +100,11 @@ impl SolverArena {
         self.allocations.load(Ordering::Relaxed)
     }
 
-    fn give<T: PoolItem>(&self, buf: Vec<T>) {
+    fn give(&self, buf: Vec<f64>) {
         if buf.capacity() == 0 {
             return; // detached guards drop an empty shell
         }
-        let mut free = T::pool(self).lock().unwrap_or_else(|e| e.into_inner());
+        let mut free = self.free.lock().unwrap_or_else(|e| e.into_inner());
         // Keep the list sorted by capacity so `take` can best-fit search.
         let pos = free.partition_point(|b| b.capacity() <= buf.capacity());
         free.insert(pos, buf);
@@ -163,7 +116,7 @@ impl SolverArena {
         // Byte bound: evict the largest until under budget (always
         // keeping at least one buffer so a steady single-size workload
         // larger than the budget still reuses).
-        let elem = std::mem::size_of::<T>();
+        let elem = std::mem::size_of::<f64>();
         let mut total: usize = free.iter().map(|b| b.capacity() * elem).sum();
         while total > MAX_POOLED_BYTES && free.len() > 1 {
             total -= free.pop().map(|b| b.capacity() * elem).unwrap_or(0);
@@ -171,44 +124,39 @@ impl SolverArena {
     }
 }
 
-/// A checked-out arena buffer; dereferences to its `Vec<T>` and returns
+/// A checked-out arena buffer; dereferences to its `Vec<f64>` and returns
 /// the capacity to the pool on drop.
 #[derive(Debug)]
-pub struct ArenaBuf<T: PoolItem = f64> {
+pub struct ArenaBuf {
     arena: Arc<SolverArena>,
-    buf: Vec<T>,
+    buf: Vec<f64>,
 }
 
-impl<T: PoolItem> ArenaBuf<T> {
+impl ArenaBuf {
     /// Takes the buffer out of arena management permanently — used when a
     /// solve's final score vector escapes to the caller. The pool replaces
     /// it with a fresh allocation on a later checkout (counted by
     /// [`SolverArena::allocations`]).
-    pub fn detach(mut self) -> Vec<T> {
+    pub fn detach(mut self) -> Vec<f64> {
         std::mem::take(&mut self.buf)
-    }
-
-    /// The arena this buffer returns to on drop.
-    pub(crate) fn arena(&self) -> &Arc<SolverArena> {
-        &self.arena
     }
 }
 
-impl<T: PoolItem> Deref for ArenaBuf<T> {
-    type Target = Vec<T>;
+impl Deref for ArenaBuf {
+    type Target = Vec<f64>;
 
-    fn deref(&self) -> &Vec<T> {
+    fn deref(&self) -> &Vec<f64> {
         &self.buf
     }
 }
 
-impl<T: PoolItem> DerefMut for ArenaBuf<T> {
-    fn deref_mut(&mut self) -> &mut Vec<T> {
+impl DerefMut for ArenaBuf {
+    fn deref_mut(&mut self) -> &mut Vec<f64> {
         &mut self.buf
     }
 }
 
-impl<T: PoolItem> Drop for ArenaBuf<T> {
+impl Drop for ArenaBuf {
     fn drop(&mut self) {
         self.arena.give(std::mem::take(&mut self.buf));
     }
@@ -318,25 +266,6 @@ mod tests {
         let bufs: Vec<_> = (0..MAX_POOLED + 10).map(|_| arena.take(4)).collect();
         drop(bufs);
         assert!(arena.pooled() <= MAX_POOLED);
-    }
-
-    #[test]
-    fn f32_pool_is_independent() {
-        let arena = Arc::new(SolverArena::new());
-        drop(arena.take(64));
-        assert_eq!(arena.allocations(), 1);
-        {
-            // The narrow lane cannot steal the pooled f64 capacity.
-            let b = arena.take_f32(64);
-            assert_eq!(b.len(), 64);
-            assert!(b.iter().all(|&v| v == 0.0));
-        }
-        assert_eq!(arena.allocations(), 2);
-        assert_eq!(arena.pooled(), 2);
-        // Each lane now reuses its own buffer.
-        drop(arena.take(32));
-        drop(arena.take_f32(32));
-        assert_eq!(arena.allocations(), 2);
     }
 
     #[test]

@@ -255,19 +255,14 @@ fn pagerank_family_params() -> Vec<ParamSpec> {
         "solver",
         "enum",
         "parallel",
-        "numerical solver: power | gauss_seidel | parallel | push | monte_carlo",
+        "numerical solver: power | parallel | push | monte_carlo",
     ));
     ps
 }
 
 fn tworank_params() -> Vec<ParamSpec> {
     let mut ps = sweep_kernel_params();
-    ps.push(ParamSpec::new(
-        "solver",
-        "enum",
-        "parallel",
-        "kernel update scheme: power | gauss_seidel | parallel",
-    ));
+    ps.push(ParamSpec::new("solver", "enum", "parallel", "kernel update scheme: power | parallel"));
     ps
 }
 

@@ -102,19 +102,14 @@ mod tests {
             None,
         )
         .unwrap();
-        for scheme in [Scheme::GaussSeidel, Scheme::Parallel] {
-            let out = cheirank_with(
-                &g,
-                &SolverConfig { tolerance: 1e-12, ..Default::default() }.with_scheme(scheme),
-                None,
-            )
-            .unwrap();
-            for u in g.nodes() {
-                assert!(
-                    (base.scores.get(u) - out.scores.get(u)).abs() < 1e-9,
-                    "{scheme} node {u:?}"
-                );
-            }
+        let out = cheirank_with(
+            &g,
+            &SolverConfig { tolerance: 1e-12, ..Default::default() }.with_scheme(Scheme::Parallel),
+            None,
+        )
+        .unwrap();
+        for u in g.nodes() {
+            assert!((base.scores.get(u) - out.scores.get(u)).abs() < 1e-9, "node {u:?}");
         }
     }
 

@@ -182,7 +182,7 @@ mod tests {
     use super::*;
     use crate::ppr::TeleportVector;
     use crate::solver::tests::random_graph;
-    use crate::solver::{Precision, SolverConfig, SweepKernel, SweepOutcome};
+    use crate::solver::{SolverConfig, SweepKernel, SweepOutcome};
     use proptest::prelude::*;
     use relgraph::{CompactGraph, DirectedGraph, GraphBuilder};
     use std::cell::Cell;
@@ -360,14 +360,11 @@ mod tests {
     #[allow(clippy::type_complexity)]
     fn solve_every_way(
         kernel: &SweepKernel<'_>,
-        precision: Precision,
     ) -> (Vec<(Vec<u64>, usize, u64, bool, Option<Vec<u64>>)>, Vec<(NodeId, f64)>) {
         let n = kernel.node_count();
         // Damping 0.5 converges in ~20 sweeps, so stopping decisions (and the
         // batch's lane compaction) are exercised without hundreds of forks.
-        let cfg = SolverConfig { damping: 0.5, tolerance: 1e-6, ..Default::default() }
-            .with_trace()
-            .with_precision(precision);
+        let cfg = SolverConfig { damping: 0.5, tolerance: 1e-6, ..Default::default() }.with_trace();
         let seed = |i: usize| TeleportVector::single(n, NodeId::from_usize(i % n)).unwrap();
         let mut prints = vec![
             fingerprint(&kernel.solve(&cfg, &seed(1)).unwrap()),
@@ -375,10 +372,7 @@ mod tests {
         ];
         let prev: Vec<f64> = (0..n).map(|i| (1 + i % 7) as f64 / (4 * n) as f64).collect();
         prints.push(fingerprint(&kernel.solve_warm(&cfg, &seed(2), &prev).unwrap()));
-        // The f32 lane has no fused batch (it solves seed by seed), so its
-        // wide batch would only repeat the single solves above 33 times.
-        let widths: &[usize] = if precision == Precision::F64 { &[1, 3, 33] } else { &[1, 3] };
-        for &lanes in widths {
+        for lanes in [1, 3, 33] {
             let teleports: Vec<TeleportVector> = (0..lanes).map(|b| seed(3 * b)).collect();
             prints.extend(kernel.solve_batch(&cfg, &teleports).unwrap().iter().map(fingerprint));
         }
@@ -411,8 +405,8 @@ mod tests {
 
         /// Scores, iteration counts and residual traces are bitwise equal
         /// for every chunk count 1..=8 — on hub-heavy, dangling-heavy,
-        /// weighted and compact-tier graphs, in both precisions, for cold,
-        /// warm, top-k and batched solves.
+        /// weighted and compact-tier graphs, for cold, warm, top-k and
+        /// batched solves.
         #[test]
         fn solves_are_bitwise_invariant_in_the_chunk_count(
             edges in prop::collection::vec((0u32..40, 0u32..40), 20..160),
@@ -422,12 +416,10 @@ mod tests {
                 [hub.view(), dangling.view(), weighted.view(), compact.view(), compact.transposed()];
             for (shape, view) in views.into_iter().enumerate() {
                 let kernel = SweepKernel::new(view).unwrap();
-                for precision in Precision::ALL {
-                    let one = with_chunks(1, || solve_every_way(&kernel, precision));
-                    for chunks in 2..=8 {
-                        let many = with_chunks(chunks, || solve_every_way(&kernel, precision));
-                        prop_assert_eq!(&one, &many, "shape {} {} chunks={}", shape, precision, chunks);
-                    }
+                let one = with_chunks(1, || solve_every_way(&kernel));
+                for chunks in 2..=8 {
+                    let many = with_chunks(chunks, || solve_every_way(&kernel));
+                    prop_assert_eq!(&one, &many, "shape {} chunks={}", shape, chunks);
                 }
             }
         }

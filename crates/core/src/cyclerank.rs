@@ -256,39 +256,6 @@ pub fn cyclerank(
     })
 }
 
-/// Computes CycleRank for many reference nodes concurrently.
-///
-/// Each reference's enumeration is independent (CycleRank shares no state
-/// across queries), so the batch fans out over `threads` crossbeam scoped
-/// threads — the in-process equivalent of the demo scheduling one task per
-/// query-set row onto its worker pool. Results come back in input order;
-/// per-reference errors (e.g. an out-of-range id) are returned in place.
-pub fn cyclerank_batch(
-    g: &DirectedGraph,
-    references: &[NodeId],
-    cfg: &CycleRankConfig,
-    threads: usize,
-) -> Vec<Result<CycleRankOutput, AlgoError>> {
-    if references.is_empty() {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(references.len());
-    let mut results: Vec<Option<Result<CycleRankOutput, AlgoError>>> =
-        (0..references.len()).map(|_| None).collect();
-    let chunk = references.len().div_ceil(threads);
-    crossbeam::thread::scope(|s| {
-        for (refs, outs) in references.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            s.spawn(move |_| {
-                for (r, out) in refs.iter().zip(outs.iter_mut()) {
-                    *out = Some(cyclerank(g, *r, cfg));
-                }
-            });
-        }
-    })
-    .expect("cyclerank batch worker panicked");
-    results.into_iter().map(|r| r.expect("every slot filled")).collect()
-}
-
 /// CycleRank **without** the distance prunings — a reference
 /// implementation for the ablation benchmark (`cargo bench -p relbench
 /// --bench pruning`) and for cross-checking the optimized enumerator.
@@ -638,50 +605,6 @@ mod tests {
         for u in g.nodes() {
             assert_eq!(plain.scores.get(u), flagged.scores.get(u));
         }
-    }
-
-    #[test]
-    fn batch_matches_individual_runs() {
-        let g = GraphBuilder::from_edge_indices([
-            (0, 1),
-            (1, 0),
-            (1, 2),
-            (2, 1),
-            (2, 3),
-            (3, 2),
-            (3, 0),
-            (0, 3),
-        ]);
-        let refs: Vec<NodeId> = (0..4).map(NodeId::new).collect();
-        let cfg = CycleRankConfig::with_k(4);
-        for threads in [1, 2, 4, 9] {
-            let batch = cyclerank_batch(&g, &refs, &cfg, threads);
-            assert_eq!(batch.len(), 4);
-            for (r, out) in refs.iter().zip(&batch) {
-                let solo = cyclerank(&g, *r, &cfg).unwrap();
-                let out = out.as_ref().unwrap();
-                assert_eq!(out.cycles_found, solo.cycles_found, "threads {threads} ref {r:?}");
-                for u in g.nodes() {
-                    assert_eq!(out.scores.get(u), solo.scores.get(u));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_reports_per_reference_errors() {
-        let g = GraphBuilder::from_edge_indices([(0, 1), (1, 0)]);
-        let refs = [NodeId::new(0), NodeId::new(9), NodeId::new(1)];
-        let batch = cyclerank_batch(&g, &refs, &CycleRankConfig::default(), 2);
-        assert!(batch[0].is_ok());
-        assert!(matches!(batch[1], Err(AlgoError::InvalidReference { .. })));
-        assert!(batch[2].is_ok());
-    }
-
-    #[test]
-    fn batch_empty_references() {
-        let g = GraphBuilder::from_edge_indices([(0, 1)]);
-        assert!(cyclerank_batch(&g, &[], &CycleRankConfig::default(), 4).is_empty());
     }
 
     #[test]

@@ -49,8 +49,8 @@
 //! Every stationary-distribution algorithm — PageRank, PPR, CheiRank, and
 //! 2DRank — is a thin parameterization (view orientation × teleport
 //! vector) of one shared edge-sweep engine, [`solver::SweepKernel`], with
-//! three interchangeable update schemes ([`solver::Scheme`]): sequential
-//! power iteration, hybrid Gauss–Seidel, and chunked pull (the default).
+//! two interchangeable `f64` update schemes ([`solver::Scheme`]):
+//! sequential power iteration and chunked pull (the default).
 //! The default scheme forks threads only for sweeps big enough to pay for
 //! it while a core is free — small graphs sweep inline; an explicit
 //! thread count is always honored. Queries pick both fluently:
@@ -62,7 +62,7 @@
 //! let g = GraphBuilder::from_edge_indices([(0, 1), (1, 0), (1, 2), (2, 0)]);
 //! let r = Query::on(g)
 //!     .algorithm("cheirank")
-//!     .scheme(Scheme::GaussSeidel)
+//!     .scheme(Scheme::Power)
 //!     .threads(2)
 //!     .trace(true)
 //!     .run()
@@ -124,9 +124,6 @@ pub use registry::{AlgorithmRegistry, RegistryError};
 pub use result::{RankedList, ScoreVector};
 pub use runner::{Algorithm, AlgorithmParams, RelevanceOutput, Solver};
 pub use scoring::ScoringFunction;
-pub use solver::{
-    ConvergenceTrace, Precision, Scheme, SolverConfig, SweepKernel, SweepOutcome, TopKOutcome,
-    F32_TOLERANCE_FLOOR,
-};
+pub use solver::{ConvergenceTrace, Scheme, SolverConfig, SweepKernel, SweepOutcome, TopKOutcome};
 pub use topk::{refresh_ppr, PprRefresh};
 pub use tworank::{personalized_two_d_rank, two_d_rank};

@@ -20,7 +20,7 @@
 use crate::error::AlgoError;
 use crate::ppr::TeleportVector;
 use crate::result::ScoreVector;
-use crate::solver::{Precision, Scheme, SolverConfig, SweepKernel};
+use crate::solver::{Scheme, SolverConfig, SweepKernel};
 use relgraph::GraphView;
 use serde::{Deserialize, Serialize};
 
@@ -66,7 +66,6 @@ impl PageRankConfig {
             scheme,
             threads,
             record_trace: false,
-            precision: Precision::default(),
         }
     }
 }

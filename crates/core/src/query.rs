@@ -297,7 +297,7 @@ impl Query {
     }
 
     /// Sets the kernel update scheme (the exact subset of [`Solver`]:
-    /// power, Gauss–Seidel, or chunked parallel pull).
+    /// power or chunked parallel pull).
     pub fn scheme(mut self, scheme: crate::solver::Scheme) -> Self {
         self.params.solver = scheme.into();
         self
@@ -307,17 +307,6 @@ impl Query {
     /// available cores; clamped to available parallelism and node count).
     pub fn threads(mut self, threads: usize) -> Self {
         self.params.threads = threads;
-        self
-    }
-
-    /// Sets the score-lane precision for the exact kernel schemes:
-    /// [`Precision::F64`](crate::solver::Precision::F64) (the default,
-    /// bitwise-reproducible) or
-    /// [`Precision::F32`](crate::solver::Precision::F32) (half the solver
-    /// memory traffic, results within the documented tolerance of f64).
-    /// Approximate solvers and CycleRank ignore it.
-    pub fn precision(mut self, precision: crate::solver::Precision) -> Self {
-        self.params.precision = precision;
         self
     }
 

@@ -180,10 +180,8 @@ mod tests {
         let tight = SolverConfig { tolerance: 1e-12, ..Default::default() };
         let base = two_d_rank_with(&g, &tight.with_scheme(Scheme::Power), None).unwrap();
         assert!(base.convergence.converged);
-        for scheme in [Scheme::GaussSeidel, Scheme::Parallel] {
-            let r = two_d_rank_with(&g, &tight.with_scheme(scheme), None).unwrap();
-            assert_eq!(r.ranking, base.ranking, "{scheme} ranking diverges");
-        }
+        let r = two_d_rank_with(&g, &tight.with_scheme(Scheme::Parallel), None).unwrap();
+        assert_eq!(r.ranking, base.ranking, "parallel ranking diverges");
         // The default-config path is the same computation.
         let legacy = two_d_rank(&g, &PageRankConfig::default()).unwrap();
         let kernel = two_d_rank_with(&g, &SolverConfig::default(), None).unwrap();

@@ -6,7 +6,7 @@ use relcore::pagerank::{pagerank, PageRankConfig};
 use relcore::ppr::{personalized_pagerank, TeleportVector};
 use relcore::push::{ppr_push, PushConfig};
 use relcore::runner::Algorithm;
-use relcore::solver::{Precision, Scheme, SolverConfig, SweepKernel, F32_TOLERANCE_FLOOR};
+use relcore::solver::{Scheme, SolverConfig, SweepKernel};
 use relcore::{AlgorithmRegistry, Query, ScoringFunction};
 use relgraph::{GraphBuilder, NodeId};
 use std::str::FromStr;
@@ -159,8 +159,8 @@ proptest! {
         }
     }
 
-    /// Solver-layer contract: the three kernel update schemes — power
-    /// iteration, hybrid Gauss–Seidel, and chunked parallel pull — agree
+    /// Solver-layer contract: the two kernel update schemes — power
+    /// iteration and chunked parallel pull — agree
     /// within 10× the convergence tolerance on random *weighted* graphs,
     /// for PageRank (forward view, uniform teleport), PPR (forward view,
     /// reference teleport), and CheiRank (transposed view, uniform
@@ -203,7 +203,6 @@ proptest! {
                     scheme,
                     threads,
                     record_trace: false,
-                    precision: Precision::default(),
                 };
                 let out = kernel.solve(&cfg, &teleport).unwrap();
                 prop_assert!(out.convergence.converged, "{name}/{scheme} did not converge");
@@ -220,69 +219,6 @@ proptest! {
                             solved[i].0, solved[j].0, u, a, b
                         );
                     }
-                }
-            }
-        }
-    }
-
-    /// The f32 score lane tracks the f64 lane within its documented
-    /// tolerance: for PageRank, PPR, and CheiRank (uniform/single teleport,
-    /// forward/transposed view) under every update scheme on random
-    /// weighted graphs, every per-node score differs by < 1e-5, the f32
-    /// result stays on the probability simplex to 1e-4, and both lanes
-    /// report convergence. The f32 lane clamps its effective tolerance to
-    /// [`F32_TOLERANCE_FLOOR`], so requesting a tighter one is safe.
-    #[test]
-    fn f32_lane_tracks_f64_within_tolerance(
-        edges in weighted_edge_list(25, 120),
-        raw_seed in 0u32..25,
-        alpha in 0.05f64..0.85,
-        threads in 1usize..4,
-    ) {
-        let mut b = GraphBuilder::new();
-        b.ensure_node(24);
-        for (u, v, w) in edges {
-            if u != v {
-                b.add_weighted_edge(NodeId::new(u), NodeId::new(v), w);
-            }
-        }
-        let g = b.build();
-        let seed = NodeId::new(raw_seed % g.node_count() as u32);
-        let cases = [
-            ("pagerank", TeleportVector::uniform(g.node_count()).unwrap(), false),
-            ("ppr", TeleportVector::single(g.node_count(), seed).unwrap(), false),
-            ("cheirank", TeleportVector::uniform(g.node_count()).unwrap(), true),
-        ];
-        for (name, teleport, transposed) in cases {
-            let view = if transposed { g.transposed() } else { g.view() };
-            let kernel = SweepKernel::new(view).unwrap();
-            for scheme in Scheme::ALL {
-                let cfg = SolverConfig {
-                    damping: alpha,
-                    tolerance: F32_TOLERANCE_FLOOR,
-                    max_iterations: 5000,
-                    scheme,
-                    threads,
-                    record_trace: false,
-                    precision: Precision::F64,
-                };
-                let wide = kernel.solve(&cfg, &teleport).unwrap();
-                let narrow = kernel
-                    .solve(&SolverConfig { precision: Precision::F32, ..cfg }, &teleport)
-                    .unwrap();
-                prop_assert!(wide.convergence.converged, "{name}/{scheme} f64");
-                prop_assert!(narrow.convergence.converged, "{name}/{scheme} f32");
-                prop_assert!(
-                    (narrow.scores.sum() - 1.0).abs() < 1e-4,
-                    "{name}/{scheme}: f32 scores off the simplex: {}",
-                    narrow.scores.sum()
-                );
-                for u in g.nodes() {
-                    let (a, b) = (wide.scores.get(u), narrow.scores.get(u));
-                    prop_assert!(
-                        (a - b).abs() < 1e-5,
-                        "{name}/{scheme} node {:?}: f64 {} vs f32 {}", u, a, b
-                    );
                 }
             }
         }

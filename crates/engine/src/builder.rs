@@ -4,7 +4,7 @@
 use crate::error::EngineError;
 use crate::task::TaskSpec;
 use relcore::runner::{Algorithm, AlgorithmParams, Solver};
-use relcore::{AlgorithmRegistry, Precision, Query, Scheme, ScoringFunction};
+use relcore::{AlgorithmRegistry, Query, Scheme, ScoringFunction};
 
 /// Builds a validated [`TaskSpec`].
 ///
@@ -32,7 +32,6 @@ pub struct TaskBuilder {
     solver: Option<Solver>,
     threads: Option<usize>,
     record_trace: bool,
-    precision: Option<Precision>,
 }
 
 impl TaskBuilder {
@@ -49,7 +48,6 @@ impl TaskBuilder {
             solver: None,
             threads: None,
             record_trace: false,
-            precision: None,
         }
     }
 
@@ -100,13 +98,6 @@ impl TaskBuilder {
         self
     }
 
-    /// Selects the score-lane precision for the exact kernel schemes
-    /// (f64 default; f32 halves the vector footprint).
-    pub fn precision(mut self, p: Precision) -> Self {
-        self.precision = Some(p);
-        self
-    }
-
     /// Sets the source (reference) node label.
     pub fn source(mut self, label: impl Into<String>) -> Self {
         self.source = Some(label.into());
@@ -147,9 +138,6 @@ impl TaskBuilder {
         }
         if let Some(n) = self.threads {
             params = params.with_threads(n);
-        }
-        if let Some(p) = self.precision {
-            params = params.with_precision(p);
         }
         params = params.with_trace(self.record_trace);
         Ok(TaskSpec { dataset: self.dataset, params, source: self.source, top_k: self.top_k })
@@ -225,13 +213,9 @@ mod tests {
 
     #[test]
     fn scheme_threads_and_trace_flow_into_params() {
-        let t = TaskBuilder::new("ds")
-            .scheme(Scheme::GaussSeidel)
-            .threads(3)
-            .trace(true)
-            .build()
-            .unwrap();
-        assert_eq!(t.params.solver, Solver::GaussSeidel);
+        let t =
+            TaskBuilder::new("ds").scheme(Scheme::Power).threads(3).trace(true).build().unwrap();
+        assert_eq!(t.params.solver, Solver::Power);
         assert_eq!(t.params.threads, 3);
         assert!(t.params.record_trace);
     }

@@ -38,9 +38,7 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 /// top-k-only serving mode (`params.top_k`, rendered as `ktop`) is
 /// included because its result path (certified adaptive push / pruned
 /// heap-select) produces estimate-accurate scores a full-rank run would
-/// not. `precision` is the solve's score lane: the f32 lane carries its
-/// own rounding, so it may not share entries with the
-/// bitwise-reproducible f64 path.
+/// not.
 pub fn cache_key(spec: &TaskSpec, graph_version: u64) -> String {
     let p = &spec.params;
     // The dataset field is length-prefixed: upload names are arbitrary
@@ -49,7 +47,7 @@ pub fn cache_key(spec: &TaskSpec, graph_version: u64) -> String {
     // prefix match in [`ResultCache::invalidate_dataset`].
     format!(
         "dataset={}:{};v={};algo={};damping={};k={};scoring={};tolerance={};\
-         max_iterations={};solver={};precision={};trace={};source={};top_k={};ktop={}",
+         max_iterations={};solver={};trace={};source={};top_k={};ktop={}",
         spec.dataset.len(),
         spec.dataset,
         graph_version,
@@ -60,7 +58,6 @@ pub fn cache_key(spec: &TaskSpec, graph_version: u64) -> String {
         p.tolerance,
         p.max_iterations,
         p.solver.id(),
-        p.precision.id(),
         p.record_trace,
         spec.source.as_deref().unwrap_or(""),
         spec.top_k,
@@ -314,11 +311,6 @@ mod tests {
         let mut with_other_ktop = spec("d", Some("s"));
         with_other_ktop.params.top_k = Some(7);
         assert_ne!(cache_key(&with_ktop, 0), cache_key(&with_other_ktop, 0));
-        // The score lane separates entries: the f32 lane rounds, so it may
-        // not answer for the bitwise-reproducible f64 path.
-        let mut with_f32 = spec("d", Some("s"));
-        with_f32.params.precision = relcore::Precision::F32;
-        assert_ne!(a, cache_key(&with_f32, 0));
     }
 
     #[test]

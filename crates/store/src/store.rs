@@ -23,6 +23,7 @@ use crate::snapshot::{decode_snapshot, encode_snapshot, SnapshotError, SnapshotM
 use crate::vfs::{StdFs, Vfs};
 use relgraph::DirectedGraph;
 use serde::Serialize;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
@@ -329,12 +330,16 @@ impl DatasetStore {
     /// decide when to rotate.
     pub fn append_batch(&self, id: &str, record: &JournalRecord) -> std::io::Result<u64> {
         let mut writers = self.writers.lock().expect("store writer lock");
-        if !writers.contains_key(id) {
-            self.vfs.create_dir_all(&self.dir(id))?;
-            let w = JournalWriter::open_with_vfs(&self.journal_path(id), self.vfs.as_ref())?;
-            writers.insert(id.to_string(), w);
-        }
-        let w = writers.get_mut(id).expect("writer just inserted");
+        let w = match writers.entry(id.to_string()) {
+            Entry::Occupied(cached) => cached.into_mut(),
+            Entry::Vacant(slot) => {
+                self.vfs.create_dir_all(&self.dir(id))?;
+                slot.insert(JournalWriter::open_with_vfs(
+                    &self.journal_path(id),
+                    self.vfs.as_ref(),
+                )?)
+            }
+        };
         match w.append(record) {
             Ok(()) => Ok(w.records()),
             Err(e) => {

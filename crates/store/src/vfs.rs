@@ -18,7 +18,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A writable file handle vended by a [`Vfs`].
 pub trait VfsFile: Write + Send + Debug {
@@ -194,6 +194,14 @@ struct FaultState {
 }
 
 impl FaultState {
+    /// The pending faults. A poisoned lock is recovered, not propagated:
+    /// every critical section is one `Vec` operation (a lookup and
+    /// `remove`, an `extend`, a `clear`), so a panic inside one cannot
+    /// leave the plan half-edited.
+    fn plan(&self) -> MutexGuard<'_, Vec<Fault>> {
+        self.plan.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Advances the global op counter and returns the fault (if any)
     /// scheduled for this operation. After a crash fault every call
     /// reports [`FaultKind::Crash`].
@@ -202,7 +210,7 @@ impl FaultState {
             return Some(FaultKind::Crash);
         }
         let op = self.ops.fetch_add(1, Ordering::SeqCst);
-        let mut plan = self.plan.lock().expect("fault plan lock");
+        let mut plan = self.plan();
         let idx = plan.iter().position(|f| f.at_op == op)?;
         let fault = plan.remove(idx);
         self.injected.fetch_add(1, Ordering::SeqCst);
@@ -250,14 +258,14 @@ impl FaultInjector {
     /// regardless of how much I/O already happened.
     pub fn arm(&self, plan: FaultPlan) {
         let base = self.state.ops.load(Ordering::SeqCst);
-        let mut armed = self.state.plan.lock().expect("fault plan lock");
-        armed
+        self.state
+            .plan()
             .extend(plan.faults.into_iter().map(|f| Fault { at_op: base + f.at_op, kind: f.kind }));
     }
 
     /// Clears any pending faults and the crashed flag.
     pub fn reset(&self) {
-        self.state.plan.lock().expect("fault plan lock").clear();
+        self.state.plan().clear();
         self.state.crashed.store(false, Ordering::SeqCst);
     }
 

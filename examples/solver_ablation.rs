@@ -24,7 +24,7 @@ fn main() {
     let exact_ranking = exact.ranking();
 
     println!("{:<14} {:>9} {:>10} {:>10}", "solver", "ms", "ndcg@10", "jacc@10");
-    for solver in [Solver::Power, Solver::GaussSeidel, Solver::Push, Solver::MonteCarlo] {
+    for solver in [Solver::Power, Solver::Parallel, Solver::Push, Solver::MonteCarlo] {
         let task = TaskBuilder::new(dataset)
             .algorithm(Algorithm::PersonalizedPageRank)
             .solver(solver)
