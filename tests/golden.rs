@@ -123,6 +123,134 @@ fn task_bad_solver_error_matches_golden() {
     );
 }
 
+/// The CycleRank task of `cyclerank_task.txt`, with a replaceable source.
+fn cyclerank_spec(source: &str) -> String {
+    format!(
+        r#"{{"dataset": "fixture-enwiki-2018", "params": {{"algorithm": "cycle_rank"}}, "source": "{source}", "top_k": 5}}"#
+    )
+}
+
+/// Submits `spec` without `?sync`, waits for it to settle and returns its
+/// task id.
+fn submit_and_settle(engine: &Arc<Scheduler>, spec: &str) -> String {
+    let (status, accepted) = respond(engine, Method::Post, "/api/tasks", "", spec);
+    assert_eq!(status, StatusCode::Accepted, "{accepted}");
+    let id = accepted["task_id"].as_str().expect("task id").to_string();
+    let _ = engine.wait(&TaskId(id.clone()), std::time::Duration::from_secs(60));
+    id
+}
+
+#[test]
+fn completed_task_status_keys_match_golden() {
+    let engine = engine();
+    let id = submit_and_settle(&engine, &cyclerank_spec("Freddie Mercury"));
+    let status = ok_json(&engine, Method::Get, &format!("/api/tasks/{id}"), "", "");
+    assert_golden(
+        "task_status_completed_keys.txt",
+        include_str!("golden/task_status_completed_keys.txt"),
+        &key_paths(&status),
+    );
+}
+
+#[test]
+fn failed_task_status_keys_match_golden() {
+    let engine = engine();
+    let id = submit_and_settle(&engine, &cyclerank_spec("No Such Page"));
+    let status = ok_json(&engine, Method::Get, &format!("/api/tasks/{id}"), "", "");
+    assert_golden(
+        "task_status_failed_keys.txt",
+        include_str!("golden/task_status_failed_keys.txt"),
+        &key_paths(&status),
+    );
+}
+
+#[test]
+fn task_result_keys_match_golden() {
+    let engine = engine();
+    let id = submit_and_settle(&engine, &cyclerank_spec("Freddie Mercury"));
+    let result = ok_json(&engine, Method::Get, &format!("/api/tasks/{id}/result"), "", "");
+    assert_golden(
+        "task_result_keys.txt",
+        include_str!("golden/task_result_keys.txt"),
+        &key_paths(&result),
+    );
+}
+
+/// Masks what varies between runs of one task log: the worker index
+/// after `worker ` and the runtime in `done in <n>ms`.
+fn mask_log(log: &str) -> String {
+    fn mask_digits_after(line: &str, marker: &str, mask: &str) -> String {
+        match line.find(marker) {
+            Some(at) => {
+                let start = at + marker.len();
+                let digits = line[start..].chars().take_while(char::is_ascii_digit).count();
+                format!("{}{mask}{}", &line[..start], &line[start + digits..])
+            }
+            None => line.to_string(),
+        }
+    }
+    log.lines()
+        .map(|line| {
+            let line = mask_digits_after(line, "worker ", "#");
+            mask_digits_after(&line, "done in ", "…")
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn sync_cyclerank_task_log_matches_golden() {
+    let engine = engine();
+    let result =
+        ok_json(&engine, Method::Post, "/api/tasks", "sync=1", &cyclerank_spec("Freddie Mercury"));
+    let id = result["task_id"].as_str().expect("task id");
+    let request = Request {
+        method: Method::Get,
+        path: format!("/api/tasks/{id}/log"),
+        query: String::new(),
+        headers: HashMap::new(),
+        body: Vec::new(),
+    };
+    let response = route(&request, &engine);
+    assert_eq!(response.status, StatusCode::Ok);
+    assert_eq!(response.content_type, "text/plain; charset=utf-8");
+    let log = String::from_utf8(response.body).expect("utf-8 log");
+    assert_golden("task_log.txt", include_str!("golden/task_log.txt"), &mask_log(&log));
+}
+
+#[test]
+fn metrics_keys_match_golden() {
+    let metrics = ok_json(&engine(), Method::Get, "/api/metrics", "", "");
+    assert_golden(
+        "metrics_keys.txt",
+        include_str!("golden/metrics_keys.txt"),
+        &key_paths(&metrics),
+    );
+}
+
+#[test]
+fn unknown_task_errors_match_golden() {
+    let engine = engine();
+    let rendered: Vec<String> = [
+        ("GET", Method::Get, "/api/tasks/ghost"),
+        ("GET", Method::Get, "/api/tasks/ghost/result"),
+        ("GET", Method::Get, "/api/tasks/ghost/log"),
+        ("POST", Method::Post, "/api/tasks/ghost/cancel"),
+    ]
+    .into_iter()
+    .map(|(verb, method, path)| {
+        let (status, body) = respond(&engine, method, path, "", "");
+        assert_eq!(status, StatusCode::NotFound, "{path}: {body}");
+        format!("{verb} {path}\n{}", serde_json::to_string_pretty(&body).expect("render"))
+    })
+    .collect();
+    assert_golden(
+        "unknown_task_errors.txt",
+        include_str!("golden/unknown_task_errors.txt"),
+        &rendered.join("\n"),
+    );
+}
+
 const UPLOAD: &str = r#"{"name": "golden-net", "content": "*Vertices 2\n1 \"me\"\n2 \"friend\"\n*Arcs\n1 2\n2 1\n"}"#;
 
 #[test]
