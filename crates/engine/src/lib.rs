@@ -15,12 +15,14 @@
 //! 3. *"the computation is off-loaded to worker nodes; the Status
 //!    component polls for progress"* → worker threads over crossbeam
 //!    channels, [`status::StatusBoard`];
-//! 4. *"results and logs are written to the datastore"* →
-//!    [`datastore::Datastore`] with in-memory and file-backed
-//!    implementations;
+//! 4. *"results and logs are written to the datastore"* → the task's
+//!    board entry: every transition appends its log line under the same
+//!    lock as the state change, and [`status::StatusBoard::mark_completed`]
+//!    stores the result in the write that marks the task completed;
 //! 5. *"the API returns the results of the completed task"* →
-//!    [`scheduler::Scheduler::wait`] / [`datastore::Datastore::get_result`]
-//!    (served over HTTP by the `relserver` crate).
+//!    [`scheduler::Scheduler::wait`] / [`status::StatusBoard::result`] and
+//!    [`status::StatusBoard::log`] (served over HTTP by the `relserver`
+//!    crate).
 //!
 //! ```
 //! use relengine::prelude::*;
@@ -39,7 +41,6 @@
 
 pub mod builder;
 pub mod cache;
-pub mod datastore;
 pub mod error;
 pub mod executor;
 pub mod id;
@@ -51,7 +52,6 @@ pub mod task;
 
 pub use builder::TaskBuilder;
 pub use cache::{CacheStats, ResultCache};
-pub use datastore::{Datastore, FileStore, MemoryStore};
 pub use error::EngineError;
 pub use executor::{
     ArenaPoolStats, DegradedDataset, Executor, TaskResult, DEFAULT_DEGRADED_BACKOFF,
@@ -66,7 +66,6 @@ pub use task::{BatchSpec, QuerySet, TaskId, TaskSpec};
 pub mod prelude {
     pub use crate::builder::TaskBuilder;
     pub use crate::cache::CacheStats;
-    pub use crate::datastore::{Datastore, FileStore, MemoryStore};
     pub use crate::executor::{Executor, TaskResult};
     pub use crate::scheduler::Scheduler;
     pub use crate::status::{StatusBoard, TaskRecord, TaskState};

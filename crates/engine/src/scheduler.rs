@@ -3,18 +3,18 @@
 //! Tasks submitted through [`Scheduler::submit`] are queued on a crossbeam
 //! channel; a pool of worker threads (the paper's "computational nodes",
 //! which "can be scaled up or down depending on the system's workload" —
-//! here via [`SchedulerBuilder::workers`]) pops tasks, executes them
-//! through a shared [`Executor`], and writes results and logs to the
-//! [`Datastore`]. The [`StatusBoard`] tracks every task's lifecycle for
-//! polling, and [`Scheduler::wait`] blocks until a task reaches a terminal
-//! state.
+//! here via [`SchedulerBuilder::workers`]) pops tasks and executes them
+//! through a shared [`Executor`]. Each task lives in one [`StatusBoard`]
+//! entry: workers record every lifecycle transition there with its log
+//! line, and completion stores the result in the same write. Pollers read
+//! the board, and [`Scheduler::wait`] blocks until a task reaches a
+//! terminal state.
 
 use crate::cache::CacheStats;
-use crate::datastore::{Datastore, MemoryStore};
 use crate::error::EngineError;
 use crate::executor::{Executor, TaskResult};
 use crate::persist::GraphPersistence;
-use crate::status::{SolveProgress, StatusBoard, TaskState};
+use crate::status::{StatusBoard, TaskState};
 use crate::task::{BatchSpec, QuerySet, TaskId, TaskSpec};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::path::PathBuf;
@@ -31,7 +31,6 @@ enum Job {
 /// Configures a [`Scheduler`].
 pub struct SchedulerBuilder {
     workers: usize,
-    store: Arc<dyn Datastore>,
     cache_capacity: usize,
     data_dir: Option<PathBuf>,
     persistence: Option<Arc<GraphPersistence>>,
@@ -41,12 +40,6 @@ impl SchedulerBuilder {
     /// Number of worker threads (default 2).
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
-        self
-    }
-
-    /// Datastore for results and logs (default: in-memory).
-    pub fn datastore(mut self, store: Arc<dyn Datastore>) -> Self {
-        self.store = store;
         self
     }
 
@@ -110,118 +103,56 @@ impl SchedulerBuilder {
             let rx: Receiver<Job> = rx.clone();
             let executor = Arc::clone(&executor);
             let board = board.clone();
-            let store = Arc::clone(&self.store);
-            handles.push(std::thread::spawn(move || {
-                worker_loop(worker_id, rx, executor, board, store)
-            }));
+            handles.push(std::thread::spawn(move || worker_loop(worker_id, rx, executor, board)));
         }
-        Ok(Scheduler { tx, rx, board, store: self.store, executor, handles })
+        Ok(Scheduler { tx, rx, board, executor, handles })
     }
 }
 
-fn worker_loop(
-    worker_id: usize,
-    rx: Receiver<Job>,
-    executor: Arc<Executor>,
-    board: StatusBoard,
-    store: Arc<dyn Datastore>,
-) {
+fn worker_loop(worker_id: usize, rx: Receiver<Job>, executor: Arc<Executor>, board: StatusBoard) {
     while let Ok(job) = rx.recv() {
         match job {
             Job::Shutdown => break,
             Job::Run(id, spec) => {
-                if board.is_canceled(&id) {
-                    let _ =
-                        store.append_log(&id, &format!("worker {worker_id}: skipped (canceled)"));
+                // A task canceled while queued is skipped; its log says so.
+                if !board.mark_running(&id, worker_id, &spec.display_row()) {
                     continue;
                 }
-                board.mark_running(&id);
-                let _ = store.append_log(
-                    &id,
-                    &format!("worker {worker_id}: running {}", spec.display_row()),
-                );
                 match executor.execute(&id, &spec) {
-                    Ok(result) => finish_task(worker_id, &board, &store, &id, &result),
-                    Err(e) => {
-                        let _ = store.append_log(&id, &format!("worker {worker_id}: failed: {e}"));
-                        board.mark_failed(&id, e.to_string());
-                    }
+                    Ok(result) => board.mark_completed(&id, worker_id, result),
+                    Err(e) => board.mark_failed(&id, worker_id, e.to_string()),
                 }
             }
             Job::RunBatch(ids, spec) => {
                 // Canceled members are still solved (the batch is one fused
                 // sweep) but skipped at fan-out: no stored result, no state
                 // change past `canceled`.
-                let live: Vec<bool> = ids.iter().map(|id| !board.is_canceled(id)).collect();
-                for (id, &live) in ids.iter().zip(&live) {
-                    if live {
-                        board.mark_running(id);
-                        let _ = store.append_log(
-                            id,
-                            &format!(
-                                "worker {worker_id}: running in a {}-seed batch ({} | {})",
-                                ids.len(),
-                                spec.dataset,
-                                spec.params.algorithm.display_name(),
-                            ),
-                        );
-                    } else {
-                        let _ = store
-                            .append_log(id, &format!("worker {worker_id}: skipped (canceled)"));
-                    }
-                }
+                let what = format!(
+                    "in a {}-seed batch ({} | {})",
+                    ids.len(),
+                    spec.dataset,
+                    spec.params.algorithm.display_name(),
+                );
+                let live: Vec<bool> =
+                    ids.iter().map(|id| board.mark_running(id, worker_id, &what)).collect();
                 match executor.execute_batch(&ids, &spec) {
                     Ok(results) => {
-                        for ((id, result), live) in ids.iter().zip(&results).zip(&live) {
+                        for ((id, result), live) in ids.iter().zip(results).zip(&live) {
                             if *live {
-                                finish_task(worker_id, &board, &store, id, result);
+                                board.mark_completed(id, worker_id, result);
                             }
                         }
                     }
                     Err(e) => {
                         for (id, &live) in ids.iter().zip(&live) {
                             if live {
-                                let _ = store
-                                    .append_log(id, &format!("worker {worker_id}: failed: {e}"));
-                                board.mark_failed(id, e.to_string());
+                                board.mark_failed(id, worker_id, e.to_string());
                             }
                         }
                     }
                 }
             }
         }
-    }
-}
-
-/// Records one finished task: progress on the status board, log lines, the
-/// stored result, and the terminal state flip.
-fn finish_task(
-    worker_id: usize,
-    board: &StatusBoard,
-    store: &Arc<dyn Datastore>,
-    id: &TaskId,
-    result: &TaskResult,
-) {
-    // Surface the solve's residual progress on the status board before
-    // flipping the state, so pollers always see convergence data alongside
-    // `completed`.
-    if let (Some(iterations), Some(residual), Some(converged)) =
-        (result.iterations, result.residual, result.converged)
-    {
-        board.record_progress(id, SolveProgress { iterations, residual, converged });
-        let _ = store.append_log(
-            id,
-            &format!(
-                "worker {worker_id}: solver {} after {iterations} iterations \
-                 (residual {residual:.3e})",
-                if converged { "converged" } else { "hit the iteration cap" },
-            ),
-        );
-    }
-    let _ = store.append_log(id, &format!("worker {worker_id}: done in {}ms", result.runtime_ms));
-    match store.put_result(result) {
-        Ok(()) => board.mark_completed(id),
-        Err(e) => board.mark_failed(id, e.to_string()),
     }
 }
 
@@ -233,7 +164,6 @@ pub struct Scheduler {
     tx: Sender<Job>,
     rx: Receiver<Job>,
     board: StatusBoard,
-    store: Arc<dyn Datastore>,
     executor: Arc<Executor>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -243,7 +173,6 @@ impl Scheduler {
     pub fn builder() -> SchedulerBuilder {
         SchedulerBuilder {
             workers: 2,
-            store: Arc::new(MemoryStore::new()),
             cache_capacity: crate::cache::DEFAULT_CACHE_CAPACITY,
             data_dir: None,
             persistence: None,
@@ -334,11 +263,9 @@ impl Scheduler {
             let rx = self.rx.clone();
             let executor = Arc::clone(&self.executor);
             let board = self.board.clone();
-            let store = Arc::clone(&self.store);
             let worker_id = base + i;
-            self.handles.push(std::thread::spawn(move || {
-                worker_loop(worker_id, rx, executor, board, store)
-            }));
+            self.handles
+                .push(std::thread::spawn(move || worker_loop(worker_id, rx, executor, board)));
         }
     }
 
@@ -348,8 +275,9 @@ impl Scheduler {
     }
 
     /// Cancels a queued task (no effect once a worker picked it up).
-    /// Returns whether the cancellation took effect.
-    pub fn cancel(&self, id: &TaskId) -> bool {
+    /// Returns whether the cancellation took effect, or
+    /// [`EngineError::UnknownTask`].
+    pub fn cancel(&self, id: &TaskId) -> Result<bool, EngineError> {
         self.board.cancel_if_queued(id)
     }
 
@@ -363,14 +291,9 @@ impl Scheduler {
         self.board.get(id).map(|r| r.state).ok_or_else(|| EngineError::UnknownTask(id.to_string()))
     }
 
-    /// The status board (for UI polling).
+    /// The status board: every task's record, result and log.
     pub fn board(&self) -> &StatusBoard {
         &self.board
-    }
-
-    /// The datastore (results and logs).
-    pub fn store(&self) -> &Arc<dyn Datastore> {
-        &self.store
     }
 
     /// The shared executor (exposes the dataset cache).
@@ -381,25 +304,13 @@ impl Scheduler {
     /// Blocks until `id` reaches a terminal state, then returns its result.
     ///
     /// Returns [`EngineError::Timeout`] if the deadline passes,
-    /// [`EngineError::TaskFailed`] if the task failed.
+    /// [`EngineError::TaskFailed`] if the task failed or was canceled.
     pub fn wait(&self, id: &TaskId, timeout: Duration) -> Result<TaskResult, EngineError> {
         // Event-driven: workers signal every terminal transition through
         // the board, so the wait costs one wakeup instead of a poll loop
         // (whose 2 ms floor used to dominate sub-millisecond solves on
         // the synchronous serving path).
-        let record = self
-            .board
-            .wait_terminal(id, timeout)
-            .ok_or_else(|| EngineError::UnknownTask(id.to_string()))?;
-        match record.state {
-            TaskState::Completed => self
-                .store
-                .get_result(id)?
-                .ok_or_else(|| EngineError::Storage("result missing".into())),
-            TaskState::Failed { error } => Err(EngineError::TaskFailed(error)),
-            TaskState::Canceled => Err(EngineError::TaskFailed("canceled".into())),
-            TaskState::Queued | TaskState::Running => Err(EngineError::Timeout(id.to_string())),
-        }
+        self.board.wait_terminal(id, timeout).map(|result| TaskResult::clone(&result))
     }
 
     /// Waits for a batch of tasks (e.g. a submitted query set).
@@ -454,8 +365,9 @@ mod tests {
         assert_eq!(r.top[0].0, "Fake news");
         assert_eq!(r.top[1].0, "Disinformazione");
         assert_eq!(s.status(&id).unwrap(), TaskState::Completed);
-        // Logs were recorded.
-        let log = s.store().get_log(&id).unwrap();
+        // The result and the log live on the board.
+        assert_eq!(*s.board().result(&id).unwrap().unwrap(), r);
+        let log = s.board().log(&id).unwrap();
         assert!(log.contains("running"));
         assert!(log.contains("done"));
     }
@@ -470,7 +382,7 @@ mod tests {
         assert_eq!(Some(progress.iterations), r.iterations);
         assert_eq!(Some(progress.residual), r.residual);
         assert!(progress.converged);
-        let log = s.store().get_log(&id).unwrap();
+        let log = s.board().log(&id).unwrap();
         assert!(log.contains("converged"), "{log}");
         // CycleRank has no iterative solve: no progress recorded.
         let id = s.submit(cyclerank_task("fixture-fakenews-it", "Fake news"));
@@ -554,7 +466,7 @@ mod tests {
         // Every member polls like an ordinary task: status, result, log.
         for id in &ids {
             assert_eq!(s.status(id).unwrap(), TaskState::Completed);
-            assert!(s.store().get_log(id).unwrap().contains("batch"));
+            assert!(s.board().log(id).unwrap().contains("batch"));
         }
         let m = s.metrics();
         assert_eq!(m.completed, 4);
@@ -685,7 +597,7 @@ mod tests {
         // (if the worker raced through everything already).
         let mut canceled = Vec::new();
         for id in ids.iter().rev() {
-            if s.cancel(id) {
+            if s.cancel(id).unwrap() {
                 canceled.push(id.clone());
             }
         }
@@ -695,7 +607,8 @@ mod tests {
             if canceled.contains(id) {
                 assert!(matches!(s.status(id).unwrap(), TaskState::Canceled));
                 assert!(matches!(s.wait(id, T), Err(EngineError::TaskFailed(_))));
-                assert!(s.store().get_result(id).unwrap().is_none());
+                assert!(s.board().result(id).unwrap().is_none());
+                assert!(s.board().log(id).unwrap().contains("skipped (canceled)"));
             } else {
                 s.wait(id, T).unwrap();
             }
@@ -719,37 +632,6 @@ mod tests {
         assert_eq!(m.failed, 1);
     }
 
-    /// A datastore whose writes fail after a trigger — exercises the
-    /// worker's storage-failure path (Fig. 1 step 4 going wrong).
-    struct FlakyStore {
-        inner: crate::datastore::MemoryStore,
-        fail_results: std::sync::atomic::AtomicBool,
-    }
-
-    impl crate::datastore::Datastore for FlakyStore {
-        fn put_result(&self, r: &crate::executor::TaskResult) -> Result<(), EngineError> {
-            if self.fail_results.load(std::sync::atomic::Ordering::SeqCst) {
-                return Err(EngineError::Storage("disk full".into()));
-            }
-            self.inner.put_result(r)
-        }
-        fn get_result(
-            &self,
-            id: &TaskId,
-        ) -> Result<Option<crate::executor::TaskResult>, EngineError> {
-            self.inner.get_result(id)
-        }
-        fn append_log(&self, id: &TaskId, line: &str) -> Result<(), EngineError> {
-            self.inner.append_log(id, line)
-        }
-        fn get_log(&self, id: &TaskId) -> Result<String, EngineError> {
-            self.inner.get_log(id)
-        }
-        fn list_results(&self) -> Result<Vec<TaskId>, EngineError> {
-            self.inner.list_results()
-        }
-    }
-
     #[test]
     fn workers_can_scale_up_at_runtime() {
         let mut s = Scheduler::builder().workers(1).build();
@@ -764,27 +646,6 @@ mod tests {
         // New tasks also complete on the grown pool.
         let id = s.submit(cyclerank_task("fixture-fakenews-de", "Fake News"));
         s.wait(&id, T).unwrap();
-    }
-
-    #[test]
-    fn storage_failure_marks_task_failed() {
-        let store = Arc::new(FlakyStore {
-            inner: crate::datastore::MemoryStore::new(),
-            fail_results: std::sync::atomic::AtomicBool::new(true),
-        });
-        let s = Scheduler::builder().workers(1).datastore(store.clone()).build();
-        let id = s.submit(cyclerank_task("fixture-fakenews-pl", "Fake news"));
-        match s.wait(&id, T) {
-            Err(EngineError::TaskFailed(e)) => assert!(e.contains("disk full"), "{e}"),
-            other => panic!("unexpected {other:?}"),
-        }
-        // Recovery: once storage works again, new tasks complete.
-        store.fail_results.store(false, std::sync::atomic::Ordering::SeqCst);
-        let id = s.submit(cyclerank_task("fixture-fakenews-pl", "Fake news"));
-        s.wait(&id, T).unwrap();
-        let m = s.metrics();
-        assert_eq!(m.failed, 1);
-        assert_eq!(m.completed, 1);
     }
 
     fn temp_data_dir() -> PathBuf {
@@ -813,15 +674,13 @@ mod tests {
     }
 
     #[test]
-    fn upload_without_data_dir_is_not_restored_from_the_datastore() {
-        let store: Arc<dyn crate::datastore::Datastore> =
-            Arc::new(crate::datastore::MemoryStore::new());
+    fn upload_without_data_dir_is_memory_only() {
         {
-            let s = Scheduler::builder().workers(1).datastore(Arc::clone(&store)).build();
+            let s = Scheduler::builder().workers(1).build();
             s.register_dataset("memory-net", two_node_net("me", "pal")).unwrap();
             assert!(s.executor().dataset("memory-net").is_ok());
         }
-        let s = Scheduler::builder().workers(1).datastore(store).build();
+        let s = Scheduler::builder().workers(1).build();
         assert!(matches!(s.executor().dataset("memory-net"), Err(EngineError::UnknownDataset(_))));
     }
 

@@ -1,9 +1,17 @@
-//! Task state tracking — the Status component of Fig. 1.
+//! Task state tracking — the Status component of Fig. 1, and the one home
+//! of every task.
 //!
 //! The demo's Status component polls executors and answers UI requests for
-//! progress. [`StatusBoard`] is the shared-state equivalent: scheduler and
-//! workers update it, API handlers read it.
+//! progress, and its datastore keeps each task's result and log. Both are
+//! one [`StatusBoard`] entry here: the task's status record, its result once
+//! completed, and its log. Workers apply each lifecycle transition and
+//! append its log line under one write lock, and completion stores the
+//! result in that same write — a `completed` task always has a result.
+//! API handlers read an entry with one lookup. Entries live in memory for
+//! the life of the process.
 
+use crate::error::EngineError;
+use crate::executor::TaskResult;
 use crate::task::{TaskId, TaskSpec};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -19,7 +27,7 @@ pub enum TaskState {
     Queued,
     /// Being executed by a worker.
     Running,
-    /// Finished successfully; results are in the datastore.
+    /// Finished successfully; the result is on the board.
     Completed,
     /// Finished with an error.
     Failed {
@@ -72,6 +80,23 @@ fn now_ms() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0)
 }
 
+/// One task's home: its record, its result once completed, and its log
+/// (one line per lifecycle transition).
+#[derive(Debug)]
+struct Entry {
+    record: TaskRecord,
+    result: Option<Arc<TaskResult>>,
+    log: String,
+}
+
+impl Entry {
+    /// Ends the task in `state`, stamping its finish time.
+    fn finish(&mut self, state: TaskState) {
+        self.record.state = state;
+        self.record.finished_at_ms = Some(now_ms());
+    }
+}
+
 /// Condvar-backed completion signal: every terminal transition bumps the
 /// generation and wakes all waiters, so synchronous callers block on the
 /// event instead of polling (the 2 ms poll floor used to dominate the
@@ -82,10 +107,10 @@ struct Completions {
     signal: Condvar,
 }
 
-/// Thread-safe registry of task records.
+/// Thread-safe registry of tasks: record, result and log per task.
 #[derive(Debug, Clone, Default)]
 pub struct StatusBoard {
-    inner: Arc<RwLock<HashMap<TaskId, TaskRecord>>>,
+    inner: Arc<RwLock<HashMap<TaskId, Entry>>>,
     completions: Arc<Completions>,
 }
 
@@ -105,68 +130,87 @@ impl StatusBoard {
             finished_at_ms: None,
             progress: None,
         };
-        self.inner.write().insert(id, record);
+        self.inner.write().insert(id, Entry { record, result: None, log: String::new() });
     }
 
-    /// Records solver progress for a task (workers call this with the
-    /// convergence diagnostics of the underlying sweep).
-    pub fn record_progress(&self, id: &TaskId, progress: SolveProgress) {
-        if let Some(r) = self.inner.write().get_mut(id) {
-            r.progress = Some(progress);
+    /// Moves a queued task to running on `worker`, logging `what` it runs.
+    /// Returns `false` — and changes nothing — when the task is not queued
+    /// (canceled before a worker reached it, or unknown).
+    pub fn mark_running(&self, id: &TaskId, worker: usize, what: &str) -> bool {
+        let log = format!("worker {worker}: running {what}\n");
+        let mut inner = self.inner.write();
+        match inner.get_mut(id) {
+            Some(entry) if entry.record.state == TaskState::Queued => {
+                entry.record.state = TaskState::Running;
+                entry.log.push_str(&log);
+                true
+            }
+            _ => false,
         }
     }
 
-    /// Marks a task running.
-    pub fn mark_running(&self, id: &TaskId) {
-        if let Some(r) = self.inner.write().get_mut(id) {
-            r.state = TaskState::Running;
+    /// Marks a task completed on `worker` and stores its result in the
+    /// same write, together with the solve's residual progress (when it
+    /// has one) and the log lines that report both.
+    pub fn mark_completed(&self, id: &TaskId, worker: usize, result: TaskResult) {
+        let progress = match (result.iterations, result.residual, result.converged) {
+            (Some(iterations), Some(residual), Some(converged)) => {
+                Some(SolveProgress { iterations, residual, converged })
+            }
+            _ => None,
+        };
+        let mut log = String::new();
+        if let Some(p) = progress {
+            log.push_str(&format!(
+                "worker {worker}: solver {} after {} iterations (residual {:.3e})\n",
+                if p.converged { "converged" } else { "hit the iteration cap" },
+                p.iterations,
+                p.residual,
+            ));
         }
+        log.push_str(&format!("worker {worker}: done in {}ms\n", result.runtime_ms));
+        let result = Arc::new(result);
+        if let Some(entry) = self.inner.write().get_mut(id) {
+            entry.finish(TaskState::Completed);
+            entry.record.progress = progress;
+            entry.result = Some(result);
+            entry.log.push_str(&log);
+        }
+        self.notify_terminal();
     }
 
-    /// Marks a task completed.
-    pub fn mark_completed(&self, id: &TaskId) {
-        if let Some(r) = self.inner.write().get_mut(id) {
-            r.state = TaskState::Completed;
-            r.finished_at_ms = Some(now_ms());
+    /// Marks a task failed on `worker` with a message.
+    pub fn mark_failed(&self, id: &TaskId, worker: usize, error: impl Into<String>) {
+        let error = error.into();
+        let log = format!("worker {worker}: failed: {error}\n");
+        if let Some(entry) = self.inner.write().get_mut(id) {
+            entry.finish(TaskState::Failed { error });
+            entry.log.push_str(&log);
         }
         self.notify_terminal();
     }
 
     /// Cancels a task if (and only if) it is still queued; returns whether
-    /// the cancellation took effect.
-    pub fn cancel_if_queued(&self, id: &TaskId) -> bool {
+    /// the cancellation took effect, or [`EngineError::UnknownTask`].
+    pub fn cancel_if_queued(&self, id: &TaskId) -> Result<bool, EngineError> {
         let canceled = {
             let mut inner = self.inner.write();
-            match inner.get_mut(id) {
-                Some(r) if r.state == TaskState::Queued => {
-                    r.state = TaskState::Canceled;
-                    r.finished_at_ms = Some(now_ms());
-                    true
-                }
-                _ => false,
+            let entry =
+                inner.get_mut(id).ok_or_else(|| EngineError::UnknownTask(id.to_string()))?;
+            let queued = entry.record.state == TaskState::Queued;
+            if queued {
+                entry.finish(TaskState::Canceled);
+                entry.log.push_str("skipped (canceled)\n");
             }
+            queued
         };
         if canceled {
             self.notify_terminal();
         }
-        canceled
+        Ok(canceled)
     }
 
-    /// True when the task has been canceled.
-    pub fn is_canceled(&self, id: &TaskId) -> bool {
-        matches!(self.inner.read().get(id).map(|r| r.state.clone()), Some(TaskState::Canceled))
-    }
-
-    /// Marks a task failed with a message.
-    pub fn mark_failed(&self, id: &TaskId, error: impl Into<String>) {
-        if let Some(r) = self.inner.write().get_mut(id) {
-            r.state = TaskState::Failed { error: error.into() };
-            r.finished_at_ms = Some(now_ms());
-        }
-        self.notify_terminal();
-    }
-
-    /// Wakes every [`StatusBoard::wait_terminal`] caller. The record lock
+    /// Wakes every [`StatusBoard::wait_terminal`] caller. The entry lock
     /// is released by the callers above before this runs, so waiters can
     /// re-check state without lock-order inversion.
     fn notify_terminal(&self) {
@@ -175,67 +219,93 @@ impl StatusBoard {
         self.completions.signal.notify_all();
     }
 
-    /// Blocks until `id` reaches a terminal state or `timeout` passes;
-    /// returns the latest record (`None` for unknown ids — the caller is
-    /// responsible for not waiting on tasks it never submitted). Wakeups
-    /// are event-driven: workers signal every terminal transition, so the
-    /// wait adds no polling latency on top of the solve itself.
-    pub fn wait_terminal(&self, id: &TaskId, timeout: Duration) -> Option<TaskRecord> {
+    /// Blocks until `id` reaches a terminal state or `timeout` passes,
+    /// then answers it: the result of a completed task,
+    /// [`EngineError::TaskFailed`] for a failed or canceled one,
+    /// [`EngineError::Timeout`] when it is still queued or running, and
+    /// [`EngineError::UnknownTask`] at once for ids never enqueued.
+    /// Wakeups are event-driven: workers signal every terminal transition,
+    /// so the wait adds no polling latency on top of the solve itself.
+    pub fn wait_terminal(
+        &self,
+        id: &TaskId,
+        timeout: Duration,
+    ) -> Result<Arc<TaskResult>, EngineError> {
         let deadline = Instant::now() + timeout;
         let mut generation = self.completions.generation.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             // State check under the generation lock: a transition racing
             // with it must acquire the same lock to notify, so it cannot
             // slip between this check and the wait below.
-            let record = self.get(id)?;
-            if record.state.is_terminal() {
-                return Some(record);
+            if let Some(answer) = self.settled(id) {
+                return answer;
             }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return Some(record);
-            };
-            let (guard, result) = self
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return Err(EngineError::Timeout(id.to_string()));
+            }
+            generation = self
                 .completions
                 .signal
                 .wait_timeout(generation, remaining)
-                .unwrap_or_else(|e| e.into_inner());
-            generation = guard;
-            if result.timed_out() {
-                return self.get(id);
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+    }
+
+    /// The answer [`StatusBoard::wait_terminal`] gives for `id` now, or
+    /// `None` while it is still queued or running.
+    fn settled(&self, id: &TaskId) -> Option<Result<Arc<TaskResult>, EngineError>> {
+        let inner = self.inner.read();
+        let Some(entry) = inner.get(id) else {
+            return Some(Err(EngineError::UnknownTask(id.to_string())));
+        };
+        // Only `mark_completed` stores a result, in the same write that
+        // flips the state, so a result present means completed.
+        match (&entry.result, &entry.record.state) {
+            (Some(result), _) => Some(Ok(Arc::clone(result))),
+            (None, TaskState::Failed { error }) => {
+                Some(Err(EngineError::TaskFailed(error.clone())))
             }
+            (None, TaskState::Canceled) => Some(Err(EngineError::TaskFailed("canceled".into()))),
+            (None, _) => None,
         }
     }
 
     /// Snapshot of one task's record.
     pub fn get(&self, id: &TaskId) -> Option<TaskRecord> {
-        self.inner.read().get(id).cloned()
+        self.inner.read().get(id).map(|entry| entry.record.clone())
     }
 
-    /// Snapshot of all records (unordered).
-    pub fn all(&self) -> Vec<TaskRecord> {
-        self.inner.read().values().cloned().collect()
+    /// A task's result: `Ok(None)` until it completes (and for ever when
+    /// it fails or is canceled), [`EngineError::UnknownTask`] for ids
+    /// never enqueued.
+    pub fn result(&self, id: &TaskId) -> Result<Option<Arc<TaskResult>>, EngineError> {
+        match self.inner.read().get(id) {
+            Some(entry) => Ok(entry.result.clone()),
+            None => Err(EngineError::UnknownTask(id.to_string())),
+        }
     }
 
-    /// Number of tracked tasks.
-    pub fn len(&self) -> usize {
-        self.inner.read().len()
-    }
-
-    /// True when no tasks are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
+    /// A task's log, one line per lifecycle transition so far;
+    /// [`EngineError::UnknownTask`] for ids never enqueued.
+    pub fn log(&self, id: &TaskId) -> Result<String, EngineError> {
+        match self.inner.read().get(id) {
+            Some(entry) => Ok(entry.log.clone()),
+            None => Err(EngineError::UnknownTask(id.to_string())),
+        }
     }
 
     /// Count of tasks in a non-terminal state.
     pub fn pending_count(&self) -> usize {
-        self.inner.read().values().filter(|r| !r.state.is_terminal()).count()
+        self.inner.read().values().filter(|e| !e.record.state.is_terminal()).count()
     }
 
     /// Aggregate lifecycle metrics across all tracked tasks.
     pub fn metrics(&self) -> BoardMetrics {
         let inner = self.inner.read();
         let mut m = BoardMetrics::default();
-        for r in inner.values() {
+        for r in inner.values().map(|e| &e.record) {
             m.total += 1;
             match &r.state {
                 TaskState::Queued => m.queued += 1,
@@ -285,6 +355,25 @@ mod tests {
         }
     }
 
+    fn result(id: &TaskId) -> TaskResult {
+        TaskResult {
+            task_id: id.clone(),
+            dataset: "ds".into(),
+            algorithm: "pagerank".into(),
+            parameters: "α = 0.85".into(),
+            source: None,
+            top: vec![("a".into(), 0.6), ("b".into(), 0.4)],
+            runtime_ms: 3,
+            nodes: 2,
+            edges: 2,
+            iterations: None,
+            residual: None,
+            converged: None,
+            residuals: None,
+            cycles_found: None,
+        }
+    }
+
     #[test]
     fn lifecycle_transitions() {
         let board = StatusBoard::new();
@@ -292,17 +381,27 @@ mod tests {
         board.enqueue(id.clone(), spec());
         assert_eq!(board.get(&id).unwrap().state, TaskState::Queued);
         assert_eq!(board.pending_count(), 1);
+        assert_eq!(board.result(&id).unwrap(), None);
+        assert_eq!(board.log(&id).unwrap(), "");
 
-        board.mark_running(&id);
+        assert!(board.mark_running(&id, 0, "ds | PageRank"));
         assert_eq!(board.get(&id).unwrap().state, TaskState::Running);
+        // A task runs once.
+        assert!(!board.mark_running(&id, 1, "ds | PageRank"));
 
-        board.mark_completed(&id);
+        board.mark_completed(&id, 0, result(&id));
         let r = board.get(&id).unwrap();
         assert_eq!(r.state, TaskState::Completed);
         assert!(r.state.is_terminal());
         assert!(r.finished_at_ms.is_some());
         assert!(r.finished_at_ms.unwrap() >= r.submitted_at_ms);
         assert_eq!(board.pending_count(), 0);
+        // The result and the log landed with the state flip.
+        assert_eq!(*board.result(&id).unwrap().unwrap(), result(&id));
+        assert_eq!(
+            board.log(&id).unwrap(),
+            "worker 0: running ds | PageRank\nworker 0: done in 3ms\n"
+        );
     }
 
     #[test]
@@ -311,14 +410,22 @@ mod tests {
         let id = TaskId::fresh();
         board.enqueue(id.clone(), spec());
         assert!(board.get(&id).unwrap().progress.is_none());
-        board.mark_running(&id);
+        board.mark_running(&id, 0, "ds");
         let p = SolveProgress { iterations: 17, residual: 3.2e-11, converged: true };
-        board.record_progress(&id, p);
-        board.mark_completed(&id);
+        let solved = TaskResult {
+            iterations: Some(p.iterations),
+            residual: Some(p.residual),
+            converged: Some(p.converged),
+            ..result(&id)
+        };
+        board.mark_completed(&id, 0, solved);
         let r = board.get(&id).unwrap();
         assert_eq!(r.progress, Some(p));
-        // Progress on unknown tasks is a no-op.
-        board.record_progress(&TaskId::fresh(), p);
+        assert!(board.log(&id).unwrap().contains("solver converged after 17 iterations"));
+        // Completing an unknown task is a no-op.
+        let ghost = TaskId::fresh();
+        board.mark_completed(&ghost, 0, result(&ghost));
+        assert!(board.get(&ghost).is_none());
     }
 
     #[test]
@@ -326,32 +433,41 @@ mod tests {
         let board = StatusBoard::new();
         let id = TaskId::fresh();
         board.enqueue(id.clone(), spec());
-        board.mark_failed(&id, "no such dataset");
+        board.mark_failed(&id, 2, "no such dataset");
         match board.get(&id).unwrap().state {
             TaskState::Failed { error } => assert!(error.contains("dataset")),
             other => panic!("unexpected {other:?}"),
         }
+        assert_eq!(board.result(&id).unwrap(), None);
+        assert_eq!(board.log(&id).unwrap(), "worker 2: failed: no such dataset\n");
     }
 
     #[test]
     fn unknown_ids_are_noops() {
         let board = StatusBoard::new();
         let ghost = TaskId::fresh();
-        board.mark_running(&ghost);
-        board.mark_completed(&ghost);
-        board.mark_failed(&ghost, "x");
+        assert!(!board.mark_running(&ghost, 0, "x"));
+        board.mark_completed(&ghost, 0, result(&ghost));
+        board.mark_failed(&ghost, 0, "x");
         assert!(board.get(&ghost).is_none());
-        assert!(board.is_empty());
+        assert_eq!(board.metrics().total, 0);
+        // Reads and cancellation report the unknown id.
+        assert!(matches!(board.result(&ghost), Err(EngineError::UnknownTask(_))));
+        assert!(matches!(board.log(&ghost), Err(EngineError::UnknownTask(_))));
+        assert!(matches!(board.cancel_if_queued(&ghost), Err(EngineError::UnknownTask(_))));
     }
 
     #[test]
     fn all_snapshots() {
         let board = StatusBoard::new();
-        for _ in 0..3 {
-            board.enqueue(TaskId::fresh(), spec());
+        let ids: Vec<TaskId> = (0..3).map(|_| TaskId::fresh()).collect();
+        for id in &ids {
+            board.enqueue(id.clone(), spec());
         }
-        assert_eq!(board.all().len(), 3);
-        assert_eq!(board.len(), 3);
+        for id in &ids {
+            assert_eq!(board.get(id).unwrap().id, *id);
+        }
+        assert_eq!(board.metrics().total, 3);
     }
 
     #[test]
@@ -360,8 +476,9 @@ mod tests {
         let b = a.clone();
         let id = TaskId::fresh();
         a.enqueue(id.clone(), spec());
-        b.mark_completed(&id);
+        b.mark_completed(&id, 0, result(&id));
         assert_eq!(a.get(&id).unwrap().state, TaskState::Completed);
+        assert!(a.result(&id).unwrap().is_some());
     }
 
     #[test]
@@ -369,18 +486,22 @@ mod tests {
         let board = StatusBoard::new();
         let id = TaskId::fresh();
         board.enqueue(id.clone(), spec());
-        assert!(board.cancel_if_queued(&id));
-        assert!(board.is_canceled(&id));
-        assert!(board.get(&id).unwrap().state.is_terminal());
-        // A second cancel is a no-op.
-        assert!(!board.cancel_if_queued(&id));
+        assert!(board.cancel_if_queued(&id).unwrap());
+        let r = board.get(&id).unwrap();
+        assert_eq!(r.state, TaskState::Canceled);
+        assert!(r.state.is_terminal());
+        assert_eq!(board.log(&id).unwrap(), "skipped (canceled)\n");
+        // A second cancel is a no-op, and a canceled task never runs.
+        assert!(!board.cancel_if_queued(&id).unwrap());
+        assert!(!board.mark_running(&id, 0, "x"));
+        assert_eq!(board.get(&id).unwrap().state, TaskState::Canceled);
 
         // Running tasks cannot be canceled.
         let id2 = TaskId::fresh();
         board.enqueue(id2.clone(), spec());
-        board.mark_running(&id2);
-        assert!(!board.cancel_if_queued(&id2));
-        assert!(!board.is_canceled(&id2));
+        board.mark_running(&id2, 0, "x");
+        assert!(!board.cancel_if_queued(&id2).unwrap());
+        assert_eq!(board.get(&id2).unwrap().state, TaskState::Running);
     }
 
     #[test]
@@ -390,10 +511,10 @@ mod tests {
         for id in &ids {
             board.enqueue(id.clone(), spec());
         }
-        board.mark_running(&ids[0]);
-        board.mark_completed(&ids[1]);
-        board.mark_failed(&ids[2], "x");
-        board.cancel_if_queued(&ids[3]);
+        board.mark_running(&ids[0], 0, "x");
+        board.mark_completed(&ids[1], 0, result(&ids[1]));
+        board.mark_failed(&ids[2], 0, "x");
+        board.cancel_if_queued(&ids[3]).unwrap();
         let m = board.metrics();
         assert_eq!(m.total, 5);
         assert_eq!(m.running, 1);
@@ -412,12 +533,12 @@ mod tests {
             let (board, id) = (board.clone(), id.clone());
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(20));
-                board.mark_completed(&id);
+                board.mark_completed(&id, 0, result(&id));
             })
         };
         let t = Instant::now();
-        let record = board.wait_terminal(&id, Duration::from_secs(10)).expect("known task");
-        assert_eq!(record.state, TaskState::Completed);
+        let answer = board.wait_terminal(&id, Duration::from_secs(10)).expect("completed");
+        assert_eq!(*answer, result(&id));
         // Event-driven: woken by the completion, nowhere near the timeout.
         assert!(t.elapsed() < Duration::from_secs(5));
         finisher.join().unwrap();
@@ -428,10 +549,10 @@ mod tests {
         let board = StatusBoard::new();
         let id = TaskId::fresh();
         board.enqueue(id.clone(), spec());
-        board.mark_running(&id);
-        let record = board.wait_terminal(&id, Duration::from_millis(10)).expect("known task");
-        assert_eq!(record.state, TaskState::Running);
-        assert!(!record.state.is_terminal());
+        board.mark_running(&id, 0, "x");
+        let answer = board.wait_terminal(&id, Duration::from_millis(10));
+        assert!(matches!(answer, Err(EngineError::Timeout(_))), "{answer:?}");
+        assert_eq!(board.get(&id).unwrap().state, TaskState::Running);
     }
 
     #[test]
@@ -439,11 +560,14 @@ mod tests {
         let board = StatusBoard::new();
         let id = TaskId::fresh();
         board.enqueue(id.clone(), spec());
-        board.mark_failed(&id, "boom");
-        let record = board.wait_terminal(&id, Duration::from_secs(10)).expect("known task");
-        assert!(matches!(record.state, TaskState::Failed { .. }));
+        board.mark_failed(&id, 0, "boom");
+        let t = Instant::now();
+        let answer = board.wait_terminal(&id, Duration::from_secs(10));
+        assert_eq!(answer, Err(EngineError::TaskFailed("boom".into())));
         // Unknown ids don't block.
-        assert!(board.wait_terminal(&TaskId::fresh(), Duration::from_secs(10)).is_none());
+        let answer = board.wait_terminal(&TaskId::fresh(), Duration::from_secs(10));
+        assert!(matches!(answer, Err(EngineError::UnknownTask(_))));
+        assert!(t.elapsed() < Duration::from_secs(5));
     }
 
     #[test]
@@ -455,11 +579,12 @@ mod tests {
             let (board, id) = (board.clone(), id.clone());
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(20));
-                assert!(board.cancel_if_queued(&id));
+                assert!(board.cancel_if_queued(&id).unwrap());
             })
         };
-        let record = board.wait_terminal(&id, Duration::from_secs(10)).expect("known task");
-        assert_eq!(record.state, TaskState::Canceled);
+        let answer = board.wait_terminal(&id, Duration::from_secs(10));
+        assert_eq!(answer, Err(EngineError::TaskFailed("canceled".into())));
+        assert_eq!(board.get(&id).unwrap().state, TaskState::Canceled);
         canceler.join().unwrap();
     }
 

@@ -131,7 +131,7 @@ impl TaskSpec {
 /// A batch executes as **one** multi-vector solve (seeds that miss the
 /// result cache share a single sweep over the edge arrays) but fans back
 /// out to one [`crate::executor::TaskResult`] per seed, each under its own
-/// [`TaskId`], so pollers and the datastore see ordinary per-task results.
+/// [`TaskId`], so pollers see ordinary per-task results on the status board.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchSpec {
     /// Dataset id from the registry (e.g. `wiki-en-2018`).

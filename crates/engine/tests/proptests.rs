@@ -20,7 +20,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Any mix of tasks over the small fixtures reaches a terminal state,
-    /// and completed tasks always have a stored result of the right size.
+    /// and completed tasks always have a result of the right size on the
+    /// board.
     #[test]
     fn every_submitted_task_terminates(
         picks in prop::collection::vec((0usize..7, 1usize..8), 1..10),
@@ -36,7 +37,8 @@ proptest! {
         for (id, &(_, k)) in ids.iter().zip(&picks) {
             let result = engine.wait(id, Duration::from_secs(120)).unwrap();
             prop_assert_eq!(result.top.len(), k.min(result.nodes));
-            prop_assert!(engine.store().get_result(id).unwrap().is_some());
+            let stored = engine.board().result(id).unwrap();
+            prop_assert_eq!(stored.as_deref(), Some(&result));
         }
         let m = engine.metrics();
         prop_assert_eq!(m.completed, picks.len());
@@ -79,61 +81,6 @@ proptest! {
                 prop_assert_eq!(t.top_k, *m);
             }
         }
-    }
-
-    /// The memory and file datastores behave identically under random
-    /// result/log operation sequences.
-    #[test]
-    fn datastores_equivalent(ops in prop::collection::vec((0u8..3, 0usize..4), 1..25)) {
-        let dir = std::env::temp_dir()
-            .join(format!("relengine-prop-{}", rand::random::<u64>()));
-        let mem = MemoryStore::new();
-        let file = FileStore::open(&dir).unwrap();
-        let ids: Vec<TaskId> = (0..4).map(|_| TaskId::fresh()).collect();
-
-        let sample = |id: &TaskId, tag: usize| TaskResult {
-            task_id: id.clone(),
-            dataset: format!("d{tag}"),
-            algorithm: "pagerank".into(),
-            parameters: "α = 0.85".into(),
-            source: None,
-            top: vec![(format!("n{tag}"), tag as f64)],
-            runtime_ms: tag as u64,
-            nodes: 1,
-            edges: 1,
-            iterations: Some(tag),
-            residual: Some(tag as f64 * 1e-12),
-            converged: Some(true),
-            residuals: None,
-            cycles_found: None,
-        };
-
-        for (op, slot) in ops {
-            let id = &ids[slot];
-            match op {
-                0 => {
-                    let r = sample(id, slot);
-                    mem.put_result(&r).unwrap();
-                    file.put_result(&r).unwrap();
-                }
-                1 => {
-                    mem.append_log(id, &format!("line-{slot}")).unwrap();
-                    file.append_log(id, &format!("line-{slot}")).unwrap();
-                }
-                _ => {
-                    prop_assert_eq!(
-                        mem.get_result(id).unwrap(),
-                        file.get_result(id).unwrap()
-                    );
-                    prop_assert_eq!(mem.get_log(id).unwrap(), file.get_log(id).unwrap());
-                }
-            }
-        }
-        for id in &ids {
-            prop_assert_eq!(mem.get_result(id).unwrap(), file.get_result(id).unwrap());
-            prop_assert_eq!(mem.get_log(id).unwrap(), file.get_log(id).unwrap());
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Waiting on a task unknown to the engine always errors, never hangs.

@@ -181,7 +181,7 @@ fn lock_order_knows_a_consumed_guard_from_a_held_one() {
     )]);
     assert!(rules_hit(&ws).is_empty(), "{:?}", rules_hit(&ws));
     let ws = Workspace::from_sources(&[(
-        "crates/engine/src/datastore.rs",
+        "crates/engine/src/executor.rs",
         "impl Store {
              fn double(&self) {
                  let w = self.writers.lock().expect(\"writer lock\");

@@ -8,7 +8,7 @@
 //! payload is buffered (so one client cannot balloon a worker's memory).
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Maximum accepted body size (1 MiB) — uploads beyond this are rejected.
 pub const MAX_BODY: usize = 1 << 20;
@@ -72,16 +72,6 @@ pub struct Request {
 }
 
 impl Request {
-    /// Reads and parses one request from a stream.
-    pub fn read_from(stream: &mut impl Read) -> Result<Request, String> {
-        let mut reader = BufReader::new(stream);
-        match Request::read_buffered(&mut reader) {
-            Ok(Some(req)) => Ok(req),
-            Ok(None) => Err("empty request line".into()),
-            Err(e) => Err(e.message),
-        }
-    }
-
     /// Reads one request from an already-buffered stream — the keep-alive
     /// entry point: the caller owns the `BufReader` across requests so
     /// pipelined bytes survive between parses.
@@ -339,8 +329,11 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
-    fn parse(raw: &str) -> Result<Request, String> {
-        Request::read_from(&mut Cursor::new(raw.as_bytes().to_vec()))
+    /// Parses one request through the keep-alive entry point; a clean
+    /// end of stream counts as an error here.
+    fn parse(raw: &str) -> Result<Request, HttpError> {
+        let mut reader = Cursor::new(raw.as_bytes().to_vec());
+        Request::read_buffered(&mut reader)?.ok_or_else(|| HttpError::bad("no request"))
     }
 
     #[test]

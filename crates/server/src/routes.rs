@@ -519,11 +519,10 @@ fn cancel_task(id: &str, engine: &Arc<Scheduler>) -> Response {
     struct Canceled {
         canceled: bool,
     }
-    let tid = TaskId(id.to_string());
-    if engine.board().get(&tid).is_none() {
-        return Response::error(StatusCode::NotFound, format!("unknown task {id:?}"));
+    match engine.cancel(&TaskId(id.to_string())) {
+        Ok(canceled) => Response::json(StatusCode::Ok, &Canceled { canceled }),
+        Err(e) => Response::error(StatusCode::NotFound, e.to_string()),
     }
-    Response::json(StatusCode::Ok, &Canceled { canceled: engine.cancel(&tid) })
 }
 
 fn task_status(id: &str, engine: &Arc<Scheduler>) -> Response {
@@ -534,25 +533,17 @@ fn task_status(id: &str, engine: &Arc<Scheduler>) -> Response {
 }
 
 fn task_result(id: &str, engine: &Arc<Scheduler>) -> Response {
-    let tid = TaskId(id.to_string());
-    if engine.board().get(&tid).is_none() {
-        return Response::error(StatusCode::NotFound, format!("unknown task {id:?}"));
-    }
-    match engine.store().get_result(&tid) {
-        Ok(Some(result)) => Response::json(StatusCode::Ok, &result),
+    match engine.board().result(&TaskId(id.to_string())) {
+        Ok(Some(result)) => Response::json(StatusCode::Ok, &*result),
         Ok(None) => Response::error(StatusCode::NotFound, "result not ready"),
-        Err(e) => Response::error(StatusCode::InternalError, e.to_string()),
+        Err(e) => Response::error(StatusCode::NotFound, e.to_string()),
     }
 }
 
 fn task_log(id: &str, engine: &Arc<Scheduler>) -> Response {
-    let tid = TaskId(id.to_string());
-    if engine.board().get(&tid).is_none() {
-        return Response::error(StatusCode::NotFound, format!("unknown task {id:?}"));
-    }
-    match engine.store().get_log(&tid) {
+    match engine.board().log(&TaskId(id.to_string())) {
         Ok(log) => Response::text(StatusCode::Ok, log),
-        Err(e) => Response::error(StatusCode::InternalError, e.to_string()),
+        Err(e) => Response::error(StatusCode::NotFound, e.to_string()),
     }
 }
 
@@ -1133,6 +1124,68 @@ mod tests {
         assert_eq!(r.status, StatusCode::Ok);
         let v: serde_json::Value = serde_json::from_slice(&r.body).unwrap();
         assert!(v["canceled"].is_boolean());
+    }
+
+    /// Submits `spec` without `?sync` and returns its task id.
+    fn submit_async(e: &Arc<Scheduler>, spec: &str) -> String {
+        let r = route(&post("/api/tasks", spec), e);
+        assert_eq!(r.status, StatusCode::Accepted, "{}", body_str(&r));
+        serde_json::from_slice::<serde_json::Value>(&r.body).unwrap()["task_id"]
+            .as_str()
+            .unwrap()
+            .to_string()
+    }
+
+    fn assert_result_not_ready(e: &Arc<Scheduler>, id: &str) {
+        let r = route(&get(&format!("/api/tasks/{id}/result")), e);
+        assert_eq!(r.status, StatusCode::NotFound);
+        let v: serde_json::Value = serde_json::from_slice(&r.body).unwrap();
+        assert_eq!(v["error"], "result not ready");
+    }
+
+    #[test]
+    fn failed_task_has_no_result_but_logs_the_failure() {
+        let e = engine();
+        let spec = r#"{
+            "dataset": "fixture-fakenews-de",
+            "params": {"algorithm": "cycle_rank"},
+            "source": "No Such Page",
+            "top_k": 3
+        }"#;
+        let id = submit_async(&e, spec);
+        let waited = e.wait(&TaskId(id.clone()), std::time::Duration::from_secs(60));
+        assert!(matches!(waited, Err(relengine::EngineError::TaskFailed(_))), "{waited:?}");
+        assert_result_not_ready(&e, &id);
+        let log = body_str(&route(&get(&format!("/api/tasks/{id}/log")), &e));
+        assert!(log.contains(": failed: "), "{log}");
+    }
+
+    #[test]
+    fn canceled_task_has_no_result_and_logs_the_skip() {
+        let e = engine();
+        let spec = r#"{
+            "dataset": "fixture-fakenews-de",
+            "params": {"algorithm": "cycle_rank"},
+            "source": "Fake News",
+            "top_k": 3
+        }"#;
+        // The one worker is busy with the task submitted just before, so
+        // the next one is still queued when the cancel arrives; retry in
+        // the unlikely case the worker got there first.
+        let canceled = (0..50).find_map(|_| {
+            submit_async(&e, spec);
+            let id = submit_async(&e, spec);
+            let r = route(&post(&format!("/api/tasks/{id}/cancel"), ""), &e);
+            let v: serde_json::Value = serde_json::from_slice(&r.body).unwrap();
+            (v["canceled"] == true).then_some(id)
+        });
+        let id = canceled.expect("a queued task was canceled");
+        let status: serde_json::Value =
+            serde_json::from_slice(&route(&get(&format!("/api/tasks/{id}")), &e).body).unwrap();
+        assert_eq!(status["state"]["state"], "canceled");
+        assert_result_not_ready(&e, &id);
+        let log = body_str(&route(&get(&format!("/api/tasks/{id}/log")), &e));
+        assert_eq!(log, "skipped (canceled)\n");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 const SNAPSHOT_FILE: &str = "snapshot.bin";
 const JOURNAL_FILE: &str = "journal.log";
@@ -194,6 +194,20 @@ impl DatasetStore {
         self.root.join(sanitize(id))
     }
 
+    /// Takes the journal-writer cache. A panic while the lock was held may
+    /// have left a writer mid-append, so a poisoned lock drops every
+    /// cached writer and clears the poison: each journal reopens on its
+    /// next append, and reopening re-scans and repairs a torn tail — the
+    /// same recovery as a failed append's.
+    fn writers(&self) -> MutexGuard<'_, HashMap<String, JournalWriter>> {
+        self.writers.lock().unwrap_or_else(|poisoned| {
+            let mut writers = poisoned.into_inner();
+            writers.clear();
+            self.writers.clear_poison();
+            writers
+        })
+    }
+
     fn snapshot_path(&self, id: &str) -> PathBuf {
         self.dir(id).join(SNAPSHOT_FILE)
     }
@@ -247,7 +261,7 @@ impl DatasetStore {
         graph: &DirectedGraph,
         version: u64,
     ) -> std::io::Result<()> {
-        let mut writers = self.writers.lock().expect("store writer lock");
+        let mut writers = self.writers();
         // Encode first: a graph too large for the frame format fails
         // before anything on disk is touched.
         let bytes = encode_snapshot(id, graph, version).map_err(std::io::Error::other)?;
@@ -329,7 +343,7 @@ impl DatasetStore {
     /// which the engine compares against its compaction threshold to
     /// decide when to rotate.
     pub fn append_batch(&self, id: &str, record: &JournalRecord) -> std::io::Result<u64> {
-        let mut writers = self.writers.lock().expect("store writer lock");
+        let mut writers = self.writers();
         let w = match writers.entry(id.to_string()) {
             Entry::Occupied(cached) => cached.into_mut(),
             Entry::Vacant(slot) => {
@@ -782,6 +796,48 @@ mod tests {
         let loaded = store.load("ds").unwrap().unwrap();
         assert_eq!(loaded.tail.len(), 2);
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn poisoned_writer_lock_reopens_the_journal_and_recovers() {
+        let run = |tag: &str, poison: bool| {
+            let root = temp_root(tag);
+            let store = DatasetStore::open(&root).unwrap();
+            store.write_snapshot("ds", &graph(), 0).unwrap();
+            store.append_batch("ds", &rec(1)).unwrap();
+            if poison {
+                // A panic mid-append: half a frame reaches the journal
+                // behind the cached writer's back, then the lock holder
+                // dies.
+                let journal = store.journal_path("ds");
+                let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let _writers = store.writers.lock().unwrap();
+                    OpenOptions::new()
+                        .append(true)
+                        .open(&journal)
+                        .unwrap()
+                        .write_all(b"torn")
+                        .unwrap();
+                    panic!("append interrupted");
+                }));
+                assert!(panicked.is_err());
+                assert!(store.writers.is_poisoned());
+            }
+            store.append_batch("ds", &rec(2)).unwrap();
+            assert!(!store.writers.is_poisoned());
+            let loaded = store.load("ds").unwrap().unwrap();
+            assert_eq!(loaded.tail.len(), 2);
+            assert_eq!(loaded.truncated_bytes, 0, "the reopen already repaired the tail");
+            std::fs::remove_dir_all(&root).unwrap();
+            // What `load` recovered, folded into one digest.
+            let mut h = crate::digest::Fnv64::new();
+            h.write_u64(crate::digest::graph_digest(&loaded.base, loaded.snapshot_version));
+            for record in &loaded.tail {
+                h.write(&serde_json::to_vec(record).unwrap());
+            }
+            h.finish()
+        };
+        assert_eq!(run("poison", true), run("clean", false));
     }
 
     #[test]

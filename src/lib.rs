@@ -17,7 +17,8 @@
 //! * [`datasets`] (`reldata`) — generators, labelled fixtures, the
 //!   50-dataset registry;
 //! * [`engine`] (`relengine`) — task builder, query sets, scheduler,
-//!   executor pool, status board, datastores;
+//!   executor pool, and the status board that keeps each task's record,
+//!   result and log;
 //! * [`server`] (`relserver`) — the HTTP API gateway.
 //!
 //! ## Quickstart: the `Query` API

@@ -1,5 +1,5 @@
 //! Cross-crate integration: file formats → graph substrate → algorithms →
-//! engine → datastore, end to end.
+//! engine, end to end.
 
 use cyclerank_platform::prelude::*;
 use std::sync::Arc;
@@ -54,39 +54,6 @@ fn uploaded_graph_roundtrips_through_all_formats_and_algorithms() {
         let lb: Vec<String> = b.output.ranking.top_k_labeled(&loaded, 5);
         assert_eq!(la, lb, "{algo} ranking differs across format round-trip");
     }
-}
-
-/// The engine pipeline against a file-backed datastore: results survive on
-/// disk and can be re-read by a fresh store instance (the "permalink"
-/// behaviour of the demo).
-#[test]
-fn engine_persists_results_to_file_datastore() {
-    let dir = std::env::temp_dir().join(format!("cyclerank-e2e-{}", std::process::id()));
-    let store = Arc::new(FileStore::open(&dir).unwrap());
-
-    let task_id = {
-        let engine = Scheduler::builder().workers(2).datastore(store.clone()).build();
-        let id = engine.submit(
-            TaskBuilder::new("fixture-fakenews-fr")
-                .algorithm(Algorithm::CycleRank)
-                .source("Fake news")
-                .top_k(6)
-                .build()
-                .unwrap(),
-        );
-        let result = engine.wait(&id, Duration::from_secs(60)).unwrap();
-        assert_eq!(result.top[1].0, "Ère post-vérité");
-        id
-    }; // engine dropped: workers joined
-
-    // A fresh store over the same directory still serves the result.
-    let reopened = FileStore::open(&dir).unwrap();
-    let persisted = reopened.get_result(&task_id).unwrap().expect("persisted result");
-    assert_eq!(persisted.algorithm, "cyclerank");
-    assert!(persisted.top.iter().any(|(l, _)| l == "Donald Trump"));
-    let log = reopened.get_log(&task_id).unwrap();
-    assert!(log.contains("done"));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Registry datasets work through the whole stack, including the weighted
