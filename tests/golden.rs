@@ -9,7 +9,7 @@
 use cyclerank_platform::prelude::*;
 use cyclerank_platform::server::http::Method;
 use cyclerank_platform::server::routes::route;
-use cyclerank_platform::server::{Request, StatusCode};
+use cyclerank_platform::server::{Request, Response, StatusCode};
 use serde_json::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -77,6 +77,18 @@ fn algorithms_listing_matches_golden() {
     assert_golden("algorithms.json", include_str!("golden/algorithms.json"), &actual);
 }
 
+/// A task result as `cyclerank_task.txt` renders it: its key paths, then
+/// its top labels in rank order.
+fn render_task_result(result: &Value) -> String {
+    let labels: Vec<String> = result["top"]
+        .as_array()
+        .expect("top entries")
+        .iter()
+        .map(|entry| format!("top {}", entry[0].as_str().expect("label")))
+        .collect();
+    format!("{}\n{}", key_paths(result), labels.join("\n"))
+}
+
 #[test]
 fn cyclerank_task_result_matches_golden() {
     let spec = r#"{
@@ -86,14 +98,60 @@ fn cyclerank_task_result_matches_golden() {
         "top_k": 5
     }"#;
     let result = ok_json(&engine(), Method::Post, "/api/tasks", "sync=1", spec);
-    let labels: Vec<String> = result["top"]
-        .as_array()
-        .expect("top entries")
-        .iter()
-        .map(|entry| format!("top {}", entry[0].as_str().expect("label")))
-        .collect();
-    let actual = format!("{}\n{}", key_paths(&result), labels.join("\n"));
-    assert_golden("cyclerank_task.txt", include_str!("golden/cyclerank_task.txt"), &actual);
+    assert_golden(
+        "cyclerank_task.txt",
+        include_str!("golden/cyclerank_task.txt"),
+        &render_task_result(&result),
+    );
+}
+
+#[test]
+fn cyclerank_task_hit_matches_golden() {
+    // The same sync task twice on one engine: the second answer is the
+    // result cache's, and it renders exactly like the solve's.
+    let engine = engine();
+    let spec = cyclerank_spec("Freddie Mercury");
+    ok_json(&engine, Method::Post, "/api/tasks", "sync=1", &spec);
+    let hit = ok_json(&engine, Method::Post, "/api/tasks", "sync=1", &spec);
+    assert_golden(
+        "cyclerank_task.txt",
+        include_str!("golden/cyclerank_task.txt"),
+        &render_task_result(&hit),
+    );
+}
+
+#[test]
+fn sync_hit_cache_stats_match_golden() {
+    let engine = engine();
+    let spec = cyclerank_spec("Freddie Mercury");
+    for _ in 0..2 {
+        ok_json(&engine, Method::Post, "/api/tasks", "sync=1", &spec);
+    }
+    let stats = ok_json(&engine, Method::Get, "/api/cache/stats", "", "");
+    let actual = serde_json::to_string_pretty(&stats).expect("render");
+    assert_golden(
+        "sync_hit_cache_stats.json",
+        include_str!("golden/sync_hit_cache_stats.json"),
+        &actual,
+    );
+}
+
+#[test]
+fn response_bytes_match_golden() {
+    // Every CRLF is shown as `\r\n` and ends a line of the rendering.
+    fn wire(response: &Response, keep_alive: bool) -> String {
+        let mut bytes = Vec::new();
+        response.write_conn(&mut bytes, keep_alive).expect("write into memory");
+        String::from_utf8(bytes).expect("utf-8 response").replace("\r\n", "\\r\\n\n")
+    }
+    let ok = Response::json(StatusCode::Ok, &serde_json::json!({"status": "ok"}));
+    let shed = Response::overloaded("expensive lane at capacity (2 in flight); retry later", 1);
+    let actual = format!(
+        "# 200 JSON, keep-alive\n{}\n# 429 with retry-after, close\n{}",
+        wire(&ok, true),
+        wire(&shed, false)
+    );
+    assert_golden("response_bytes.txt", include_str!("golden/response_bytes.txt"), &actual);
 }
 
 #[test]
