@@ -7,9 +7,11 @@
 //! request walked the full solver path. [`ResultCache`] is a bounded LRU
 //! from a *canonical key string* of that tuple to the finished
 //! [`TaskResult`], consulted by [`crate::executor::Executor::execute`] (and
-//! the batched variant) before any solve. Hits are cloned out with a fresh
-//! task id; the payload bytes are otherwise identical to the original
-//! solve.
+//! the batched variant) before any solve, and by
+//! [`crate::executor::Executor::cached`], which lets the HTTP worker answer
+//! a synchronous hit without queueing a task. Hits are cloned out with a
+//! fresh task id; the payload bytes are otherwise identical to the
+//! original solve.
 //!
 //! Keys are canonical renderings, not hashes, so collisions are
 //! impossible; see [`cache_key`] for exactly which fields participate.
@@ -124,34 +126,21 @@ impl ResultCache {
 
     /// Looks `key` up; a hit refreshes the entry's recency and returns the
     /// cached result re-addressed to `task_id` (all other bytes identical
-    /// to the original solve).
+    /// to the original solve). Hits and misses are both counted.
     pub fn get(&self, key: &str, task_id: &TaskId) -> Option<TaskResult> {
         let inner = &mut *self.inner.lock();
-        inner.clock += 1;
-        let stamp = inner.clock;
-        match inner.map.get_mut(key) {
-            Some((result, live)) => {
-                *live = stamp;
-                let mut result = result.clone();
-                inner.queue.push_back((key.to_string(), stamp));
-                inner.hits += 1;
-                result.task_id = task_id.clone();
-                prune_stale(inner);
-                Some(result)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
+        let hit = touch(inner, key, task_id);
+        if hit.is_none() {
+            inner.misses += 1;
         }
+        hit
     }
 
-    /// Whether `key` is currently cached, without touching recency or the
-    /// hit/miss counters — a *peek*, not a lookup. The serving layer uses
-    /// this to classify a request as cheap (cache-answerable) before
-    /// admitting it to a concurrency lane.
-    pub fn contains(&self, key: &str) -> bool {
-        self.inner.lock().map.contains_key(key)
+    /// Like [`ResultCache::get`], except that a miss counts nothing: for a
+    /// caller whose miss falls through to a [`ResultCache::get`] of the
+    /// same key, which counts it there, once.
+    pub(crate) fn hit(&self, key: &str, task_id: &TaskId) -> Option<TaskResult> {
+        touch(&mut self.inner.lock(), key, task_id)
     }
 
     /// Stores `result` under `key`, evicting the least-recently-used entry
@@ -238,6 +227,21 @@ impl ResultCache {
     fn queue_len(&self) -> usize {
         self.inner.lock().queue.len()
     }
+}
+
+/// The hit half of a lookup: refreshes `key`'s recency, counts the hit and
+/// returns its result re-addressed to `task_id`.
+fn touch(inner: &mut CacheInner, key: &str, task_id: &TaskId) -> Option<TaskResult> {
+    inner.clock += 1;
+    let stamp = inner.clock;
+    let (result, live) = inner.map.get_mut(key)?;
+    *live = stamp;
+    let mut result = result.clone();
+    result.task_id = task_id.clone();
+    inner.queue.push_back((key.to_string(), stamp));
+    inner.hits += 1;
+    prune_stale(inner);
+    Some(result)
 }
 
 /// Compacts the recency queue once stale touch records outnumber live
@@ -358,6 +362,18 @@ mod tests {
         assert_eq!(hit.dataset, "orig");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn hit_counts_hits_but_not_misses() {
+        let cache = ResultCache::new(4);
+        let id = TaskId::fresh();
+        assert!(cache.hit("k", &id).is_none());
+        assert_eq!(cache.stats().misses, 0);
+        cache.put("k".into(), result("orig"));
+        assert_eq!(cache.hit("k", &id).unwrap().task_id, id);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 0));
     }
 
     #[test]

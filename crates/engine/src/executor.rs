@@ -284,16 +284,16 @@ impl Executor {
         self.results.stats()
     }
 
-    /// Whether executing `spec` right now would be answered from the
-    /// result cache. A *peek*: no dataset is loaded (an unloaded dataset
-    /// trivially has no cached results), no recency or hit/miss counter
-    /// moves. The serving layer uses this to route cache-answerable
-    /// requests into the cheap admission lane.
-    pub fn would_hit_cache(&self, spec: &TaskSpec) -> bool {
-        match self.dataset_version(&spec.dataset) {
-            Some(version) => self.results.contains(&cache_key(spec, version)),
-            None => false,
-        }
+    /// `spec`'s answer, if the result cache holds it for the dataset's
+    /// current graph version: one counted lookup, re-addressed to a fresh
+    /// [`TaskId`]. A hit bumps `hits` and the entry's recency; a miss
+    /// counts nothing, because the [`Executor::execute`] a caller falls
+    /// back to counts it. No dataset is loaded (an unloaded dataset has no
+    /// cached results). The serving layer answers synchronous requests
+    /// from this without queueing a task.
+    pub fn cached(&self, spec: &TaskSpec) -> Option<TaskResult> {
+        let version = self.dataset_version(&spec.dataset)?;
+        self.results.hit(&cache_key(spec, version), &TaskId::fresh())
     }
 
     /// Aggregate footprint of the per-dataset solver-arena pools, for
@@ -1189,12 +1189,22 @@ mod tests {
     }
 
     #[test]
-    fn would_hit_cache_once_executed() {
+    fn cached_counts_hits_not_misses() {
         let ex = Executor::new();
         let spec = TaskBuilder::new("fixture-fakenews-it").top_k(3).build().unwrap();
-        assert!(!ex.would_hit_cache(&spec));
-        let r = ex.execute(&TaskId::fresh(), &spec).unwrap();
-        assert!(ex.would_hit_cache(&spec));
-        assert!(r.converged.unwrap());
+        // Unloaded dataset, then loaded but unsolved: no answer, no count.
+        assert!(ex.cached(&spec).is_none());
+        ex.dataset("fixture-fakenews-it").unwrap();
+        assert!(ex.cached(&spec).is_none());
+        assert_eq!(ex.cache_stats().misses, 0);
+        // The execute that follows a miss counts it, once.
+        let solved = ex.execute(&TaskId::fresh(), &spec).unwrap();
+        assert_eq!((ex.cache_stats().hits, ex.cache_stats().misses), (0, 1));
+        let hit = ex.cached(&spec).expect("answered from the cache");
+        assert_eq!((ex.cache_stats().hits, ex.cache_stats().misses), (1, 1));
+        // Re-addressed to a fresh id; every other byte is the solve's.
+        assert_ne!(hit.task_id, solved.task_id);
+        assert_eq!(TaskResult { task_id: solved.task_id.clone(), ..hit }, solved);
+        assert!(solved.converged.unwrap());
     }
 }

@@ -166,28 +166,33 @@ impl Request {
     }
 }
 
-/// Decodes `%xx` escapes (dataset/source labels contain spaces etc.).
+/// Decodes `%xx` escapes (dataset/source labels contain spaces etc.) and
+/// `+` as a space. A `%` not followed by two hex digits stays literal.
+/// The digits are read as bytes, so a `%` before a multi-byte character
+/// never slices the string off a char boundary.
 pub fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
-        if bytes[i] == b'%' && i + 2 < bytes.len() {
-            let hex = &s[i + 1..i + 3];
-            if let Ok(v) = u8::from_str_radix(hex, 16) {
-                out.push(v);
-                i += 3;
-                continue;
+        if bytes[i] == b'%' {
+            if let Some(&[hi, lo]) = bytes.get(i + 1..i + 3) {
+                if let (Some(hi), Some(lo)) = (hex_digit(hi), hex_digit(lo)) {
+                    out.push(hi << 4 | lo);
+                    i += 3;
+                    continue;
+                }
             }
         }
-        if bytes[i] == b'+' {
-            out.push(b' ');
-        } else {
-            out.push(bytes[i]);
-        }
+        out.push(if bytes[i] == b'+' { b' ' } else { bytes[i] });
         i += 1;
     }
     String::from_utf8_lossy(&out).into_owned()
+}
+
+/// The value of one ASCII hex digit.
+fn hex_digit(b: u8) -> Option<u8> {
+    (b as char).to_digit(16).map(|d| d as u8)
 }
 
 /// Response status subset.
@@ -307,19 +312,25 @@ impl Response {
 
     /// Serializes onto a stream with an explicit connection disposition:
     /// `keep_alive` keeps the connection open for the next request.
+    ///
+    /// Head and body are rendered into one buffer that goes out in one
+    /// `write_all`: on an unbuffered socket every separate write is its
+    /// own syscall and, with `TCP_NODELAY`, possibly its own segment.
     pub fn write_conn(&self, stream: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
+        let mut wire = Vec::with_capacity(160 + self.body.len());
         write!(
-            stream,
+            wire,
             "HTTP/1.1 {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n",
             self.status.line(),
             self.content_type,
             self.body.len()
         )?;
         for (name, value) in &self.headers {
-            write!(stream, "{name}: {value}\r\n")?;
+            write!(wire, "{name}: {value}\r\n")?;
         }
-        write!(stream, "connection: {}\r\n\r\n", if keep_alive { "keep-alive" } else { "close" })?;
-        stream.write_all(&self.body)?;
+        write!(wire, "connection: {}\r\n\r\n", if keep_alive { "keep-alive" } else { "close" })?;
+        wire.extend_from_slice(&self.body);
+        stream.write_all(&wire)?;
         stream.flush()
     }
 }
@@ -362,6 +373,30 @@ mod tests {
         assert_eq!(r.path, "/api/datasets/Fake news");
         assert_eq!(percent_decode("a+b%2Fc"), "a b/c");
         assert_eq!(percent_decode("100%"), "100%");
+    }
+
+    #[test]
+    fn percent_decoding_leaves_incomplete_escapes_literal() {
+        // A `%` and one hex digit before a two-byte character: the escape
+        // is incomplete, and the character must not be split.
+        assert_eq!(percent_decode("%aé"), "%aé");
+        assert_eq!(percent_decode("/api/datasets/%aé"), "/api/datasets/%aé");
+        assert_eq!(percent_decode("%é"), "%é");
+        // Trailing `%` and `%` plus one digit.
+        assert_eq!(percent_decode("x%"), "x%");
+        assert_eq!(percent_decode("x%4"), "x%4");
+        // Non-hex digits, and a sign that integer parsing would accept.
+        assert_eq!(percent_decode("%zz"), "%zz");
+        assert_eq!(percent_decode("%+1"), "% 1");
+        // Both cases of hex digits decode; a decoded escape may itself
+        // be part of a multi-byte character.
+        assert_eq!(percent_decode("%C3%A9%c3%a9"), "éé");
+    }
+
+    #[test]
+    fn parses_a_path_with_an_incomplete_escape_before_a_multibyte_char() {
+        let r = parse("GET /api/datasets/%aé HTTP/1.1\r\n\r\n").unwrap();
+        assert_eq!(r.segments(), vec!["api", "datasets", "%aé"]);
     }
 
     #[test]
@@ -435,6 +470,46 @@ mod tests {
         let mut buf = Vec::new();
         Response::text(StatusCode::Ok, "x").write_conn(&mut buf, false).unwrap();
         assert!(String::from_utf8(buf).unwrap().contains("connection: close\r\n"));
+    }
+
+    /// A sink that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_leaves_in_one_write() {
+        let responses = [
+            Response::json(StatusCode::Ok, &serde_json::json!({"status": "ok"})),
+            Response::overloaded("busy", 1),
+            Response::unavailable("storage degraded", 8),
+            Response::text(StatusCode::Ok, ""),
+        ];
+        for response in &responses {
+            for keep_alive in [true, false] {
+                let mut sink = CountingWriter::default();
+                response.write_conn(&mut sink, keep_alive).unwrap();
+                assert_eq!(sink.writes, 1, "{:?}", String::from_utf8_lossy(&sink.bytes));
+                assert!(sink.bytes.ends_with(&response.body));
+            }
+            let mut sink = CountingWriter::default();
+            response.write_to(&mut sink).unwrap();
+            assert_eq!(sink.writes, 1);
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! | GET  | `/api/datasets` | the 50-dataset catalog |
 //! | GET  | `/api/datasets/{id}` | one catalog entry |
 //! | GET  | `/api/algorithms` | registry contents: ids, metadata, parameter schemas |
-//! | POST | `/api/tasks` | submit a task (JSON [`relengine::TaskSpec`]; `?sync=1` waits for the result) |
+//! | POST | `/api/tasks` | submit a task (JSON [`relengine::TaskSpec`]; `?sync=1` returns the result: a cache hit at once, unqueued; a miss after its solve) |
 //! | GET  | `/api/tasks/{id}` | poll a task's status |
 //! | GET  | `/api/tasks/{id}/result` | fetch a completed task's result |
 //! | GET  | `/api/tasks/{id}/log` | fetch a task's execution log |

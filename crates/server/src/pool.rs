@@ -20,12 +20,18 @@
 //! * **cheap** — everything that answers from state the request path
 //!   already holds: every `GET`, asynchronous task/batch submissions
 //!   (they only enqueue; the scheduler's own worker pool is their
-//!   admission control), synchronous solves that are cache-answerable
-//!   ([`relengine::Executor::would_hit_cache`]) or use the certified
-//!   top-k serving path.
+//!   admission control), and synchronous solves on the certified top-k
+//!   serving path.
 //! * **expensive** — synchronous work that occupies the HTTP worker for
 //!   the duration of real engine work: cold full-rank `?sync=1` solves,
 //!   edge mutations, and dataset uploads.
+//!
+//! A `?sync=1` task whose result is cached takes no lane at all: the task
+//! handler looks it up once ([`relengine::Executor::cached`]) and answers
+//! from the cache entry in hand, on this worker, before any lane is
+//! chosen — no queued task, no status-board entry. Only a request that
+//! misses is classified, so nothing admitted cheap can turn into a cold
+//! solve.
 //!
 //! The expensive lane holds at most [`ServingConfig::max_expensive`]
 //! permits; an expensive request that cannot take one immediately is shed
@@ -38,9 +44,9 @@
 //! solver-arena pools, result-cache counters).
 
 use crate::http::{Method, Request, Response, StatusCode};
-use crate::routes::{effective_task_spec, route, wants_sync};
+use crate::routes::{route, submit_task};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use relengine::Scheduler;
+use relengine::{Scheduler, TaskSpec};
 use serde::Serialize;
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
@@ -196,6 +202,28 @@ impl ServingState {
         self.expensive.try_acquire()
     }
 
+    /// Admits a request to `lane`: the cheap lane always, the expensive
+    /// lane with a permit held until the returned guard drops — or the
+    /// `429` + `Retry-After` to shed it with when no permit is free.
+    fn admit(&self, lane: Lane) -> Result<Option<GatePermit>, Response> {
+        if lane == Lane::Cheap {
+            return Ok(None);
+        }
+        match self.try_acquire_expensive() {
+            Some(permit) => Ok(Some(permit)),
+            None => {
+                self.shed_expensive.fetch_add(1, Ordering::Relaxed);
+                Err(Response::overloaded(
+                    format!(
+                        "expensive lane at capacity ({} in flight); retry later",
+                        self.config.max_expensive
+                    ),
+                    self.config.retry_after_secs,
+                ))
+            }
+        }
+    }
+
     /// Point-in-time counters, including the engine plumbing the limits
     /// are sized from.
     pub fn snapshot(&self, engine: &Arc<Scheduler>) -> ServingSnapshot {
@@ -276,31 +304,23 @@ pub enum Lane {
     Expensive,
 }
 
-/// Classifies a request. Synchronous solves consult the result cache and
-/// the top-k serving mode: a `?sync=1` task that would hit the cache or
-/// runs through certified top-k push is cheap, a cold full-rank sync
-/// solve is expensive. Asynchronous submissions are always cheap — they
-/// only enqueue, and the scheduler's bounded worker pool is their
-/// admission control.
-pub fn classify(req: &Request, engine: &Arc<Scheduler>) -> Lane {
-    match (req.method, req.segments().as_slice()) {
+/// The lane of a `POST /api/tasks` request the result cache could not
+/// answer. An asynchronous submission only enqueues — the scheduler's
+/// bounded worker pool is its admission control — and a `?top_k=` solve
+/// runs the certified top-k serving path: both cheap. A synchronous
+/// full-rank solve is expensive.
+fn task_lane(spec: &TaskSpec, sync: bool) -> Lane {
+    if sync && spec.params.top_k.is_none() {
+        Lane::Expensive
+    } else {
+        Lane::Cheap
+    }
+}
+
+/// The lane of every other route.
+fn classify(method: Method, segments: &[&str]) -> Lane {
+    match (method, segments) {
         (Method::Get, _) => Lane::Cheap,
-        (Method::Post, ["api", "tasks"]) => {
-            if !wants_sync(req) {
-                return Lane::Cheap;
-            }
-            match effective_task_spec(req) {
-                Some(spec) => {
-                    if spec.params.top_k.is_some() || engine.executor().would_hit_cache(&spec) {
-                        Lane::Cheap
-                    } else {
-                        Lane::Expensive
-                    }
-                }
-                // Malformed specs fall through to route()'s 400 — cheap.
-                None => Lane::Cheap,
-            }
-        }
         (Method::Post, ["api", "batch"] | ["api", "query-sets"]) => Lane::Cheap,
         (Method::Post, ["api", "tasks", _, "cancel"]) => Lane::Cheap,
         // Mutations, uploads, and anything else that does synchronous
@@ -310,33 +330,27 @@ pub fn classify(req: &Request, engine: &Arc<Scheduler>) -> Lane {
 }
 
 /// Routes one request through its admission lane. The serving-stats
-/// route short-circuits here (it belongs to the pool, not the engine).
+/// route short-circuits here (it belongs to the pool, not the engine);
+/// `POST /api/tasks` picks its lane inside its handler, after the cache
+/// lookup that may answer it without one.
 pub fn dispatch(req: &Request, engine: &Arc<Scheduler>, state: &ServingState) -> Response {
-    if req.method == Method::Get && req.segments() == ["api", "serving", "stats"] {
-        return Response::json(StatusCode::Ok, &state.snapshot(engine));
-    }
-    let count_degraded = |resp: Response| {
-        if resp.status == StatusCode::ServiceUnavailable {
-            state.degraded_rejections.fetch_add(1, Ordering::Relaxed);
+    let segments = req.segments();
+    let response = match (req.method, segments.as_slice()) {
+        (Method::Get, ["api", "serving", "stats"]) => {
+            return Response::json(StatusCode::Ok, &state.snapshot(engine));
         }
-        resp
-    };
-    match classify(req, engine) {
-        Lane::Cheap => count_degraded(route(req, engine)),
-        Lane::Expensive => match state.try_acquire_expensive() {
-            Some(_permit) => count_degraded(route(req, engine)),
-            None => {
-                state.shed_expensive.fetch_add(1, Ordering::Relaxed);
-                Response::overloaded(
-                    format!(
-                        "expensive lane at capacity ({} in flight); retry later",
-                        state.config.max_expensive
-                    ),
-                    state.config.retry_after_secs,
-                )
-            }
+        (Method::Post, ["api", "tasks"]) => {
+            submit_task(req, engine, |spec, sync| state.admit(task_lane(spec, sync)))
+        }
+        (method, segments) => match state.admit(classify(method, segments)) {
+            Ok(_permit) => route(req, engine),
+            Err(shed) => shed,
         },
+    };
+    if response.status == StatusCode::ServiceUnavailable {
+        state.degraded_rejections.fetch_add(1, Ordering::Relaxed);
     }
+    response
 }
 
 /// The bounded worker pool draining the admission queue.
@@ -489,4 +503,124 @@ fn serve_connection(
         }
     }
     let _ = stream.shutdown(std::net::Shutdown::Both);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashMap;
+
+    /// A PPR task on a small fixture, so a cold solve is quick.
+    const SPEC: &str = r#"{"dataset": "fixture-fakenews-it", "params": {"algorithm": "personalized_page_rank"}, "source": "Fake news", "top_k": 5}"#;
+
+    fn request(method: Method, path: &str, query: &str, body: &str) -> Request {
+        Request {
+            method,
+            path: path.to_string(),
+            query: query.to_string(),
+            headers: HashMap::new(),
+            body: body.as_bytes().to_vec(),
+        }
+    }
+
+    fn sync_task(body: &str) -> Request {
+        request(Method::Post, "/api/tasks", "sync=1", body)
+    }
+
+    fn serving(engine: Scheduler) -> (Arc<Scheduler>, Arc<ServingState>) {
+        let config = ServingConfig {
+            workers: 2,
+            queue_depth: 8,
+            max_expensive: 1,
+            keep_alive: Duration::from_secs(5),
+            retry_after_secs: 1,
+        };
+        (Arc::new(engine), ServingState::new(config))
+    }
+
+    fn json(response: &Response) -> serde_json::Value {
+        serde_json::from_slice(&response.body).expect("JSON body")
+    }
+
+    #[test]
+    fn sync_miss_then_hit_count_one_miss_and_one_hit() {
+        let (engine, state) = serving(Scheduler::builder().workers(1).build());
+        let miss = dispatch(&sync_task(SPEC), &engine, &state);
+        assert_eq!(miss.status, StatusCode::Ok, "{}", json(&miss));
+        let hit = dispatch(&sync_task(SPEC), &engine, &state);
+        assert_eq!(hit.status, StatusCode::Ok, "{}", json(&hit));
+        assert_eq!(json(&hit)["top"], json(&miss)["top"]);
+        let stats = engine.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn sync_hit_answers_while_every_expensive_permit_is_held() {
+        let (engine, state) = serving(Scheduler::builder().workers(1).build());
+        assert_eq!(dispatch(&sync_task(SPEC), &engine, &state).status, StatusCode::Ok);
+        let permits: Vec<_> = std::iter::from_fn(|| state.try_acquire_expensive()).collect();
+        assert_eq!(permits.len(), 1);
+        let hit = dispatch(&sync_task(SPEC), &engine, &state);
+        assert_eq!(hit.status, StatusCode::Ok, "{}", json(&hit));
+        assert_eq!(state.shed_expensive.load(Ordering::Relaxed), 0);
+        // A cold full-rank sync solve is still shed.
+        let cold = dispatch(&sync_task(&SPEC.replace("Fake news", "Bufala")), &engine, &state);
+        assert_eq!(cold.status, StatusCode::TooManyRequests, "{}", json(&cold));
+        assert_eq!(state.shed_expensive.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn sync_hit_never_enqueues_a_task_or_writes_a_board_entry() {
+        let (engine, state) = serving(Scheduler::builder().workers(1).build());
+        let miss = json(&dispatch(&sync_task(SPEC), &engine, &state));
+        let solved_id = miss["task_id"].as_str().unwrap().to_string();
+        assert_eq!(engine.metrics().total, 1);
+        let hit = json(&dispatch(&sync_task(SPEC), &engine, &state));
+        let hit_id = hit["task_id"].as_str().unwrap().to_string();
+        assert_ne!(hit_id, solved_id, "a hit names its own answer");
+        // `Scheduler::submit` writes the board entry before it queues the
+        // job, so no entry means nothing was queued.
+        assert_eq!(engine.metrics().total, 1);
+        for path in [format!("/api/tasks/{hit_id}"), format!("/api/tasks/{hit_id}/result")] {
+            let polled = dispatch(&request(Method::Get, &path, "", ""), &engine, &state);
+            assert_eq!(polled.status, StatusCode::NotFound, "{path}");
+            assert_eq!(json(&polled)["error"], format!("unknown task {hit_id:?}"), "{path}");
+        }
+        // The solved task stays pollable.
+        let polled = dispatch(
+            &request(Method::Get, &format!("/api/tasks/{solved_id}"), "", ""),
+            &engine,
+            &state,
+        );
+        assert_eq!(polled.status, StatusCode::Ok);
+    }
+
+    #[test]
+    fn evicted_key_sheds_instead_of_solving_on_the_cheap_lane() {
+        let (engine, state) = serving(Scheduler::builder().workers(1).cache_capacity(1).build());
+        let other = SPEC.replace("Fake news", "Bufala");
+        assert_eq!(dispatch(&sync_task(SPEC), &engine, &state).status, StatusCode::Ok);
+        // A second key evicts the first from the one-entry cache.
+        assert_eq!(dispatch(&sync_task(&other), &engine, &state).status, StatusCode::Ok);
+        assert_eq!(engine.cache_stats().evictions, 1);
+        let _permit = state.try_acquire_expensive().expect("lane open");
+        let before = (engine.cache_stats(), engine.metrics().total);
+        let shed = dispatch(&sync_task(SPEC), &engine, &state);
+        assert_eq!(shed.status, StatusCode::TooManyRequests, "{}", json(&shed));
+        assert!(shed.headers.iter().any(|(name, _)| *name == "retry-after"));
+        // Nothing was solved or queued, and the failed lookup counted
+        // nothing.
+        assert_eq!((engine.cache_stats(), engine.metrics().total), before);
+        // The cached key still answers on the saturated lane.
+        assert_eq!(dispatch(&sync_task(&other), &engine, &state).status, StatusCode::Ok);
+    }
+
+    #[test]
+    fn malformed_sync_task_is_a_400_on_a_saturated_lane() {
+        let (engine, state) = serving(Scheduler::builder().workers(1).build());
+        let _permit = state.try_acquire_expensive().expect("lane open");
+        let bad = dispatch(&sync_task("not json"), &engine, &state);
+        assert_eq!(bad.status, StatusCode::BadRequest);
+        assert_eq!(state.shed_expensive.load(Ordering::Relaxed), 0);
+    }
 }

@@ -5,7 +5,8 @@ use relengine::{BatchSpec, Scheduler, TaskId, TaskSpec};
 use serde::Serialize;
 use std::sync::Arc;
 
-/// Routes one request to its handler.
+/// Routes one request to its handler, admitting every request: the
+/// concurrency lanes are [`crate::pool::dispatch`]'s.
 pub fn route(req: &Request, engine: &Arc<Scheduler>) -> Response {
     let segments = req.segments();
     match (req.method, segments.as_slice()) {
@@ -19,7 +20,7 @@ pub fn route(req: &Request, engine: &Arc<Scheduler>) -> Response {
         (Method::Post, ["api", "datasets", id, "edges"]) => mutate_edges(id, req, engine, true),
         (Method::Delete, ["api", "datasets", id, "edges"]) => mutate_edges(id, req, engine, false),
         (Method::Get, ["api", "algorithms"]) => list_algorithms(),
-        (Method::Post, ["api", "tasks"]) => submit_task(req, engine),
+        (Method::Post, ["api", "tasks"]) => submit_task(req, engine, |_, _| Ok(())),
         (Method::Post, ["api", "batch"]) => submit_batch(req, engine),
         (Method::Get, ["api", "cache", "stats"]) => {
             Response::json(StatusCode::Ok, &engine.cache_stats())
@@ -52,7 +53,9 @@ fn index() -> Response {
         <li>DELETE /api/datasets/{id}/edges — remove edges (same body; bumps the graph version)</li>\n\
         <li>GET /api/algorithms — registered algorithms with parameter schemas</li>\n\
         <li>POST /api/tasks — submit a task (?top_k=k for top-k-only serving; \
-        ?sync=1 to wait and return the result in this response)</li>\n\
+        ?sync=1 to return the result in this response: answered at once from \
+        the result cache when it holds it — that task_id is not pollable — \
+        otherwise solved and waited for)</li>\n\
         <li>POST /api/batch — submit one algorithm over many seeds (one fused solve; ?top_k=k)</li>\n\
         <li>GET /api/cache/stats — result-cache hit/miss/eviction counters</li>\n\
         <li>GET /api/serving/stats — worker pool, admission queue, and load-shed counters</li>\n\
@@ -353,24 +356,9 @@ fn top_k_param(req: &Request) -> Result<Option<usize>, Response> {
 
 /// Whether `?sync=1` (or `?sync=true`) requests synchronous serving:
 /// the response carries the finished task's result instead of a task id
-/// to poll. The serving pool uses this to route cold synchronous solves
-/// through the expensive admission lane.
-pub(crate) fn wants_sync(req: &Request) -> bool {
+/// to poll.
+fn wants_sync(req: &Request) -> bool {
     matches!(query_param(req, "sync"), Some("1") | Some("true"))
-}
-
-/// The task spec a `POST /api/tasks` request would execute, with the
-/// `?top_k=` override applied — what the serving pool's lane classifier
-/// inspects (cache-answerable or top-k ⇒ cheap). `None` when the body or
-/// query is malformed; the route answers 400 quickly in that case, so
-/// classification treats it as cheap.
-pub(crate) fn effective_task_spec(req: &Request) -> Option<TaskSpec> {
-    let mut spec: TaskSpec = serde_json::from_str(req.body_str().ok()?).ok()?;
-    if let Ok(Some(k)) = top_k_param(req) {
-        spec.top_k = k;
-        spec.params.top_k = Some(k);
-    }
-    Some(spec)
 }
 
 /// How long a `?sync=1` request may wait for its solve before answering
@@ -378,24 +366,64 @@ pub(crate) fn effective_task_spec(req: &Request) -> Option<TaskSpec> {
 /// back to polling).
 const SYNC_WAIT: std::time::Duration = std::time::Duration::from_secs(120);
 
-fn submit_task(req: &Request, engine: &Arc<Scheduler>) -> Response {
-    let body = match req.body_str() {
-        Ok(b) => b,
-        Err(e) => return Response::error(StatusCode::BadRequest, e),
+/// `POST /api/tasks`, the one handler [`route`] and
+/// [`crate::pool::dispatch`] both run:
+///
+/// 1. parse and validate the spec once (malformed input is a 400);
+/// 2. answer a `?sync=1` request whose result is cached right here, from
+///    the cache entry in hand: no lane, no queued task, no board entry —
+///    the answer's `task_id` names the answer, not a pollable task;
+/// 3. otherwise ask `admit` for a lane, passing the spec and whether the
+///    request is synchronous. It returns a guard held until the response
+///    is ready, or the shed response to answer instead;
+/// 4. submit, and for `?sync=1` wait for the result.
+///
+/// Because the lane is chosen after the lookup, a request admitted
+/// without a permit can never turn into a cold solve.
+pub(crate) fn submit_task<G>(
+    req: &Request,
+    engine: &Arc<Scheduler>,
+    admit: impl FnOnce(&TaskSpec, bool) -> Result<G, Response>,
+) -> Response {
+    let spec = match task_spec(req) {
+        Ok(spec) => spec,
+        Err(bad) => return bad,
     };
-    let mut spec: TaskSpec = match serde_json::from_str(body) {
-        Ok(s) => s,
-        Err(e) => return Response::error(StatusCode::BadRequest, format!("bad task spec: {e}")),
+    let sync = wants_sync(req);
+    if sync {
+        if let Some(hit) = engine.executor().cached(&spec) {
+            return Response::json(StatusCode::Ok, &hit);
+        }
+    }
+    let _admitted = match admit(&spec, sync) {
+        Ok(guard) => guard,
+        Err(shed) => return shed,
     };
+    let id = engine.submit(spec);
+    if !sync {
+        return Response::json(StatusCode::Accepted, &Submitted { task_id: id.to_string() });
+    }
+    match engine.wait(&id, SYNC_WAIT) {
+        Ok(result) => Response::json(StatusCode::Ok, &result),
+        Err(e @ relengine::EngineError::TaskFailed(_)) => {
+            Response::error(StatusCode::BadRequest, e.to_string())
+        }
+        Err(e) => {
+            Response::error(StatusCode::InternalError, format!("sync wait for task {id}: {e}"))
+        }
+    }
+}
+
+/// The validated spec of a `POST /api/tasks` request, or its 400.
+fn task_spec(req: &Request) -> Result<TaskSpec, Response> {
+    let body = req.body_str().map_err(|e| Response::error(StatusCode::BadRequest, e))?;
+    let mut spec: TaskSpec = serde_json::from_str(body)
+        .map_err(|e| Response::error(StatusCode::BadRequest, format!("bad task spec: {e}")))?;
     // `?top_k=k` switches the task into top-k-only serving mode (pruned /
     // certified-push result paths) and trims the stored result to k.
-    match top_k_param(req) {
-        Ok(Some(k)) => {
-            spec.top_k = k;
-            spec.params.top_k = Some(k);
-        }
-        Ok(None) => {}
-        Err(resp) => return resp,
+    if let Some(k) = top_k_param(req)? {
+        spec.top_k = k;
+        spec.params.top_k = Some(k);
     }
     // Personalization requirements come from the algorithm's registry
     // entry, not from enum-matching in this crate.
@@ -404,22 +432,12 @@ fn submit_task(req: &Request, engine: &Arc<Scheduler>) -> Response {
         .map(|a| a.is_personalized())
         .unwrap_or(false);
     if personalized && spec.source.is_none() {
-        return Response::error(StatusCode::BadRequest, "personalized algorithm requires a source");
+        return Err(Response::error(
+            StatusCode::BadRequest,
+            "personalized algorithm requires a source",
+        ));
     }
-    let sync = wants_sync(req);
-    let id = engine.submit(spec);
-    if sync {
-        return match engine.wait(&id, SYNC_WAIT) {
-            Ok(result) => Response::json(StatusCode::Ok, &result),
-            Err(e @ relengine::EngineError::TaskFailed(_)) => {
-                Response::error(StatusCode::BadRequest, e.to_string())
-            }
-            Err(e) => {
-                Response::error(StatusCode::InternalError, format!("sync wait for task {id}: {e}"))
-            }
-        };
-    }
-    Response::json(StatusCode::Accepted, &Submitted { task_id: id.to_string() })
+    Ok(spec)
 }
 
 /// `POST /api/batch`: many seeds, one dataset, one (personalized)

@@ -1,6 +1,8 @@
 //! End-to-end tour of the API gateway: start the HTTP server on an
 //! ephemeral port, then act as the Web UI — list datasets, submit a task,
-//! poll until completed, fetch the result — all over plain TCP.
+//! poll until completed, fetch the result, then ask for the same task
+//! again with `?sync=1` and get it answered inline from the result cache —
+//! all over plain TCP.
 //!
 //! ```sh
 //! cargo run --example web_api
@@ -14,6 +16,8 @@ use std::time::Duration;
 use cyclerank_platform::prelude::*;
 use cyclerank_platform::server::ApiServer;
 
+/// One request on a fresh connection; the request asks the keep-alive
+/// server to close after the response, so the read ends with it.
 fn http(addr: std::net::SocketAddr, raw: String) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(raw.as_bytes()).expect("send");
@@ -26,14 +30,14 @@ fn http(addr: std::net::SocketAddr, raw: String) -> (u16, String) {
 }
 
 fn get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
-    http(addr, format!("GET {path} HTTP/1.1\r\nhost: demo\r\n\r\n"))
+    http(addr, format!("GET {path} HTTP/1.1\r\nhost: demo\r\nconnection: close\r\n\r\n"))
 }
 
 fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String) {
     http(
         addr,
         format!(
-            "POST {path} HTTP/1.1\r\nhost: demo\r\ncontent-length: {}\r\n\r\n{body}",
+            "POST {path} HTTP/1.1\r\nhost: demo\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
             body.len()
         ),
     )
@@ -84,6 +88,23 @@ fn main() {
     for entry in result["top"].as_array().unwrap() {
         println!("  {:<22} {:.5}", entry[0].as_str().unwrap(), entry[1].as_f64().unwrap());
     }
+
+    // Ask again, synchronously: the result cache holds the answer, so the
+    // HTTP worker answers it inline — nothing is queued, and the answer's
+    // task id names no task on the status board.
+    let (status, body) = post(addr, "/api/tasks?sync=1", task);
+    assert_eq!(status, 200, "sync repeat: {body}");
+    let again: serde_json::Value = serde_json::from_str(&body).unwrap();
+    assert_eq!(again["top"], result["top"], "the cached answer is the solved one");
+    let inline_id = again["task_id"].as_str().unwrap();
+    let (polled, _) = get(addr, &format!("/api/tasks/{inline_id}"));
+    assert_eq!(polled, 404, "an inline answer is never queued");
+    println!("\nPOST /api/tasks?sync=1 -> {status}, answered inline from the result cache");
+    println!("GET /api/tasks/{inline_id} -> {polled} (never queued)");
+    let (_, body) = get(addr, "/api/cache/stats");
+    let cache: serde_json::Value = serde_json::from_str(&body).unwrap();
+    assert_eq!(cache["hits"], 1, "{cache}");
+    println!("GET /api/cache/stats -> hits {}, misses {}", cache["hits"], cache["misses"]);
 
     handle.stop();
     println!("\nserver stopped");

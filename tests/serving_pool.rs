@@ -254,6 +254,30 @@ fn full_admission_queue_sheds_connections_with_retry_after() {
     h.stop();
 }
 
+/// A path with an incomplete `%` escape before a multi-byte character
+/// answers a typed 4xx, and the pool's only worker survives it to serve
+/// the next connection.
+#[test]
+fn bad_percent_escape_in_the_path_leaves_the_worker_serving() {
+    let h = start(ServingConfig {
+        workers: 1,
+        queue_depth: 4,
+        max_expensive: 1,
+        keep_alive: Duration::from_secs(5),
+        retry_after_secs: 1,
+    });
+    let addr = h.addr();
+    let r = get(addr, "/api/datasets/%aé");
+    assert!((400..500).contains(&r.status), "{} {}", r.status, r.body);
+    assert_eq!(r.json()["error"], "unknown dataset \"%aé\"");
+    // A dead worker would leave this connection queued forever.
+    let (mut s, mut reader) = connect(addr);
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(b"GET /api/health HTTP/1.1\r\nconnection: close\r\n\r\n").unwrap();
+    assert_eq!(read_response(&mut reader).status, 200);
+    h.stop();
+}
+
 /// Satellite: oversized request bodies and header blocks are refused
 /// with `413` before being buffered.
 #[test]
