@@ -155,6 +155,42 @@ fn response_bytes_match_golden() {
 }
 
 #[test]
+fn ppr_family_task_tops_match_golden() {
+    // Scores print with `{:?}`, which round-trips an f64 exactly: any
+    // change to the stationary solve path shows up here bit for bit.
+    let engine = engine();
+    let rendered: Vec<String> = [
+        ("ppr solver=power", r#"{"algorithm": "personalized_page_rank", "solver": "power"}"#),
+        ("ppr solver=parallel", r#"{"algorithm": "personalized_page_rank", "solver": "parallel"}"#),
+        ("pcheirank defaults", r#"{"algorithm": "personalized_chei_rank"}"#),
+    ]
+    .into_iter()
+    .map(|(name, params)| {
+        let spec = format!(
+            r#"{{"dataset": "fixture-enwiki-2018", "params": {params}, "source": "Freddie Mercury", "top_k": 5}}"#
+        );
+        let result = ok_json(&engine, Method::Post, "/api/tasks", "sync=1", &spec);
+        let pairs: Vec<String> = result["top"]
+            .as_array()
+            .expect("top entries")
+            .iter()
+            .map(|entry| {
+                let label = entry[0].as_str().expect("label");
+                let score = entry[1].as_f64().expect("score");
+                format!("({label:?}, {score:?})")
+            })
+            .collect();
+        format!("# {name}\n{}", pairs.join("\n"))
+    })
+    .collect();
+    assert_golden(
+        "ppr_task_top.txt",
+        include_str!("golden/ppr_task_top.txt"),
+        &rendered.join("\n"),
+    );
+}
+
+#[test]
 fn dataset_stats_keys_match_golden() {
     let stats = ok_json(&engine(), Method::Get, "/api/datasets/fixture-fakenews-pl/stats", "", "");
     assert_golden(
