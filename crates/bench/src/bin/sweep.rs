@@ -5,22 +5,18 @@
 //! ```sh
 //! cargo run --release -p relbench --bin sweep            # all sweeps
 //! cargo run --release -p relbench --bin sweep -- size    # one sweep
-//! cargo run --release -p relbench --bin sweep -- k ppr
+//! cargo run --release -p relbench --bin sweep -- k workers
 //! ```
 //!
 //! Sweeps: `size` (runtime vs |V| for PR/PPR/CycleRank), `k` (CycleRank
-//! runtime and cycle counts vs K), `ppr` (exact vs push vs Monte-Carlo
-//! runtime and top-10 NDCG vs exact), `workers` (engine query-set
+//! runtime and cycle counts vs K), `workers` (engine query-set
 //! throughput vs worker count), `cutover` (per-sweep cost of the parallel
 //! scheme in one chunk vs two, alone and beside a second solve — the table
 //! `relcore::solver::CHUNK_MIN_WORK` is read off).
 
-use relcore::compare::ndcg_at_k;
 use relcore::cyclerank::{cyclerank, CycleRankConfig};
-use relcore::montecarlo::{ppr_monte_carlo, MonteCarloConfig};
 use relcore::pagerank::{pagerank, PageRankConfig};
 use relcore::ppr::personalized_pagerank;
-use relcore::push::{ppr_push, PushConfig};
 use relcore::solver::{SolverConfig, SweepKernel, CHUNK_MIN_WORK};
 use relcore::TeleportVector;
 use reldata::wikilink::{generate, WikilinkConfig};
@@ -65,56 +61,6 @@ fn sweep_k() {
         let t = ms(|| out = Some(cyclerank(&g, r, &CycleRankConfig::with_k(k)).unwrap()));
         let out = out.unwrap();
         println!("{k},{},{},{t:.3}", out.cycles_found, out.candidates);
-    }
-}
-
-fn sweep_ppr() {
-    println!("# sweep=ppr (solver ablation)");
-    println!("nodes,power_ms,push_ms,push_ndcg10,mc_ms,mc_ndcg10");
-    for nodes in [2_000u32, 8_000, 32_000] {
-        let cfg = WikilinkConfig::default().with_nodes(nodes);
-        let g = generate(&cfg, 7);
-        let seed = NodeId::new(cfg.hubs + 3);
-        let pr_cfg = PageRankConfig::default();
-
-        let mut exact = None;
-        let t_power = ms(|| {
-            exact = Some(personalized_pagerank(g.view(), &pr_cfg, seed).unwrap().0);
-        });
-        let exact = exact.unwrap();
-        let gains = exact.as_slice();
-
-        let mut push = None;
-        let t_push = ms(|| {
-            push = Some(
-                ppr_push(
-                    g.view(),
-                    &PushConfig { damping: 0.85, epsilon: 1e-6, max_pushes: usize::MAX },
-                    seed,
-                )
-                .unwrap()
-                .0,
-            );
-        });
-        let push_ndcg = ndcg_at_k(&push.unwrap().ranking(), gains, 10);
-
-        let mut mc = None;
-        let t_mc = ms(|| {
-            mc = Some(
-                ppr_monte_carlo(
-                    g.view(),
-                    &MonteCarloConfig { damping: 0.85, walks: 20_000, rng_seed: 1, threads: 0 },
-                    seed,
-                )
-                .unwrap(),
-            );
-        });
-        let mc_ndcg = ndcg_at_k(&mc.unwrap().ranking(), gains, 10);
-
-        println!(
-            "{},{t_power:.3},{t_push:.3},{push_ndcg:.4},{t_mc:.3},{mc_ndcg:.4}",
-            g.node_count()
-        );
     }
 }
 
@@ -207,9 +153,6 @@ fn main() {
     }
     if want("k") {
         sweep_k();
-    }
-    if want("ppr") {
-        sweep_ppr();
     }
     if want("workers") {
         sweep_workers();

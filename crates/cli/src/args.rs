@@ -24,10 +24,7 @@ pub struct RunSpec {
     pub k: Option<u32>,
     /// Scoring function name.
     pub sigma: Option<String>,
-    /// PageRank-family solver (power|parallel|push|monte-carlo).
-    pub solver: Option<relcore::Solver>,
-    /// Kernel update scheme (power|parallel); wins over `--solver` when
-    /// both are given.
+    /// Kernel update scheme (power|parallel).
     pub scheme: Option<relcore::Scheme>,
     /// Threads per sweep of the parallel scheme (0 = planned per sweep).
     pub threads: Option<usize>,
@@ -362,7 +359,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, String> {
                 alpha: flags.take("alpha").map(|v| parse_num(&v, "alpha")).transpose()?,
                 k: flags.take("k").map(|v| parse_num(&v, "k")).transpose()?,
                 sigma: flags.take("sigma"),
-                solver: flags.take("solver").map(|v| v.parse()).transpose()?,
                 scheme: flags.take("scheme").map(|v| v.parse()).transpose()?,
                 threads: flags.take("threads").map(|v| parse_num(&v, "threads")).transpose()?,
                 trace: flags.has_switch("trace"),
@@ -616,10 +612,12 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(parse("run --dataset d --algorithm pr --threads many").is_err());
-        // Unknown schemes and solvers are bad arguments, caught at parse time.
+        // Unknown schemes are bad arguments, caught at parse time, and
+        // `--solver` is no flag at all.
         let err = parse("run --dataset d --algorithm pr --scheme quantum").unwrap_err();
         assert!(err.contains("expected power|parallel"), "{err}");
-        assert!(parse("run --dataset d --algorithm pr --solver quantum").is_err());
+        let err = parse("run --dataset d --algorithm pr --solver power").unwrap_err();
+        assert_eq!(err, "unknown flag --solver");
         assert!(parse("batch --dataset d --seeds A --scheme quantum").is_err());
     }
 

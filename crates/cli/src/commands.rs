@@ -107,9 +107,7 @@ pub fn stats(dataset: &str) -> Result<String, String> {
 /// Solver-related CLI flags, bundled so `build_query` stays readable.
 #[derive(Debug, Clone, Default)]
 struct SolverFlags {
-    /// `--solver`: full solver set, including approximate push/mc.
-    solver: Option<relcore::Solver>,
-    /// `--scheme`: exact kernel scheme; wins over `--solver`.
+    /// `--scheme`: kernel update scheme.
     scheme: Option<relcore::Scheme>,
     /// `--threads`: worker threads for the parallel scheme.
     threads: Option<usize>,
@@ -138,9 +136,6 @@ fn build_query(
         .get(algorithm)
         .ok_or_else(|| format!("unknown algorithm {algorithm:?} (see `relrank algorithms`)"))?;
     let mut q = Query::on(target).algorithm(algorithm).top(top);
-    if let Some(s) = solver.solver {
-        q = q.solver(s);
-    }
     if let Some(s) = solver.scheme {
         q = q.scheme(s);
     }
@@ -187,7 +182,6 @@ pub fn run_task(spec: RunSpec) -> Result<String, String> {
         spec.k,
         spec.sigma.as_deref(),
         SolverFlags {
-            solver: spec.solver,
             scheme: spec.scheme,
             threads: spec.threads,
             trace: spec.trace,
@@ -246,8 +240,8 @@ pub fn run_task(spec: RunSpec) -> Result<String, String> {
         out.push('\n');
     } else if spec.trace {
         out.push_str(
-            "note: --trace has no effect here (approximate solvers and \
-             non-iterative algorithms produce no residual trace)\n",
+            "note: --trace has no effect here (non-iterative algorithms such as \
+             CycleRank produce no residual trace)\n",
         );
     }
     out.push('\n');
@@ -966,7 +960,6 @@ mod tests {
             alpha: None,
             k: Some(3),
             sigma: None,
-            solver: None,
             scheme: None,
             threads: None,
             trace: false,
@@ -989,7 +982,6 @@ mod tests {
             alpha: None,
             k: Some(3),
             sigma: Some("exp".into()),
-            solver: None,
             scheme: None,
             threads: None,
             trace: false,
@@ -1013,7 +1005,6 @@ mod tests {
             alpha: Some(0.85),
             k: None,
             sigma: None,
-            solver: None,
             scheme: None,
             threads: None,
             trace: false,
@@ -1043,7 +1034,6 @@ mod tests {
                     alpha: None,
                     k: None,
                     sigma: None,
-                    solver: None,
                     scheme: Some(scheme),
                     threads: Some(2),
                     trace: false,
@@ -1070,7 +1060,6 @@ mod tests {
             alpha: None,
             k: None,
             sigma: None,
-            solver: None,
             scheme: None,
             threads: None,
             trace: true,
@@ -1086,15 +1075,15 @@ mod tests {
 
     #[test]
     fn run_trace_with_approximate_solver_warns() {
+        // CycleRank has no iterate, hence no residual trace to print.
         let spec = RunSpec {
             dataset: "fixture-fakenews-pl".into(),
             file: None,
-            algorithm: "ppr".into(),
+            algorithm: "cyclerank".into(),
             source: Some("Fake news".into()),
             alpha: None,
             k: None,
             sigma: None,
-            solver: Some(relcore::Solver::Push),
             scheme: None,
             threads: None,
             trace: true,
@@ -1117,7 +1106,6 @@ mod tests {
             alpha: None,
             k: None,
             sigma: None,
-            solver: None,
             scheme: None,
             threads: None,
             trace: false,

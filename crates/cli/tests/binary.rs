@@ -137,6 +137,17 @@ fn removed_solver_knobs_are_bad_arguments() {
         relrank(&["run", "--dataset", "d", "--algorithm", "pr", "--scheme", gone]);
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("expected power|parallel"), "{stderr}");
+    // So are the approximate solvers, and with them the `--solver` flag.
+    for gone in ["push", concat!("monte", "-carlo")] {
+        let (code, _, stderr) =
+            relrank(&["run", "--dataset", "d", "--algorithm", "ppr", "--scheme", gone]);
+        assert_eq!(code, 2, "{stderr}");
+        assert!(stderr.contains("expected power|parallel"), "{stderr}");
+    }
+    let (code, _, stderr) =
+        relrank(&["run", "--dataset", "d", "--algorithm", "ppr", "--solver", "push"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("unknown flag --solver"), "{stderr}");
 }
 
 #[test]

@@ -10,57 +10,13 @@
 use crate::algorithm::{ParamSpec, RelevanceAlgorithm};
 use crate::cyclerank::cyclerank;
 use crate::error::AlgoError;
-use crate::montecarlo::{ppr_monte_carlo, MonteCarloConfig};
 use crate::pagerank::Convergence;
 use crate::ppr::TeleportVector;
-use crate::push::{ppr_push, PushConfig};
 use crate::result::{RankedList, ScoreVector};
-use crate::runner::{AlgorithmParams, RelevanceOutput, Solver};
+use crate::runner::{AlgorithmParams, RelevanceOutput};
 use crate::solver::{ConvergenceTrace, SweepKernel};
 use crate::topk;
 use relgraph::{DirectedGraph, NodeId};
-
-/// One solved stationary distribution plus its diagnostics.
-type Solved = (ScoreVector, Option<Convergence>, Option<ConvergenceTrace>);
-
-/// Runs the configured PageRank-family solver on one graph view. Every
-/// exact scheme goes through the shared [`SweepKernel`]; the approximate
-/// local solvers (push, Monte Carlo) keep their own implementations and
-/// fall back to the kernel for global (no-reference) runs, where they are
-/// undefined.
-fn solve(
-    view: relgraph::GraphView<'_>,
-    params: &AlgorithmParams,
-    reference: Option<NodeId>,
-) -> Result<Solved, AlgoError> {
-    match (params.solver, reference) {
-        (Solver::Push, Some(r)) => {
-            let push_cfg = PushConfig {
-                damping: params.damping,
-                epsilon: (params.tolerance * 1e3).clamp(1e-12, 1e-4),
-                max_pushes: 100_000_000,
-            };
-            let (s, _) = ppr_push(view, &push_cfg, r)?;
-            Ok((s, None, None))
-        }
-        (Solver::MonteCarlo, Some(r)) => {
-            let mc_cfg = MonteCarloConfig {
-                damping: params.damping,
-                walks: 200_000,
-                rng_seed: 42,
-                threads: params.threads,
-            };
-            let s = ppr_monte_carlo(view, &mc_cfg, r)?;
-            Ok((s, None, None))
-        }
-        _ => {
-            let teleport = TeleportVector::for_reference(view.node_count(), reference)?;
-            let kernel = SweepKernel::new(view)?;
-            let out = kernel.solve(&params.solver_config(), &teleport)?;
-            Ok((out.scores, Some(out.convergence), out.trace))
-        }
-    }
-}
 
 fn scored(
     id: &str,
@@ -99,32 +55,21 @@ fn scored_top_k(
 }
 
 /// The stationary-distribution execution shared by the PageRank family:
-/// full-rank solves go through [`solve`]; top-k serving mode
-/// (`params.top_k`) routes personalized exact runs through the certified
-/// adaptive-push path first and everything else through the kernel's
-/// pruned heap-select result path ([`SweepKernel::solve_top_k`]) — the
-/// full score vector never leaves the solver arena.
+/// one sweep-kernel solve. Top-k serving mode (`params.top_k`) routes
+/// personalized runs through the certified adaptive-push path first and
+/// everything else through the kernel's pruned heap-select result path
+/// ([`SweepKernel::solve_top_k`]) — the full score vector never leaves
+/// the solver arena.
 fn execute_stationary(
     id: &str,
     view: relgraph::GraphView<'_>,
     params: &AlgorithmParams,
     reference: Option<NodeId>,
 ) -> Result<RelevanceOutput, AlgoError> {
-    let Some(k) = params.top_k else {
-        let (s, c, t) = solve(view, params, reference)?;
-        return Ok(scored(id, s, c, t));
-    };
-    let exact = params.solver.scheme().is_some() || reference.is_none();
-    if !exact {
-        // Approximate local solvers (push, Monte Carlo) already produce
-        // their own estimates; trim their full output to the k best.
-        let (s, c, t) = solve(view, params, reference)?;
-        return Ok(scored_top_k(id, s.top_k(k), c, t));
-    }
     // A requested residual trace is a kernel diagnostic push cannot
     // produce — honor it by taking the exact path instead of returning
     // a silently trace-less result.
-    if let Some(r) = reference.filter(|_| !params.record_trace) {
+    if let (Some(k), Some(r)) = (params.top_k, reference.filter(|_| !params.record_trace)) {
         if let Some(push) = topk::push_top_k(view, params.damping, r, k)? {
             // Carry the Σ|r| certificate out as the result's residual:
             // each served estimate is below the exact score by at most
@@ -142,15 +87,21 @@ fn execute_stationary(
     }
     let teleport = TeleportVector::for_reference(view.node_count(), reference)?;
     let kernel = SweepKernel::new(view)?;
-    let out = kernel.solve_top_k(&params.solver_config(), &teleport, k)?;
-    Ok(scored_top_k(id, out.top, Some(out.convergence), out.trace))
+    match params.top_k {
+        Some(k) => {
+            let out = kernel.solve_top_k(&params.solver_config(), &teleport, k)?;
+            Ok(scored_top_k(id, out.top, Some(out.convergence), out.trace))
+        }
+        None => {
+            let out = kernel.solve(&params.solver_config(), &teleport)?;
+            Ok(scored(id, out.scores, Some(out.convergence), out.trace))
+        }
+    }
 }
 
 /// The warm-started stationary execution: seeds the kernel iterate from
 /// `prev` (a prior solution of a similar query, e.g. the same query before
-/// a graph mutation). Only the exact kernel schemes have an iterate to
-/// seed — approximate local solvers (push, Monte Carlo) ignore the warm
-/// start and run their normal path, which is always correct.
+/// a graph mutation).
 fn execute_stationary_warm(
     id: &str,
     view: relgraph::GraphView<'_>,
@@ -158,9 +109,6 @@ fn execute_stationary_warm(
     reference: Option<NodeId>,
     prev: &[f64],
 ) -> Result<RelevanceOutput, AlgoError> {
-    if params.solver.scheme().is_none() && reference.is_some() {
-        return execute_stationary(id, view, params, reference);
-    }
     let teleport = TeleportVector::for_reference(view.node_count(), reference)?;
     let kernel = SweepKernel::new(view)?;
     match params.top_k {
@@ -193,18 +141,13 @@ fn effective_reference(
 }
 
 /// The batched personalized solve shared by PPR and Pers. CheiRank: one
-/// multi-vector kernel sweep over `view` for every exact scheme; the
-/// approximate local solvers (push, Monte Carlo) have no fused formulation
-/// and solve seed-by-seed through [`solve`].
+/// multi-vector kernel sweep over `view` for every seed.
 fn solve_batch_personalized(
     id: &str,
     view: relgraph::GraphView<'_>,
     params: &AlgorithmParams,
     references: &[NodeId],
 ) -> Result<Vec<RelevanceOutput>, AlgoError> {
-    if matches!(params.solver, Solver::Push | Solver::MonteCarlo) {
-        return references.iter().map(|&r| execute_stationary(id, view, params, Some(r))).collect();
-    }
     let n = view.node_count();
     let teleports =
         references.iter().map(|&r| TeleportVector::single(n, r)).collect::<Result<Vec<_>, _>>()?;
@@ -229,6 +172,8 @@ fn validate_damping(params: &AlgorithmParams) -> Result<(), AlgoError> {
     Ok(())
 }
 
+/// The parameters of every sweep-kernel algorithm: the PageRank family
+/// and both 2DRank variants.
 fn sweep_kernel_params() -> Vec<ParamSpec> {
     vec![
         ParamSpec::new("damping", "float", "0.85", "damping factor α in (0, 1)"),
@@ -246,24 +191,8 @@ fn sweep_kernel_params() -> Vec<ParamSpec> {
             "false",
             "record per-iteration residuals in the result",
         ),
+        ParamSpec::new("solver", "enum", "parallel", "kernel update scheme: power | parallel"),
     ]
-}
-
-fn pagerank_family_params() -> Vec<ParamSpec> {
-    let mut ps = sweep_kernel_params();
-    ps.push(ParamSpec::new(
-        "solver",
-        "enum",
-        "parallel",
-        "numerical solver: power | parallel | push | monte_carlo",
-    ));
-    ps
-}
-
-fn tworank_params() -> Vec<ParamSpec> {
-    let mut ps = sweep_kernel_params();
-    ps.push(ParamSpec::new("solver", "enum", "parallel", "kernel update scheme: power | parallel"));
-    ps
 }
 
 fn cyclerank_params() -> Vec<ParamSpec> {
@@ -351,7 +280,7 @@ impl RelevanceAlgorithm for Stationary {
     }
 
     fn parameters(&self) -> Vec<ParamSpec> {
-        pagerank_family_params()
+        sweep_kernel_params()
     }
 
     fn validate(&self, params: &AlgorithmParams) -> Result<(), AlgoError> {
@@ -438,7 +367,7 @@ impl RelevanceAlgorithm for TwoDRank {
     }
 
     fn parameters(&self) -> Vec<ParamSpec> {
-        tworank_params()
+        sweep_kernel_params()
     }
 
     fn validate(&self, params: &AlgorithmParams) -> Result<(), AlgoError> {

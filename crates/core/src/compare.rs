@@ -109,8 +109,8 @@ pub fn rank_biased_overlap(a: &RankedList, b: &RankedList, p: f64) -> f64 {
 ///
 /// `NDCG@k = DCG@k / IDCG@k` with `DCG@k = Σ_{i<k} gain(r_i)/log2(i+2)`;
 /// 1.0 means the ranking puts the highest-gain nodes first. Used by the
-/// ablation benches to score approximate PPR solvers against the exact
-/// scores. Returns 1.0 when all gains are zero.
+/// scheme × tolerance ablation example to score loose-tolerance solves
+/// against tight ones. Returns 1.0 when all gains are zero.
 pub fn ndcg_at_k(ranking: &RankedList, gains: &[f64], k: usize) -> f64 {
     let k = k.min(gains.len());
     let discount = |i: usize| 1.0 / ((i + 2) as f64).log2();

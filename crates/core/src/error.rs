@@ -27,13 +27,6 @@ pub enum AlgoError {
         /// Human-readable constraint violated.
         message: String,
     },
-    /// The algorithm needs O(1) indexed neighbor access, which only the
-    /// standard CSR tier provides; the graph is stored in the compact
-    /// delta-encoded tier.
-    UnsupportedTier {
-        /// Algorithm that refused to run.
-        algorithm: &'static str,
-    },
 }
 
 impl fmt::Display for AlgoError {
@@ -54,13 +47,6 @@ impl fmt::Display for AlgoError {
             }
             AlgoError::InvalidParameter { name, message } => {
                 write!(f, "invalid parameter {name}: {message}")
-            }
-            AlgoError::UnsupportedTier { algorithm } => {
-                write!(
-                    f,
-                    "{algorithm} requires the standard CSR representation; \
-                     the dataset is stored in the compact tier"
-                )
             }
         }
     }

@@ -14,10 +14,9 @@
 //! | Personalized 2DRank | [`tworank`] | yes | ranking only |
 //! | **CycleRank** | [`cyclerank`] | yes | scores |
 //!
-//! plus two approximate Personalized-PageRank solvers used by the ablation
-//! benchmarks ([`push`] — Andersen–Chung–Lang forward push — and
-//! [`montecarlo`] — terminated random walks) and ranking-comparison
-//! metrics ([`compare`]).
+//! plus ranking-comparison metrics ([`compare`]). Andersen–Chung–Lang
+//! forward push ([`push`]) is no solver of its own: it serves only the
+//! certified top-k path and the incremental PPR refresh ([`topk`]).
 //!
 //! ## The invocation API
 //!
@@ -50,10 +49,13 @@
 //! 2DRank — is a thin parameterization (view orientation × teleport
 //! vector) of one shared edge-sweep engine, [`solver::SweepKernel`], with
 //! two interchangeable `f64` update schemes ([`solver::Scheme`]):
-//! sequential power iteration and chunked pull (the default).
-//! The default scheme forks threads only for sweeps big enough to pay for
-//! it while a core is free — small graphs sweep inline; an explicit
-//! thread count is always honored. Queries pick both fluently:
+//! sequential power iteration and chunked pull (the default). That kernel
+//! is the only PageRank-family solver: the task JSON's `"solver"` key
+//! names one of the two schemes, and the accuracy-for-time trade is the
+//! L1 `tolerance`. The default scheme forks threads only for sweeps big
+//! enough to pay for it while a core is free — small graphs sweep inline;
+//! an explicit thread count is always honored. Queries pick both
+//! fluently:
 //!
 //! ```
 //! use relcore::{Query, Scheme};
@@ -99,7 +101,6 @@ mod chunks;
 pub mod compare;
 pub mod cyclerank;
 pub mod error;
-pub mod montecarlo;
 pub mod pagerank;
 pub mod ppr;
 pub mod push;
@@ -122,7 +123,7 @@ pub use ppr::{personalized_pagerank, TeleportVector};
 pub use query::{BatchResult, Query, QueryError, QueryResult, QueryTarget, ReferenceSpec};
 pub use registry::{AlgorithmRegistry, RegistryError};
 pub use result::{RankedList, ScoreVector};
-pub use runner::{Algorithm, AlgorithmParams, RelevanceOutput, Solver};
+pub use runner::{Algorithm, AlgorithmParams, RelevanceOutput};
 pub use scoring::ScoringFunction;
 pub use solver::{ConvergenceTrace, Scheme, SolverConfig, SweepKernel, SweepOutcome, TopKOutcome};
 pub use topk::{refresh_ppr, PprRefresh};

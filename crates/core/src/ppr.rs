@@ -183,8 +183,9 @@ impl TeleportVector {
 
 /// Personalized PageRank with restart at a single reference node.
 ///
-/// This is the exact power-iteration solution; see [`crate::push`] and
-/// [`crate::montecarlo`] for approximate local alternatives.
+/// This is the exact power-iteration solution. A cheaper, less accurate
+/// answer is the same solve at a looser `tolerance`; the certified top-k
+/// path ([`crate::topk`]) is the one place push approximations serve.
 pub fn personalized_pagerank(
     view: GraphView<'_>,
     cfg: &PageRankConfig,

@@ -1,10 +1,8 @@
-//! Approximate Personalized PageRank by forward push
-//! (Andersen–Chung–Lang, FOCS 2006).
+//! Forward push for Personalized PageRank (Andersen–Chung–Lang, FOCS 2006),
+//! the engine under the certified top-k path and the incremental refresh.
 //!
-//! The demo paper remarks that for the PageRank family "more efficient
-//! algorithms are available" than full power iteration. Forward push is the
-//! classic local one: it maintains an *estimate* vector `p` and a *residual*
-//! vector `r` with the invariant
+//! Forward push is the classic local PPR method: it maintains an
+//! *estimate* vector `p` and a *residual* vector `r` with the invariant
 //!
 //! ```text
 //! ppr(s) = p + Σ_u r[u] · ppr(e_u)
@@ -15,10 +13,13 @@
 //! seed — sublinear for small ε on big graphs — at the price of
 //! approximation: every estimate is within `ε·deg` of the exact score.
 //!
-//! Originally this module existed for the ablation benchmark
-//! (`ppr_methods`); it is now also a first-class serving path — the top-k
-//! query layer ([`crate::topk`]) runs push adaptively and certifies its
-//! results against the residual mass exposed by [`ppr_push_full`].
+//! It is not a task solver: a full-rank solve is always the exact sweep
+//! kernel, whose `tolerance` is the cheaper accuracy-for-time trade. Push
+//! serves two callers only. The top-k query layer ([`crate::topk`]) runs
+//! it adaptively and certifies its results against the residual mass
+//! exposed by [`ppr_push_full`]; the incremental refresh
+//! ([`crate::topk::refresh_ppr`]) pushes a signed correction through
+//! [`ppr_push_seeded`].
 
 use crate::error::AlgoError;
 use crate::result::ScoreVector;
@@ -73,16 +74,7 @@ pub struct PushStats {
 /// Returns un-normalized estimates `p` with
 /// `|p[u] − ppr[u]| ≤ ε·out_degree(u)` for all `u` (dangling nodes treated
 /// as pushing their mass back to the seed, matching the exact solver's
-/// dangling redistribution).
-pub fn ppr_push(
-    view: GraphView<'_>,
-    cfg: &PushConfig,
-    seed: NodeId,
-) -> Result<(ScoreVector, PushStats), AlgoError> {
-    ppr_push_full(view, cfg, seed).map(|(p, _, stats)| (p, stats))
-}
-
-/// Like [`ppr_push`], but additionally returns the **residual mass**
+/// dangling redistribution), plus the **residual mass**
 /// `R = Σ_u |r[u]|` left at termination. By the push invariant
 /// `ppr = p + Σ_u r[u]·ppr(e_u)` and `ppr_v(u) ∈ [0, 1]`, every exact
 /// score lies in `[p[u], p[u] + R]` — the certificate the adaptive top-k
@@ -250,7 +242,7 @@ mod tests {
 
     fn approx_matches_exact(g: &relgraph::DirectedGraph, seed: u32, eps: f64) {
         let cfg = PushConfig { damping: 0.85, epsilon: eps, max_pushes: usize::MAX };
-        let (approx, _) = ppr_push(g.view(), &cfg, NodeId::new(seed)).unwrap();
+        let (approx, _, _) = ppr_push_full(g.view(), &cfg, NodeId::new(seed)).unwrap();
         let (exact, _) = personalized_pagerank(
             g.view(),
             &PageRankConfig { damping: 0.85, tolerance: 1e-14, max_iterations: 2000 },
@@ -305,14 +297,14 @@ mod tests {
         }
         let g = b.build();
         let cfg = PushConfig { damping: 0.5, epsilon: 1e-4, max_pushes: usize::MAX };
-        let (_, stats) = ppr_push(g.view(), &cfg, NodeId::new(0)).unwrap();
+        let (_, _, stats) = ppr_push_full(g.view(), &cfg, NodeId::new(0)).unwrap();
         assert!(stats.touched < 100, "touched {} of {}", stats.touched, n);
     }
 
     #[test]
     fn estimates_sum_below_one() {
         let g = GraphBuilder::from_edge_indices([(0, 1), (1, 0), (1, 2), (2, 1)]);
-        let (p, _) = ppr_push(g.view(), &PushConfig::default(), NodeId::new(0)).unwrap();
+        let (p, _, _) = ppr_push_full(g.view(), &PushConfig::default(), NodeId::new(0)).unwrap();
         assert!(p.sum() <= 1.0 + 1e-12);
         assert!(p.sum() > 0.9); // small graph, tight epsilon
     }
@@ -321,12 +313,12 @@ mod tests {
     fn invalid_inputs() {
         let g = GraphBuilder::from_edge_indices([(0, 1)]);
         let bad_eps = PushConfig { epsilon: 0.0, ..Default::default() };
-        assert!(ppr_push(g.view(), &bad_eps, NodeId::new(0)).is_err());
+        assert!(ppr_push_full(g.view(), &bad_eps, NodeId::new(0)).is_err());
         let bad_alpha = PushConfig { damping: 1.0, ..Default::default() };
-        assert!(ppr_push(g.view(), &bad_alpha, NodeId::new(0)).is_err());
-        assert!(ppr_push(g.view(), &PushConfig::default(), NodeId::new(9)).is_err());
+        assert!(ppr_push_full(g.view(), &bad_alpha, NodeId::new(0)).is_err());
+        assert!(ppr_push_full(g.view(), &PushConfig::default(), NodeId::new(9)).is_err());
         let empty = GraphBuilder::new().build();
-        assert!(ppr_push(empty.view(), &PushConfig::default(), NodeId::new(0)).is_err());
+        assert!(ppr_push_full(empty.view(), &PushConfig::default(), NodeId::new(0)).is_err());
     }
 
     #[test]
@@ -341,7 +333,7 @@ mod tests {
         }
         let g = b.build();
         let cfg = PushConfig { damping: 0.85, epsilon: 1e-12, max_pushes: 10 };
-        let (_, stats) = ppr_push(g.view(), &cfg, NodeId::new(0)).unwrap();
+        let (_, _, stats) = ppr_push_full(g.view(), &cfg, NodeId::new(0)).unwrap();
         assert!(stats.pushes <= 10);
     }
 }

@@ -30,7 +30,7 @@
 use crate::error::AlgoError;
 use crate::registry::AlgorithmRegistry;
 use crate::result::{RankedList, ScoreVector};
-use crate::runner::{Algorithm, AlgorithmParams, RelevanceOutput, Solver};
+use crate::runner::{Algorithm, AlgorithmParams, RelevanceOutput};
 use crate::scoring::ScoringFunction;
 use relgraph::{DirectedGraph, NodeId};
 use std::fmt;
@@ -290,16 +290,9 @@ impl Query {
         self
     }
 
-    /// Sets the PageRank-family solver.
-    pub fn solver(mut self, solver: Solver) -> Self {
-        self.params.solver = solver;
-        self
-    }
-
-    /// Sets the kernel update scheme (the exact subset of [`Solver`]:
-    /// power or chunked parallel pull).
+    /// Sets the kernel update scheme (power or chunked parallel pull).
     pub fn scheme(mut self, scheme: crate::solver::Scheme) -> Self {
-        self.params.solver = scheme.into();
+        self.params.solver = scheme;
         self
     }
 
@@ -381,11 +374,11 @@ impl Query {
     ///
     /// Warm starting is an execution strategy, not a semantic change: the
     /// solve converges to the same fixed point within the configured
-    /// tolerance regardless of `prev`. Algorithms without an iterate to
-    /// seed (CycleRank, 2DRank, the approximate push/Monte-Carlo solvers)
+    /// tolerance regardless of `prev`. Every PageRank-family query honors
+    /// it; algorithms without an iterate to seed (CycleRank, 2DRank)
     /// ignore it. The vector's length must match the graph's node count.
-    /// For **single-edge** mutations, the residual-push refresh
-    /// ([`crate::topk::refresh_ppr`]) is cheaper still.
+    /// For a **single-edge** mutation far from the seed, the residual-push
+    /// refresh ([`crate::topk::refresh_ppr`]) is cheaper still.
     pub fn warm_start(mut self, prev: impl Into<Arc<ScoreVector>>) -> Self {
         self.warm_start = Some(prev.into());
         self

@@ -39,8 +39,8 @@ impl fmt::Display for RegistryError {
 impl std::error::Error for RegistryError {}
 
 /// Normalizes a lookup name the same way `Algorithm::from_str` does:
-/// lowercase with `-`, `_` and spaces removed, so `Monte-Carlo`-style
-/// spellings and the paper's display names all resolve.
+/// lowercase with `-`, `_` and spaces removed, so hyphenated spellings
+/// and the paper's display names all resolve.
 pub fn normalize_key(name: &str) -> String {
     name.to_ascii_lowercase().replace(['-', '_', ' '], "")
 }

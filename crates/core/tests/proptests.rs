@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use relcore::cyclerank::{cyclerank, CycleRankConfig};
 use relcore::pagerank::{pagerank, PageRankConfig};
 use relcore::ppr::{personalized_pagerank, TeleportVector};
-use relcore::push::{ppr_push, PushConfig};
+use relcore::push::{ppr_push_full, PushConfig};
 use relcore::runner::Algorithm;
 use relcore::solver::{Scheme, SolverConfig, SweepKernel};
 use relcore::{AlgorithmRegistry, Query, ScoringFunction};
@@ -69,7 +69,7 @@ proptest! {
         let g = GraphBuilder::from_edge_indices(edges);
         let seed = NodeId::new(seed % g.node_count() as u32);
         let eps = 1e-6;
-        let (approx, _) = ppr_push(
+        let (approx, _, _) = ppr_push_full(
             g.view(),
             &PushConfig { damping: 0.85, epsilon: eps, max_pushes: usize::MAX },
             seed,

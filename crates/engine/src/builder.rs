@@ -3,7 +3,7 @@
 
 use crate::error::EngineError;
 use crate::task::TaskSpec;
-use relcore::runner::{Algorithm, AlgorithmParams, Solver};
+use relcore::runner::{Algorithm, AlgorithmParams};
 use relcore::{AlgorithmRegistry, Query, Scheme, ScoringFunction};
 
 /// Builds a validated [`TaskSpec`].
@@ -29,7 +29,7 @@ pub struct TaskBuilder {
     scoring: Option<ScoringFunction>,
     source: Option<String>,
     top_k: usize,
-    solver: Option<Solver>,
+    scheme: Option<Scheme>,
     threads: Option<usize>,
     record_trace: bool,
 }
@@ -45,7 +45,7 @@ impl TaskBuilder {
             scoring: None,
             source: None,
             top_k: 100,
-            solver: None,
+            scheme: None,
             threads: None,
             record_trace: false,
         }
@@ -75,15 +75,10 @@ impl TaskBuilder {
         self
     }
 
-    /// Selects the PageRank-family numerical solver.
-    pub fn solver(mut self, s: Solver) -> Self {
-        self.solver = Some(s);
+    /// Selects the kernel update scheme.
+    pub fn scheme(mut self, s: Scheme) -> Self {
+        self.scheme = Some(s);
         self
-    }
-
-    /// Selects the kernel update scheme (exact subset of [`Solver`]).
-    pub fn scheme(self, s: Scheme) -> Self {
-        self.solver(s.into())
     }
 
     /// Sets the chunk/thread count for the parallel scheme (0 = planned).
@@ -133,8 +128,8 @@ impl TaskBuilder {
         if let Some(s) = self.scoring {
             params = params.with_scoring(s);
         }
-        if let Some(s) = self.solver {
-            params = params.with_solver(s);
+        if let Some(s) = self.scheme {
+            params = params.with_scheme(s);
         }
         if let Some(n) = self.threads {
             params = params.with_threads(n);
@@ -201,21 +196,21 @@ mod tests {
     fn solver_selection() {
         let t = TaskBuilder::new("ds")
             .algorithm(Algorithm::PersonalizedPageRank)
-            .solver(Solver::Push)
+            .scheme(Scheme::Power)
             .source("x")
             .build()
             .unwrap();
-        assert_eq!(t.params.solver, Solver::Push);
+        assert_eq!(t.params.solver, Scheme::Power);
         // Parallel by default: the kernel's chunked pull scheme.
         let t = TaskBuilder::new("ds").build().unwrap();
-        assert_eq!(t.params.solver, Solver::Parallel);
+        assert_eq!(t.params.solver, Scheme::Parallel);
     }
 
     #[test]
     fn scheme_threads_and_trace_flow_into_params() {
         let t =
             TaskBuilder::new("ds").scheme(Scheme::Power).threads(3).trace(true).build().unwrap();
-        assert_eq!(t.params.solver, Solver::Power);
+        assert_eq!(t.params.solver, Scheme::Power);
         assert_eq!(t.params.threads, 3);
         assert!(t.params.record_trace);
     }

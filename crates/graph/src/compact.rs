@@ -18,8 +18,8 @@
 //!
 //! The compact form is immutable and read-optimized: sequential
 //! neighbor iteration decodes at memory speed, but there is no O(1)
-//! random access to the j-th neighbor (Monte Carlo walks and CycleRank's
-//! slice-based pruning therefore require the standard CSR).
+//! random access to the j-th neighbor (CycleRank's slice-based pruning
+//! therefore requires the standard CSR).
 //!
 //! [`GraphRef`] / [`GraphHandle`] are the borrowing / owning dispatch
 //! points over the two representations; [`crate::view::GraphView`]
@@ -576,7 +576,7 @@ impl CompactGraph {
 ///
 /// Copyable; the unit every algorithm signature takes. Use
 /// [`GraphRef::as_csr`] when an algorithm genuinely needs slice access
-/// (Monte Carlo's O(1) random neighbor indexing, CycleRank's pruning).
+/// (CycleRank's pruning).
 #[derive(Debug, Clone, Copy)]
 pub enum GraphRef<'a> {
     /// Standard CSR.

@@ -121,8 +121,7 @@ impl<'a> GraphView<'a> {
     }
 
     /// The underlying standard CSR, when that is the representation.
-    /// Algorithms that need O(1) indexed neighbor access (Monte Carlo
-    /// walks) gate on this.
+    /// Algorithms that need O(1) indexed neighbor access gate on this.
     #[inline]
     pub fn as_csr(&self) -> Option<&'a DirectedGraph> {
         self.repr.as_csr()

@@ -425,19 +425,25 @@ fn task_spec(req: &Request) -> Result<TaskSpec, Response> {
         spec.top_k = k;
         spec.params.top_k = Some(k);
     }
-    // Personalization requirements come from the algorithm's registry
-    // entry, not from enum-matching in this crate.
+    if lacks_source(&spec) {
+        return Err(Response::error(StatusCode::BadRequest, MISSING_SOURCE));
+    }
+    Ok(spec)
+}
+
+/// Why a spec that [`lacks_source`] is a 400.
+const MISSING_SOURCE: &str = "personalized algorithm requires a source";
+
+/// True when `spec` runs a personalized algorithm without a source: the
+/// rule `POST /api/tasks` and every `POST /api/query-sets` row share.
+/// Personalization requirements come from the algorithm's registry
+/// entry, not from enum-matching in this crate.
+fn lacks_source(spec: &TaskSpec) -> bool {
     let personalized = relcore::AlgorithmRegistry::global()
         .get(spec.params.algorithm.id())
         .map(|a| a.is_personalized())
         .unwrap_or(false);
-    if personalized && spec.source.is_none() {
-        return Err(Response::error(
-            StatusCode::BadRequest,
-            "personalized algorithm requires a source",
-        ));
-    }
-    Ok(spec)
+    personalized && spec.source.is_none()
 }
 
 /// `POST /api/batch`: many seeds, one dataset, one (personalized)
@@ -516,6 +522,13 @@ fn submit_query_set(req: &Request, engine: &Arc<Scheduler>) -> Response {
     };
     if specs.is_empty() {
         return Response::error(StatusCode::BadRequest, "query set is empty");
+    }
+    // All rows are checked before any is queued: a bad row rejects the set.
+    if let Some(row) = specs.iter().position(lacks_source) {
+        return Response::error(
+            StatusCode::BadRequest,
+            format!("query set row {row}: {MISSING_SOURCE}"),
+        );
     }
     let mut qs = relengine::QuerySet::new();
     for s in specs {
@@ -697,25 +710,21 @@ mod tests {
 
     #[test]
     fn removed_solver_spelling_is_a_typed_400() {
-        // The deleted Gauss–Seidel spelling (split so a repo-wide grep for
-        // it finds only history) answers the unknown-solver error shape of
+        // The deleted Gauss–Seidel, push and Monte-Carlo spellings (split
+        // so a repo-wide grep for them finds only history) answer the
+        // unknown-solver error shape of
         // tests/golden/task_bad_solver_error.json.
-        let spec = format!(
-            r#"{{"dataset": "fixture-fakenews-pl", "params": {{"algorithm": "page_rank", "solver": "{}"}}, "top_k": 3}}"#,
-            concat!("gauss", "_seidel")
-        );
-        let r = submit_sync(&spec);
-        assert_eq!(r.status, StatusCode::BadRequest, "{}", body_str(&r));
-        let v: serde_json::Value = serde_json::from_slice(&r.body).unwrap();
-        let keys: Vec<&str> = v.as_object().unwrap().keys().map(String::as_str).collect();
-        assert_eq!(keys, ["error"], "{v}");
-        assert_eq!(
-            v["error"],
-            format!(
-                "bad task spec: unknown Solver variant Some({:?})",
-                concat!("gauss", "_seidel")
-            )
-        );
+        for gone in [concat!("gauss", "_seidel"), "push", concat!("monte", "_carlo")] {
+            let spec = format!(
+                r#"{{"dataset": "fixture-fakenews-pl", "params": {{"algorithm": "page_rank", "solver": "{gone}"}}, "top_k": 3}}"#
+            );
+            let r = submit_sync(&spec);
+            assert_eq!(r.status, StatusCode::BadRequest, "{}", body_str(&r));
+            let v: serde_json::Value = serde_json::from_slice(&r.body).unwrap();
+            let keys: Vec<&str> = v.as_object().unwrap().keys().map(String::as_str).collect();
+            assert_eq!(keys, ["error"], "{v}");
+            assert_eq!(v["error"], format!("bad task spec: unknown Scheme variant Some({gone:?})"));
+        }
     }
 
     #[test]
@@ -926,6 +935,21 @@ mod tests {
 
         let empty = route(&post("/api/query-sets", "[]"), &e);
         assert_eq!(empty.status, StatusCode::BadRequest);
+
+        // A personalized row without a source is the 400 `POST /api/tasks`
+        // answers for the same spec, naming the row; nothing is queued.
+        let tracked = e.metrics().total;
+        let body = r#"[
+            {"dataset": "fixture-fakenews-pl", "params": {"algorithm": "page_rank"}, "source": null, "top_k": 3},
+            {"dataset": "fixture-fakenews-pl", "params": {"algorithm": "personalized_page_rank"}, "source": null, "top_k": 3}
+        ]"#;
+        let r = route(&post("/api/query-sets", body), &e);
+        assert_eq!(r.status, StatusCode::BadRequest, "{}", body_str(&r));
+        assert_eq!(
+            body_str(&r),
+            r#"{"error":"query set row 1: personalized algorithm requires a source"}"#
+        );
+        assert_eq!(e.metrics().total, tracked, "a rejected set queues nothing");
     }
 
     #[test]
