@@ -1,4 +1,5 @@
-//! Golden files for the HTTP JSON shapes a refactor must not move.
+//! Golden files for the HTTP JSON shapes and `relrank --json` outputs a
+//! refactor must not move.
 //!
 //! Hand-rolled snapshot testing (dependencies are vendored-only, so no
 //! `insta`): each test renders one response into a stable text form and
@@ -343,6 +344,159 @@ fn unknown_task_errors_match_golden() {
         include_str!("golden/unknown_task_errors.txt"),
         &rendered.join("\n"),
     );
+}
+
+/// One section per rejected submission: the request line, then the
+/// status and the pretty-printed error body.
+fn render_rejections(engine: &Arc<Scheduler>, cases: &[(&str, &str, &str)]) -> String {
+    cases
+        .iter()
+        .map(|&(path, query, body)| {
+            let (status, value) = respond(engine, Method::Post, path, query, body);
+            assert_eq!(status, StatusCode::BadRequest, "{path}?{query}: {value}");
+            let pretty = serde_json::to_string_pretty(&value).expect("render");
+            let query = if query.is_empty() { String::new() } else { format!("?{query}") };
+            format!("POST {path}{query}\n{status:?}\n{pretty}")
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn submission_rejections_match_golden() {
+    let ppr_no_source = r#"{"dataset": "fixture-fakenews-pl", "params": {"algorithm": "personalized_page_rank"}, "source": null, "top_k": 3}"#;
+    let ppr = r#"{"dataset": "fixture-enwiki-2018", "params": {"algorithm": "personalized_page_rank"}, "source": "Freddie Mercury", "top_k": 3}"#;
+    let too_many = (0..1025).map(|i| format!("\"s{i}\"")).collect::<Vec<_>>().join(",");
+    let oversized = format!(
+        r#"{{"dataset": "fixture-enwiki-2018", "params": {{"algorithm": "personalized_page_rank"}}, "sources": [{too_many}]}}"#
+    );
+    let row_one_missing = format!(
+        r#"[{{"dataset": "fixture-fakenews-pl", "params": {{"algorithm": "page_rank"}}, "source": null, "top_k": 3}}, {ppr_no_source}]"#
+    );
+    let engine = engine();
+    let actual = render_rejections(
+        &engine,
+        &[
+            ("/api/tasks", "", ppr_no_source),
+            ("/api/tasks", "sync=1", ppr_no_source),
+            ("/api/tasks", "top_k=lots", ppr),
+            (
+                "/api/batch",
+                "",
+                r#"{"dataset": "fixture-enwiki-2018", "params": {"algorithm": "personalized_page_rank"}, "sources": []}"#,
+            ),
+            (
+                "/api/batch",
+                "",
+                r#"{"dataset": "fixture-enwiki-2018", "params": {"algorithm": "page_rank"}, "sources": ["Freddie Mercury"]}"#,
+            ),
+            ("/api/batch", "", &oversized),
+            ("/api/query-sets", "", "[]"),
+            ("/api/query-sets", "", &row_one_missing),
+        ],
+    );
+    assert_eq!(engine.metrics().total, 0, "a rejected submission queues nothing");
+    assert_golden(
+        "submission_rejections.txt",
+        include_str!("golden/submission_rejections.txt"),
+        &actual,
+    );
+}
+
+#[test]
+fn submission_accepted_keys_match_golden() {
+    let engine = engine();
+    let batch = r#"{"dataset": "fixture-enwiki-2018", "params": {"algorithm": "personalized_page_rank"}, "sources": ["Freddie Mercury", "Brian May"], "top_k": 3}"#;
+    let query_set = r#"[
+        {"dataset": "fixture-fakenews-pl", "params": {"algorithm": "page_rank"}, "source": null, "top_k": 3},
+        {"dataset": "fixture-fakenews-pl", "params": {"algorithm": "cycle_rank"}, "source": "Fake news", "top_k": 3}
+    ]"#;
+    let rendered: Vec<String> = [("/api/batch", batch), ("/api/query-sets", query_set)]
+        .into_iter()
+        .map(|(path, body)| {
+            let (status, value) = respond(&engine, Method::Post, path, "", body);
+            assert_eq!(status, StatusCode::Accepted, "{path}: {value}");
+            format!("POST {path}\n{}", key_paths(&value))
+        })
+        .collect();
+    assert_golden(
+        "submission_accepted_keys.txt",
+        include_str!("golden/submission_accepted_keys.txt"),
+        &rendered.join("\n"),
+    );
+}
+
+/// Runs `relrank <args>` in process and returns its stdout.
+fn relrank(args: &[&str]) -> String {
+    let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+    let cli = relcli::parse_args(&args).expect("valid arguments");
+    relcli::run(cli).unwrap_or_else(|e| panic!("relrank {args:?}: {e}"))
+}
+
+/// `relrank ... --json` output with what varies between runs (task ids and
+/// wall-clock timings) masked at every depth, pretty-printed.
+fn masked_cli_json(stdout: &str) -> String {
+    fn mask(value: &mut Value) {
+        match value {
+            Value::Object(map) => {
+                for (key, child) in map.iter_mut() {
+                    if ["task_id", "runtime_ms", "amortized_ms_per_seed"].contains(&key.as_str()) {
+                        *child = Value::String("<masked>".into());
+                    } else {
+                        mask(child);
+                    }
+                }
+            }
+            Value::Array(items) => items.iter_mut().for_each(mask),
+            _ => {}
+        }
+    }
+    let mut value: Value = serde_json::from_str(stdout).expect("JSON output");
+    mask(&mut value);
+    serde_json::to_string_pretty(&value).expect("render")
+}
+
+#[test]
+fn cli_run_json_matches_golden() {
+    let rendered: Vec<String> = ["ppr", "cyclerank"]
+        .into_iter()
+        .map(|algorithm| {
+            let args = [
+                "run",
+                "--dataset",
+                "fixture-enwiki-2018",
+                "--algorithm",
+                algorithm,
+                "--source",
+                "Freddie Mercury",
+                "--top",
+                "5",
+                "--json",
+            ];
+            format!("# relrank {}\n{}", args.join(" "), masked_cli_json(&relrank(&args)))
+        })
+        .collect();
+    assert_golden(
+        "cli_run_json.txt",
+        include_str!("golden/cli_run_json.txt"),
+        &rendered.join("\n"),
+    );
+}
+
+#[test]
+fn cli_batch_json_matches_golden() {
+    let args = [
+        "batch",
+        "--dataset",
+        "fixture-enwiki-2018",
+        "--seeds",
+        "Freddie Mercury,Brian May",
+        "--top",
+        "3",
+        "--json",
+    ];
+    let actual = format!("# relrank {}\n{}", args.join(" "), masked_cli_json(&relrank(&args)));
+    assert_golden("cli_batch_json.txt", include_str!("golden/cli_batch_json.txt"), &actual);
 }
 
 const UPLOAD: &str = r#"{"name": "golden-net", "content": "*Vertices 2\n1 \"me\"\n2 \"friend\"\n*Arcs\n1 2\n2 1\n"}"#;
