@@ -5,10 +5,11 @@
 //! capturing stdout.
 
 use crate::args::{BatchSpecArgs, CompareDatasetsSpec, CompareSpec, MutateSpec, RunSpec};
-use relcore::{AlgorithmRegistry, Query};
+use relcore::{AlgorithmParams, AlgorithmRegistry, Query};
 use relengine::prelude::*;
+use relengine::EngineError;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(600);
 
@@ -104,115 +105,66 @@ pub fn stats(dataset: &str) -> Result<String, String> {
     ))
 }
 
-/// Solver-related CLI flags, bundled so `build_query` stays readable.
-#[derive(Debug, Clone, Default)]
-struct SolverFlags {
-    /// `--scheme`: kernel update scheme.
-    scheme: Option<relcore::Scheme>,
-    /// `--threads`: worker threads for the parallel scheme.
-    threads: Option<usize>,
-    /// `--trace`: record per-iteration residuals.
-    trace: bool,
-    /// `--top-k`: top-k-only serving mode.
-    top_k: Option<usize>,
+/// Fails fast on an algorithm name the registry does not know.
+fn known_algorithm(name: &str) -> Result<(), String> {
+    match AlgorithmRegistry::global().get(name) {
+        Some(_) => Ok(()),
+        None => Err(format!("unknown algorithm {name:?} (see `relrank algorithms`)")),
+    }
 }
 
-/// Builds a registry-backed [`Query`] from CLI flags. The algorithm name
-/// resolves through the [`AlgorithmRegistry`], so any registered id or
-/// alias works — not just the seven paper algorithms.
-#[allow(clippy::too_many_arguments)]
-fn build_query(
-    target: impl Into<relcore::QueryTarget>,
-    algorithm: &str,
-    source: Option<&str>,
-    alpha: Option<f64>,
-    k: Option<u32>,
-    sigma: Option<&str>,
-    solver: SolverFlags,
-    top: usize,
-) -> Result<Query, String> {
-    // Fail fast on unknown names, with the registry as source of truth.
-    AlgorithmRegistry::global()
-        .get(algorithm)
-        .ok_or_else(|| format!("unknown algorithm {algorithm:?} (see `relrank algorithms`)"))?;
-    let mut q = Query::on(target).algorithm(algorithm).top(top);
-    if let Some(s) = solver.scheme {
-        q = q.scheme(s);
-    }
-    if let Some(n) = solver.threads {
-        q = q.threads(n);
-    }
-    if let Some(k) = solver.top_k {
-        q = q.top_k(k);
-    }
-    q = q.trace(solver.trace);
-    if let Some(a) = alpha {
-        q = q.alpha(a);
-    }
-    if let Some(k) = k {
-        q = q.k(k);
-    }
-    if let Some(s) = sigma {
-        q = q.scoring(s.parse()?);
-    }
-    if let Some(s) = source {
-        q = q.reference(s);
-    }
-    Ok(q)
-}
-
-/// `run`: execute one query and print its top-k. With `--file`, the graph
-/// is loaded from disk and queried directly.
+/// `run`: execute one task and print its top-k. A catalog dataset runs
+/// through the engine's executor, so `--json` is the result `POST
+/// /api/tasks?sync=1` returns; with `--file`, the graph is loaded from
+/// disk and queried directly (the task wire format names datasets).
 pub fn run_task(spec: RunSpec) -> Result<String, String> {
+    known_algorithm(&spec.algorithm)?;
     let target: relcore::QueryTarget = match &spec.file {
-        Some(path) => {
-            let graph = relformats::load_graph(path).map_err(|e| e.to_string())?;
-            Arc::new(graph).into()
+        Some(path) => Arc::new(relformats::load_graph(path).map_err(|e| e.to_string())?).into(),
+        None => spec.dataset.as_str().into(),
+    };
+    let mut query = Query::on(target).algorithm(spec.algorithm.as_str()).top(spec.top);
+    if let Some(s) = spec.scheme {
+        query = query.scheme(s);
+    }
+    if let Some(n) = spec.threads {
+        query = query.threads(n);
+    }
+    if let Some(k) = spec.top_k {
+        query = query.top_k(k);
+    }
+    query = query.trace(spec.trace);
+    if let Some(a) = spec.alpha {
+        query = query.alpha(a);
+    }
+    if let Some(k) = spec.k {
+        query = query.k(k);
+    }
+    if let Some(s) = &spec.sigma {
+        query = query.scoring(s.parse()?);
+    }
+    if let Some(s) = &spec.source {
+        query = query.reference(s.as_str());
+    }
+    let id = TaskId::fresh();
+    let result = match &spec.file {
+        Some(_) => {
+            let r =
+                query.run().map_err(|e| EngineError::from_query(e, &spec.dataset).to_string())?;
+            TaskResult::package(&id, &spec.dataset, spec.source.clone(), &r)
         }
         None => {
-            reldata::connect_query_api();
-            spec.dataset.as_str().into()
+            let task = TaskSpec::from_query(&query).map_err(|e| e.to_string())?;
+            Executor::new().execute(&id, &task).map_err(|e| e.to_string())?
         }
-    };
-    let query = build_query(
-        target,
-        &spec.algorithm,
-        spec.source.as_deref(),
-        spec.alpha,
-        spec.k,
-        spec.sigma.as_deref(),
-        SolverFlags {
-            scheme: spec.scheme,
-            threads: spec.threads,
-            trace: spec.trace,
-            top_k: spec.top_k,
-        },
-        spec.top,
-    )?;
-    let r = query.run().map_err(|e| e.to_string())?;
-    let id = TaskId::fresh();
-    let result = TaskResult {
-        task_id: id.clone(),
-        dataset: spec.dataset.clone(),
-        algorithm: r.algorithm.clone(),
-        parameters: r.parameters.clone(),
-        source: spec.source.clone(),
-        top: r.top_entries(),
-        runtime_ms: r.runtime.as_millis() as u64,
-        nodes: r.graph.node_count(),
-        edges: r.graph.edge_count(),
-        iterations: r.output.convergence.map(|c| c.iterations),
-        residual: r.output.convergence.map(|c| c.residual),
-        converged: r.output.convergence.map(|c| c.converged),
-        residuals: r.output.trace.as_ref().map(|t| t.residuals.clone()),
-        cycles_found: r.output.cycles_found,
     };
 
     if spec.json {
         return serde_json::to_string_pretty(&result).map_err(|e| e.to_string());
     }
     let mut out = format!(
-        "task {id}\ndataset {} ({} nodes, {} edges)\nalgorithm {} [{}]  runtime {}ms\n",
+        "task {}\ndataset {} ({} nodes, {} edges)\nalgorithm {} [{}]  runtime {}ms\n",
+        result.task_id,
         result.dataset,
         result.nodes,
         result.edges,
@@ -256,7 +208,7 @@ pub fn run_task(spec: RunSpec) -> Result<String, String> {
 /// commas. Labels that themselves contain a comma (e.g. "Paris, France")
 /// cannot be written in list form — use the `@file` form for those.
 fn expand_seeds(arg: &str) -> Result<Vec<String>, String> {
-    let seeds: Vec<String> = match arg.strip_prefix('@') {
+    Ok(match arg.strip_prefix('@') {
         Some(path) => std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read seed file {path:?}: {e}"))?
             .lines()
@@ -267,74 +219,57 @@ fn expand_seeds(arg: &str) -> Result<Vec<String>, String> {
         None => {
             arg.split(',').map(str::trim).filter(|s| !s.is_empty()).map(str::to_string).collect()
         }
-    };
-    if seeds.is_empty() {
-        return Err("no seeds given (use --seeds a,b,c or --seeds @file)".into());
-    }
-    Ok(seeds)
+    })
 }
 
 /// `batch`: one personalized algorithm over many seeds, solved in a single
-/// multi-vector sweep — the request-serving path for high-QPS
-/// personalization, on the command line.
+/// multi-vector sweep through the engine's executor — the request-serving
+/// path for high-QPS personalization, on the command line. `--json`
+/// prints one task result per seed, as `GET /api/tasks/{id}/result`
+/// returns each batch member.
 pub fn batch(spec: BatchSpecArgs) -> Result<String, String> {
-    let seeds = expand_seeds(&spec.seeds)?;
-    reldata::connect_query_api();
-    let mut q = Query::on(spec.dataset.as_str())
-        .algorithm(spec.algorithm.as_str())
-        .seeds(seeds.iter().map(String::as_str))
-        .top(spec.top);
+    known_algorithm(&spec.algorithm)?;
+    let mut params = AlgorithmParams::new(spec.algorithm.parse()?);
     if let Some(a) = spec.alpha {
-        q = q.alpha(a);
+        params = params.with_damping(a);
     }
     if let Some(s) = spec.scheme {
-        q = q.scheme(s);
+        params = params.with_scheme(s);
     }
     if let Some(n) = spec.threads {
-        q = q.threads(n);
+        params = params.with_threads(n);
     }
+    let sources = expand_seeds(&spec.seeds)?;
+    let mut task = BatchSpec { dataset: spec.dataset, params, sources, top_k: spec.top };
     if let Some(k) = spec.top_k {
-        q = q.top_k(k);
+        task.serve_top_k(k);
     }
-    let batch = q.run_batch().map_err(|e| e.to_string())?;
+    task.validate().map_err(|e| e.to_string())?;
+    let ex = Executor::new();
+    // Load before the clock starts: the timing below is the solve.
+    let graph = ex.dataset(&task.dataset).map_err(|e| e.to_string())?;
+    let ids: Vec<TaskId> = task.sources.iter().map(|_| TaskId::fresh()).collect();
+    let started = Instant::now();
+    let results = ex.execute_batch(&ids, &task).map_err(|e| e.to_string())?;
+    let runtime = started.elapsed();
 
     if spec.json {
-        let entries: Vec<serde_json::Value> = seeds
-            .iter()
-            .enumerate()
-            .map(|(i, seed)| {
-                serde_json::json!({
-                    "seed": seed,
-                    "top": batch.top_entries(i),
-                })
-            })
-            .collect();
-        return serde_json::to_string_pretty(&serde_json::json!({
-            "dataset": spec.dataset,
-            "algorithm": batch.algorithm,
-            "parameters": batch.parameters,
-            "seeds": seeds.len(),
-            "runtime_ms": batch.runtime.as_millis() as u64,
-            "amortized_ms_per_seed": batch.runtime_per_seed().as_millis() as u64,
-            "results": entries,
-        }))
-        .map_err(|e| e.to_string());
+        return serde_json::to_string_pretty(&results).map_err(|e| e.to_string());
     }
-
+    let (algorithm, parameters) =
+        results.first().map(|r| (r.algorithm.as_str(), r.parameters.as_str())).unwrap_or_default();
     let mut out = format!(
-        "dataset {} ({} nodes, {} edges)\nalgorithm {} [{}]\n{} seeds in {}ms ({:.2}ms/seed amortized)\n",
-        spec.dataset,
-        batch.graph.node_count(),
-        batch.graph.edge_count(),
-        batch.algorithm,
-        batch.parameters,
-        seeds.len(),
-        batch.runtime.as_millis(),
-        batch.runtime.as_secs_f64() * 1e3 / seeds.len() as f64,
+        "dataset {} ({} nodes, {} edges)\nalgorithm {algorithm} [{parameters}]\n{} seeds in {}ms ({:.2}ms/seed amortized)\n",
+        task.dataset,
+        graph.node_count(),
+        graph.edge_count(),
+        results.len(),
+        runtime.as_millis(),
+        runtime.as_secs_f64() * 1e3 / results.len() as f64,
     );
-    for (i, seed) in seeds.iter().enumerate() {
-        out.push_str(&format!("\nseed {seed}\n"));
-        for (rank, (label, score)) in batch.top_entries(i).iter().enumerate() {
+    for r in &results {
+        out.push_str(&format!("\nseed {}\n", r.source.as_deref().unwrap_or_default()));
+        for (rank, (label, score)) in r.top.iter().enumerate() {
             out.push_str(&format!("{:>3}  {:<40} {:.6}\n", rank + 1, label, score));
         }
     }
@@ -388,7 +323,7 @@ pub fn mutate(spec: MutateSpec) -> Result<String, String> {
             }
             let mut task = b.build().map_err(|e| e.to_string())?;
             if let Some(k) = spec.top_k {
-                task.params.top_k = Some(k);
+                task.serve_top_k(k);
             }
             Some(task)
         }
@@ -454,21 +389,17 @@ pub fn compare(spec: CompareSpec) -> Result<String, String> {
     let engine = Scheduler::builder().workers(spec.algorithms.len().max(1)).build();
     let mut qs = QuerySet::new();
     for name in &spec.algorithms {
-        let algo = AlgorithmRegistry::global()
-            .get(name)
-            .ok_or_else(|| format!("unknown algorithm {name:?} (see `relrank algorithms`)"))?;
-        let source = algo.is_personalized().then_some(spec.source.as_str());
-        let query = build_query(
-            spec.dataset.as_str(),
-            name,
-            source,
-            None,
-            None,
-            None,
-            SolverFlags::default(),
-            spec.top,
-        )?;
-        qs.add(TaskSpec::from_query(&query).map_err(|e| e.to_string())?);
+        known_algorithm(name)?;
+        let query = Query::on(spec.dataset.as_str()).algorithm(name.as_str()).top(spec.top);
+        // A row takes the reference only where the engine's task rules
+        // require one (personalized algorithms), as in Fig. 2.
+        let task = match TaskSpec::from_query(&query) {
+            Err(EngineError::MissingSource) => {
+                TaskSpec::from_query(&query.reference(spec.source.as_str()))
+            }
+            other => other,
+        };
+        qs.add(task.map_err(|e| e.to_string())?);
     }
     let ids = engine.submit_query_set(&qs);
     let results = engine.wait_all(&ids, WAIT).map_err(|e| e.to_string())?;
@@ -500,17 +431,13 @@ pub fn compare_datasets(spec: CompareDatasetsSpec) -> Result<String, String> {
     let engine = Scheduler::builder().workers(spec.datasets.len().max(1)).build();
     let mut qs = QuerySet::new();
     for ds in &spec.datasets {
-        let query = build_query(
-            ds.as_str(),
-            "cyclerank",
-            Some(&spec.source),
-            None,
-            Some(spec.k),
-            None,
-            SolverFlags::default(),
-            spec.top,
-        )?;
-        qs.add(TaskSpec::from_query(&query).map_err(|e| e.to_string())?);
+        let task = TaskBuilder::new(ds.as_str())
+            .algorithm(Algorithm::CycleRank)
+            .max_cycle_len(spec.k)
+            .source(spec.source.as_str())
+            .top_k(spec.top)
+            .build();
+        qs.add(task.map_err(|e| e.to_string())?);
     }
     let ids = engine.submit_query_set(&qs);
     let results = engine.wait_all(&ids, WAIT).map_err(|e| e.to_string())?;
@@ -1154,10 +1081,12 @@ mod tests {
             json: true,
         })
         .unwrap();
+        // One task result per seed, as GET /api/tasks/{id}/result answers.
         let v: serde_json::Value = serde_json::from_str(&out).unwrap();
-        assert_eq!(v["seeds"], 2, "comments and blanks skipped");
-        assert_eq!(v["results"].as_array().unwrap().len(), 2);
-        assert_eq!(v["results"][1]["seed"], "Brian May");
+        assert_eq!(v.as_array().unwrap().len(), 2, "comments and blanks skipped");
+        assert_eq!(v[1]["source"], "Brian May");
+        assert_eq!(v[1]["top"].as_array().unwrap().len(), 3);
+        assert_eq!(v[0]["algorithm"], "ppr");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1175,7 +1104,7 @@ mod tests {
             json: false,
         };
         // Empty seed expansion.
-        assert!(batch(base.clone()).is_err());
+        assert_eq!(batch(base.clone()).unwrap_err(), "batch has no sources");
         // Missing seed file.
         assert!(batch(BatchSpecArgs { seeds: "@/no/such/file".into(), ..base.clone() }).is_err());
         // Global algorithm.
@@ -1185,7 +1114,10 @@ mod tests {
             ..base.clone()
         })
         .unwrap_err();
-        assert!(err.contains("global"), "{err}");
+        assert_eq!(
+            err,
+            "batch queries require a personalized algorithm (each seed is one personalization)"
+        );
         // Unknown seed.
         assert!(batch(BatchSpecArgs { seeds: "No Such Page".into(), ..base }).is_err());
     }

@@ -159,6 +159,81 @@ fn runtime_error_exits_1() {
 }
 
 #[test]
+fn task_rule_violations_exit_1_with_the_engine_text() {
+    const MISSING: &str = "personalized algorithm requires a source";
+    const GLOBAL: &str =
+        "batch queries require a personalized algorithm (each seed is one personalization)";
+    let ds = "fixture-enwiki-2018";
+    let cases: [(&[&str], &str); 3] = [
+        (&["run", "--dataset", ds, "--algorithm", "ppr"], MISSING),
+        (&["mutate", "--dataset", ds, "--add", "Brian May->Pasta", "--algorithm", "ppr"], MISSING),
+        (
+            &["batch", "--dataset", ds, "--algorithm", "pagerank", "--seeds", "Freddie Mercury"],
+            GLOBAL,
+        ),
+    ];
+    for (args, text) in cases {
+        let (code, stdout, stderr) = relrank(args);
+        assert_eq!(code, 1, "{args:?}: {stdout}{stderr}");
+        assert_eq!(stderr, format!("error: {text}\n"), "{args:?}");
+    }
+}
+
+/// `relrank run --json` for every built-in equals the `POST
+/// /api/tasks?sync=1` body of the same spec, bit for bit, once the task id
+/// and the wall-clock runtime are masked.
+#[test]
+fn run_json_equals_the_http_sync_body_for_every_algorithm() {
+    use relserver::http::Method;
+    use std::sync::Arc;
+    let mask = |mut v: serde_json::Value| {
+        if let serde_json::Value::Object(map) = &mut v {
+            for key in ["task_id", "runtime_ms"] {
+                map.insert(key.to_string(), serde_json::Value::Null);
+            }
+        }
+        serde_json::to_string(&v).unwrap()
+    };
+    let engine = Arc::new(relengine::Scheduler::builder().workers(1).build());
+    let algorithms = [
+        ("pagerank", "page_rank", false),
+        ("ppr", "personalized_page_rank", true),
+        ("cheirank", "chei_rank", false),
+        ("pcheirank", "personalized_chei_rank", true),
+        ("2drank", "two_d_rank", false),
+        ("p2drank", "personalized_two_d_rank", true),
+        ("cyclerank", "cycle_rank", true),
+    ];
+    for (id, tag, personalized) in algorithms {
+        let mut args = vec!["run", "--dataset", "fixture-enwiki-2018", "--algorithm", id];
+        args.extend(["--top", "10", "--json"]);
+        let source = if personalized {
+            args.extend(["--source", "Freddie Mercury"]);
+            r#""Freddie Mercury""#
+        } else {
+            "null"
+        };
+        let (code, stdout, stderr) = relrank(&args);
+        assert_eq!(code, 0, "{id}: {stderr}");
+        let body = format!(
+            r#"{{"dataset": "fixture-enwiki-2018", "params": {{"algorithm": "{tag}"}}, "source": {source}, "top_k": 10}}"#
+        );
+        let request = relserver::Request {
+            method: Method::Post,
+            path: "/api/tasks".into(),
+            query: "sync=1".into(),
+            headers: Default::default(),
+            body: body.into_bytes(),
+        };
+        let response = relserver::routes::route(&request, &engine);
+        assert_eq!(response.status, relserver::StatusCode::Ok, "{id}");
+        let cli: serde_json::Value = serde_json::from_str(&stdout).unwrap();
+        let http: serde_json::Value = serde_json::from_slice(&response.body).unwrap();
+        assert_eq!(mask(cli), mask(http), "{id}");
+    }
+}
+
+#[test]
 fn mutate_replay_and_journal_verify_round_trip() {
     let dir = std::env::temp_dir().join(format!("relrank-bin-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -4,7 +4,7 @@
 use crate::error::EngineError;
 use crate::task::TaskSpec;
 use relcore::runner::{Algorithm, AlgorithmParams};
-use relcore::{AlgorithmRegistry, Query, Scheme, ScoringFunction};
+use relcore::{Scheme, ScoringFunction};
 
 /// Builds a validated [`TaskSpec`].
 ///
@@ -105,19 +105,10 @@ impl TaskBuilder {
         self
     }
 
-    /// Validates and produces the [`TaskSpec`].
-    ///
-    /// Personalization requirements come from the algorithm's registry
-    /// entry; fails with [`EngineError::MissingSource`] when a
-    /// personalized algorithm has no source label.
+    /// Produces the [`TaskSpec`], checked by [`TaskSpec::validate`]
+    /// (e.g. [`EngineError::MissingSource`] when a personalized algorithm
+    /// has no source label).
     pub fn build(self) -> Result<TaskSpec, EngineError> {
-        let registered = AlgorithmRegistry::global()
-            .get(self.algorithm.id())
-            // rellint: allow(panic-hygiene) -- the global registry seeds every built-in id at init
-            .expect("built-in algorithms are always registered");
-        if registered.is_personalized() && self.source.is_none() {
-            return Err(EngineError::MissingSource);
-        }
         let mut params = AlgorithmParams::new(self.algorithm);
         if let Some(a) = self.damping {
             params = params.with_damping(a);
@@ -135,19 +126,10 @@ impl TaskBuilder {
             params = params.with_threads(n);
         }
         params = params.with_trace(self.record_trace);
-        Ok(TaskSpec { dataset: self.dataset, params, source: self.source, top_k: self.top_k })
-    }
-
-    /// Builds the equivalent [`Query`] instead of a wire-format spec —
-    /// the same validation, but runnable directly (and open to any
-    /// registered algorithm via [`Query::algorithm`]).
-    pub fn into_query(self) -> Result<Query, EngineError> {
-        let spec = self.build()?;
-        let mut query = Query::on(spec.dataset.as_str()).params(spec.params).top(spec.top_k);
-        if let Some(source) = spec.source {
-            query = query.reference(source);
-        }
-        Ok(query)
+        let spec =
+            TaskSpec { dataset: self.dataset, params, source: self.source, top_k: self.top_k };
+        spec.validate()?;
+        Ok(spec)
     }
 }
 

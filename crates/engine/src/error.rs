@@ -1,5 +1,6 @@
 //! Engine error type.
 
+use relcore::QueryError;
 use std::fmt;
 
 /// Errors surfaced by the execution engine.
@@ -18,6 +19,9 @@ pub enum EngineError {
     },
     /// A personalized algorithm was submitted without a source.
     MissingSource,
+    /// A batch breaks a batch rule: it has no sources, or its algorithm
+    /// is global (each seed is one personalization).
+    InvalidBatch(&'static str),
     /// The algorithm itself failed.
     Algorithm(String),
     /// No such task id.
@@ -53,9 +57,8 @@ impl fmt::Display for EngineError {
             EngineError::UnknownSource { dataset, source } => {
                 write!(f, "no node labeled {source:?} in dataset {dataset:?}")
             }
-            EngineError::MissingSource => {
-                write!(f, "personalized algorithm requires a source node")
-            }
+            EngineError::MissingSource => f.write_str("personalized algorithm requires a source"),
+            EngineError::InvalidBatch(rule) => f.write_str(rule),
             EngineError::Algorithm(e) => write!(f, "algorithm error: {e}"),
             EngineError::UnknownTask(t) => write!(f, "unknown task {t:?}"),
             EngineError::Timeout(t) => write!(f, "timed out waiting for task {t:?}"),
@@ -77,6 +80,23 @@ impl std::error::Error for EngineError {}
 impl From<relcore::AlgoError> for EngineError {
     fn from(e: relcore::AlgoError) -> Self {
         EngineError::Algorithm(e.to_string())
+    }
+}
+
+impl EngineError {
+    /// Maps a [`relcore::Query`] failure against `dataset` onto the
+    /// engine's error vocabulary, so a query that skipped
+    /// [`crate::TaskSpec::validate`] fails with the same text as one that
+    /// did not.
+    pub fn from_query(e: QueryError, dataset: &str) -> EngineError {
+        match e {
+            QueryError::MissingReference(_) => EngineError::MissingSource,
+            QueryError::UnknownReference(source) => {
+                EngineError::UnknownSource { dataset: dataset.to_string(), source }
+            }
+            QueryError::Algorithm(e) => e.into(),
+            other => EngineError::Algorithm(other.to_string()),
+        }
     }
 }
 

@@ -18,7 +18,7 @@ use crate::mutation::{EdgeOp, MutationOutcome};
 use crate::persist::GraphPersistence;
 use crate::task::{BatchSpec, TaskId, TaskSpec};
 use parking_lot::Mutex;
-use relcore::{with_arena, Query, QueryError, QueryResult, SolverArena};
+use relcore::{with_arena, Query, QueryResult, SolverArena};
 use relgraph::{DirectedGraph, DynamicGraph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -105,6 +105,35 @@ pub struct TaskResult {
     pub residuals: Option<Vec<f64>>,
     /// Cycles found, for CycleRank.
     pub cycles_found: Option<u64>,
+}
+
+impl TaskResult {
+    /// Packages a finished [`QueryResult`] as task `id`'s stored result:
+    /// the one constructor the executor, batch fan-out and `relrank run
+    /// --file` share, so every front door reports a solve the same way.
+    pub fn package(
+        id: &TaskId,
+        dataset: &str,
+        source: Option<String>,
+        result: &QueryResult,
+    ) -> TaskResult {
+        TaskResult {
+            task_id: id.clone(),
+            dataset: dataset.to_string(),
+            algorithm: result.algorithm.clone(),
+            parameters: result.parameters.clone(),
+            source,
+            top: result.top_entries(),
+            runtime_ms: result.runtime.as_millis() as u64,
+            nodes: result.graph.node_count(),
+            edges: result.graph.edge_count(),
+            iterations: result.output.convergence.map(|c| c.iterations),
+            residual: result.output.convergence.map(|c| c.residual),
+            converged: result.output.convergence.map(|c| c.converged),
+            residuals: result.output.trace.as_ref().map(|t| t.residuals.clone()),
+            cycles_found: result.output.cycles_found,
+        }
+    }
 }
 
 /// Dataset- and result-caching task executor.
@@ -498,9 +527,9 @@ impl Executor {
             query = query.reference(source.as_str());
         }
         let arena = self.arena_for(&spec.dataset);
-        let result =
-            with_arena(&arena, || query.run()).map_err(|e| map_query_error(e, &spec.dataset))?;
-        let result = package(id, &spec.dataset, spec.source.clone(), &result);
+        let result = with_arena(&arena, || query.run())
+            .map_err(|e| EngineError::from_query(e, &spec.dataset))?;
+        let result = TaskResult::package(id, &spec.dataset, spec.source.clone(), &result);
         self.results.put(key, result.clone());
         Ok(result)
     }
@@ -535,9 +564,14 @@ impl Executor {
                 .top(spec.top_k)
                 .seeds(missed.iter().map(|&i| spec.sources[i].as_str()));
             let batch = with_arena(&arena, || query.run_batch())
-                .map_err(|e| map_query_error(e, &spec.dataset))?;
+                .map_err(|e| EngineError::from_query(e, &spec.dataset))?;
             for (&i, result) in missed.iter().zip(batch.into_results()) {
-                let r = package(&ids[i], &spec.dataset, Some(spec.sources[i].clone()), &result);
+                let r = TaskResult::package(
+                    &ids[i],
+                    &spec.dataset,
+                    Some(spec.sources[i].clone()),
+                    &result,
+                );
                 self.results.put(keys[i].clone(), r.clone());
                 slots[i] = Some(r);
             }
@@ -644,38 +678,6 @@ fn mutation_error(dataset: &str, endpoint: &str, detail: String) -> EngineError 
     EngineError::InvalidMutation(format!("dataset {dataset:?}, endpoint {endpoint:?}: {detail}"))
 }
 
-/// Maps a front-door query failure onto the engine's error vocabulary.
-fn map_query_error(e: QueryError, dataset: &str) -> EngineError {
-    match e {
-        QueryError::MissingReference(_) => EngineError::MissingSource,
-        QueryError::UnknownReference(source) => {
-            EngineError::UnknownSource { dataset: dataset.to_string(), source }
-        }
-        QueryError::Algorithm(e) => e.into(),
-        other => EngineError::Algorithm(other.to_string()),
-    }
-}
-
-/// Packages a finished [`QueryResult`] as the engine's stored result type.
-fn package(id: &TaskId, dataset: &str, source: Option<String>, result: &QueryResult) -> TaskResult {
-    TaskResult {
-        task_id: id.clone(),
-        dataset: dataset.to_string(),
-        algorithm: result.algorithm.clone(),
-        parameters: result.parameters.clone(),
-        source,
-        top: result.top_entries(),
-        runtime_ms: result.runtime.as_millis() as u64,
-        nodes: result.graph.node_count(),
-        edges: result.graph.edge_count(),
-        iterations: result.output.convergence.map(|c| c.iterations),
-        residual: result.output.convergence.map(|c| c.residual),
-        converged: result.output.convergence.map(|c| c.converged),
-        residuals: result.output.trace.as_ref().map(|t| t.residuals.clone()),
-        cycles_found: result.output.cycles_found,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -761,7 +763,7 @@ mod tests {
             .build()
             .unwrap();
         let mut serving_spec = full_spec.clone();
-        serving_spec.params.top_k = Some(5);
+        serving_spec.serve_top_k(5);
         let full = ex.execute(&TaskId::fresh(), &full_spec).unwrap();
         let served = ex.execute(&TaskId::fresh(), &serving_spec).unwrap();
         assert_eq!(served.top.len(), 5);

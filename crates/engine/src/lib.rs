@@ -6,7 +6,9 @@
 //! 1. *"a task — a triple of dataset, algorithm and parameters — is built
 //!    by the Task Builder and sent to the Scheduler"* →
 //!    [`task::TaskSpec`], [`builder::TaskBuilder`], [`task::QuerySet`]
-//!    (the Fig. 2 interface), [`scheduler::Scheduler::submit`];
+//!    (the Fig. 2 interface), [`scheduler::Scheduler::submit`]; the task
+//!    rules every front door applies live in [`task::TaskSpec::validate`]
+//!    and [`task::BatchSpec::validate`];
 //! 2. *"the Scheduler fetches the dataset and invokes an Executor node"* →
 //!    the worker pool in [`scheduler`] and the dataset registry in
 //!    [`executor::Executor`], the one in-memory home of every graph;

@@ -191,21 +191,9 @@ impl Scheduler {
         self.executor.register_graph(id, graph)
     }
 
-    /// Submits a [`relcore::Query`] against a named dataset; returns its
-    /// task id immediately.
-    ///
-    /// The fluent single-task front door for engine execution
-    /// (multi-query flows like the CLI's `compare` convert each query
-    /// with [`TaskSpec::from_query`] and submit them as a query set to
-    /// keep the shared permalink id). Fails with
-    /// [`EngineError::UnsupportedQuery`] for queries the task wire format
-    /// cannot express (graph targets, node-id references, non-task-JSON
-    /// algorithms); run those directly with [`relcore::Query::run`].
-    pub fn submit_query(&self, query: relcore::Query) -> Result<TaskId, EngineError> {
-        Ok(self.submit(TaskSpec::from_query(&query)?))
-    }
-
-    /// Submits one task; returns its id immediately.
+    /// Submits one task; returns its id immediately. Front doors check
+    /// [`TaskSpec::validate`] first; a spec that skipped it fails on its
+    /// worker with the same error.
     pub fn submit(&self, spec: TaskSpec) -> TaskId {
         let id = TaskId::fresh();
         self.board.enqueue(id.clone(), spec.clone());
@@ -388,60 +376,6 @@ mod tests {
         let id = s.submit(cyclerank_task("fixture-fakenews-it", "Fake news"));
         s.wait(&id, T).unwrap();
         assert!(s.board().get(&id).unwrap().progress.is_none());
-    }
-
-    #[test]
-    fn submit_query_end_to_end() {
-        let s = Scheduler::builder().workers(1).build();
-        let id = s
-            .submit_query(
-                relcore::Query::on("fixture-fakenews-it")
-                    .algorithm("cyclerank")
-                    .reference("Fake news")
-                    .k(3)
-                    .top(5),
-            )
-            .unwrap();
-        let r = s.wait(&id, T).unwrap();
-        assert_eq!(r.algorithm, "cyclerank");
-        assert_eq!(r.top[0].0, "Fake news");
-        assert_eq!(r.top.len(), 5);
-    }
-
-    #[test]
-    fn submit_query_rejects_inexpressible_queries() {
-        let s = Scheduler::builder().workers(1).build();
-        // Graph targets cannot be queued by name.
-        let g = relgraph::GraphBuilder::from_edge_indices([(0, 1), (1, 0)]);
-        assert!(matches!(
-            s.submit_query(relcore::Query::on(g).algorithm("pagerank")),
-            Err(EngineError::UnsupportedQuery(_))
-        ));
-        // Node-id references would resolve label-first on the worker and
-        // could silently bind to the wrong node; refused up front.
-        assert!(matches!(
-            s.submit_query(
-                relcore::Query::on("fixture-fakenews-it")
-                    .algorithm("cyclerank")
-                    .reference(relgraph::NodeId::new(3)),
-            ),
-            Err(EngineError::UnsupportedQuery(_))
-        ));
-    }
-
-    #[test]
-    fn task_builder_into_query_runs_through_scheduler() {
-        let s = Scheduler::builder().workers(1).build();
-        let query = TaskBuilder::new("fixture-fakenews-pl")
-            .algorithm(Algorithm::CycleRank)
-            .source("Fake news")
-            .top_k(4)
-            .into_query()
-            .unwrap();
-        let id = s.submit_query(query).unwrap();
-        let r = s.wait(&id, T).unwrap();
-        assert_eq!(r.top[0].0, "Fake news");
-        assert_eq!(r.top.len(), 4);
     }
 
     #[test]

@@ -61,7 +61,8 @@ impl TaskSpec {
     /// queries (run those directly with [`Query::run`]) and for algorithm
     /// ids outside the seven task-JSON algorithms (the spec's wire format
     /// tags algorithms with the closed [`Algorithm`] enum; custom
-    /// registrations run through [`Query::run`]).
+    /// registrations run through [`Query::run`]), and like
+    /// [`TaskSpec::validate`] for specs that break a task rule.
     pub fn from_query(query: &Query) -> Result<TaskSpec, EngineError> {
         let dataset = match query.target() {
             QueryTarget::Dataset(id) => id.clone(),
@@ -107,7 +108,27 @@ impl TaskSpec {
                 )))
             }
         };
-        Ok(TaskSpec { dataset, params, source, top_k: query.top_limit() })
+        let spec = TaskSpec { dataset, params, source, top_k: query.top_limit() };
+        spec.validate()?;
+        Ok(spec)
+    }
+
+    /// Checks the task rules every front door shares: a personalized
+    /// algorithm (per its [`relcore::AlgorithmRegistry`] entry) needs a
+    /// source, or the task fails with [`EngineError::MissingSource`].
+    pub fn validate(&self) -> Result<(), EngineError> {
+        if self.source.is_none() && personalized(self.params.algorithm) {
+            return Err(EngineError::MissingSource);
+        }
+        Ok(())
+    }
+
+    /// Switches the task into top-k-only serving mode (`?top_k=k`,
+    /// `--top-k k`): the solve produces only the `k` best entries
+    /// ([`AlgorithmParams::top_k`]) and the result keeps `k`.
+    pub fn serve_top_k(&mut self, k: usize) {
+        self.top_k = k;
+        self.params = self.params.with_top_k(k);
     }
 
     /// Renders the row as the task-builder interface shows it
@@ -156,6 +177,33 @@ impl BatchSpec {
             top_k: self.top_k,
         }
     }
+
+    /// Checks the batch rules: at least one source, and a personalized
+    /// algorithm (global algorithms have nothing to batch over). Either
+    /// failure is an [`EngineError::InvalidBatch`].
+    pub fn validate(&self) -> Result<(), EngineError> {
+        if self.sources.is_empty() {
+            return Err(EngineError::InvalidBatch("batch has no sources"));
+        }
+        if !personalized(self.params.algorithm) {
+            return Err(EngineError::InvalidBatch(
+                "batch queries require a personalized algorithm (each seed is one personalization)",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Top-k-only serving mode for every seed; see
+    /// [`TaskSpec::serve_top_k`].
+    pub fn serve_top_k(&mut self, k: usize) {
+        self.top_k = k;
+        self.params = self.params.with_top_k(k);
+    }
+}
+
+/// Whether `algorithm` needs a source, per its registry entry.
+fn personalized(algorithm: Algorithm) -> bool {
+    relcore::AlgorithmRegistry::global().get(algorithm.id()).is_some_and(|a| a.is_personalized())
 }
 
 /// An ordered set of tasks under a permalink id (Fig. 2).
@@ -236,6 +284,103 @@ mod tests {
             source: Some("Fake news".into()),
             top_k: 5,
         }
+    }
+
+    #[test]
+    fn every_front_door_yields_the_typed_rule_error() {
+        const MISSING: &str = "personalized algorithm requires a source";
+        const EMPTY: &str = "batch has no sources";
+        const GLOBAL: &str =
+            "batch queries require a personalized algorithm (each seed is one personalization)";
+        let task_json = |algorithm: &str| {
+            let json = format!(
+                r#"{{"dataset": "fixture-fakenews-it", "params": {{"algorithm": "{algorithm}"}}, "source": null}}"#
+            );
+            serde_json::from_str::<TaskSpec>(&json).unwrap()
+        };
+        let batch_json = |algorithm: &str, sources: &str| {
+            let json = format!(
+                r#"{{"dataset": "d", "params": {{"algorithm": "{algorithm}"}}, "sources": [{sources}]}}"#
+            );
+            serde_json::from_str::<BatchSpec>(&json).unwrap()
+        };
+        let batch = |algorithm, sources: &[&str]| BatchSpec {
+            dataset: "d".into(),
+            params: AlgorithmParams::new(algorithm),
+            sources: sources.iter().map(|s| s.to_string()).collect(),
+            top_k: 5,
+        };
+        let cases: Vec<(&str, Result<(), EngineError>, &str)> = vec![
+            ("serde JSON", task_json("personalized_page_rank").validate(), MISSING),
+            ("serde JSON", task_json("cycle_rank").validate(), MISSING),
+            (
+                "TaskBuilder",
+                crate::TaskBuilder::new("d").algorithm(Algorithm::CycleRank).build().map(drop),
+                MISSING,
+            ),
+            (
+                "from_query",
+                TaskSpec::from_query(&Query::on("d").algorithm("ppr")).map(drop),
+                MISSING,
+            ),
+            (
+                "unvalidated Executor::execute",
+                crate::Executor::new()
+                    .execute(&TaskId::fresh(), &task_json("personalized_chei_rank"))
+                    .map(drop),
+                MISSING,
+            ),
+            ("serde JSON", batch_json("personalized_page_rank", "").validate(), EMPTY),
+            ("serde JSON", batch_json("page_rank", r#""x""#).validate(), GLOBAL),
+            ("BatchSpec", batch(Algorithm::CycleRank, &[]).validate(), EMPTY),
+            ("BatchSpec", batch(Algorithm::TwoDRank, &["x"]).validate(), GLOBAL),
+        ];
+        for (door, outcome, text) in cases {
+            let err = outcome.expect_err(door);
+            let typed = matches!(
+                (&err, text),
+                (EngineError::MissingSource, MISSING)
+                    | (EngineError::InvalidBatch(_), EMPTY | GLOBAL)
+            );
+            assert!(typed, "{door}: {err:?}");
+            assert_eq!(err.to_string(), text, "{door}");
+        }
+        // Specs that satisfy every rule pass.
+        assert_eq!(task_json("page_rank").validate(), Ok(()));
+        assert_eq!(spec("d", Algorithm::CycleRank).validate(), Ok(()));
+        assert_eq!(batch(Algorithm::PersonalizedPageRank, &["x"]).validate(), Ok(()));
+    }
+
+    #[test]
+    fn from_query_rejects_inexpressible_queries() {
+        // Graph targets cannot be queued by name.
+        let g = relgraph::GraphBuilder::from_edge_indices([(0, 1), (1, 0)]);
+        assert!(matches!(
+            TaskSpec::from_query(&Query::on(g).algorithm("pagerank")),
+            Err(EngineError::UnsupportedQuery(_))
+        ));
+        // Node-id references would resolve label-first on the worker and
+        // could silently bind to the wrong node; refused up front.
+        let by_node = Query::on("fixture-fakenews-it")
+            .algorithm("cyclerank")
+            .reference(relgraph::NodeId::new(3));
+        assert!(matches!(TaskSpec::from_query(&by_node), Err(EngineError::UnsupportedQuery(_))));
+    }
+
+    #[test]
+    fn serve_top_k_sets_the_result_size_and_the_serving_mode() {
+        let mut task = spec("d", Algorithm::PersonalizedPageRank);
+        task.serve_top_k(4);
+        assert_eq!((task.top_k, task.params.top_k), (4, Some(4)));
+        let mut b = BatchSpec {
+            dataset: "d".into(),
+            params: AlgorithmParams::new(Algorithm::PersonalizedPageRank),
+            sources: vec!["x".into()],
+            top_k: 100,
+        };
+        b.serve_top_k(7);
+        assert_eq!((b.top_k, b.params.top_k), (7, Some(7)));
+        assert_eq!(b.task_for(0).params.top_k, Some(7));
     }
 
     #[test]

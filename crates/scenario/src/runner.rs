@@ -6,8 +6,10 @@
 //! "crashed"). Every step runs under `catch_unwind`: a panic anywhere in
 //! the stack is a scenario failure with the step pinpointed, never a
 //! harness abort. Engine-level rejections (mutation bounced by a fault,
-//! query against a crashed process, bad algorithm name) are ordinary
-//! outcomes — the harness verifies the engine's *guarantees*:
+//! query against a crashed process, bad algorithm name, a spec the task
+//! rules refuse, an unknown dataset or source) are ordinary outcomes; any
+//! other query failure is a violation. The harness verifies the engine's
+//! *guarantees*:
 //!
 //! * a rejected mutation leaves the in-memory graph exactly at the last
 //!   acked state (never ack-then-lose, and never lose-without-ack);
@@ -24,7 +26,10 @@
 use crate::model::{Scenario, ScenarioOp};
 use relcore::runner::{Algorithm, AlgorithmParams};
 use relcore::Query;
-use relengine::{BatchSpec, EdgeOp, EdgeSpec, Executor, GraphPersistence, TaskId, TaskSpec};
+use relengine::{
+    BatchSpec, EdgeOp, EdgeSpec, EngineError, Executor, GraphPersistence, TaskBuilder, TaskId,
+    TaskSpec,
+};
 use relgraph::{DirectedGraph, NodeId};
 use relstore::{DatasetStore, FaultInjector, FaultPlan};
 use std::collections::BTreeMap;
@@ -286,11 +291,23 @@ impl Harness {
         certified_k: Option<usize>,
     ) -> Result<(), String> {
         let Some(ex) = &self.ex else { return Ok(()) };
-        let Ok(spec) = task_spec(dataset, algorithm, source, top_k, certified_k) else {
+        let Ok(algo) = algorithm.parse::<Algorithm>() else {
             return Ok(()); // unknown algorithm: rejected
         };
-        let Ok(result) = ex.execute(&TaskId::fresh(), &spec) else {
-            return Ok(()); // rejected (unknown dataset/source, missing seed)
+        let mut builder = TaskBuilder::new(dataset).algorithm(algo).top_k(top_k);
+        if let Some(s) = source {
+            builder = builder.source(s.as_str());
+        }
+        let Ok(mut spec) = builder.build() else {
+            return Ok(()); // rejected by the task rules (missing source)
+        };
+        if let Some(k) = certified_k {
+            spec.serve_top_k(k);
+        }
+        let result = match ex.execute(&TaskId::fresh(), &spec) {
+            Ok(result) => result,
+            Err(e) if rejected(&e) => return Ok(()),
+            Err(e) => return Err(format!("execute failed: {e}")),
         };
         let bound = score_bound(&spec.params, result.residual);
         oracle_check(ex, &spec, &result.top, bound)
@@ -311,9 +328,14 @@ impl Harness {
             sources: sources.to_vec(),
             top_k,
         };
+        if spec.validate().is_err() {
+            return Ok(()); // rejected by the batch rules (no seeds, global algorithm)
+        }
         let ids: Vec<TaskId> = sources.iter().map(|_| TaskId::fresh()).collect();
-        let Ok(results) = ex.execute_batch(&ids, &spec) else {
-            return Ok(()); // rejected (global algorithm, unknown seeds, ...)
+        let results = match ex.execute_batch(&ids, &spec) {
+            Ok(results) => results,
+            Err(e) if rejected(&e) => return Ok(()),
+            Err(e) => return Err(format!("batch execute failed: {e}")),
         };
         for (i, r) in results.iter().enumerate() {
             let task = spec.task_for(i);
@@ -450,19 +472,11 @@ fn score_bound(params: &AlgorithmParams, residual: Option<f64>) -> f64 {
     20.0 * (residual.unwrap_or(0.0) + params.tolerance) + 1e-12
 }
 
-fn task_spec(
-    dataset: &str,
-    algorithm: &str,
-    source: &Option<String>,
-    top_k: usize,
-    certified_k: Option<usize>,
-) -> Result<TaskSpec, String> {
-    let algo: Algorithm = algorithm.parse()?;
-    let mut params = AlgorithmParams::new(algo);
-    if let Some(k) = certified_k {
-        params.top_k = Some(k);
-    }
-    Ok(TaskSpec { dataset: dataset.to_string(), params, source: source.clone(), top_k })
+/// Whether an execute error is a legitimate rejection of a valid spec:
+/// the dataset or a source does not resolve on the graph the engine holds.
+/// Any other failure (a broken kernel, an unfilled batch slot) is a bug.
+fn rejected(e: &EngineError) -> bool {
+    matches!(e, EngineError::UnknownDataset(_) | EngineError::UnknownSource { .. })
 }
 
 /// Resolves a result label against the graph: label table first, then —

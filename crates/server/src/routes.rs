@@ -1,4 +1,11 @@
 //! Request routing: maps the REST surface onto the engine.
+//!
+//! Routes parse and format; they hold no task rule. A submitted spec is
+//! checked by [`TaskSpec::validate`] or [`BatchSpec::validate`], and a
+//! broken rule answers `400` with the engine error's text (prefixed
+//! `query set row N: ` for a query-set row). What stays here are the
+//! per-request resource bounds: at most 1024 sources per batch and 10 000
+//! edges per mutation.
 
 use crate::http::{Method, Request, Response, StatusCode};
 use relengine::{BatchSpec, Scheduler, TaskId, TaskSpec};
@@ -419,91 +426,61 @@ fn task_spec(req: &Request) -> Result<TaskSpec, Response> {
     let body = req.body_str().map_err(|e| Response::error(StatusCode::BadRequest, e))?;
     let mut spec: TaskSpec = serde_json::from_str(body)
         .map_err(|e| Response::error(StatusCode::BadRequest, format!("bad task spec: {e}")))?;
-    // `?top_k=k` switches the task into top-k-only serving mode (pruned /
-    // certified-push result paths) and trims the stored result to k.
     if let Some(k) = top_k_param(req)? {
-        spec.top_k = k;
-        spec.params.top_k = Some(k);
+        spec.serve_top_k(k);
     }
-    if lacks_source(&spec) {
-        return Err(Response::error(StatusCode::BadRequest, MISSING_SOURCE));
-    }
+    spec.validate().map_err(bad_request)?;
     Ok(spec)
 }
 
-/// Why a spec that [`lacks_source`] is a 400.
-const MISSING_SOURCE: &str = "personalized algorithm requires a source";
-
-/// True when `spec` runs a personalized algorithm without a source: the
-/// rule `POST /api/tasks` and every `POST /api/query-sets` row share.
-/// Personalization requirements come from the algorithm's registry
-/// entry, not from enum-matching in this crate.
-fn lacks_source(spec: &TaskSpec) -> bool {
-    let personalized = relcore::AlgorithmRegistry::global()
-        .get(spec.params.algorithm.id())
-        .map(|a| a.is_personalized())
-        .unwrap_or(false);
-    personalized && spec.source.is_none()
+/// The 400 of a spec that breaks an engine task rule.
+fn bad_request(e: relengine::EngineError) -> Response {
+    Response::error(StatusCode::BadRequest, e.to_string())
 }
 
 /// `POST /api/batch`: many seeds, one dataset, one (personalized)
 /// algorithm. Body is a [`BatchSpec`]: `{dataset, params, sources,
-/// top_k?}`. Seeds missing from the result cache share one multi-vector
-/// solve; each seed gets its own task id to poll.
+/// top_k?}`, checked by [`BatchSpec::validate`] after the per-request
+/// fan-out bound. Seeds missing from the result cache share one
+/// multi-vector solve; each seed gets its own task id to poll.
 fn submit_batch(req: &Request, engine: &Arc<Scheduler>) -> Response {
     #[derive(Serialize)]
     struct BatchSubmitted {
         task_ids: Vec<String>,
     }
-    let body = match req.body_str() {
-        Ok(b) => b,
-        Err(e) => return Response::error(StatusCode::BadRequest, e),
-    };
-    let mut spec: BatchSpec = match serde_json::from_str(body) {
-        Ok(s) => s,
-        Err(e) => return Response::error(StatusCode::BadRequest, format!("bad batch spec: {e}")),
-    };
-    match top_k_param(req) {
-        Ok(Some(k)) => {
-            spec.top_k = k;
-            spec.params.top_k = Some(k);
+    match batch_spec(req) {
+        Ok(spec) => {
+            let ids = engine.submit_batch(spec);
+            let task_ids = ids.into_iter().map(|i| i.to_string()).collect();
+            Response::json(StatusCode::Accepted, &BatchSubmitted { task_ids })
         }
-        Ok(None) => {}
-        Err(resp) => return resp,
+        Err(bad) => bad,
     }
-    if spec.sources.is_empty() {
-        return Response::error(StatusCode::BadRequest, "batch has no sources");
+}
+
+/// The validated spec of a `POST /api/batch` request, or its 400.
+fn batch_spec(req: &Request) -> Result<BatchSpec, Response> {
+    let body = req.body_str().map_err(|e| Response::error(StatusCode::BadRequest, e))?;
+    let mut spec: BatchSpec = serde_json::from_str(body)
+        .map_err(|e| Response::error(StatusCode::BadRequest, format!("bad batch spec: {e}")))?;
+    if let Some(k) = top_k_param(req)? {
+        spec.serve_top_k(k);
     }
     // One request fans out to one task per seed; bound the fan-out so a
     // single POST cannot flood the queue (split larger seed sets into
     // several requests).
     const MAX_BATCH_SOURCES: usize = 1024;
     if spec.sources.len() > MAX_BATCH_SOURCES {
-        return Response::error(
+        return Err(Response::error(
             StatusCode::BadRequest,
             format!(
                 "batch has {} sources; the per-request limit is {MAX_BATCH_SOURCES}",
                 spec.sources.len()
             ),
-        );
+        ));
     }
-    // Batches personalize per seed; global algorithms have nothing to
-    // batch over.
-    let personalized = relcore::AlgorithmRegistry::global()
-        .get(spec.params.algorithm.id())
-        .map(|a| a.is_personalized())
-        .unwrap_or(false);
-    if !personalized {
-        return Response::error(
-            StatusCode::BadRequest,
-            "batch queries require a personalized algorithm (each seed is one personalization)",
-        );
-    }
-    let ids = engine.submit_batch(spec);
-    Response::json(
-        StatusCode::Accepted,
-        &BatchSubmitted { task_ids: ids.into_iter().map(|i| i.to_string()).collect() },
-    )
+    spec.validate().map_err(bad_request)?;
+    Ok(spec)
 }
 
 fn submit_query_set(req: &Request, engine: &Arc<Scheduler>) -> Response {
@@ -524,11 +501,10 @@ fn submit_query_set(req: &Request, engine: &Arc<Scheduler>) -> Response {
         return Response::error(StatusCode::BadRequest, "query set is empty");
     }
     // All rows are checked before any is queued: a bad row rejects the set.
-    if let Some(row) = specs.iter().position(lacks_source) {
-        return Response::error(
-            StatusCode::BadRequest,
-            format!("query set row {row}: {MISSING_SOURCE}"),
-        );
+    for (row, spec) in specs.iter().enumerate() {
+        if let Err(e) = spec.validate() {
+            return Response::error(StatusCode::BadRequest, format!("query set row {row}: {e}"));
+        }
     }
     let mut qs = relengine::QuerySet::new();
     for s in specs {

@@ -17,11 +17,11 @@ fn main() {
     // Build the query set of Fig. 2: one row per algorithm.
     let mut query_set = QuerySet::new();
     for algo in Algorithm::ALL {
-        let mut builder = TaskBuilder::new(dataset).algorithm(algo).top_k(5).max_cycle_len(5);
-        if algo.is_personalized() {
-            builder = builder.source(reference);
-        }
-        query_set.add(builder.build().expect("valid task"));
+        // A row takes the reference only where the task rules require
+        // one (personalized algorithms), as in Fig. 2.
+        let builder = TaskBuilder::new(dataset).algorithm(algo).top_k(5).max_cycle_len(5);
+        let task = builder.clone().build().or_else(|_| builder.source(reference).build());
+        query_set.add(task.expect("valid task"));
     }
     println!("{}", query_set.display_table());
 

@@ -440,7 +440,7 @@ fn masked_cli_json(stdout: &str) -> String {
         match value {
             Value::Object(map) => {
                 for (key, child) in map.iter_mut() {
-                    if ["task_id", "runtime_ms", "amortized_ms_per_seed"].contains(&key.as_str()) {
+                    if ["task_id", "runtime_ms"].contains(&key.as_str()) {
                         *child = Value::String("<masked>".into());
                     } else {
                         mask(child);
