@@ -535,3 +535,70 @@ fn datasets_listing_with_uploads_keys_match_golden() {
         &key_paths(&listing),
     );
 }
+
+#[test]
+fn algorithm_spellings_match_golden() {
+    // Each front door that takes an algorithm name, side by side: the
+    // registry (`Query::run`), the task builder (`TaskSpec::from_query`)
+    // and `Algorithm::from_str` (`relrank batch`, the scenario runner).
+    // A cell is the resolved id, or the error text.
+    let mut b = GraphBuilder::new();
+    b.add_labeled_edge("a", "b");
+    b.add_labeled_edge("b", "a");
+    let g = Arc::new(b.build());
+    let spellings = [
+        "pagerank",
+        "pr",
+        "PageRank",
+        "ppr",
+        "personalizedpagerank",
+        "personalized-page-rank",
+        "Pers. PageRank",
+        "cheirank",
+        "CheiRank",
+        "pcheirank",
+        "personalizedcheirank",
+        "Pers. CheiRank",
+        "2drank",
+        "twodrank",
+        "2DRank",
+        "p2drank",
+        "personalized2drank",
+        "personalizedtwodrank",
+        "Pers. 2DRank",
+        "cyclerank",
+        "cr",
+        "Cyclerank",
+        "CYCLE_RANK",
+        "zerank",
+        "page rank x",
+        "",
+    ];
+    let rows: Vec<String> = spellings
+        .into_iter()
+        .map(|name| {
+            let run = match Query::on(Arc::clone(&g)).algorithm(name).reference("a").run() {
+                Ok(result) => result.algorithm,
+                Err(e) => e.to_string(),
+            };
+            let query =
+                Query::on("fixture-enwiki-2018").algorithm(name).reference("Freddie Mercury");
+            let from_query = match TaskSpec::from_query(&query) {
+                Ok(spec) => spec.params.algorithm.id().to_string(),
+                Err(e) => e.to_string(),
+            };
+            let from_str = match name.parse::<Algorithm>() {
+                Ok(algorithm) => algorithm.id().to_string(),
+                Err(e) => e,
+            };
+            format!("{name:?}\t{run}\t{from_query}\t{from_str}")
+        })
+        .collect();
+    let actual =
+        format!("spelling\tQuery::run\tTaskSpec::from_query\tfrom_str\n{}", rows.join("\n"));
+    assert_golden(
+        "algorithm_spellings.txt",
+        include_str!("golden/algorithm_spellings.txt"),
+        &actual,
+    );
+}
