@@ -1,13 +1,13 @@
 //! Table I bench: times the three algorithms of the paper's Table I on the
 //! enwiki stand-in (PR α=0.85, CycleRank K=3 σ=exp, PPR α=0.3) for both
-//! reference articles, and prints the regenerated columns once up front.
+//! reference articles, each one `Query` as served, and prints the
+//! regenerated columns once up front.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use relcore::cyclerank::{cyclerank, CycleRankConfig};
-use relcore::pagerank::{pagerank, PageRankConfig};
-use relcore::ppr::personalized_pagerank;
+use relcore::Query;
 use reldata::fixtures;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_table1(c: &mut Criterion) {
     // Print the regenerated table once, so `cargo bench` output doubles as
@@ -24,19 +24,17 @@ fn bench_table1(c: &mut Criterion) {
     for (name, sc) in
         [("freddie", fixtures::enwiki_2018()), ("pasta", fixtures::enwiki_2018_pasta())]
     {
-        let g = &sc.graph;
+        let g = Arc::new(sc.graph.clone());
         let r = sc.reference_node();
+        let query = |algorithm: &str| Query::on(black_box(&g)).algorithm(algorithm).reference(r);
         group.bench_with_input(BenchmarkId::new("pagerank_a085", name), &sc, |b, _| {
-            b.iter(|| pagerank(black_box(g.view()), &PageRankConfig::with_damping(0.85)).unwrap())
+            b.iter(|| query("pagerank").alpha(0.85).run().unwrap())
         });
         group.bench_with_input(BenchmarkId::new("cyclerank_k3", name), &sc, |b, _| {
-            b.iter(|| cyclerank(black_box(g), r, &CycleRankConfig::with_k(3)).unwrap())
+            b.iter(|| query("cyclerank").k(3).run().unwrap())
         });
         group.bench_with_input(BenchmarkId::new("ppr_a03", name), &sc, |b, _| {
-            b.iter(|| {
-                personalized_pagerank(black_box(g.view()), &PageRankConfig::with_damping(0.3), r)
-                    .unwrap()
-            })
+            b.iter(|| query("ppr").alpha(0.3).run().unwrap())
         });
     }
     group.finish();

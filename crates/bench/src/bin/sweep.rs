@@ -8,20 +8,20 @@
 //! cargo run --release -p relbench --bin sweep -- k workers
 //! ```
 //!
-//! Sweeps: `size` (runtime vs |V| for PR/PPR/CycleRank), `k` (CycleRank
+//! Sweeps: `size` (runtime vs |V| for PR/PPR/CycleRank, each one `Query`
+//! on the served defaults), `k` (CycleRank
 //! runtime and cycle counts vs K), `workers` (engine query-set
 //! throughput vs worker count), `cutover` (per-sweep cost of the parallel
 //! scheme in one chunk vs two, alone and beside a second solve — the table
 //! `relcore::solver::CHUNK_MIN_WORK` is read off).
 
 use relcore::cyclerank::{cyclerank, CycleRankConfig};
-use relcore::pagerank::{pagerank, PageRankConfig};
-use relcore::ppr::personalized_pagerank;
 use relcore::solver::{SolverConfig, SweepKernel, CHUNK_MIN_WORK};
-use relcore::TeleportVector;
+use relcore::{Query, TeleportVector};
 use reldata::wikilink::{generate, WikilinkConfig};
 use relgraph::NodeId;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn ms(f: impl FnOnce()) -> f64 {
@@ -35,17 +35,12 @@ fn sweep_size() {
     println!("nodes,edges,pagerank_ms,ppr_ms,cyclerank_k3_ms");
     for nodes in [1_000u32, 2_000, 4_000, 8_000, 16_000, 32_000, 64_000] {
         let cfg = WikilinkConfig::default().with_nodes(nodes);
-        let g = generate(&cfg, 42);
+        let g = Arc::new(generate(&cfg, 42));
         let r = NodeId::new(cfg.hubs + 17);
-        let pr = ms(|| {
-            pagerank(g.view(), &PageRankConfig::default()).unwrap();
-        });
-        let ppr = ms(|| {
-            personalized_pagerank(g.view(), &PageRankConfig::default(), r).unwrap();
-        });
-        let cr = ms(|| {
-            cyclerank(&g, r, &CycleRankConfig::with_k(3)).unwrap();
-        });
+        let run = |algorithm: &str| {
+            ms(|| drop(Query::on(&g).algorithm(algorithm).reference(r).k(3).run().unwrap()))
+        };
+        let (pr, ppr, cr) = (run("pagerank"), run("ppr"), run("cyclerank"));
         println!("{},{},{pr:.3},{ppr:.3},{cr:.3}", g.node_count(), g.edge_count());
     }
 }

@@ -183,6 +183,36 @@ fn task_rule_violations_exit_1_with_the_engine_text() {
 /// /api/tasks?sync=1` body of the same spec, bit for bit, once the task id
 /// and the wall-clock runtime are masked.
 #[test]
+fn batch_accepts_every_spelling_run_accepts() {
+    // `batch` parses its algorithm through the registry, exactly as `run`
+    // does: display names and aliases included.
+    for algorithm in ["Pers. CheiRank", "Pers. 2DRank", "Pers. PageRank", "personalized-page-rank"]
+    {
+        let on = ["--dataset", "fixture-enwiki-2018", "--algorithm", algorithm, "--top", "2"];
+        let (code, _, stderr) =
+            relrank(&[&["run"][..], &on, &["--source", "Freddie Mercury"]].concat());
+        assert_eq!(code, 0, "run {algorithm:?}: {stderr}");
+        let (code, _, stderr) =
+            relrank(&[&["batch"][..], &on, &["--seeds", "Freddie Mercury"]].concat());
+        assert_eq!(code, 0, "batch {algorithm:?}: {stderr}");
+    }
+    // An unknown name is echoed as typed, not in its normalized form.
+    let (code, _, stderr) = relrank(&[
+        "mutate",
+        "--dataset",
+        "fixture-enwiki-2018",
+        "--add",
+        "Brian May->Pasta",
+        "--algorithm",
+        "Pers. ZeRank",
+        "--source",
+        "Brian May",
+    ]);
+    assert_eq!(code, 1);
+    assert!(stderr.contains(r#"error: unknown algorithm "Pers. ZeRank""#), "{stderr}");
+}
+
+#[test]
 fn run_json_equals_the_http_sync_body_for_every_algorithm() {
     use relserver::http::Method;
     use std::sync::Arc;

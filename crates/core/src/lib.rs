@@ -4,17 +4,21 @@
 //! demo platform (*Comparing Personalized Relevance Algorithms for Directed
 //! Graphs*, ICDE 2024):
 //!
-//! | Algorithm | Module | Personalized? | Output |
-//! |-----------|--------|---------------|--------|
-//! | PageRank | [`mod@pagerank`] | no | scores |
-//! | Personalized PageRank | [`ppr`] | yes | scores |
-//! | CheiRank | [`mod@cheirank`] | no | scores |
-//! | Personalized CheiRank | [`mod@cheirank`] | yes | scores |
-//! | 2DRank | [`tworank`] | no | ranking only |
-//! | Personalized 2DRank | [`tworank`] | yes | ranking only |
-//! | **CycleRank** | [`cyclerank`] | yes | scores |
+//! | Algorithm | Registry id | Built-in | Personalized? | Output |
+//! |-----------|-------------|----------|---------------|--------|
+//! | PageRank | `pagerank` | [`builtin::PAGERANK`] | no | scores |
+//! | Personalized PageRank | `ppr` | [`builtin::PERSONALIZED_PAGERANK`] | yes | scores |
+//! | CheiRank | `cheirank` | [`builtin::CHEIRANK`] | no | scores |
+//! | Personalized CheiRank | `pcheirank` | [`builtin::PERSONALIZED_CHEIRANK`] | yes | scores |
+//! | 2DRank | `2drank` | [`builtin::TWO_D_RANK`] | no | ranking only |
+//! | Personalized 2DRank | `p2drank` | [`builtin::PERSONALIZED_TWO_D_RANK`] | yes | ranking only |
+//! | **CycleRank** | `cyclerank` | [`builtin::CycleRankAlgorithm`] | yes | scores |
 //!
-//! plus ranking-comparison metrics ([`compare`]). Andersen–Chung–Lang
+//! plus ranking-comparison metrics ([`compare`]). The first four are one
+//! sweep-kernel solve ([`solver`]) over one graph orientation and teleport
+//! ([`ppr::TeleportVector`]); 2DRank combines two of them ([`tworank`]);
+//! CycleRank enumerates cycles ([`cyclerank`]). Each runs through
+//! [`Query`] by registry id, alias or display name. Andersen–Chung–Lang
 //! forward push ([`push`]) is no solver of its own: it serves only the
 //! certified top-k path and the incremental PPR refresh ([`topk`]).
 //!
@@ -96,12 +100,10 @@
 pub mod algorithm;
 pub mod arena;
 pub mod builtin;
-pub mod cheirank;
 mod chunks;
 pub mod compare;
 pub mod cyclerank;
 pub mod error;
-pub mod pagerank;
 pub mod ppr;
 pub mod push;
 pub mod query;
@@ -115,16 +117,15 @@ pub mod tworank;
 
 pub use algorithm::{AlgorithmDescriptor, ParamSpec, RelevanceAlgorithm};
 pub use arena::{with_arena, SolverArena};
-pub use cheirank::{cheirank, personalized_cheirank};
 pub use cyclerank::{CycleRankConfig, CycleRankOutput};
 pub use error::AlgoError;
-pub use pagerank::{pagerank, Convergence, PageRankConfig};
-pub use ppr::{personalized_pagerank, TeleportVector};
+pub use ppr::TeleportVector;
 pub use query::{BatchResult, Query, QueryError, QueryResult, QueryTarget, ReferenceSpec};
 pub use registry::{AlgorithmRegistry, RegistryError};
 pub use result::{RankedList, ScoreVector};
 pub use runner::{Algorithm, AlgorithmParams, RelevanceOutput};
 pub use scoring::ScoringFunction;
-pub use solver::{ConvergenceTrace, Scheme, SolverConfig, SweepKernel, SweepOutcome, TopKOutcome};
+pub use solver::{
+    Convergence, ConvergenceTrace, Scheme, SolverConfig, SweepKernel, SweepOutcome, TopKOutcome,
+};
 pub use topk::{refresh_ppr, PprRefresh};
-pub use tworank::{personalized_two_d_rank, two_d_rank};

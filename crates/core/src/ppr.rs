@@ -9,11 +9,13 @@
 //! along the global link structure, nodes with very high in-degree ("United
 //! States", the "Harry Potter" books) collect a large score *for any query*.
 //! CycleRank (see [`crate::cyclerank`]) is designed to avoid exactly this.
+//!
+//! This module holds the restart distribution, [`TeleportVector`]; the
+//! solve is the shared [`crate::solver::SweepKernel`], served as the
+//! registry's `ppr` and `pcheirank` built-ins ([`crate::builtin`]).
 
 use crate::error::AlgoError;
-use crate::pagerank::{pagerank_with_teleport, Convergence, PageRankConfig};
-use crate::result::ScoreVector;
-use relgraph::{GraphView, NodeId};
+use relgraph::NodeId;
 use serde::{Deserialize, Serialize};
 
 /// A sparse teleport (restart) distribution.
@@ -181,33 +183,10 @@ impl TeleportVector {
     }
 }
 
-/// Personalized PageRank with restart at a single reference node.
-///
-/// This is the exact power-iteration solution. A cheaper, less accurate
-/// answer is the same solve at a looser `tolerance`; the certified top-k
-/// path ([`crate::topk`]) is the one place push approximations serve.
-pub fn personalized_pagerank(
-    view: GraphView<'_>,
-    cfg: &PageRankConfig,
-    reference: NodeId,
-) -> Result<(ScoreVector, Convergence), AlgoError> {
-    let teleport = TeleportVector::single(view.node_count(), reference)?;
-    pagerank_with_teleport(view, cfg, &teleport)
-}
-
-/// Personalized PageRank with restart spread uniformly over a seed set.
-pub fn personalized_pagerank_seeds(
-    view: GraphView<'_>,
-    cfg: &PageRankConfig,
-    seeds: &[NodeId],
-) -> Result<(ScoreVector, Convergence), AlgoError> {
-    let teleport = TeleportVector::seeds(view.node_count(), seeds)?;
-    pagerank_with_teleport(view, cfg, &teleport)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::{SolverConfig, SweepKernel};
     use relgraph::GraphBuilder;
 
     fn line_with_branches() -> relgraph::DirectedGraph {
@@ -263,69 +242,20 @@ mod tests {
     }
 
     #[test]
-    fn ppr_sums_to_one_and_localizes() {
-        let g = line_with_branches();
-        let (s, conv) =
-            personalized_pagerank(g.view(), &PageRankConfig::default(), NodeId::new(0)).unwrap();
-        assert!(conv.converged);
-        assert!((s.sum() - 1.0).abs() < 1e-8);
-        // Node 3 is not reachable from the seed: zero score.
-        assert_eq!(s.get(NodeId::new(3)), 0.0);
-        // Closer nodes score higher.
-        assert!(s.get(NodeId::new(1)) > s.get(NodeId::new(2)));
-        // With a restart-heavy walk (low α) the seed itself dominates.
-        // (With high α a well-connected neighbor may legitimately outscore
-        // the seed — that is PPR's documented drift toward central nodes.)
-        let (s_low, _) =
-            personalized_pagerank(g.view(), &PageRankConfig::with_damping(0.3), NodeId::new(0))
-                .unwrap();
-        assert_eq!(s_low.argmax(), Some(NodeId::new(0)));
-    }
-
-    #[test]
     fn ppr_seed_set_mixture() {
-        let g = line_with_branches();
-        let cfg = PageRankConfig::default();
-        let (s01, _) =
-            personalized_pagerank_seeds(g.view(), &cfg, &[NodeId::new(0), NodeId::new(3)]).unwrap();
-        let (s0, _) = personalized_pagerank(g.view(), &cfg, NodeId::new(0)).unwrap();
-        let (s3, _) = personalized_pagerank(g.view(), &cfg, NodeId::new(3)).unwrap();
         // PPR is linear in the teleport vector: seeds {0,3} = avg of singles.
+        let g = line_with_branches();
+        let kernel = SweepKernel::new(g.view()).unwrap();
+        let cfg = SolverConfig { tolerance: 1e-13, ..Default::default() };
+        let solve = |seeds: &[NodeId]| {
+            kernel.solve(&cfg, &TeleportVector::seeds(4, seeds).unwrap()).unwrap().scores
+        };
+        let s01 = solve(&[NodeId::new(0), NodeId::new(3)]);
+        let s0 = solve(&[NodeId::new(0)]);
+        let s3 = solve(&[NodeId::new(3)]);
         for u in g.nodes() {
             let want = 0.5 * (s0.get(u) + s3.get(u));
-            assert!((s01.get(u) - want).abs() < 1e-6, "node {u:?}");
+            assert!((s01.get(u) - want).abs() < 1e-9, "node {u:?}");
         }
-    }
-
-    #[test]
-    fn ppr_low_alpha_concentrates_on_seed() {
-        let g = line_with_branches();
-        let (hi, _) =
-            personalized_pagerank(g.view(), &PageRankConfig::with_damping(0.9), NodeId::new(0))
-                .unwrap();
-        let (lo, _) =
-            personalized_pagerank(g.view(), &PageRankConfig::with_damping(0.1), NodeId::new(0))
-                .unwrap();
-        assert!(lo.get(NodeId::new(0)) > hi.get(NodeId::new(0)));
-    }
-
-    #[test]
-    fn ppr_missing_reference_error() {
-        let g = line_with_branches();
-        assert!(matches!(
-            personalized_pagerank(g.view(), &PageRankConfig::default(), NodeId::new(42)),
-            Err(AlgoError::InvalidReference { .. })
-        ));
-    }
-
-    #[test]
-    fn ppr_dangling_mass_returns_to_seed() {
-        // 0 -> 1, 1 dangles: dangling mass teleports back to 0.
-        let g = GraphBuilder::from_edge_indices([(0, 1)]);
-        let (s, _) =
-            personalized_pagerank(g.view(), &PageRankConfig::default(), NodeId::new(0)).unwrap();
-        assert!((s.sum() - 1.0).abs() < 1e-8);
-        assert!(s.get(NodeId::new(0)) > 0.0);
-        assert!(s.get(NodeId::new(1)) > 0.0);
     }
 }

@@ -236,19 +236,13 @@ fn push_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pagerank::PageRankConfig;
-    use crate::ppr::personalized_pagerank;
+    use crate::solver::tests::exact_ppr;
     use relgraph::GraphBuilder;
 
     fn approx_matches_exact(g: &relgraph::DirectedGraph, seed: u32, eps: f64) {
         let cfg = PushConfig { damping: 0.85, epsilon: eps, max_pushes: usize::MAX };
         let (approx, _, _) = ppr_push_full(g.view(), &cfg, NodeId::new(seed)).unwrap();
-        let (exact, _) = personalized_pagerank(
-            g.view(),
-            &PageRankConfig { damping: 0.85, tolerance: 1e-14, max_iterations: 2000 },
-            NodeId::new(seed),
-        )
-        .unwrap();
+        let exact = exact_ppr(g, seed);
         for u in g.nodes() {
             let bound = eps * g.out_degree(u).max(1) as f64 + 1e-9;
             let diff = (approx.get(u) - exact.get(u)).abs();

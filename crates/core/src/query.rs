@@ -145,7 +145,7 @@ impl From<NodeId> for ReferenceSpec {
     }
 }
 
-/// How the algorithm is selected: by registry name or legacy enum.
+/// How the algorithm is selected: by registry name or `Algorithm` tag.
 pub struct AlgorithmSel(String);
 
 impl From<&str> for AlgorithmSel {
@@ -254,11 +254,12 @@ impl Query {
         }
     }
 
-    /// Selects the algorithm by registry id, alias, or legacy enum.
+    /// Selects the algorithm by registry id, alias, display name, or
+    /// `Algorithm` tag.
     pub fn algorithm(mut self, algo: impl Into<AlgorithmSel>) -> Self {
         self.algorithm = algo.into().0;
-        // Keep the legacy enum tag in sync when the id maps to a built-in,
-        // so conversions to engine task specs stay lossless.
+        // Keep the wire tag in sync when the name is a built-in, so
+        // conversions to engine task specs stay lossless.
         if let Ok(a) = self.algorithm.parse::<Algorithm>() {
             self.params.algorithm = a;
         }

@@ -2,11 +2,12 @@
 //! (or alias) to implementation, shared by the engine executor, the HTTP
 //! routes, the CLI, and the bench harness.
 //!
-//! The registry replaces the closed `Algorithm`-enum dispatch of the seed
-//! codebase: the seven paper algorithms are registered at first access,
-//! and third-party algorithms can be added at runtime with
+//! The seven paper algorithms are registered at first access, and
+//! third-party algorithms can be added at runtime with
 //! [`AlgorithmRegistry::register`] — no workspace crate needs to change to
-//! serve a new ranker through the whole stack.
+//! serve a new ranker through the whole stack. The task JSON's closed
+//! `Algorithm` tag reads its metadata from the same built-in values and
+//! parses names through [`AlgorithmRegistry::get`].
 
 use crate::algorithm::{AlgorithmDescriptor, RelevanceAlgorithm};
 use crate::builtin;
@@ -38,9 +39,10 @@ impl fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
-/// Normalizes a lookup name the same way `Algorithm::from_str` does:
-/// lowercase with `-`, `_` and spaces removed, so hyphenated spellings
-/// and the paper's display names all resolve.
+/// Normalizes a lookup name: lowercase with `-`, `_` and spaces removed,
+/// so hyphenated spellings and the paper's display names all resolve.
+/// `Algorithm::from_str` resolves through [`AlgorithmRegistry::get`], so
+/// this is the one normalization every front door applies.
 pub fn normalize_key(name: &str) -> String {
     name.to_ascii_lowercase().replace(['-', '_', ' '], "")
 }
@@ -120,6 +122,9 @@ struct Inner {
 /// let g = b.build();
 /// let result = Query::on(g).algorithm("degreerank").top(1).run().unwrap();
 /// assert_eq!(result.top_entries()[0].0, "hub");
+///
+/// // The task JSON's closed `Algorithm` tag names only the seven built-ins.
+/// assert!("degreerank".parse::<relcore::Algorithm>().is_err());
 /// ```
 #[derive(Default)]
 pub struct AlgorithmRegistry {
@@ -218,19 +223,15 @@ impl AlgorithmRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Algorithm;
 
     #[test]
     fn global_has_the_seven_paper_algorithms() {
         let reg = AlgorithmRegistry::global();
-        assert!(reg.len() >= 7);
-        for algo in Algorithm::ALL {
-            let found = reg.get(algo.id()).unwrap_or_else(|| panic!("{} missing", algo.id()));
-            assert_eq!(found.id(), algo.id());
-            assert_eq!(found.is_personalized(), algo.is_personalized());
-            assert_eq!(found.produces_scores(), algo.produces_scores());
-            assert_eq!(found.display_name(), algo.display_name());
-        }
+        let ids: Vec<String> = reg.list().iter().take(7).map(|a| a.id().to_string()).collect();
+        assert_eq!(
+            ids,
+            ["pagerank", "ppr", "cheirank", "pcheirank", "2drank", "p2drank", "cyclerank"]
+        );
     }
 
     #[test]

@@ -15,23 +15,27 @@
 //! fields: a client still sending the deleted `"precision"` key gets the
 //! same task as one that omits it.
 
+use crate::algorithm::RelevanceAlgorithm;
+use crate::builtin;
 use crate::cyclerank::CycleRankConfig;
-use crate::pagerank::{Convergence, PageRankConfig};
+use crate::registry::AlgorithmRegistry;
 use crate::result::{RankedList, ScoreVector};
 use crate::scoring::ScoringFunction;
-use crate::solver::{ConvergenceTrace, Scheme, SolverConfig};
+use crate::solver::{Convergence, ConvergenceTrace, Scheme, SolverConfig};
 use relgraph::{DirectedGraph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
-/// The seven algorithms showcased by the demo platform.
+/// The seven algorithms showcased by the demo platform, as the task
+/// JSON's wire tag (`{"algorithm": "cycle_rank", ...}`).
 ///
-/// This enum remains the *serialization* tag used in task JSON
-/// (`{"algorithm": "cycle_rank", ...}`) and a convenient way to iterate
-/// the paper's set ([`Algorithm::ALL`]). Dispatch goes through the
-/// [`crate::registry::AlgorithmRegistry`], which also accepts algorithms
-/// outside this enum.
+/// A variant carries no metadata of its own: it maps to its built-in
+/// implementation ([`crate::builtin`]), and the id, names and flags are
+/// read from there. Dispatch goes through the
+/// [`crate::registry::AlgorithmRegistry`], which also serves algorithms
+/// outside this enum; the enum stays as the serialization tag and as the
+/// paper's iteration order ([`Algorithm::ALL`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum Algorithm {
@@ -63,48 +67,39 @@ impl Algorithm {
         Algorithm::CycleRank,
     ];
 
+    /// The built-in implementation this tag names — the same value the
+    /// global registry serves under [`Algorithm::id`].
+    pub(crate) fn builtin(self) -> &'static dyn RelevanceAlgorithm {
+        match self {
+            Algorithm::PageRank => &builtin::PAGERANK,
+            Algorithm::PersonalizedPageRank => &builtin::PERSONALIZED_PAGERANK,
+            Algorithm::CheiRank => &builtin::CHEIRANK,
+            Algorithm::PersonalizedCheiRank => &builtin::PERSONALIZED_CHEIRANK,
+            Algorithm::TwoDRank => &builtin::TWO_D_RANK,
+            Algorithm::PersonalizedTwoDRank => &builtin::PERSONALIZED_TWO_D_RANK,
+            Algorithm::CycleRank => &builtin::CycleRankAlgorithm,
+        }
+    }
+
     /// True if the algorithm needs a reference node.
     pub fn is_personalized(self) -> bool {
-        matches!(
-            self,
-            Algorithm::PersonalizedPageRank
-                | Algorithm::PersonalizedCheiRank
-                | Algorithm::PersonalizedTwoDRank
-                | Algorithm::CycleRank
-        )
+        self.builtin().is_personalized()
     }
 
     /// True if the algorithm produces per-node scores (2DRank variants
     /// produce only a ranking, as the paper notes).
     pub fn produces_scores(self) -> bool {
-        !matches!(self, Algorithm::TwoDRank | Algorithm::PersonalizedTwoDRank)
+        self.builtin().produces_scores()
     }
 
     /// Display name matching the paper's tables.
     pub fn display_name(self) -> &'static str {
-        match self {
-            Algorithm::PageRank => "PageRank",
-            Algorithm::PersonalizedPageRank => "Pers. PageRank",
-            Algorithm::CheiRank => "CheiRank",
-            Algorithm::PersonalizedCheiRank => "Pers. CheiRank",
-            Algorithm::TwoDRank => "2DRank",
-            Algorithm::PersonalizedTwoDRank => "Pers. 2DRank",
-            Algorithm::CycleRank => "Cyclerank",
-        }
+        self.builtin().display_name()
     }
 
-    /// Stable machine identifier (used in task JSON, the CLI, and the
-    /// registry).
+    /// Stable machine identifier (the registry id, used by the CLI).
     pub fn id(self) -> &'static str {
-        match self {
-            Algorithm::PageRank => "pagerank",
-            Algorithm::PersonalizedPageRank => "ppr",
-            Algorithm::CheiRank => "cheirank",
-            Algorithm::PersonalizedCheiRank => "pcheirank",
-            Algorithm::TwoDRank => "2drank",
-            Algorithm::PersonalizedTwoDRank => "p2drank",
-            Algorithm::CycleRank => "cyclerank",
-        }
+        self.builtin().id()
     }
 }
 
@@ -117,19 +112,18 @@ impl fmt::Display for Algorithm {
 impl FromStr for Algorithm {
     type Err = String;
 
+    /// Resolves `s` through the global registry, so every spelling it
+    /// accepts (id, alias, display name) names the same variant. A
+    /// registered third-party algorithm has no wire tag and is rejected.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().replace(['-', '_', ' '], "").as_str() {
-            "pagerank" | "pr" => Ok(Algorithm::PageRank),
-            "ppr" | "personalizedpagerank" | "pers.pagerank" => Ok(Algorithm::PersonalizedPageRank),
-            "cheirank" => Ok(Algorithm::CheiRank),
-            "pcheirank" | "personalizedcheirank" => Ok(Algorithm::PersonalizedCheiRank),
-            "2drank" | "twodrank" => Ok(Algorithm::TwoDRank),
-            "p2drank" | "personalized2drank" | "personalizedtwodrank" => {
-                Ok(Algorithm::PersonalizedTwoDRank)
-            }
-            "cyclerank" | "cr" => Ok(Algorithm::CycleRank),
-            other => Err(format!("unknown algorithm {other:?}")),
-        }
+        let algo =
+            AlgorithmRegistry::global().get(s).ok_or_else(|| format!("unknown algorithm {s:?}"))?;
+        Algorithm::ALL.into_iter().find(|a| a.id() == algo.id()).ok_or_else(|| {
+            format!(
+                "algorithm {:?} has no task-JSON tag; run it directly with Query::run()",
+                algo.id()
+            )
+        })
     }
 }
 
@@ -254,21 +248,9 @@ impl AlgorithmParams {
 
     /// Human-readable parameter summary, as shown in the task builder
     /// (e.g. `k = 3, σ = exp` or `α = 0.3`). Delegates to the algorithm's
-    /// registry entry so there is a single rendering to maintain.
+    /// built-in implementation so there is a single rendering to maintain.
     pub fn summary(&self) -> String {
-        crate::registry::AlgorithmRegistry::global()
-            .get(self.algorithm.id())
-            .expect("built-in algorithms are always registered")
-            .summarize(self)
-    }
-
-    /// The PageRank-family solver configuration these parameters describe.
-    pub fn pagerank_config(&self) -> PageRankConfig {
-        PageRankConfig {
-            damping: self.damping,
-            tolerance: self.tolerance,
-            max_iterations: self.max_iterations,
-        }
+        self.algorithm.builtin().summarize(self)
     }
 
     /// The shared-kernel configuration these parameters describe.

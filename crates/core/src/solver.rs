@@ -324,16 +324,16 @@ enum Gather<'x> {
 /// Construction precomputes the inverse out-weight sums `1/W(u)` for the
 /// view's orientation (O(V), reading the graph's build-time weight-sum
 /// cache); [`SweepKernel::solve`] then runs any scheme against any
-/// teleport vector. Every stationary-distribution algorithm in this crate
-/// is a thin parameterization of this type:
+/// teleport vector. Every stationary-distribution built-in
+/// ([`crate::builtin`]) is a thin parameterization of this type:
 ///
-/// | Algorithm | View | Teleport |
-/// |-----------|------|----------|
-/// | PageRank | forward | uniform |
-/// | Personalized PageRank | forward | reference node |
-/// | CheiRank | transposed | uniform |
-/// | Personalized CheiRank | transposed | reference node |
-/// | 2DRank | both | uniform / reference |
+/// | Registry id | View | Teleport |
+/// |-------------|------|----------|
+/// | `pagerank` | forward | uniform |
+/// | `ppr` | forward | reference node |
+/// | `cheirank` | transposed | uniform |
+/// | `pcheirank` | transposed | reference node |
+/// | `2drank` / `p2drank` | both | uniform / reference |
 pub struct SweepKernel<'a> {
     view: GraphView<'a>,
     /// `1/W(u)` per node in view orientation; `0.0` marks dangling nodes.
@@ -1046,6 +1046,15 @@ pub(crate) mod tests {
             }
         }
         b.build()
+    }
+
+    /// The exact-PPR oracle of the push and top-k tests: a kernel solve
+    /// of the forward view at α = 0.85, converged far past any bound
+    /// those tests check.
+    pub(crate) fn exact_ppr(g: &relgraph::DirectedGraph, seed: u32) -> ScoreVector {
+        let cfg = SolverConfig { tolerance: 1e-14, max_iterations: 5000, ..Default::default() };
+        let teleport = TeleportVector::single(g.node_count(), NodeId::new(seed)).unwrap();
+        SweepKernel::new(g.view()).unwrap().solve(&cfg, &teleport).unwrap().scores
     }
 
     fn solve(

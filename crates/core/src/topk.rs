@@ -281,18 +281,11 @@ pub fn refresh_ppr(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pagerank::PageRankConfig;
-    use crate::ppr::personalized_pagerank;
+    use crate::solver::tests::exact_ppr;
     use relgraph::GraphBuilder;
 
     fn exact_top(g: &relgraph::DirectedGraph, seed: u32, k: usize) -> Vec<NodeId> {
-        let (s, _) = personalized_pagerank(
-            g.view(),
-            &PageRankConfig { damping: 0.85, tolerance: 1e-14, max_iterations: 5000 },
-            NodeId::new(seed),
-        )
-        .unwrap();
-        s.top_k(k).into_iter().map(|(n, _)| n).collect()
+        exact_ppr(g, seed).top_k(k).into_iter().map(|(n, _)| n).collect()
     }
 
     fn community_graph() -> relgraph::DirectedGraph {
@@ -331,12 +324,7 @@ mod tests {
     fn scores_within_residual_mass_of_exact() {
         let g = community_graph();
         let out = push_top_k(g.view(), 0.85, NodeId::new(2), 4).unwrap().unwrap();
-        let (exact, _) = personalized_pagerank(
-            g.view(),
-            &PageRankConfig { damping: 0.85, tolerance: 1e-14, max_iterations: 5000 },
-            NodeId::new(2),
-        )
-        .unwrap();
+        let exact = exact_ppr(&g, 2);
         for &(u, score) in &out.top {
             let e = exact.get(u);
             assert!(score <= e + 1e-12, "push over-estimated {u:?}");
@@ -376,16 +364,6 @@ mod tests {
     }
 
     // ----------------------------------------------- incremental refresh
-
-    fn exact_ppr(g: &relgraph::DirectedGraph, seed: u32) -> crate::result::ScoreVector {
-        personalized_pagerank(
-            g.view(),
-            &PageRankConfig { damping: 0.85, tolerance: 1e-14, max_iterations: 5000 },
-            NodeId::new(seed),
-        )
-        .unwrap()
-        .0
-    }
 
     fn refresh_cfg() -> PushConfig {
         PushConfig { damping: 0.85, epsilon: 1e-10, max_pushes: usize::MAX }

@@ -15,13 +15,14 @@
 //! input rankings.
 //!
 //! The personalized variant applies the same sweep to Personalized PageRank
-//! and Personalized CheiRank rankings for a reference node.
+//! and Personalized CheiRank rankings for a reference node. Both variants
+//! are [`two_d_rank_with`]: two [`SweepKernel`] solves, one per view
+//! orientation, served as the registry's `2drank` and `p2drank` built-ins.
 
 use crate::error::AlgoError;
-use crate::pagerank::{pagerank, PageRankConfig};
-use crate::ppr::{personalized_pagerank, TeleportVector};
+use crate::ppr::TeleportVector;
 use crate::result::{RankedList, ScoreVector};
-use crate::solver::{SolverConfig, SweepKernel};
+use crate::solver::{Convergence, ConvergenceTrace, SolverConfig, SweepKernel};
 use relgraph::{DirectedGraph, NodeId};
 
 /// Combines two rankings with the 2DRank square sweep.
@@ -43,25 +44,6 @@ pub fn two_d_rank_from_positions(pr_rank: &[u32], chei_rank: &[u32]) -> RankedLi
     RankedList::new(order.into_iter().map(NodeId::new).collect())
 }
 
-/// Global 2DRank from PageRank and CheiRank scores.
-pub fn two_d_rank(g: &DirectedGraph, cfg: &PageRankConfig) -> Result<RankedList, AlgoError> {
-    let (pr, _) = pagerank(g.view(), cfg)?;
-    let (chei, _) = pagerank(g.transposed(), cfg)?;
-    Ok(combine(g.node_count(), &pr, &chei))
-}
-
-/// Personalized 2DRank: combines Personalized PageRank and Personalized
-/// CheiRank for `reference`.
-pub fn personalized_two_d_rank(
-    g: &DirectedGraph,
-    cfg: &PageRankConfig,
-    reference: NodeId,
-) -> Result<RankedList, AlgoError> {
-    let (pr, _) = personalized_pagerank(g.view(), cfg, reference)?;
-    let (chei, _) = personalized_pagerank(g.transposed(), cfg, reference)?;
-    Ok(combine(g.node_count(), &pr, &chei))
-}
-
 /// Outcome of [`two_d_rank_with`]: the combined ranking plus the solver
 /// diagnostics of the two underlying kernel sweeps.
 #[derive(Debug, Clone)]
@@ -72,10 +54,10 @@ pub struct TwoDRankOutcome {
     /// converge, or needed the most iterations (largest final residual on
     /// a tie) — except that `converged` requires both sweeps. Consistent
     /// with `trace`: when tracing, `trace.last() == Some(residual)`.
-    pub convergence: crate::pagerank::Convergence,
+    pub convergence: Convergence,
     /// Residual trace of the binding sweep, when the config requested
     /// tracing.
-    pub trace: Option<crate::solver::ConvergenceTrace>,
+    pub trace: Option<ConvergenceTrace>,
 }
 
 /// 2DRank under an explicit solver configuration: the shared
@@ -97,8 +79,7 @@ pub fn two_d_rank_with(
     let pr_binds =
         (!pc.converged, pc.iterations, pc.residual) >= (!cc.converged, cc.iterations, cc.residual);
     let binding = if pr_binds { pc } else { cc };
-    let convergence =
-        crate::pagerank::Convergence { converged: pc.converged && cc.converged, ..binding };
+    let convergence = Convergence { converged: pc.converged && cc.converged, ..binding };
     let trace = if pr_binds { pr.trace } else { chei.trace };
     Ok(TwoDRankOutcome { ranking, convergence, trace })
 }
@@ -139,7 +120,7 @@ mod tests {
     #[test]
     fn ranking_is_permutation() {
         let g = GraphBuilder::from_edge_indices([(0, 1), (1, 2), (2, 0), (0, 3), (3, 0)]);
-        let r = two_d_rank(&g, &PageRankConfig::default()).unwrap();
+        let r = two_d_rank_with(&g, &SolverConfig::default(), None).unwrap().ranking;
         let mut ids: Vec<u32> = r.as_slice().iter().map(|n| n.raw()).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 2, 3]);
@@ -156,7 +137,7 @@ mod tests {
             b.add_edge_indices(i, (i % 4) + 1);
         }
         let g = b.build();
-        let r = two_d_rank(&g, &PageRankConfig::default()).unwrap();
+        let r = two_d_rank_with(&g, &SolverConfig::default(), None).unwrap().ranking;
         assert_eq!(r.as_slice()[0], NodeId::new(0));
     }
 
@@ -166,9 +147,9 @@ mod tests {
         // Restart-heavy walk (low α): both PPR and personalized CheiRank put
         // the reference first, so the square sweep must too. (With α = 0.85
         // a central neighbor can legitimately outrank the reference.)
-        let cfg = PageRankConfig::with_damping(0.3);
+        let cfg = SolverConfig::with_damping(0.3);
         for refn in 0..4u32 {
-            let r = personalized_two_d_rank(&g, &cfg, NodeId::new(refn)).unwrap();
+            let r = two_d_rank_with(&g, &cfg, Some(NodeId::new(refn))).unwrap().ranking;
             assert_eq!(r.as_slice()[0], NodeId::new(refn), "reference {refn} should rank first");
         }
     }
@@ -182,10 +163,6 @@ mod tests {
         assert!(base.convergence.converged);
         let r = two_d_rank_with(&g, &tight.with_scheme(Scheme::Parallel), None).unwrap();
         assert_eq!(r.ranking, base.ranking, "parallel ranking diverges");
-        // The default-config path is the same computation.
-        let legacy = two_d_rank(&g, &PageRankConfig::default()).unwrap();
-        let kernel = two_d_rank_with(&g, &SolverConfig::default(), None).unwrap();
-        assert_eq!(legacy, kernel.ranking);
     }
 
     #[test]
@@ -207,7 +184,7 @@ mod tests {
     #[test]
     fn personalized_invalid_reference() {
         let g = GraphBuilder::from_edge_indices([(0, 1)]);
-        assert!(personalized_two_d_rank(&g, &PageRankConfig::default(), NodeId::new(5)).is_err());
+        assert!(two_d_rank_with(&g, &SolverConfig::default(), Some(NodeId::new(5))).is_err());
     }
 
     #[test]

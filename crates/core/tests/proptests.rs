@@ -2,14 +2,12 @@
 
 use proptest::prelude::*;
 use relcore::cyclerank::{cyclerank, CycleRankConfig};
-use relcore::pagerank::{pagerank, PageRankConfig};
-use relcore::ppr::{personalized_pagerank, TeleportVector};
+use relcore::ppr::TeleportVector;
 use relcore::push::{ppr_push_full, PushConfig};
 use relcore::runner::Algorithm;
 use relcore::solver::{Scheme, SolverConfig, SweepKernel};
-use relcore::{AlgorithmRegistry, Query, ScoringFunction};
-use relgraph::{GraphBuilder, NodeId};
-use std::str::FromStr;
+use relcore::{Query, ScoreVector, ScoringFunction};
+use relgraph::{DirectedGraph, GraphBuilder, NodeId};
 use std::sync::Arc;
 
 fn edge_list(max_nodes: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
@@ -23,38 +21,86 @@ fn weighted_edge_list(
     prop::collection::vec((0..max_nodes, 0..max_nodes, 0.1f64..10.0), 1..max_edges)
 }
 
+/// The four stationary built-ins, and whether each solve sweeps the
+/// transposed view.
+const STATIONARY: [(Algorithm, bool); 4] = [
+    (Algorithm::PageRank, false),
+    (Algorithm::PersonalizedPageRank, false),
+    (Algorithm::CheiRank, true),
+    (Algorithm::PersonalizedCheiRank, true),
+];
+
+/// Every stationary built-in under every scheme, through `Query`:
+/// `(algorithm, transposed, scheme, scores)`. Personalized runs restart
+/// at `seed`; global runs ignore it.
+fn stationary_runs(
+    g: &Arc<DirectedGraph>,
+    alpha: f64,
+    seed: NodeId,
+) -> Vec<(Algorithm, bool, Scheme, ScoreVector)> {
+    let mut runs = Vec::new();
+    for (algorithm, transposed) in STATIONARY {
+        for scheme in Scheme::ALL {
+            let result = Query::on(g)
+                .algorithm(algorithm)
+                .alpha(alpha)
+                .scheme(scheme)
+                .reference(seed)
+                .run()
+                .unwrap();
+            runs.push((algorithm, transposed, scheme, result.output.scores.unwrap()));
+        }
+    }
+    runs
+}
+
 proptest! {
-    /// PageRank is a probability distribution: non-negative and sums to 1.
+    /// Every stationary built-in's scores are a probability distribution:
+    /// non-negative and summing to 1.
     #[test]
     fn pagerank_is_distribution(edges in edge_list(30, 150), alpha in 0.05f64..0.95) {
-        let g = GraphBuilder::from_edge_indices(edges);
-        let (s, _) = pagerank(g.view(), &PageRankConfig::with_damping(alpha)).unwrap();
-        prop_assert!((s.sum() - 1.0).abs() < 1e-6);
-        prop_assert!(s.as_slice().iter().all(|&v| v >= 0.0));
+        let g = Arc::new(GraphBuilder::from_edge_indices(edges));
+        for (algorithm, _, scheme, s) in stationary_runs(&g, alpha, NodeId::new(0)) {
+            prop_assert!((s.sum() - 1.0).abs() < 1e-6, "{} under {:?}", algorithm, scheme);
+            prop_assert!(s.as_slice().iter().all(|&v| v >= 0.0), "{} under {:?}", algorithm, scheme);
+        }
     }
 
-    /// Every node's PageRank is at least the bare teleport mass (1−α)/n.
+    /// Every node keeps at least its bare teleport mass (1−α)·t(u): (1−α)/n
+    /// under a uniform teleport, 1−α on the seed of a personalized one.
     #[test]
-    fn pagerank_teleport_floor(edges in edge_list(25, 100), alpha in 0.1f64..0.9) {
-        let g = GraphBuilder::from_edge_indices(edges);
-        let (s, _) = pagerank(g.view(), &PageRankConfig::with_damping(alpha)).unwrap();
-        let floor = (1.0 - alpha) / g.node_count() as f64;
-        prop_assert!(s.as_slice().iter().all(|&v| v >= floor - 1e-9));
+    fn pagerank_teleport_floor(edges in edge_list(25, 100), alpha in 0.1f64..0.9, seed in 0u32..25) {
+        let g = Arc::new(GraphBuilder::from_edge_indices(edges));
+        let seed = NodeId::new(seed % g.node_count() as u32);
+        for (algorithm, _, scheme, s) in stationary_runs(&g, alpha, seed) {
+            if algorithm.is_personalized() {
+                prop_assert!(s.get(seed) >= 1.0 - alpha - 1e-9, "{} under {:?}", algorithm, scheme);
+            } else {
+                let floor = (1.0 - alpha) / g.node_count() as f64;
+                prop_assert!(s.as_slice().iter().all(|&v| v >= floor - 1e-9), "{} under {:?}", algorithm, scheme);
+            }
+        }
     }
 
-    /// PPR: distribution, zero outside the seed's reachable set, and the
-    /// seed always has positive mass.
+    /// A personalized run puts positive mass on the seed and none outside
+    /// the set it reaches in the solved orientation (forward for PPR,
+    /// reversed for Pers. CheiRank); a global run reaches every node.
     #[test]
     fn ppr_support_is_reachable_set(edges in edge_list(25, 100), seed in 0u32..25) {
-        let g = GraphBuilder::from_edge_indices(edges);
+        let g = Arc::new(GraphBuilder::from_edge_indices(edges));
         let seed = NodeId::new(seed % g.node_count() as u32);
-        let (s, _) = personalized_pagerank(g.view(), &PageRankConfig::default(), seed).unwrap();
-        prop_assert!((s.sum() - 1.0).abs() < 1e-6);
-        prop_assert!(s.get(seed) > 0.0);
-        let dist = relgraph::bfs_distances(&g, seed);
-        for u in g.nodes() {
-            if dist[u.index()] == u32::MAX {
-                prop_assert_eq!(s.get(u), 0.0, "unreachable {:?} has mass", u);
+        for (algorithm, transposed, scheme, s) in stationary_runs(&g, 0.85, seed) {
+            prop_assert!(s.get(seed) > 0.0, "{} under {:?}", algorithm, scheme);
+            if !algorithm.is_personalized() {
+                prop_assert!(s.as_slice().iter().all(|&v| v > 0.0), "{} under {:?}", algorithm, scheme);
+                continue;
+            }
+            let view = if transposed { g.transposed() } else { g.view() };
+            let dist = relgraph::traversal::bfs_distances_view(view, seed);
+            for u in g.nodes() {
+                if dist[u.index()] == u32::MAX {
+                    prop_assert_eq!(s.get(u), 0.0, "{} under {:?}: unreachable {:?} has mass", algorithm, scheme, u);
+                }
             }
         }
     }
@@ -74,11 +120,10 @@ proptest! {
             &PushConfig { damping: 0.85, epsilon: eps, max_pushes: usize::MAX },
             seed,
         ).unwrap();
-        let (exact, _) = personalized_pagerank(
-            g.view(),
-            &PageRankConfig { damping: 0.85, tolerance: 1e-13, max_iterations: 5000 },
-            seed,
-        ).unwrap();
+        let exact = SweepKernel::new(g.view()).unwrap().solve(
+            &SolverConfig { tolerance: 1e-13, max_iterations: 5000, ..Default::default() },
+            &TeleportVector::single(g.node_count(), seed).unwrap(),
+        ).unwrap().scores;
         let l1: f64 = g.nodes().map(|u| (approx.get(u) - exact.get(u)).abs()).sum();
         let bound = eps * (g.edge_count() + g.node_count()) as f64 + 1e-8;
         prop_assert!(l1 <= bound, "L1 error {l1} > bound {bound}");
@@ -356,72 +401,6 @@ proptest! {
             prop_assert_eq!(&single.output.ranking, &batch.outputs[i].ranking);
             prop_assert_eq!(single.top_entries(), batch.top_entries(i));
         }
-    }
-}
-
-/// Registry/enum parity, part 1 of 2: every `Algorithm::ALL` id resolves
-/// in the global registry, to an entry whose metadata matches the enum's.
-#[test]
-fn every_enum_id_resolves_in_registry() {
-    let registry = AlgorithmRegistry::global();
-    for algo in Algorithm::ALL {
-        let entry =
-            registry.get(algo.id()).unwrap_or_else(|| panic!("{} not in registry", algo.id()));
-        assert_eq!(entry.id(), algo.id());
-        assert_eq!(entry.display_name(), algo.display_name());
-        assert_eq!(entry.is_personalized(), algo.is_personalized());
-        assert_eq!(entry.produces_scores(), algo.produces_scores());
-    }
-}
-
-/// Registry/enum parity, part 2 of 2: every spelling `Algorithm::from_str`
-/// accepts resolves in the registry to the same algorithm, and the
-/// resolved id round-trips back through `FromStr`.
-#[test]
-fn fromstr_aliases_roundtrip_through_registry() {
-    let registry = AlgorithmRegistry::global();
-    let aliases = [
-        "pagerank",
-        "pr",
-        "PageRank",
-        "ppr",
-        "personalizedpagerank",
-        "personalized-page-rank",
-        "Pers. PageRank",
-        "cheirank",
-        "CheiRank",
-        "pcheirank",
-        "personalizedcheirank",
-        "2drank",
-        "twodrank",
-        "2DRank",
-        "p2drank",
-        "personalized2drank",
-        "personalizedtwodrank",
-        "cyclerank",
-        "cr",
-        "Cyclerank",
-        "CYCLE_RANK",
-    ];
-    for alias in aliases {
-        let from_enum =
-            Algorithm::from_str(alias).unwrap_or_else(|e| panic!("enum rejects {alias:?}: {e}"));
-        let from_registry =
-            registry.get(alias).unwrap_or_else(|| panic!("registry rejects {alias:?}"));
-        assert_eq!(from_registry.id(), from_enum.id(), "alias {alias:?} diverges");
-        // Round trip: the registry id parses back to the same enum value.
-        assert_eq!(Algorithm::from_str(from_registry.id()).unwrap(), from_enum);
-    }
-    // The registry additionally resolves dotted display names the enum's
-    // FromStr never supported; the resolved ids still round-trip.
-    for (display, id) in [("Pers. CheiRank", "pcheirank"), ("Pers. 2DRank", "p2drank")] {
-        assert_eq!(registry.get(display).unwrap().id(), id);
-        assert_eq!(Algorithm::from_str(id).unwrap().id(), id);
-    }
-    // Negative parity: names neither accepts.
-    for bogus in ["zerank", "", "page rank x"] {
-        assert!(Algorithm::from_str(bogus).is_err());
-        assert!(registry.get(bogus).is_none(), "registry accepts bogus {bogus:?}");
     }
 }
 

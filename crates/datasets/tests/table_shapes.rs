@@ -11,23 +11,31 @@
 //! 3. Personalized PageRank surfaces the popular one-way pages in its
 //!    top list — the "United States problem" — while CycleRank does not.
 
-use relcore::cyclerank::{cyclerank, CycleRankConfig};
-use relcore::pagerank::{pagerank, PageRankConfig};
-use relcore::ppr::personalized_pagerank;
+use relcore::{Query, ScoreVector};
 use reldata::fixtures::{
     amazon_books, amazon_books_fellowship, enwiki_2018, enwiki_2018_pasta, fakenews, Language,
     Scenario,
 };
 
-fn top_labels(sc: &Scenario, scores: &relcore::ScoreVector, k: usize) -> Vec<String> {
+fn top_labels(sc: &Scenario, scores: &ScoreVector, k: usize) -> Vec<String> {
     scores.top_k_labeled(&sc.graph, k).into_iter().map(|(l, _)| l).collect()
+}
+
+/// A query on the scenario's graph from its reference, under the served
+/// defaults (global algorithms ignore the reference).
+fn on(sc: &Scenario, algorithm: &str) -> Query {
+    Query::on(&sc.graph).algorithm(algorithm).reference(sc.reference_node())
+}
+
+fn scores(query: Query) -> ScoreVector {
+    query.run().unwrap().output.scores.unwrap()
 }
 
 /// Claim 1: PR top-5 = hubs in order, independent of the query scenario.
 #[test]
 fn pagerank_top5_is_hub_set_in_order() {
     for sc in [enwiki_2018(), amazon_books(), fakenews(Language::En)] {
-        let (pr, _) = pagerank(sc.graph.view(), &PageRankConfig::with_damping(0.85)).unwrap();
+        let pr = scores(on(&sc, "pagerank").alpha(0.85));
         let top = top_labels(&sc, &pr, sc.hubs.len());
         assert_eq!(top, sc.hubs, "PageRank top-{} should be the hubs", sc.hubs.len());
     }
@@ -37,8 +45,8 @@ fn pagerank_top5_is_hub_set_in_order() {
 #[test]
 fn cyclerank_freddie_matches_table1_column() {
     let sc = enwiki_2018();
-    let out = cyclerank(&sc.graph, sc.reference_node(), &CycleRankConfig::with_k(3)).unwrap();
-    let top = top_labels(&sc, &out.scores, 1 + sc.expected_cyclerank.len());
+    let cr = scores(on(&sc, "cyclerank").k(3));
+    let top = top_labels(&sc, &cr, 1 + sc.expected_cyclerank.len());
     assert_eq!(top[0], sc.reference);
     assert_eq!(
         &top[1..],
@@ -51,8 +59,8 @@ fn cyclerank_freddie_matches_table1_column() {
 #[test]
 fn cyclerank_pasta_matches_table1_column() {
     let sc = enwiki_2018_pasta();
-    let out = cyclerank(&sc.graph, sc.reference_node(), &CycleRankConfig::with_k(3)).unwrap();
-    let top = top_labels(&sc, &out.scores, 1 + sc.expected_cyclerank.len());
+    let cr = scores(on(&sc, "cyclerank").k(3));
+    let top = top_labels(&sc, &cr, 1 + sc.expected_cyclerank.len());
     assert_eq!(top[0], "Pasta");
     assert_eq!(&top[1..], sc.expected_cyclerank.as_slice());
 }
@@ -61,8 +69,8 @@ fn cyclerank_pasta_matches_table1_column() {
 #[test]
 fn cyclerank_amazon_matches_table2_columns() {
     for sc in [amazon_books(), amazon_books_fellowship()] {
-        let out = cyclerank(&sc.graph, sc.reference_node(), &CycleRankConfig::with_k(5)).unwrap();
-        let top = top_labels(&sc, &out.scores, 1 + sc.expected_cyclerank.len());
+        let cr = scores(on(&sc, "cyclerank").k(5));
+        let top = top_labels(&sc, &cr, 1 + sc.expected_cyclerank.len());
         assert_eq!(top[0], sc.reference);
         let expected: Vec<String> = sc.expected_cyclerank.iter().map(|s| s.to_string()).collect();
         // With K=5 the longer cycles may permute the middle of the column;
@@ -86,27 +94,22 @@ fn cyclerank_amazon_matches_table2_columns() {
 fn popular_oneway_pages_stay_out_of_cyclerank_top() {
     // Exact-zero cases.
     for (sc, k) in [(enwiki_2018(), 3), (amazon_books_fellowship(), 5)] {
-        let out = cyclerank(&sc.graph, sc.reference_node(), &CycleRankConfig::with_k(k)).unwrap();
+        let cr = scores(on(&sc, "cyclerank").k(k));
         for p in &sc.popular_oneway {
             let n = sc.graph.node_by_label(p).unwrap();
-            assert_eq!(
-                out.scores.get(n),
-                0.0,
-                "{p} should sit on no cycle through {}",
-                sc.reference
-            );
+            assert_eq!(cr.get(n), 0.0, "{p} should sit on no cycle through {}", sc.reference);
         }
     }
     // Below-cluster cases.
     for (sc, k) in [(enwiki_2018_pasta(), 3), (amazon_books(), 5)] {
-        let out = cyclerank(&sc.graph, sc.reference_node(), &CycleRankConfig::with_k(k)).unwrap();
+        let cr = scores(on(&sc, "cyclerank").k(k));
         let min_cluster = sc
             .expected_cyclerank
             .iter()
-            .map(|m| out.scores.get(sc.graph.node_by_label(m).unwrap()))
+            .map(|m| cr.get(sc.graph.node_by_label(m).unwrap()))
             .fold(f64::MAX, f64::min);
         for p in &sc.popular_oneway {
-            let score = out.scores.get(sc.graph.node_by_label(p).unwrap());
+            let score = cr.get(sc.graph.node_by_label(p).unwrap());
             assert!(
                 score < min_cluster,
                 "{}: {p} ({score}) should rank below the weakest cluster member ({min_cluster})",
@@ -121,12 +124,7 @@ fn popular_oneway_pages_stay_out_of_cyclerank_top() {
 #[test]
 fn ppr_surfaces_popular_pages_table1() {
     let sc = enwiki_2018();
-    let (ppr, _) = personalized_pagerank(
-        sc.graph.view(),
-        &PageRankConfig::with_damping(0.3),
-        sc.reference_node(),
-    )
-    .unwrap();
+    let ppr = scores(on(&sc, "ppr").alpha(0.3));
     assert_eq!(
         top_labels(&sc, &ppr, 5),
         vec!["Freddie Mercury", "Queen (band)", "The FM Tribute Concert", "HIV/AIDS", "Queen II"],
@@ -134,12 +132,7 @@ fn ppr_surfaces_popular_pages_table1() {
     );
 
     let sc = enwiki_2018_pasta();
-    let (ppr, _) = personalized_pagerank(
-        sc.graph.view(),
-        &PageRankConfig::with_damping(0.3),
-        sc.reference_node(),
-    )
-    .unwrap();
+    let ppr = scores(on(&sc, "ppr").alpha(0.3));
     assert_eq!(
         top_labels(&sc, &ppr, 5),
         vec!["Pasta", "Bolognese sauce", "Carbonara", "Durum", "Italy"],
@@ -152,12 +145,7 @@ fn ppr_surfaces_popular_pages_table1() {
 #[test]
 fn ppr_surfaces_popular_pages_table2() {
     for sc in [amazon_books(), amazon_books_fellowship()] {
-        let (ppr, _) = personalized_pagerank(
-            sc.graph.view(),
-            &PageRankConfig::with_damping(0.85),
-            sc.reference_node(),
-        )
-        .unwrap();
+        let ppr = scores(on(&sc, "ppr").alpha(0.85));
         let top = top_labels(&sc, &ppr, 7);
         for p in &sc.popular_oneway {
             assert!(
@@ -175,8 +163,8 @@ fn ppr_surfaces_popular_pages_table2() {
 fn cyclerank_fakenews_matches_table3_all_languages() {
     for lang in Language::ALL {
         let sc = fakenews(lang);
-        let out = cyclerank(&sc.graph, sc.reference_node(), &CycleRankConfig::with_k(3)).unwrap();
-        let top = top_labels(&sc, &out.scores, 1 + sc.expected_cyclerank.len());
+        let cr = scores(on(&sc, "cyclerank").k(3));
+        let top = top_labels(&sc, &cr, 1 + sc.expected_cyclerank.len());
         assert_eq!(top[0], sc.reference, "{lang}");
         assert_eq!(
             &top[1..],
@@ -193,9 +181,11 @@ fn registry_wiki_2018_supports_fakenews_query() {
     for lang in [Language::It, Language::Pl] {
         let g = reldata::load_dataset(&format!("wiki-{}-2018", lang.code())).unwrap();
         let r = g.node_by_label(lang.fake_news_title()).unwrap();
-        let out = cyclerank(&g, r, &CycleRankConfig::with_k(3)).unwrap();
-        let top: Vec<String> = out
+        let cr = Query::on(&g).algorithm("cyclerank").reference(r).k(3).run().unwrap();
+        let top: Vec<String> = cr
+            .output
             .scores
+            .unwrap()
             .top_k_labeled(&g, 1 + lang.fake_news_neighbours().len())
             .into_iter()
             .map(|(l, _)| l)

@@ -74,23 +74,11 @@ impl TaskSpec {
                 ))
             }
         };
-        // Resolve the name through the registry first, so every spelling
-        // the registry accepts (aliases, display names) works here exactly
-        // as it does in Query::run; only then map the canonical id onto
-        // the wire format's closed enum.
-        let canonical =
-            relcore::AlgorithmRegistry::global().get(query.algorithm_name()).ok_or_else(|| {
-                EngineError::UnsupportedQuery(format!(
-                    "unknown algorithm {:?}",
-                    query.algorithm_name()
-                ))
-            })?;
-        let algorithm: Algorithm = canonical.id().parse().map_err(|_| {
-            EngineError::UnsupportedQuery(format!(
-                "algorithm {:?} has no task-JSON tag; run it directly with Query::run()",
-                canonical.id()
-            ))
-        })?;
+        // `Algorithm::from_str` resolves through the registry, so every
+        // spelling `Query::run` accepts (aliases, display names) works here;
+        // a registered third-party id has no wire tag and is refused.
+        let algorithm: Algorithm =
+            query.algorithm_name().parse().map_err(EngineError::UnsupportedQuery)?;
         let mut params = *query.params_ref();
         params.algorithm = algorithm;
         let source = match query.reference_ref() {
@@ -114,10 +102,10 @@ impl TaskSpec {
     }
 
     /// Checks the task rules every front door shares: a personalized
-    /// algorithm (per its [`relcore::AlgorithmRegistry`] entry) needs a
-    /// source, or the task fails with [`EngineError::MissingSource`].
+    /// algorithm needs a source, or the task fails with
+    /// [`EngineError::MissingSource`].
     pub fn validate(&self) -> Result<(), EngineError> {
-        if self.source.is_none() && personalized(self.params.algorithm) {
+        if self.source.is_none() && self.params.algorithm.is_personalized() {
             return Err(EngineError::MissingSource);
         }
         Ok(())
@@ -185,7 +173,7 @@ impl BatchSpec {
         if self.sources.is_empty() {
             return Err(EngineError::InvalidBatch("batch has no sources"));
         }
-        if !personalized(self.params.algorithm) {
+        if !self.params.algorithm.is_personalized() {
             return Err(EngineError::InvalidBatch(
                 "batch queries require a personalized algorithm (each seed is one personalization)",
             ));
@@ -199,11 +187,6 @@ impl BatchSpec {
         self.top_k = k;
         self.params = self.params.with_top_k(k);
     }
-}
-
-/// Whether `algorithm` needs a source, per its registry entry.
-fn personalized(algorithm: Algorithm) -> bool {
-    relcore::AlgorithmRegistry::global().get(algorithm.id()).is_some_and(|a| a.is_personalized())
 }
 
 /// An ordered set of tasks under a permalink id (Fig. 2).

@@ -80,12 +80,10 @@ pub use relserver as server;
 /// One-stop imports for the common workflow.
 pub mod prelude {
     pub use relcore::cyclerank::cyclerank;
-    pub use relcore::pagerank::pagerank;
-    pub use relcore::ppr::personalized_pagerank;
     pub use relcore::runner::{Algorithm, AlgorithmParams};
     pub use relcore::{
-        AlgorithmDescriptor, AlgorithmRegistry, CycleRankConfig, PageRankConfig, ParamSpec, Query,
-        QueryResult, RelevanceAlgorithm, ScoringFunction,
+        AlgorithmDescriptor, AlgorithmRegistry, CycleRankConfig, ParamSpec, Query, QueryResult,
+        RelevanceAlgorithm, ScoringFunction,
     };
     pub use reldata::{catalog, load_dataset};
     pub use relengine::prelude::*;
@@ -98,7 +96,7 @@ mod tests {
     fn facade_reexports_work() {
         use crate::prelude::*;
         let g = GraphBuilder::from_edge_indices([(0, 1), (1, 0)]);
-        let (s, _) = pagerank(g.view(), &PageRankConfig::default()).unwrap();
+        let s = Query::on(g).algorithm(Algorithm::PageRank).run().unwrap().output.scores.unwrap();
         assert!((s.sum() - 1.0).abs() < 1e-9);
         assert_eq!(catalog().len(), 50);
     }
