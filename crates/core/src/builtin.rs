@@ -451,29 +451,60 @@ impl RelevanceAlgorithm for CycleRankAlgorithm {
     }
 }
 
+/// The harness of the stationary built-ins' behaviour tests (in `pagerank`,
+/// `cheirank` and `ppr`): each behaviour runs through `Query` for every
+/// listed algorithm under every scheme.
 #[cfg(test)]
-mod tests {
-    use crate::error::AlgoError;
+pub(crate) mod behaviour {
     use crate::query::{Query, QueryError};
     use crate::result::ScoreVector;
     use crate::runner::RelevanceOutput;
     use crate::solver::Scheme;
     use relgraph::{DirectedGraph, GraphBuilder, NodeId};
 
-    type Outcome = Result<RelevanceOutput, QueryError>;
+    pub(crate) type Outcome = Result<RelevanceOutput, QueryError>;
 
-    /// One behaviour of the stationary built-ins, checked through `Query`
-    /// for each listed algorithm under every scheme.
-    struct Row {
-        behaviour: &'static str,
-        graph: fn() -> DirectedGraph,
-        algorithms: &'static [&'static str],
-        query: fn(Query) -> Query,
-        check: fn(&Outcome) -> bool,
+    /// One behaviour of the stationary built-ins.
+    pub(crate) struct Row {
+        pub behaviour: &'static str,
+        pub graph: fn() -> DirectedGraph,
+        pub algorithms: &'static [&'static str],
+        pub query: fn(Query) -> Query,
+        pub check: fn(&Outcome) -> bool,
+    }
+
+    impl Row {
+        /// Asserts the behaviour for each listed algorithm under every
+        /// scheme, and that both schemes sweep to the same fixed point.
+        pub(crate) fn holds(self) {
+            let g = std::sync::Arc::new((self.graph)());
+            for &algorithm in self.algorithms {
+                let outcomes = Scheme::ALL.map(|scheme| {
+                    let query = Query::on(&g).algorithm(algorithm).scheme(scheme);
+                    let outcome = (self.query)(query).run().map(|r| r.output);
+                    assert!(
+                        (self.check)(&outcome),
+                        "{}: {algorithm} under {scheme:?}",
+                        self.behaviour
+                    );
+                    outcome
+                });
+                if let [Ok(a), Ok(b)] = &outcomes {
+                    let (a, b) = (a.scores.as_ref().unwrap(), b.scores.as_ref().unwrap());
+                    for u in g.nodes() {
+                        assert!(
+                            (a.get(u) - b.get(u)).abs() < 1e-8,
+                            "{}: {algorithm} schemes disagree at {u:?}",
+                            self.behaviour
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// The scores of a converged run that is a probability distribution.
-    fn distribution(out: &Outcome) -> Option<&ScoreVector> {
+    pub(crate) fn distribution(out: &Outcome) -> Option<&ScoreVector> {
         let out = out.as_ref().ok()?;
         let conv = out.convergence?;
         let s = out.scores.as_ref()?;
@@ -485,16 +516,32 @@ mod tests {
         ok.then_some(s)
     }
 
-    fn at(s: &ScoreVector, i: u32) -> f64 {
+    pub(crate) fn at(s: &ScoreVector, i: u32) -> f64 {
         s.get(NodeId::new(i))
     }
 
-    fn cycle4() -> DirectedGraph {
+    /// `max − min` of the scores.
+    pub(crate) fn spread(s: &ScoreVector) -> f64 {
+        let max = s.as_slice().iter().cloned().fold(f64::MIN, f64::max);
+        let min = s.as_slice().iter().cloned().fold(f64::MAX, f64::min);
+        max - min
+    }
+
+    /// The algorithm id of a successful run.
+    pub(crate) fn ran(out: &Outcome) -> &str {
+        out.as_ref().map_or("", |o| o.algorithm.as_str())
+    }
+
+    pub(crate) fn seed0(q: Query) -> Query {
+        q.reference(NodeId::new(0))
+    }
+
+    pub(crate) fn cycle4() -> DirectedGraph {
         GraphBuilder::from_edge_indices([(0, 1), (1, 2), (2, 3), (3, 0)])
     }
 
     /// 1..=5 point at 0, which points back at 1.
-    fn star() -> DirectedGraph {
+    pub(crate) fn star() -> DirectedGraph {
         let mut b = GraphBuilder::new();
         for i in 1..=5 {
             b.add_edge_indices(i, 0);
@@ -503,229 +550,30 @@ mod tests {
         b.build()
     }
 
-    fn single_edge() -> DirectedGraph {
+    /// 0 -> 1, and 1 dangles.
+    pub(crate) fn single_edge() -> DirectedGraph {
         GraphBuilder::from_edge_indices([(0, 1)])
     }
 
-    fn isolated4() -> DirectedGraph {
+    /// Four nodes, no edges.
+    pub(crate) fn isolated4() -> DirectedGraph {
         let mut b = GraphBuilder::new();
         b.ensure_node(3);
         b.build()
     }
 
-    fn asymmetric() -> DirectedGraph {
+    /// A uniform start is not stationary here.
+    pub(crate) fn asymmetric() -> DirectedGraph {
         GraphBuilder::from_edge_indices([(0, 1), (1, 2), (2, 0), (0, 2)])
     }
 
-    /// 0 splits its mass 9:1 between 1 and 2.
-    fn weighted() -> DirectedGraph {
-        let mut b = GraphBuilder::new();
-        b.add_weighted_edge(NodeId::new(0), NodeId::new(1), 9.0);
-        b.add_weighted_edge(NodeId::new(0), NodeId::new(2), 1.0);
-        b.add_weighted_edge(NodeId::new(1), NodeId::new(0), 1.0);
-        b.add_weighted_edge(NodeId::new(2), NodeId::new(0), 1.0);
-        b.build()
-    }
-
-    /// Node 0 links out to 1..=4, which all link to 5; 5 closes the loop.
-    fn out_hub_in_hub() -> DirectedGraph {
-        let mut b = GraphBuilder::new();
-        for i in 1..=4 {
-            b.add_edge_indices(0, i);
-            b.add_edge_indices(i, 5);
-        }
-        b.add_edge_indices(5, 0);
-        b.build()
-    }
-
     /// 0 <-> 1 <-> 2, and 3 -> 2 (3 unreachable from 0).
-    fn line_with_branches() -> DirectedGraph {
+    pub(crate) fn line_with_branches() -> DirectedGraph {
         GraphBuilder::from_edge_indices([(0, 1), (1, 0), (1, 2), (2, 1), (3, 2)])
     }
 
-    fn chain3() -> DirectedGraph {
+    /// 0 -> 1 -> 2.
+    pub(crate) fn chain3() -> DirectedGraph {
         GraphBuilder::from_edge_indices([(0, 1), (1, 2)])
-    }
-
-    fn seed0(q: Query) -> Query {
-        q.reference(NodeId::new(0))
-    }
-
-    #[test]
-    fn stationary_builtins_behave_as_specified() {
-        let rows = [
-            Row {
-                behaviour: "a directed cycle ranks every node equally",
-                graph: cycle4,
-                algorithms: &["pagerank", "cheirank"],
-                query: |q| q,
-                check: |o| {
-                    distribution(o).is_some_and(|s| (0..4).all(|i| (at(s, i) - 0.25).abs() < 1e-8))
-                },
-            },
-            Row {
-                behaviour: "in-links raise PageRank, and the hub's endorsement counts",
-                graph: star,
-                algorithms: &["pagerank"],
-                query: |q| q,
-                check: |o| {
-                    distribution(o).is_some_and(|s| {
-                        (1..=5).all(|i| at(s, 0) > at(s, i)) && (2..=5).all(|i| at(s, 1) > at(s, i))
-                    })
-                },
-            },
-            Row {
-                behaviour: "dangling mass is redistributed, not lost",
-                graph: single_edge,
-                algorithms: &["pagerank"],
-                query: |q| q,
-                check: |o| distribution(o).is_some_and(|s| at(s, 1) > at(s, 0)),
-            },
-            Row {
-                behaviour: "dangling mass returns to the seed",
-                graph: single_edge,
-                algorithms: &["ppr"],
-                query: seed0,
-                check: |o| distribution(o).is_some_and(|s| at(s, 0) > 0.0 && at(s, 1) > 0.0),
-            },
-            Row {
-                behaviour: "an edgeless graph ranks uniformly",
-                graph: isolated4,
-                algorithms: &["pagerank", "cheirank"],
-                query: |q| q,
-                check: |o| {
-                    distribution(o).is_some_and(|s| (0..4).all(|i| (at(s, i) - 0.25).abs() < 1e-9))
-                },
-            },
-            Row {
-                behaviour: "max_iterations caps the sweeps of an unconverged run",
-                graph: asymmetric,
-                algorithms: &["pagerank", "ppr", "cheirank", "pcheirank"],
-                query: |q| seed0(q).tolerance(1e-30).max_iterations(3),
-                check: |o| {
-                    o.as_ref().is_ok_and(|out| {
-                        out.convergence.is_some_and(|c| c.iterations == 3 && !c.converged)
-                    })
-                },
-            },
-            Row {
-                behaviour: "edge weights bias the walk",
-                graph: weighted,
-                algorithms: &["pagerank"],
-                query: |q| q,
-                check: |o| distribution(o).is_some_and(|s| at(s, 1) > at(s, 2)),
-            },
-            Row {
-                // x = (1 − α)·t + α·P·x puts every score in [(1 − α)/n, (1 − α)/n + α].
-                behaviour: "a low damping factor flattens scores toward the teleport",
-                graph: star,
-                algorithms: &["pagerank", "cheirank"],
-                query: |q| q.alpha(0.05),
-                check: |o| {
-                    distribution(o).is_some_and(|s| {
-                        let max = s.as_slice().iter().cloned().fold(f64::MIN, f64::max);
-                        let min = s.as_slice().iter().cloned().fold(f64::MAX, f64::min);
-                        max - min <= 0.05
-                    })
-                },
-            },
-            Row {
-                behaviour: "PageRank favors the in-hub, CheiRank the out-hub",
-                graph: out_hub_in_hub,
-                algorithms: &["pagerank", "cheirank"],
-                query: |q| q,
-                check: |o| {
-                    let Some(s) = distribution(o) else { return false };
-                    match o.as_ref().map(|out| out.algorithm.as_str()) {
-                        Ok("pagerank") => at(s, 5) > at(s, 0),
-                        _ => at(s, 0) > at(s, 5),
-                    }
-                },
-            },
-            Row {
-                behaviour: "CheiRank is PageRank on the explicitly transposed graph",
-                graph: asymmetric,
-                algorithms: &["cheirank"],
-                query: |q| q,
-                check: |o| {
-                    let g = asymmetric();
-                    let mut b = GraphBuilder::new();
-                    for (u, v) in g.edges() {
-                        b.add_edge(v, u);
-                    }
-                    let page_t = Query::on(b.build()).algorithm("pagerank").run().unwrap();
-                    let page_t = page_t.output.scores.unwrap();
-                    distribution(o)
-                        .is_some_and(|s| g.nodes().all(|u| (s.get(u) - page_t.get(u)).abs() < 1e-8))
-                },
-            },
-            Row {
-                behaviour: "PPR is zero off the seed's reachable set and decays with distance",
-                graph: line_with_branches,
-                algorithms: &["ppr"],
-                query: seed0,
-                check: |o| distribution(o).is_some_and(|s| at(s, 3) == 0.0 && at(s, 1) > at(s, 2)),
-            },
-            Row {
-                behaviour: "a restart-heavy walk keeps at least 1 − α on the seed",
-                graph: line_with_branches,
-                algorithms: &["ppr", "pcheirank"],
-                query: |q| seed0(q).alpha(0.1),
-                check: |o| {
-                    distribution(o).is_some_and(|s| {
-                        at(s, 0) >= 0.9 - 1e-9 && s.argmax() == Some(NodeId::new(0))
-                    })
-                },
-            },
-            Row {
-                behaviour: "Pers. CheiRank walks the reversed edges upstream of the seed",
-                graph: chain3,
-                algorithms: &["ppr", "pcheirank"],
-                query: |q| q.reference(NodeId::new(2)),
-                check: |o| {
-                    let Some(s) = distribution(o) else { return false };
-                    match o.as_ref().map(|out| out.algorithm.as_str()) {
-                        // Node 2 has no out-edges: a forward walk sees nothing.
-                        Ok("ppr") => at(s, 0) == 0.0,
-                        _ => s.argmax() == Some(NodeId::new(2)) && at(s, 1) > at(s, 0),
-                    }
-                },
-            },
-            Row {
-                behaviour: "an out-of-range reference is rejected",
-                graph: line_with_branches,
-                algorithms: &["ppr", "pcheirank"],
-                query: |q| q.reference(NodeId::new(42)),
-                check: |o| {
-                    matches!(o, Err(QueryError::Algorithm(AlgoError::InvalidReference { .. })))
-                },
-            },
-        ];
-        for row in rows {
-            let g = std::sync::Arc::new((row.graph)());
-            for &algorithm in row.algorithms {
-                let outcomes = Scheme::ALL.map(|scheme| {
-                    let query = Query::on(&g).algorithm(algorithm).scheme(scheme);
-                    let outcome = (row.query)(query).run().map(|r| r.output);
-                    assert!(
-                        (row.check)(&outcome),
-                        "{}: {algorithm} under {scheme:?}",
-                        row.behaviour
-                    );
-                    outcome
-                });
-                // Both schemes sweep to the same fixed point.
-                if let [Ok(a), Ok(b)] = &outcomes {
-                    let (a, b) = (a.scores.as_ref().unwrap(), b.scores.as_ref().unwrap());
-                    for u in g.nodes() {
-                        assert!(
-                            (a.get(u) - b.get(u)).abs() < 1e-8,
-                            "{}: {algorithm} schemes disagree at {u:?}",
-                            row.behaviour
-                        );
-                    }
-                }
-            }
-        }
     }
 }

@@ -115,6 +115,15 @@ pub mod solver;
 pub mod topk;
 pub mod tworank;
 
+// Behaviour tests of the PageRank and CheiRank built-ins through `Query`
+// (PPR's sit in `ppr`); no code of their own, the algorithms are `builtin`'s.
+#[cfg(test)]
+#[path = "cheirank_tests.rs"]
+mod cheirank;
+#[cfg(test)]
+#[path = "pagerank_tests.rs"]
+mod pagerank;
+
 pub use algorithm::{AlgorithmDescriptor, ParamSpec, RelevanceAlgorithm};
 pub use arena::{with_arena, SolverArena};
 pub use cyclerank::{CycleRankConfig, CycleRankOutput};

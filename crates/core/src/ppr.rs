@@ -186,13 +186,9 @@ impl TeleportVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builtin::behaviour::*;
+    use crate::query::QueryError;
     use crate::solver::{SolverConfig, SweepKernel};
-    use relgraph::GraphBuilder;
-
-    fn line_with_branches() -> relgraph::DirectedGraph {
-        // 0 <-> 1 <-> 2, and 3 -> 2 (3 unreachable from 0).
-        GraphBuilder::from_edge_indices([(0, 1), (1, 0), (1, 2), (2, 1), (3, 2)])
-    }
 
     #[test]
     fn teleport_uniform_dense() {
@@ -239,6 +235,68 @@ mod tests {
         assert!(TeleportVector::weighted(3, &[(NodeId::new(0), 0.0)]).is_err());
         assert!(TeleportVector::weighted(3, &[(NodeId::new(0), f64::NAN)]).is_err());
         assert!(TeleportVector::weighted(3, &[(NodeId::new(0), -1.0)]).is_err());
+    }
+
+    #[test]
+    fn ppr_sums_to_one_and_localizes() {
+        Row {
+            behaviour: "PPR is zero off the seed's reachable set and decays with distance",
+            graph: line_with_branches,
+            algorithms: &["ppr"],
+            query: seed0,
+            check: |o| distribution(o).is_some_and(|s| at(s, 3) == 0.0 && at(s, 1) > at(s, 2)),
+        }
+        .holds();
+        // With a restart-heavy walk the seed itself dominates. (With high α a
+        // well-connected neighbor may legitimately outscore the seed — PPR's
+        // documented drift toward central nodes.)
+        Row {
+            behaviour: "a restart-heavy walk ranks the seed first",
+            graph: line_with_branches,
+            algorithms: &["ppr"],
+            query: |q| seed0(q).alpha(0.3),
+            check: |o| distribution(o).is_some_and(|s| s.argmax() == Some(NodeId::new(0))),
+        }
+        .holds();
+    }
+
+    #[test]
+    fn ppr_low_alpha_concentrates_on_seed() {
+        Row {
+            behaviour: "a restart-heavy walk keeps at least 1 − α on the seed",
+            graph: line_with_branches,
+            algorithms: &["ppr", "pcheirank"],
+            query: |q| seed0(q).alpha(0.1),
+            check: |o| {
+                distribution(o)
+                    .is_some_and(|s| at(s, 0) >= 0.9 - 1e-9 && s.argmax() == Some(NodeId::new(0)))
+            },
+        }
+        .holds();
+    }
+
+    #[test]
+    fn ppr_missing_reference_error() {
+        Row {
+            behaviour: "an out-of-range reference is rejected",
+            graph: line_with_branches,
+            algorithms: &["ppr", "pcheirank"],
+            query: |q| q.reference(NodeId::new(42)),
+            check: |o| matches!(o, Err(QueryError::Algorithm(AlgoError::InvalidReference { .. }))),
+        }
+        .holds();
+    }
+
+    #[test]
+    fn ppr_dangling_mass_returns_to_seed() {
+        Row {
+            behaviour: "dangling mass returns to the seed",
+            graph: single_edge,
+            algorithms: &["ppr"],
+            query: seed0,
+            check: |o| distribution(o).is_some_and(|s| at(s, 0) > 0.0 && at(s, 1) > 0.0),
+        }
+        .holds();
     }
 
     #[test]

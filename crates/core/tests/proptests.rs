@@ -6,8 +6,9 @@ use relcore::ppr::TeleportVector;
 use relcore::push::{ppr_push_full, PushConfig};
 use relcore::runner::Algorithm;
 use relcore::solver::{Scheme, SolverConfig, SweepKernel};
-use relcore::{Query, ScoreVector, ScoringFunction};
+use relcore::{AlgorithmRegistry, Query, ScoreVector, ScoringFunction};
 use relgraph::{DirectedGraph, GraphBuilder, NodeId};
+use std::str::FromStr;
 use std::sync::Arc;
 
 fn edge_list(max_nodes: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
@@ -400,6 +401,77 @@ proptest! {
             prop_assert_eq!(sc.converged, bc.converged);
             prop_assert_eq!(&single.output.ranking, &batch.outputs[i].ranking);
             prop_assert_eq!(single.top_entries(), batch.top_entries(i));
+        }
+    }
+}
+
+// ------------------------------------------------------------------
+// Algorithm names: the task-JSON tag resolves through the registry.
+
+/// Every task-JSON tag names a registered algorithm: each `Algorithm::ALL`
+/// id resolves in the global registry, and its id and display name parse
+/// back to the same variant.
+#[test]
+fn every_enum_id_resolves_in_registry() {
+    let registry = AlgorithmRegistry::global();
+    for algo in Algorithm::ALL {
+        let entry =
+            registry.get(algo.id()).unwrap_or_else(|| panic!("{} not in registry", algo.id()));
+        assert_eq!(entry.id(), algo.id());
+        assert_eq!(Algorithm::from_str(algo.id()), Ok(algo));
+        assert_eq!(Algorithm::from_str(algo.display_name()), Ok(algo));
+    }
+}
+
+/// Every spelling the global registry holds — `(spelling, id)` for each
+/// registered algorithm's id, display name and aliases.
+fn registry_spellings() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for algo in AlgorithmRegistry::global().list() {
+        let names =
+            [algo.id(), algo.display_name()].into_iter().chain(algo.aliases().iter().copied());
+        out.extend(names.map(|name| (name.to_string(), algo.id().to_string())));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Algorithm::from_str` accepts exactly the registry's spellings: a
+    /// registered spelling, recased and with a separator inserted, parses
+    /// to the variant of the registry's id, which round-trips; any other
+    /// text is rejected and echoed as typed.
+    #[test]
+    fn fromstr_aliases_roundtrip_through_registry(
+        pick in prop::sample::select(registry_spellings()),
+        case_mask in 0u64..u64::MAX,
+        sep in 0usize..3,
+        at in 0usize..32,
+        noise in "[a-zA-Z0-9 ._]{0,10}",
+    ) {
+        let (spelling, id) = pick;
+        let mut typed: String = spelling
+            .chars()
+            .enumerate()
+            .map(|(i, c)| if case_mask >> (i % 64) & 1 == 1 { c.to_ascii_uppercase() } else { c })
+            .collect();
+        typed.insert(at % (typed.len() + 1), ['-', '_', ' '][sep]);
+        let parsed = Algorithm::from_str(&typed);
+        prop_assert!(parsed.is_ok(), "{:?} (from {:?}) rejected: {:?}", typed, spelling, parsed);
+        let parsed = parsed.unwrap();
+        prop_assert_eq!(parsed.id(), id.as_str());
+        prop_assert_eq!(Algorithm::from_str(parsed.id()), Ok(parsed));
+
+        let registry = AlgorithmRegistry::global();
+        match Algorithm::from_str(&noise) {
+            Ok(algo) => {
+                prop_assert_eq!(registry.get(&noise).map(|a| a.id().to_string()), Some(algo.id().to_string()));
+            }
+            Err(e) => {
+                prop_assert!(registry.get(&noise).is_none(), "registry resolves {:?}", noise);
+                prop_assert_eq!(e, format!("unknown algorithm {noise:?}"));
+            }
         }
     }
 }
