@@ -7,6 +7,7 @@
 //! no update switch — a mismatch prints the actual rendering, and a
 //! change that means to move a shape replaces the file in the same diff.
 
+use cyclerank_platform::algorithms::Scheme;
 use cyclerank_platform::prelude::*;
 use cyclerank_platform::server::http::Method;
 use cyclerank_platform::server::routes::route;
@@ -600,5 +601,154 @@ fn algorithm_spellings_match_golden() {
         "algorithm_spellings.txt",
         include_str!("golden/algorithm_spellings.txt"),
         &actual,
+    );
+}
+
+/// One parity row: a packaged task result with what varies between runs
+/// (task id, runtime) left out — convergence, residual bits, cycle count,
+/// then the top entries with `{:?}` scores, which round-trip an f64.
+fn render_parity_row(result: &TaskResult) -> String {
+    let residual_bits = result.residual.map(|r| format!("{:#018x}", r.to_bits()));
+    let top: Vec<String> =
+        result.top.iter().map(|(label, score)| format!("{label:?} {score:?}")).collect();
+    format!(
+        "iterations={:?} residual={:?} residual_bits={residual_bits:?} converged={:?} \
+         cycles_found={:?}\n{}",
+        result.iterations,
+        result.residual,
+        result.converged,
+        result.cycles_found,
+        top.join("\n")
+    )
+}
+
+/// The parity task of `algorithm` under `scheme` on `threads` from
+/// `source`, in full-rank mode, keeping the top 20.
+fn parity_spec(
+    dataset: &str,
+    algorithm: Algorithm,
+    scheme: Scheme,
+    threads: usize,
+    source: &str,
+) -> TaskSpec {
+    TaskSpec {
+        dataset: dataset.to_string(),
+        params: AlgorithmParams::new(algorithm).with_scheme(scheme).with_threads(threads),
+        source: algorithm.is_personalized().then(|| source.to_string()),
+        top_k: 20,
+    }
+}
+
+/// Every built-in × scheme from one source, rendered; asserts on the way
+/// that each parallel row is the same under threads {1, 2, 0}, and that a
+/// 4-seed batch answers each of its seeds like the single task.
+fn parity_rows(dataset: &str, source: &str, batch_seeds: [&str; 4]) -> String {
+    // No result cache: every row is a fresh solve.
+    let ex = Executor::with_cache_capacity(0);
+    let id = TaskId("parity".into());
+    let mut rows = Vec::new();
+    for algorithm in Algorithm::ALL {
+        for scheme in Scheme::ALL {
+            let spec = parity_spec(dataset, algorithm, scheme, 0, source);
+            let row = render_parity_row(&ex.execute(&id, &spec).expect("parity task"));
+            if scheme == Scheme::Parallel {
+                for threads in [1, 2] {
+                    let spec = parity_spec(dataset, algorithm, scheme, threads, source);
+                    let again = render_parity_row(&ex.execute(&id, &spec).expect("parity task"));
+                    assert_eq!(row, again, "{dataset} {algorithm} threads={threads}");
+                }
+            }
+            rows.push(format!("# {} {scheme}\n{row}", algorithm.id()));
+        }
+    }
+    for algorithm in [Algorithm::PersonalizedPageRank, Algorithm::PersonalizedCheiRank] {
+        for scheme in Scheme::ALL {
+            let batch = BatchSpec {
+                dataset: dataset.to_string(),
+                params: AlgorithmParams::new(algorithm).with_scheme(scheme),
+                sources: batch_seeds.iter().map(|s| s.to_string()).collect(),
+                top_k: 20,
+            };
+            let ids = vec![id.clone(); batch_seeds.len()];
+            let results = ex.execute_batch(&ids, &batch).expect("parity batch");
+            for (seed, result) in batch_seeds.iter().zip(&results) {
+                let spec = parity_spec(dataset, algorithm, scheme, 0, seed);
+                let single = ex.execute(&id, &spec).expect("parity task");
+                assert_eq!(
+                    render_parity_row(&single),
+                    render_parity_row(result),
+                    "{dataset} {algorithm} {scheme} batch seed {seed:?}"
+                );
+            }
+        }
+    }
+    rows.join("\n")
+}
+
+#[test]
+fn enwiki_parity_rows_match_golden() {
+    let actual = parity_rows(
+        "fixture-enwiki-2018",
+        "Freddie Mercury",
+        ["Freddie Mercury", "Brian May", "Queen (band)", "Freddie Mercury"],
+    );
+    assert_golden(
+        "parity/fixture-enwiki-2018.txt",
+        include_str!("golden/parity/fixture-enwiki-2018.txt"),
+        &actual,
+    );
+}
+
+#[test]
+fn amazon_parity_rows_match_golden() {
+    let actual = parity_rows("amazon-copurchase", "100", ["100", "2500", "17", "100"]);
+    assert_golden(
+        "parity/amazon-copurchase.txt",
+        include_str!("golden/parity/amazon-copurchase.txt"),
+        &actual,
+    );
+}
+
+#[test]
+fn cli_batch_top_k_matches_golden() {
+    // Top-k serving mode (`--top-k`) through `run`, one seed at a time,
+    // and through `batch` for the same seeds.
+    let mut rendered: Vec<Vec<&str>> = ["Freddie Mercury", "Brian May"]
+        .into_iter()
+        .map(|source| {
+            vec![
+                "run",
+                "--dataset",
+                "fixture-enwiki-2018",
+                "--algorithm",
+                "ppr",
+                "--source",
+                source,
+                "--top-k",
+                "5",
+                "--json",
+            ]
+        })
+        .collect();
+    rendered.push(vec![
+        "batch",
+        "--dataset",
+        "fixture-enwiki-2018",
+        "--algorithm",
+        "ppr",
+        "--seeds",
+        "Freddie Mercury,Brian May",
+        "--top-k",
+        "5",
+        "--json",
+    ]);
+    let actual: Vec<String> = rendered
+        .iter()
+        .map(|args| format!("# relrank {}\n{}", args.join(" "), masked_cli_json(&relrank(args))))
+        .collect();
+    assert_golden(
+        "cli_batch_top_k.txt",
+        include_str!("golden/cli_batch_top_k.txt"),
+        &actual.join("\n"),
     );
 }
