@@ -1,13 +1,18 @@
 //! `batch_ppr`: amortized per-seed cost of batched multi-seed PPR.
 //!
-//! The acceptance scenario of the batched query path: a 16-seed
-//! `Query::seeds([...]).run_batch()` (one fused multi-vector sweep over
-//! the edge arrays) against 16 sequential `Query::run` calls on the
-//! classic `fixture-enwiki-2018` fixture, both through the registry-backed
-//! front door production uses. Beyond the criterion groups, the bench
-//! prints the measured amortized speedup; the batch must come in at ≥ 2×
-//! lower per-seed time (results are bitwise identical either way, which
-//! the `batched_multi_seed_bitwise_equals_sequential` proptest enforces).
+//! The batched query path: a 16-seed `Query::seeds([...]).run_batch()`
+//! (16 lanes of one pull sweep over the edge arrays) against 16
+//! sequential `Query::run` calls on the classic `fixture-enwiki-2018`
+//! fixture, both through the registry-backed front door production uses.
+//! Beyond the criterion groups, the bench prints the measured amortized
+//! per-seed times and their ratio; results are bitwise identical either
+//! way, which the `batched_multi_seed_bitwise_equals_sequential` proptest
+//! enforces.
+//!
+//! What the ratio measures: on this 391-node fixture a sequential run is
+//! mostly per-solve overhead, which the batch pays once (2.2× in
+//! `BENCH_batch_ppr.json`); on `relmark`'s 64k-node graph, where the sweep
+//! dominates, a 16-seed batch is ≈ 1.4× cheaper per seed than one solve.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use relbench::record::BenchReport;

@@ -13,7 +13,8 @@
 //! runtime and cycle counts vs K), `workers` (engine query-set
 //! throughput vs worker count), `cutover` (per-sweep cost of the parallel
 //! scheme in one chunk vs two, alone and beside a second solve — the table
-//! `relcore::solver::CHUNK_MIN_WORK` is read off).
+//! `relcore::solver::CHUNK_MIN_WORK` is read off — and of a 16-lane batch
+//! sweep in one chunk vs two, where the fused sweep's break-even is read).
 
 use relcore::cyclerank::{cyclerank, CycleRankConfig};
 use relcore::solver::{SolverConfig, SweepKernel, CHUNK_MIN_WORK};
@@ -90,53 +91,57 @@ fn sweep_workers() {
 /// Per-sweep wall time of the parallel scheme forced to one chunk
 /// (`threads: 1`) and to two (`threads: 2`), first with the process
 /// otherwise idle, then with a second one-chunk solve looping on another
-/// thread. Fixed sweep count (the tolerance is unreachable), median of
-/// `reps` solves per cell. The planner's constant is half the smallest
-/// `work` at which the solo two-chunk column wins; the busy columns are why
-/// the planner divides the cores by the solves in flight.
+/// thread, then for a 16-lane batch alone. Fixed sweep count (the
+/// tolerance is unreachable), median of `reps` solves per cell. The
+/// planner's constant is half the smallest `work` at which the solo
+/// two-chunk column wins; the busy columns are why the planner divides
+/// the cores by the solves in flight; the 16-lane columns show where a
+/// fused sweep's two chunks win.
 fn sweep_cutover() {
     const SWEEPS: usize = 40;
+    const LANES: u32 = 16;
     println!(
         "# sweep=cutover (CHUNK_MIN_WORK = {CHUNK_MIN_WORK}; us per sweep, {SWEEPS} sweeps/solve)"
     );
-    println!("nodes,work,solo_1chunk_us,solo_2chunk_us,busy_1chunk_us,busy_2chunk_us");
+    println!(
+        "nodes,work,solo_1chunk_us,solo_2chunk_us,busy_1chunk_us,busy_2chunk_us,\
+         lanes16_1chunk_us,lanes16_2chunk_us"
+    );
     for nodes in [2_000u32, 4_000, 6_000, 8_000, 12_000, 16_000, 32_000, 64_000] {
         let wcfg = WikilinkConfig::default().with_nodes(nodes);
         let g = generate(&wcfg, 42);
         let kernel = SweepKernel::new(g.view()).unwrap();
-        let teleport = TeleportVector::single(g.node_count(), NodeId::new(wcfg.hubs + 17)).unwrap();
+        let teleports: Vec<TeleportVector> = (0..LANES)
+            .map(|b| TeleportVector::single(g.node_count(), NodeId::new(wcfg.hubs + 17 + b)))
+            .collect::<Result<_, _>>()
+            .unwrap();
         let cfg = SolverConfig { tolerance: 1e-300, max_iterations: SWEEPS, ..Default::default() };
         let reps = (2_000_000 / (g.node_count() + g.edge_count())).clamp(5, 41);
-        let per_sweep_us = |threads: usize| {
+        // A one-lane batch is the single solve: the same lane kernel.
+        let per_sweep_us = |threads: usize, lanes: &[TeleportVector]| {
             let cfg = cfg.with_threads(threads);
-            kernel.solve(&cfg, &teleport).unwrap(); // warm the arena
-            let mut runs: Vec<f64> = (0..reps)
-                .map(|_| ms(|| drop(kernel.solve(&cfg, &teleport).unwrap())) * 1e3 / SWEEPS as f64)
-                .collect();
+            let solve = || drop(kernel.solve_batch(&cfg, lanes).unwrap());
+            solve(); // warm the arena
+            let mut runs: Vec<f64> = (0..reps).map(|_| ms(solve) * 1e3 / SWEEPS as f64).collect();
             runs.sort_by(f64::total_cmp);
             runs[runs.len() / 2]
         };
-        let solo = (per_sweep_us(1), per_sweep_us(2));
+        let one = &teleports[..1];
+        let solo = (per_sweep_us(1, one), per_sweep_us(2, one));
         let stop = AtomicBool::new(false);
         let busy = std::thread::scope(|s| {
             s.spawn(|| {
                 while !stop.load(Ordering::Relaxed) {
-                    kernel.solve(&cfg.with_threads(1), &teleport).unwrap();
+                    kernel.solve(&cfg.with_threads(1), &teleports[0]).unwrap();
                 }
             });
-            let busy = (per_sweep_us(1), per_sweep_us(2));
+            let busy = (per_sweep_us(1, one), per_sweep_us(2, one));
             stop.store(true, Ordering::Relaxed);
             busy
         });
-        println!(
-            "{},{},{:.1},{:.1},{:.1},{:.1}",
-            g.node_count(),
-            g.node_count() + g.edge_count(),
-            solo.0,
-            solo.1,
-            busy.0,
-            busy.1
-        );
+        let fused = (per_sweep_us(1, &teleports), per_sweep_us(2, &teleports));
+        let cells = [solo.0, solo.1, busy.0, busy.1, fused.0, fused.1].map(|us| format!("{us:.1}"));
+        println!("{},{},{}", g.node_count(), g.node_count() + g.edge_count(), cells.join(","));
     }
 }
 

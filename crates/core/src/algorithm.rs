@@ -100,11 +100,14 @@ pub trait RelevanceAlgorithm: Send + Sync {
     /// one output per reference in input order.
     ///
     /// The default implementation loops over [`Self::execute`]; algorithms
-    /// with a cheaper batched formulation (the stationary-distribution
-    /// family solves all seeds in one multi-vector sweep, see
-    /// [`crate::solver::SweepKernel::solve_batch`]) override it. Every
-    /// override must return exactly the outputs the sequential loop would
-    /// — batching is an execution strategy, not a semantic change.
+    /// with a cheaper batched formulation override it (the
+    /// stationary-distribution family runs every seed through the one
+    /// execution its single runs use, with the seeds that reach the sweep
+    /// kernel sharing one lane group, see
+    /// [`crate::solver::SweepKernel::solve_batch`]). Every override must
+    /// return exactly the outputs the sequential loop would — in every
+    /// serving mode: batching is an execution strategy, not a semantic
+    /// change.
     fn execute_batch(
         &self,
         graph: &DirectedGraph,

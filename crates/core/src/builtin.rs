@@ -54,73 +54,68 @@ fn scored_top_k(
     }
 }
 
-/// The stationary-distribution execution shared by the PageRank family:
-/// one sweep-kernel solve. Top-k serving mode (`params.top_k`) routes
-/// personalized runs through the certified adaptive-push path first and
-/// everything else through the kernel's pruned heap-select result path
-/// ([`SweepKernel::solve_top_k`]) — the full score vector never leaves
-/// the solver arena.
+/// The one stationary execution of the PageRank family: an output per
+/// reference (`None` for a global run), in order, each solve seeded from
+/// `warm` when given.
+///
+/// Top-k serving mode (`params.top_k`) is decided per seed, exactly as a
+/// single run decides it: a cold personalized seed without a requested
+/// trace is first offered to the certified adaptive-push path. Every
+/// other seed — and every seed push cannot certify — is one lane of a
+/// single [`SweepKernel`] lane group, whose top-k is heap-selected
+/// straight out of the solver arena; outside top-k mode each lane's
+/// score vector is detached as the result.
 fn execute_stationary(
     id: &str,
     view: relgraph::GraphView<'_>,
     params: &AlgorithmParams,
-    reference: Option<NodeId>,
-) -> Result<RelevanceOutput, AlgoError> {
-    // A requested residual trace is a kernel diagnostic push cannot
-    // produce — honor it by taking the exact path instead of returning
-    // a silently trace-less result.
-    if let (Some(k), Some(r)) = (params.top_k, reference.filter(|_| !params.record_trace)) {
-        if let Some(push) = topk::push_top_k(view, params.damping, r, k)? {
-            // Carry the Σ|r| certificate out as the result's residual:
-            // each served estimate is below the exact score by at most
-            // `residual_mass`, so downstream consumers (and the scenario
-            // oracle) can bound the true error without re-solving.
-            let certificate = Convergence {
-                iterations: push.rounds,
-                residual: push.residual_mass,
-                converged: true,
-            };
-            return Ok(scored_top_k(id, push.top, Some(certificate), None));
+    references: &[Option<NodeId>],
+    warm: Option<&[f64]>,
+) -> Result<Vec<RelevanceOutput>, AlgoError> {
+    let mut outputs: Vec<Option<RelevanceOutput>> = references.iter().map(|_| None).collect();
+    let (mut lanes, mut teleports) = (Vec::new(), Vec::new());
+    for (i, &reference) in references.iter().enumerate() {
+        // A requested residual trace is a kernel diagnostic push cannot
+        // produce — honor it by taking the exact path instead of
+        // returning a silently trace-less result.
+        let push_seed = reference.filter(|_| warm.is_none() && !params.record_trace);
+        if let (Some(k), Some(r)) = (params.top_k, push_seed) {
+            if let Some(push) = topk::push_top_k(view, params.damping, r, k)? {
+                // Carry the Σ|r| certificate out as the result's residual:
+                // each served estimate is below the exact score by at most
+                // `residual_mass`, so downstream consumers (and the
+                // scenario oracle) can bound the true error without
+                // re-solving.
+                let certificate = Convergence {
+                    iterations: push.rounds,
+                    residual: push.residual_mass,
+                    converged: true,
+                };
+                outputs[i] = Some(scored_top_k(id, push.top, Some(certificate), None));
+                continue;
+            }
+            // Fall through: push could not separate rank k from k+1
+            // (or k >= n) — the exact kernel always can.
         }
-        // Fall through: push could not separate rank k from k+1
-        // (or k >= n) — the exact kernel always can.
+        teleports.push(TeleportVector::for_reference(view.node_count(), reference)?);
+        lanes.push(i);
     }
-    let teleport = TeleportVector::for_reference(view.node_count(), reference)?;
-    let kernel = SweepKernel::new(view)?;
-    match params.top_k {
-        Some(k) => {
-            let out = kernel.solve_top_k(&params.solver_config(), &teleport, k)?;
-            Ok(scored_top_k(id, out.top, Some(out.convergence), out.trace))
-        }
-        None => {
-            let out = kernel.solve(&params.solver_config(), &teleport)?;
-            Ok(scored(id, out.scores, Some(out.convergence), out.trace))
-        }
+    if !teleports.is_empty() {
+        let kernel = SweepKernel::new(view)?;
+        kernel.solve_lanes(&params.solver_config(), &teleports, warm, |lane, out| {
+            outputs[lanes[lane]] = Some(match params.top_k {
+                Some(k) => {
+                    let out = out.into_top_k(k);
+                    scored_top_k(id, out.top, Some(out.convergence), out.trace)
+                }
+                None => {
+                    let out = out.into_outcome();
+                    scored(id, out.scores, Some(out.convergence), out.trace)
+                }
+            });
+        })?;
     }
-}
-
-/// The warm-started stationary execution: seeds the kernel iterate from
-/// `prev` (a prior solution of a similar query, e.g. the same query before
-/// a graph mutation).
-fn execute_stationary_warm(
-    id: &str,
-    view: relgraph::GraphView<'_>,
-    params: &AlgorithmParams,
-    reference: Option<NodeId>,
-    prev: &[f64],
-) -> Result<RelevanceOutput, AlgoError> {
-    let teleport = TeleportVector::for_reference(view.node_count(), reference)?;
-    let kernel = SweepKernel::new(view)?;
-    match params.top_k {
-        Some(k) => {
-            let out = kernel.solve_top_k_warm(&params.solver_config(), &teleport, prev, k)?;
-            Ok(scored_top_k(id, out.top, Some(out.convergence), out.trace))
-        }
-        None => {
-            let out = kernel.solve_warm(&params.solver_config(), &teleport, prev)?;
-            Ok(scored(id, out.scores, Some(out.convergence), out.trace))
-        }
-    }
+    Ok(outputs.into_iter().map(|o| o.expect("every reference answered")).collect())
 }
 
 fn require_reference(reference: Option<NodeId>) -> Result<NodeId, AlgoError> {
@@ -138,31 +133,6 @@ fn effective_reference(
     } else {
         Ok(None)
     }
-}
-
-/// The batched personalized solve shared by PPR and Pers. CheiRank: one
-/// multi-vector kernel sweep over `view` for every seed.
-fn solve_batch_personalized(
-    id: &str,
-    view: relgraph::GraphView<'_>,
-    params: &AlgorithmParams,
-    references: &[NodeId],
-) -> Result<Vec<RelevanceOutput>, AlgoError> {
-    let n = view.node_count();
-    let teleports =
-        references.iter().map(|&r| TeleportVector::single(n, r)).collect::<Result<Vec<_>, _>>()?;
-    let kernel = SweepKernel::new(view)?;
-    let outs = kernel.solve_batch(&params.solver_config(), &teleports)?;
-    // Batches keep the fused multi-vector sweep even in top-k serving
-    // mode (the traversal amortization is the batch's whole point); top-k
-    // only trims the per-seed result path.
-    Ok(outs
-        .into_iter()
-        .map(|o| match params.top_k {
-            Some(k) => scored_top_k(id, o.scores.top_k(k), Some(o.convergence), o.trace),
-            None => scored(id, o.scores, Some(o.convergence), o.trace),
-        })
-        .collect())
 }
 
 fn validate_damping(params: &AlgorithmParams) -> Result<(), AlgoError> {
@@ -294,7 +264,9 @@ impl RelevanceAlgorithm for Stationary {
         reference: Option<NodeId>,
     ) -> Result<RelevanceOutput, AlgoError> {
         let reference = effective_reference(self.personalized, reference)?;
-        execute_stationary(self.id, self.view(graph), params, reference)
+        let mut outputs =
+            execute_stationary(self.id, self.view(graph), params, &[reference], None)?;
+        Ok(outputs.pop().expect("one output per reference"))
     }
 
     fn execute_warm(
@@ -305,7 +277,9 @@ impl RelevanceAlgorithm for Stationary {
         prev: &[f64],
     ) -> Result<RelevanceOutput, AlgoError> {
         let reference = effective_reference(self.personalized, reference)?;
-        execute_stationary_warm(self.id, self.view(graph), params, reference, prev)
+        let mut outputs =
+            execute_stationary(self.id, self.view(graph), params, &[reference], Some(prev))?;
+        Ok(outputs.pop().expect("one output per reference"))
     }
 
     fn execute_batch(
@@ -314,11 +288,11 @@ impl RelevanceAlgorithm for Stationary {
         params: &AlgorithmParams,
         references: &[NodeId],
     ) -> Result<Vec<RelevanceOutput>, AlgoError> {
-        if !self.personalized {
-            // Nothing to fuse: a global run ignores its seed.
-            return references.iter().map(|&r| self.execute(graph, params, Some(r))).collect();
-        }
-        solve_batch_personalized(self.id, self.view(graph), params, references)
+        let references = references
+            .iter()
+            .map(|&r| effective_reference(self.personalized, Some(r)))
+            .collect::<Result<Vec<_>, _>>()?;
+        execute_stationary(self.id, self.view(graph), params, &references, None)
     }
 }
 

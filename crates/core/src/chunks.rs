@@ -2,7 +2,7 @@
 //! one sweep of [`Scheme::Parallel`](crate::solver::Scheme) is split
 //! into, where the cuts fall, and the fork/join that runs them.
 //!
-//! Shared by the single-vector and the fused batch solve. Nothing here
+//! Used by the one pull sweep, whatever its lane count. Nothing here
 //! outlives a sweep: threads are forked per sweep and joined before it
 //! returns, which is what lets the plan follow the process's occupancy
 //! from one sweep to the next and leaves no idle thread behind a solve.
@@ -21,11 +21,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// `cargo run --release -p relbench --bin sweep -- cutover` prints the
 /// table it is read off (the README's solver section keeps a copy): on
 /// the 2-vCPU reference host a lone solve's two-chunk sweep breaks even
-/// between 60k and 90k work (99 vs 109 µs at 59k, 182 vs 147 µs at 90k)
+/// between 60k and 90k work (140 vs 187 µs at 59k, 215 vs 189 µs at 90k)
 /// and wins from there on, hence two chunks from `2 × 50_000`. With a
 /// second solve in flight one chunk wins at every size up to 1M work
-/// (1.9 vs 2.3 ms), which is why the planner divides the cores by
-/// the solves in flight.
+/// (2.6 vs 2.8 ms), which is why the planner divides the cores by
+/// the solves in flight. A 16-lane batch sweep breaks even between 60k
+/// and 120k work, about where one lane does, so the constant serves both.
 pub const CHUNK_MIN_WORK: usize = 50_000;
 
 /// Parallel-scheme solves currently running in this process, counted

@@ -469,10 +469,12 @@ impl Query {
     }
 
     /// Executes the query once per seed ([`Query::seeds`]), batched: the
-    /// stationary-distribution algorithms propagate every seed's score
-    /// vector in one multi-vector sweep over the edge arrays, so the
-    /// amortized per-seed cost is far below [`Query::run`] in a loop — the
-    /// request-serving path for high-QPS personalization. Outputs are
+    /// stationary-distribution algorithms propagate the seeds' score
+    /// vectors as lanes of one pull sweep over the edge arrays, so each
+    /// edge visit is shared by every lane — the request-serving path for
+    /// high-QPS personalization. In top-k serving mode ([`Query::top_k`])
+    /// each seed is served the way [`Query::run`] serves it: certified
+    /// push where it certifies, a kernel lane otherwise. Outputs are
     /// bitwise identical to per-seed sequential runs.
     pub fn run_batch(self) -> Result<BatchResult, QueryError> {
         self.run_batch_with(AlgorithmRegistry::global())

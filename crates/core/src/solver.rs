@@ -20,7 +20,10 @@
 //! * [`Scheme::Parallel`] — the default: chunked pull. The node range
 //!   splits into contiguous chunks, each pulled by one thread reading the
 //!   immutable previous vector — no locks, no atomics, bitwise identical
-//!   for every chunk count.
+//!   for every chunk count. It is the one pull sweep, over node-major
+//!   *lanes*: a single solve is one lane, and [`SweepKernel::solve_batch`]
+//!   carries up to [`MAX_FUSED_LANES`] seeds per edge visit, each lane
+//!   bitwise its own single solve.
 //!
 //! Why no third scheme and no narrower score type: on the 64k-node
 //! `wiki-big` graph a Gauss–Seidel scheme was 1.4–2.1× slower than
@@ -56,9 +59,9 @@
 //!
 //! On unweighted views the pull gathers from `y[u] = x[u]·(1/W(u))`,
 //! filled in the pass that sums the dangling mass: one random read per
-//! edge instead of two, and — the product being rounded once either way,
-//! with nothing reassociated — the same bits. Weighted views evaluate
-//! `x[u]·w·(1/W(u))` per edge as before.
+//! edge and lane instead of two, and — the product being rounded once
+//! either way, with nothing reassociated — the same bits. Weighted views
+//! evaluate `x[u]·w·(1/W(u))` per edge.
 
 use crate::arena::{current_arena, ArenaBuf};
 pub use crate::chunks::CHUNK_MIN_WORK;
@@ -66,6 +69,7 @@ use crate::chunks::{for_each_chunk, ChunkPlanner};
 use crate::error::AlgoError;
 use crate::ppr::TeleportVector;
 use crate::result::{top_k_pairs, ScoreVector};
+use relgraph::view::{Edges, Neighbors};
 use relgraph::{GraphView, NodeId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -273,24 +277,46 @@ pub struct TopKOutcome {
     pub trace: Option<ConvergenceTrace>,
 }
 
-/// A finished solve whose scores still live in the arena — the internal
-/// result every scheme produces; [`SweepKernel::solve`] detaches the
-/// buffer into a [`ScoreVector`], [`SweepKernel::solve_top_k`] ranks in
+/// A finished lane whose scores still live in the arena — what every
+/// scheme hands back per teleport. [`SweepKernel::solve`] detaches the
+/// buffer into a [`ScoreVector`]; [`SweepKernel::solve_top_k`] ranks in
 /// place and returns the buffer to the pool.
-struct SolvedBuf {
-    scores: ArenaBuf,
-    convergence: Convergence,
-    trace: Option<ConvergenceTrace>,
+pub(crate) struct SolvedBuf {
+    pub(crate) scores: ArenaBuf,
+    pub(crate) convergence: Convergence,
+    pub(crate) trace: Option<ConvergenceTrace>,
+}
+
+impl SolvedBuf {
+    /// The full-rank result: the score buffer leaves the arena.
+    pub(crate) fn into_outcome(self) -> SweepOutcome {
+        SweepOutcome {
+            scores: ScoreVector::new(self.scores.detach()),
+            convergence: self.convergence,
+            trace: self.trace,
+        }
+    }
+
+    /// The top-`k` result, ranked straight out of the arena buffer, which
+    /// then goes back to the pool.
+    pub(crate) fn into_top_k(self, k: usize) -> TopKOutcome {
+        TopKOutcome {
+            top: top_k_pairs(&self.scores, k),
+            convergence: self.convergence,
+            trace: self.trace,
+        }
+    }
 }
 
 // ----------------------------------------------------------------- kernel
 
-/// Widest lane group one fused batch sweep carries: wider batches split
-/// into groups of this size, so [`SweepKernel::solve_batch`] working
-/// memory stays `O(n · MAX_FUSED_LANES)` no matter how many seeds a
-/// caller submits (three interleaved `f64` buffers ≈ 0.75 MB per million
-/// nodes per lane). Traversal amortization has flattened well before this
-/// width.
+/// Widest lane group one pull sweep carries: wider batches split into
+/// groups of this size, so [`SweepKernel::solve_batch`] working memory
+/// stays `O(n · MAX_FUSED_LANES)` no matter how many seeds a caller
+/// submits. A group holds four interleaved `f64` buffers — teleport,
+/// iterate, next iterate and the prescaled gather (weighted views have no
+/// gather) — so 32 bytes per node per lane. Traversal amortization has
+/// flattened well before this width.
 pub const MAX_FUSED_LANES: usize = 32;
 
 /// The number of worker threads actually usable: `requested` (0 = all
@@ -306,17 +332,70 @@ pub fn effective_threads(requested: usize, units: usize) -> usize {
     requested.min(available).min(units).max(1)
 }
 
-/// What the parallel pull reads for each in-edge `u → v`.
+/// What the pull reads for each in-edge `u → v`, `w` lanes per node row.
 #[derive(Clone, Copy)]
 enum Gather<'x> {
     /// Unweighted view: `y[u] = x[u]·(1/W(u))`, scaled once per sweep in
     /// the pass that sums the dangling mass — one random read per edge
-    /// instead of two. The product is rounded once either way, so this is
-    /// bitwise the per-edge expression.
+    /// and lane instead of two. The product is rounded once either way,
+    /// so this is bitwise the per-edge expression.
     Prescaled(&'x [f64]),
     /// Weighted view: `x[u]·w(u,v)·(1/W(u))`, evaluated per edge (scaling
     /// first would reassociate the product).
     PerEdge(&'x [f64]),
+}
+
+/// The lane count of one sweep as its passes see it. The passes are
+/// generic over it so that a one-lane sweep — every single solve, and a
+/// batch's last live lane — is compiled with the width a constant 1: its
+/// row loops fold away and each node's pull accumulates in a register,
+/// the scalar loop of a one-vector pull. Choosing that instantiation is
+/// the one place the lane count selects code.
+trait Lanes: Copy + Send + Sync {
+    /// Zeroed by `default()`: one accumulator slot per lane (dangling
+    /// mass, pulled sums, residuals), at least [`Lanes::width`] of them.
+    type Acc: Default + AsRef<[f64]> + AsMut<[f64]>;
+    /// Lanes per node row.
+    fn width(self) -> usize;
+}
+
+/// One lane: the width is a compile-time 1.
+#[derive(Clone, Copy)]
+struct One;
+
+impl Lanes for One {
+    type Acc = [f64; 1];
+    fn width(self) -> usize {
+        1
+    }
+}
+
+/// Up to [`MAX_FUSED_LANES`] lanes.
+#[derive(Clone, Copy)]
+struct Many(usize);
+
+impl Lanes for Many {
+    type Acc = [f64; MAX_FUSED_LANES];
+    fn width(self) -> usize {
+        self.0
+    }
+}
+
+/// Node `u`'s row of the interleave `v`, `w` lanes wide.
+#[inline(always)]
+fn row(v: &[f64], u: NodeId, w: usize) -> &[f64] {
+    let at = u.index() * w;
+    &v[at..at + w]
+}
+
+/// The interleaved buffers of one lane group, `w` lanes per node row
+/// (`buf[i * w + c]` is node `i` in column `c`).
+struct LaneBufs {
+    tel: ArenaBuf,
+    x: ArenaBuf,
+    next: ArenaBuf,
+    /// The prescaled gather, on unweighted views.
+    scaled: Option<ArenaBuf>,
 }
 
 /// One reusable edge-sweep engine over a [`GraphView`].
@@ -324,8 +403,11 @@ enum Gather<'x> {
 /// Construction precomputes the inverse out-weight sums `1/W(u)` for the
 /// view's orientation (O(V), reading the graph's build-time weight-sum
 /// cache); [`SweepKernel::solve`] then runs any scheme against any
-/// teleport vector. Every stationary-distribution built-in
-/// ([`crate::builtin`]) is a thin parameterization of this type:
+/// teleport vector. Under [`Scheme::Parallel`] there is one pull sweep,
+/// over node-major lanes: a single solve is a one-lane group, and
+/// [`SweepKernel::solve_batch`] sweeps up to [`MAX_FUSED_LANES`] seeds per
+/// edge visit. Every stationary-distribution built-in ([`crate::builtin`])
+/// is a thin parameterization of this type:
 ///
 /// | Registry id | View | Teleport |
 /// |-------------|------|----------|
@@ -383,12 +465,7 @@ impl<'a> SweepKernel<'a> {
         cfg: &SolverConfig,
         teleport: &TeleportVector,
     ) -> Result<SweepOutcome, AlgoError> {
-        let out = self.solve_buf(cfg, teleport, None)?;
-        Ok(SweepOutcome {
-            scores: ScoreVector::new(out.scores.detach()),
-            convergence: out.convergence,
-            trace: out.trace,
-        })
+        self.solve_one(cfg, teleport, None).map(SolvedBuf::into_outcome)
     }
 
     /// Like [`SweepKernel::solve`], but **warm-started**: the iterate is
@@ -410,12 +487,7 @@ impl<'a> SweepKernel<'a> {
         teleport: &TeleportVector,
         prev: &[f64],
     ) -> Result<SweepOutcome, AlgoError> {
-        let out = self.solve_buf(cfg, teleport, Some(prev))?;
-        Ok(SweepOutcome {
-            scores: ScoreVector::new(out.scores.detach()),
-            convergence: out.convergence,
-            trace: out.trace,
-        })
+        self.solve_one(cfg, teleport, Some(prev)).map(SolvedBuf::into_outcome)
     }
 
     /// The warm-started variant of [`SweepKernel::solve_top_k`]: seeds the
@@ -429,12 +501,7 @@ impl<'a> SweepKernel<'a> {
         prev: &[f64],
         k: usize,
     ) -> Result<TopKOutcome, AlgoError> {
-        let out = self.solve_buf(cfg, teleport, Some(prev))?;
-        Ok(TopKOutcome {
-            top: top_k_pairs(&out.scores, k),
-            convergence: out.convergence,
-            trace: out.trace,
-        })
+        self.solve_one(cfg, teleport, Some(prev)).map(|out| out.into_top_k(k))
     }
 
     /// Runs the configured scheme and returns only the top-`k`
@@ -449,96 +516,78 @@ impl<'a> SweepKernel<'a> {
         teleport: &TeleportVector,
         k: usize,
     ) -> Result<TopKOutcome, AlgoError> {
-        let out = self.solve_buf(cfg, teleport, None)?;
-        Ok(TopKOutcome {
-            top: top_k_pairs(&out.scores, k),
-            convergence: out.convergence,
-            trace: out.trace,
-        })
+        self.solve_one(cfg, teleport, None).map(|out| out.into_top_k(k))
     }
 
-    fn solve_buf(
+    /// Solves `B = teleports.len()` independent stationary distributions.
+    /// Under [`Scheme::Parallel`] the lanes share each pull sweep, in
+    /// groups of up to [`MAX_FUSED_LANES`]: the edge arrays are traversed
+    /// once per sweep and every edge visit updates all of a group's lanes,
+    /// amortizing graph traversal and cache misses across seeds.
+    /// [`Scheme::Power`] solves the teleports one after another.
+    ///
+    /// A lane's arithmetic never depends on which lanes share its sweep,
+    /// and each lane stops at the sweep its own residual crosses the
+    /// tolerance, so **every outcome is bitwise identical to the
+    /// corresponding independent [`SweepKernel::solve`] run**, diagnostics
+    /// included. Each outcome's scores are one detached arena buffer.
+    pub fn solve_batch(
+        &self,
+        cfg: &SolverConfig,
+        teleports: &[TeleportVector],
+    ) -> Result<Vec<SweepOutcome>, AlgoError> {
+        let mut outs: Vec<Option<SweepOutcome>> = teleports.iter().map(|_| None).collect();
+        self.solve_lanes(cfg, teleports, None, |b, out| outs[b] = Some(out.into_outcome()))?;
+        Ok(outs.into_iter().map(|o| o.expect("every lane finishes")).collect())
+    }
+
+    /// One teleport's lane, left in the arena.
+    fn solve_one(
         &self,
         cfg: &SolverConfig,
         teleport: &TeleportVector,
         warm: Option<&[f64]>,
     ) -> Result<SolvedBuf, AlgoError> {
+        let mut one = None;
+        self.solve_lanes(cfg, std::slice::from_ref(teleport), warm, |_, out| one = Some(out))?;
+        Ok(one.expect("the lane finishes"))
+    }
+
+    /// Solves one lane per teleport, every lane started from `warm` when
+    /// given (else from its teleport vector), and hands each finished
+    /// lane to `finish(lane, result)` — in the order lanes finish, which
+    /// need not be input order. The one entry point of every solve.
+    pub(crate) fn solve_lanes(
+        &self,
+        cfg: &SolverConfig,
+        teleports: &[TeleportVector],
+        warm: Option<&[f64]>,
+        mut finish: impl FnMut(usize, SolvedBuf),
+    ) -> Result<(), AlgoError> {
         cfg.validate()?;
         let n = self.node_count();
-        if teleport.len() != n {
-            return Err(AlgoError::InvalidParameter {
-                name: "teleport",
-                message: format!("teleport vector has {} entries for {} nodes", teleport.len(), n),
-            });
-        }
-        if let Some(prev) = warm {
-            if prev.len() != n {
-                return Err(AlgoError::InvalidParameter {
-                    name: "warm_start",
-                    message: format!("warm-start vector has {} entries for {n} nodes", prev.len()),
-                });
+        let lens = teleports.iter().map(|t| ("teleport", "teleport", t.len()));
+        for (name, what, len) in lens.chain(warm.map(|p| ("warm_start", "warm-start", p.len()))) {
+            if len != n {
+                let message = format!("{what} vector has {len} entries for {n} nodes");
+                return Err(AlgoError::InvalidParameter { name, message });
             }
         }
         match cfg.scheme {
-            Scheme::Power => self.solve_power(cfg, teleport, warm),
-            Scheme::Parallel => self.solve_parallel(cfg, teleport, warm),
-        }
-    }
-
-    /// Pulls one node's damped in-neighbor sum from `x`. The CSR arms walk
-    /// raw slices; the compact view decodes the delta-varint stream.
-    #[inline]
-    fn pull(&self, v: NodeId, x: &[f64]) -> f64 {
-        let inv_wsum: &[f64] = &self.inv_wsum;
-        let mut pulled = 0.0;
-        match self.view.in_arrays(v) {
-            Some((nbrs, Some(ws))) => {
-                for (j, &u) in nbrs.iter().enumerate() {
-                    pulled += x[u.index()] * ws[j] * inv_wsum[u.index()];
+            Scheme::Power => {
+                for (b, t) in teleports.iter().enumerate() {
+                    finish(b, self.solve_power(cfg, t, warm));
                 }
             }
-            Some((nbrs, None)) => {
-                for &u in nbrs {
-                    pulled += x[u.index()] * inv_wsum[u.index()];
-                }
-            }
-            None if self.view.is_weighted() => {
-                for (u, w) in self.view.in_edges(v) {
-                    pulled += x[u.index()] * w * inv_wsum[u.index()];
-                }
-            }
-            None => {
-                for u in self.view.in_neighbors(v) {
-                    pulled += x[u.index()] * inv_wsum[u.index()];
+            Scheme::Parallel => {
+                for (g, group) in teleports.chunks(MAX_FUSED_LANES).enumerate() {
+                    self.solve_group(cfg, group, warm, |b, out| {
+                        finish(g * MAX_FUSED_LANES + b, out)
+                    });
                 }
             }
         }
-        pulled
-    }
-
-    /// Mass currently sitting on dangling nodes.
-    fn dangling_mass(&self, x: &[f64]) -> f64 {
-        let mut mass = 0.0;
-        for (&xi, &inv) in x.iter().zip(&self.inv_wsum) {
-            if inv == 0.0 {
-                mass += xi;
-            }
-        }
-        mass
-    }
-
-    /// Fills `y[u] = x[u]·(1/W(u))` for [`Gather::Prescaled`] and returns
-    /// the dangling mass, accumulated in the order [`Self::dangling_mass`]
-    /// uses (the two passes are one).
-    fn prescale(&self, x: &[f64], y: &mut [f64]) -> f64 {
-        let mut mass = 0.0;
-        for ((slot, &xi), &inv) in y.iter_mut().zip(x).zip(&self.inv_wsum) {
-            if inv == 0.0 {
-                mass += xi;
-            }
-            *slot = xi * inv;
-        }
-        mass
+        Ok(())
     }
 
     /// Sequential Jacobi (power) iteration, push formulation.
@@ -547,7 +596,7 @@ impl<'a> SweepKernel<'a> {
         cfg: &SolverConfig,
         teleport: &TeleportVector,
         warm: Option<&[f64]>,
-    ) -> Result<SolvedBuf, AlgoError> {
+    ) -> SolvedBuf {
         let n = self.node_count();
         let alpha = cfg.damping;
         let inv_wsum: &[f64] = &self.inv_wsum;
@@ -621,409 +670,259 @@ impl<'a> SweepKernel<'a> {
         }
 
         let converged = residual < cfg.tolerance;
-        Ok(SolvedBuf {
-            scores: x,
-            convergence: Convergence { iterations, residual, converged },
-            trace,
-        })
+        SolvedBuf { scores: x, convergence: Convergence { iterations, residual, converged }, trace }
     }
 
-    /// Chunked pull: the node range splits into contiguous chunks, each
-    /// pulled by one thread reading the immutable previous vector.
-    /// Deterministic across chunk counts (each node's sum is accumulated
-    /// by exactly one thread, in in-neighbor order), so how a sweep is
-    /// split shows in wall-clock time only.
+    /// The chunked pull over one group of lanes, stored node-major
+    /// (`x[i * w + c]`) so each edge visit touches `w` consecutive lanes.
     ///
-    /// The split is planned per sweep by a [`ChunkPlanner`]: an explicit
-    /// thread count is honored exactly (up to the available-parallelism
-    /// and node-count clamp); with `threads: 0` a sweep takes one chunk
-    /// per [`CHUNK_MIN_WORK`] of its `nodes + edges`, within this solve's
-    /// share of the cores. One chunk — every fixture-sized graph, and any
-    /// graph while the cores are busy with other solves — runs inline
-    /// with no thread spawned. Chunks are cut at equal work rather than
-    /// equal node counts, chunk 0 runs on the calling thread, and every
-    /// forked thread is joined before the sweep ends: between sweeps and
-    /// between solves no solver-owned thread exists.
-    fn solve_parallel(
+    /// Each sweep is three passes: [`Self::scale_pass`] and
+    /// [`residual_pass`] in node-index order, and [`Self::pull_rows`] over
+    /// the chunks a [`ChunkPlanner`] cuts (module docs). Every lane of
+    /// every node is accumulated by exactly one thread in in-neighbor
+    /// order, and the stop is decided by the sequential residual pass, so
+    /// results are bitwise identical for every chunk count. A lane stops
+    /// at the sweep its own residual crosses the tolerance — where a
+    /// one-lane solve would — and is copied out into an arena buffer and
+    /// compacted away, so total lane-sweeps equal the sum of the lanes'
+    /// own iteration counts. A one-lane group's iterate is its result; a
+    /// wider group copies its last lane out too, so no result keeps the
+    /// group's wider buffer.
+    ///
+    /// The group plans its chunks like a one-lane solve: at 16 lanes two
+    /// chunks break even between 60k and 120k work (the 16-lane columns of
+    /// `relbench`'s `sweep cutover`), about where one lane's do, so wider
+    /// rows earn no constant of their own.
+    fn solve_group(
         &self,
         cfg: &SolverConfig,
-        teleport: &TeleportVector,
+        teleports: &[TeleportVector],
         warm: Option<&[f64]>,
-    ) -> Result<SolvedBuf, AlgoError> {
-        let n = self.node_count();
-        let alpha = cfg.damping;
-        let mut planner = ChunkPlanner::new(self.view, cfg.threads);
-        let arena = current_arena();
-        let mut teleport_dense = arena.take(n);
-        teleport.for_each(|i, w| teleport_dense[i] = w);
-        let mut x = arena.take(n);
-        x.copy_from_slice(warm.unwrap_or(&teleport_dense));
-        let mut next = arena.take(n);
-        let mut scaled = (!self.view.is_weighted()).then(|| arena.take(n));
-        let mut iterations = 0;
-        let mut residual = f64::INFINITY;
-        let mut trace = cfg.record_trace.then(ConvergenceTrace::default);
-
-        while iterations < cfg.max_iterations {
-            iterations += 1;
-            let dangling = match scaled.as_deref_mut() {
-                Some(y) => self.prescale(&x, y),
-                None => self.dangling_mass(&x),
-            };
-            let base = 1.0 - alpha + alpha * dangling;
-            let gather = match scaled.as_deref() {
-                Some(y) => Gather::Prescaled(y),
-                None => Gather::PerEdge(&x),
-            };
-            let tel: &[f64] = &teleport_dense;
-            for_each_chunk(planner.plan(), 1, &mut next, |lo, out| {
-                self.pull_chunk(gather, out, lo, alpha, base, tel);
-            });
-
-            // Stopping decision: one sequential index-order pass, so the
-            // residual — and with it the iteration count and final scores
-            // — is bitwise identical for every chunk count (per-chunk
-            // partial sums would regroup float addends at the chunk
-            // boundaries and could flip a stop right at the tolerance).
-            let mut delta = 0.0;
-            for (&a, &b) in x.iter().zip(next.iter()) {
-                delta += (a - b).abs();
-            }
-            residual = delta;
-
-            std::mem::swap(&mut x, &mut next);
-            if let Some(t) = trace.as_mut() {
-                t.residuals.push(residual);
-            }
-            if residual < cfg.tolerance {
-                break;
-            }
-        }
-
-        let converged = residual < cfg.tolerance;
-        Ok(SolvedBuf {
-            scores: x,
-            convergence: Convergence { iterations, residual, converged },
-            trace,
-        })
-    }
-
-    /// Pulls new scores for the chunk `out` covering nodes
-    /// `lo..lo + out.len()`.
-    fn pull_chunk(
-        &self,
-        gather: Gather<'_>,
-        out: &mut [f64],
-        lo: usize,
-        alpha: f64,
-        base: f64,
-        teleport_dense: &[f64],
+        mut finish: impl FnMut(usize, SolvedBuf),
     ) {
-        let tel = &teleport_dense[lo..lo + out.len()];
-        match gather {
-            Gather::Prescaled(y) => {
-                for (off, (slot, &t)) in out.iter_mut().zip(tel).enumerate() {
-                    let v = NodeId::from_usize(lo + off);
-                    let mut pulled = 0.0;
-                    match self.view.in_arrays(v) {
-                        Some((nbrs, _)) => {
-                            for &u in nbrs {
-                                pulled += y[u.index()];
-                            }
-                        }
-                        None => {
-                            for u in self.view.in_neighbors(v) {
-                                pulled += y[u.index()];
-                            }
-                        }
-                    }
-                    *slot = alpha * pulled + base * t;
-                }
-            }
-            Gather::PerEdge(x) => {
-                for (off, (slot, &t)) in out.iter_mut().zip(tel).enumerate() {
-                    let pulled = self.pull(NodeId::from_usize(lo + off), x);
-                    *slot = alpha * pulled + base * t;
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------- batched
-
-    /// Solves `B = teleports.len()` independent stationary distributions in
-    /// one multi-vector sweep: the edge arrays are traversed once per
-    /// iteration and every visit updates all `B` score vectors, amortizing
-    /// graph traversal and cache misses across seeds.
-    ///
-    /// The vectors are stored node-major (`x[i * B + b]`), so each edge
-    /// visit touches `B` consecutive lanes. Per-lane arithmetic keeps the
-    /// exact expression shape and accumulation order of the single-vector
-    /// pull, and each lane tracks its own convergence (a converged lane's
-    /// scores are snapshotted at the iteration where its residual crossed
-    /// the tolerance), so **every outcome is bitwise identical to the
-    /// corresponding independent [`SweepKernel::solve`] run** under
-    /// [`Scheme::Parallel`]. [`Scheme::Power`] has no fused formulation
-    /// and falls back to sequential per-teleport solves (trivially
-    /// identical).
-    ///
-    /// Batches wider than [`MAX_FUSED_LANES`] are solved in groups of that
-    /// size, bounding working memory at `O(n · MAX_FUSED_LANES)` for any
-    /// seed count (lanes are independent, so grouping changes nothing but
-    /// wall-clock layout).
-    pub fn solve_batch(
-        &self,
-        cfg: &SolverConfig,
-        teleports: &[TeleportVector],
-    ) -> Result<Vec<SweepOutcome>, AlgoError> {
-        cfg.validate()?;
         let n = self.node_count();
-        for t in teleports {
-            if t.len() != n {
-                return Err(AlgoError::InvalidParameter {
-                    name: "teleport",
-                    message: format!("teleport vector has {} entries for {} nodes", t.len(), n),
-                });
-            }
-        }
-        match (cfg.scheme, teleports.len()) {
-            (_, 0) => Ok(Vec::new()),
-            (Scheme::Power, _) | (_, 1) => teleports.iter().map(|t| self.solve(cfg, t)).collect(),
-            (Scheme::Parallel, _) => {
-                let mut out = Vec::with_capacity(teleports.len());
-                for group in teleports.chunks(MAX_FUSED_LANES) {
-                    out.extend(self.solve_parallel_batch(cfg, group)?);
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    /// The fused multi-vector variant of [`SweepKernel::solve_parallel`].
-    ///
-    /// Seeds converge at different sweep counts (a hub seed settles in a
-    /// handful of iterations, a periphery seed in dozens), so converged
-    /// lanes are *compacted out* of the working buffers: their scores are
-    /// snapshotted at the sweep where their residual crossed the tolerance
-    /// — exactly the single-vector stopping point — and the remaining
-    /// lanes keep sweeping in a narrower interleave. Total lane-sweeps
-    /// thus equal the sum of the individual runs' iteration counts; the
-    /// fusion only amortizes traversal, it never adds work. Compaction is
-    /// bitwise-invisible because every lane's arithmetic is independent of
-    /// which other lanes share the buffer.
-    fn solve_parallel_batch(
-        &self,
-        cfg: &SolverConfig,
-        teleports: &[TeleportVector],
-    ) -> Result<Vec<SweepOutcome>, AlgoError> {
-        let n = self.node_count();
-        let lanes = teleports.len();
-        let alpha = cfg.damping;
-        // The same planner as the single-vector solve. A fused sweep makes
-        // wider visits over the same node/edge arrays, so forking breaks
-        // even a little earlier than for one vector (measured between 50k
-        // and 100k work at 2–16 lanes); not enough to earn the batch a
-        // constant of its own.
+        let mut w = teleports.len();
         let mut planner = ChunkPlanner::new(self.view, cfg.threads);
-
-        // Node-major interleave of the dense teleport vectors; `active[c]`
-        // is the original lane index living in column `c`. All three
-        // interleaved buffers come from the solver arena.
         let arena = current_arena();
-        let mut active: Vec<usize> = (0..lanes).collect();
-        let mut tel = arena.take(n * lanes);
+        let mut bufs = LaneBufs {
+            tel: arena.take(n * w),
+            x: arena.take(n * w),
+            next: arena.take(n * w),
+            scaled: (!self.view.is_weighted()).then(|| arena.take(n * w)),
+        };
         for (b, t) in teleports.iter().enumerate() {
-            t.for_each(|i, v| tel[i * lanes + b] = v);
+            t.for_each(|i, v| bufs.tel[i * w + b] = v);
         }
-        let mut x = arena.take(n * lanes);
-        x.copy_from_slice(&tel);
-        let mut next = arena.take(n * lanes);
-
-        struct Lane {
-            iterations: usize,
-            residual: f64,
-            converged: bool,
-            /// Scores frozen at the iteration the lane converged.
-            snapshot: Option<Vec<f64>>,
-            trace: Option<ConvergenceTrace>,
+        match warm {
+            Some(prev) => bufs.x.chunks_exact_mut(w).zip(prev).for_each(|(r, &p)| r.fill(p)),
+            None => bufs.x.copy_from_slice(&bufs.tel),
         }
-        let mut lane_state: Vec<Lane> = (0..lanes)
-            .map(|_| Lane {
-                iterations: 0,
-                residual: f64::INFINITY,
-                converged: false,
-                snapshot: None,
-                trace: cfg.record_trace.then(ConvergenceTrace::default),
-            })
-            .collect();
-
+        // `lanes[c]` is the input index of the lane in column `c`.
+        let mut lanes: Vec<usize> = (0..w).collect();
+        let mut traces: Vec<Option<ConvergenceTrace>> =
+            lanes.iter().map(|_| cfg.record_trace.then(ConvergenceTrace::default)).collect();
+        let mut residuals = [0.0; MAX_FUSED_LANES];
         let mut sweep = 0;
-        let mut bases = vec![0.0f64; lanes];
-        let mut residuals = vec![0.0f64; lanes];
-        while sweep < cfg.max_iterations && !active.is_empty() {
+        loop {
             sweep += 1;
-            let width = active.len();
-
-            // Per-lane dangling mass, accumulated in node-index order so
-            // each lane's sum reproduces the single-vector float sequence.
-            bases.truncate(width);
-            bases.iter_mut().for_each(|b| *b = 0.0);
-            for i in 0..n {
-                if self.inv_wsum[i] == 0.0 {
-                    let row = &x[i * width..i * width + width];
-                    for (base, &xv) in bases.iter_mut().zip(row) {
-                        *base += xv;
-                    }
+            let residuals = &mut residuals[..w];
+            if w == 1 {
+                self.sweep(One, &mut planner, cfg.damping, &mut bufs, residuals);
+            } else {
+                self.sweep(Many(w), &mut planner, cfg.damping, &mut bufs, residuals);
+            }
+            for (&b, &r) in lanes.iter().zip(residuals.iter()) {
+                if let Some(t) = traces[b].as_mut() {
+                    t.residuals.push(r);
                 }
             }
-            for base in bases.iter_mut() {
-                *base = 1.0 - alpha + alpha * *base;
+            let capped = sweep == cfg.max_iterations;
+            let done = |r: f64| capped || r < cfg.tolerance;
+            if !residuals.iter().any(|&r| done(r)) {
+                continue;
             }
-
-            let (x_ref, tel_ref, bases_ref): (&[f64], &[f64], &[f64]) = (&x, &tel, &bases);
-            for_each_chunk(planner.plan(), width, &mut next[..n * width], |lo, out| {
-                if width == 1 {
-                    // Last live lane: the single-vector chunk pull computes
-                    // the identical per-lane expressions without the
-                    // interleave bookkeeping.
-                    self.pull_chunk(Gather::PerEdge(x_ref), out, lo, alpha, bases_ref[0], tel_ref);
-                } else {
-                    self.pull_chunk_batch(x_ref, out, lo, alpha, bases_ref, tel_ref, width);
-                }
-            });
-
-            // Per-lane residuals, each accumulated in node-index order
-            // (the same float sequence as the single-vector stopping
-            // decision), computed row-wise so the pass streams the
-            // interleaved buffers instead of striding per lane.
-            residuals.truncate(width);
-            residuals.iter_mut().for_each(|r| *r = 0.0);
-            for i in 0..n {
-                let xr = &x[i * width..i * width + width];
-                let nr = &next[i * width..i * width + width];
-                for ((r, &a), &b) in residuals.iter_mut().zip(xr).zip(nr) {
-                    *r += (a - b).abs();
-                }
+            let outcome = |c: usize| Convergence {
+                iterations: sweep,
+                residual: residuals[c],
+                converged: residuals[c] < cfg.tolerance,
+            };
+            if teleports.len() == 1 {
+                let trace = traces[0].take();
+                return finish(0, SolvedBuf { scores: bufs.x, convergence: outcome(0), trace });
             }
-            for (c, &b) in active.iter().enumerate() {
-                let lane = &mut lane_state[b];
-                lane.residual = residuals[c];
-                lane.iterations = sweep;
-                if let Some(t) = lane.trace.as_mut() {
-                    t.residuals.push(residuals[c]);
-                }
-            }
-            std::mem::swap(&mut x, &mut next);
-
-            // Snapshot lanes that just converged, then compact them out of
-            // the interleave so later sweeps only touch live lanes.
-            let mut keep = Vec::with_capacity(width);
-            for (c, &b) in active.iter().enumerate() {
-                if lane_state[b].residual < cfg.tolerance {
-                    lane_state[b].converged = true;
-                    lane_state[b].snapshot = Some((0..n).map(|i| x[i * width + c]).collect());
-                } else {
+            let mut keep = Vec::with_capacity(w);
+            for (c, &b) in lanes.iter().enumerate() {
+                if !done(residuals[c]) {
                     keep.push(c);
+                    continue;
+                }
+                let mut scores = arena.take(n);
+                for (s, r) in scores.iter_mut().zip(bufs.x.chunks_exact(w)) {
+                    *s = r[c];
+                }
+                finish(b, SolvedBuf { scores, convergence: outcome(c), trace: traces[b].take() });
+            }
+            if keep.is_empty() {
+                return;
+            }
+            // Compact the live columns to the front of every row, in place:
+            // each write lands at or before the read it follows.
+            let width = keep.len();
+            for i in 0..n {
+                for (to, &c) in keep.iter().enumerate() {
+                    bufs.x[i * width + to] = bufs.x[i * w + c];
+                    bufs.tel[i * width + to] = bufs.tel[i * w + c];
                 }
             }
-            if keep.len() < width {
-                let new_width = keep.len();
-                for i in 0..n {
-                    for (new_c, &c) in keep.iter().enumerate() {
-                        x[i * new_width + new_c] = x[i * width + c];
-                        tel[i * new_width + new_c] = tel[i * width + c];
-                    }
-                }
-                active = keep.iter().map(|&c| active[c]).collect();
-                x.truncate(n * new_width);
-                tel.truncate(n * new_width);
-                next.truncate(n * new_width);
+            lanes = keep.iter().map(|&c| lanes[c]).collect();
+            w = width;
+            let (x, tel, next) = (&mut bufs.x, &mut bufs.tel, &mut bufs.next);
+            for buf in [x, tel, next].into_iter().chain(bufs.scaled.as_mut()) {
+                buf.truncate(n * w);
             }
         }
-
-        let width = active.len();
-        for (c, &b) in active.iter().enumerate() {
-            // Lanes that hit the iteration cap: scores as of the last swap.
-            lane_state[b].snapshot = Some((0..n).map(|i| x[i * width + c]).collect());
-        }
-
-        Ok(lane_state
-            .into_iter()
-            .map(|lane| SweepOutcome {
-                scores: ScoreVector::new(lane.snapshot.expect("every lane snapshotted")),
-                convergence: Convergence {
-                    iterations: lane.iterations,
-                    residual: lane.residual,
-                    converged: lane.converged,
-                },
-                trace: lane.trace,
-            })
-            .collect())
     }
 
-    /// Pulls new scores for all lanes of the node chunk `out`, which covers
-    /// nodes `lo..lo + out.len() / lanes` in node-major interleaved layout.
-    /// Per-lane expressions mirror [`SweepKernel::pull`] /
-    /// [`SweepKernel::pull_chunk`] exactly (same association, same
-    /// accumulation order) so the results are bitwise identical to the
-    /// single-vector path.
-    #[allow(clippy::too_many_arguments)]
-    fn pull_chunk_batch(
+    /// One sweep of a group: the three passes, then `x ← next`, with each
+    /// lane's residual written to `residuals`.
+    fn sweep<L: Lanes>(
         &self,
-        x: &[f64],
+        lanes: L,
+        planner: &mut ChunkPlanner<'_>,
+        alpha: f64,
+        bufs: &mut LaneBufs,
+        residuals: &mut [f64],
+    ) {
+        let w = lanes.width();
+        let scaled = bufs.scaled.as_mut().map(|y| &mut y[..]);
+        let mut bases = self.scale_pass(lanes, &bufs.x, scaled);
+        let bases = &mut bases.as_mut()[..w];
+        bases.iter_mut().for_each(|b| *b = 1.0 - alpha + alpha * *b);
+        let gather = match bufs.scaled.as_deref() {
+            Some(y) => Gather::Prescaled(y),
+            None => Gather::PerEdge(&bufs.x),
+        };
+        let (tel, bases): (&[f64], &[f64]) = (&bufs.tel, bases);
+        for_each_chunk(planner.plan(), w, &mut bufs.next, |lo, out| {
+            self.pull_rows(lanes, gather, out, lo, alpha, bases, tel);
+        });
+        // Stopping decision: one sequential index-order pass, so the
+        // residual — and with it the iteration count and final scores —
+        // is bitwise identical for every chunk count (per-chunk partial
+        // sums would regroup float addends at the chunk boundaries and
+        // could flip a stop right at the tolerance).
+        let delta = residual_pass(lanes, &bufs.x, &bufs.next);
+        residuals.copy_from_slice(&delta.as_ref()[..w]);
+        std::mem::swap(&mut bufs.x, &mut bufs.next);
+    }
+
+    /// A sweep's first pass, in node-index order: each lane's dangling
+    /// mass and — when `scaled` is given (unweighted views) — the prescaled
+    /// gather `y = x·(1/W(u))` of [`Gather::Prescaled`].
+    fn scale_pass<L: Lanes>(&self, lanes: L, x: &[f64], scaled: Option<&mut [f64]>) -> L::Acc {
+        let w = lanes.width();
+        let mut mass = L::Acc::default();
+        let m = &mut mass.as_mut()[..w];
+        let rows = x.chunks_exact(w).zip(&self.inv_wsum);
+        match scaled {
+            Some(y) => {
+                for ((xr, &inv), yr) in rows.zip(y.chunks_exact_mut(w)) {
+                    if inv == 0.0 {
+                        m.iter_mut().zip(xr).for_each(|(m, &xv)| *m += xv);
+                    }
+                    yr.iter_mut().zip(xr).for_each(|(y, &xv)| *y = xv * inv);
+                }
+            }
+            None => {
+                for (xr, &inv) in rows {
+                    if inv == 0.0 {
+                        m.iter_mut().zip(xr).for_each(|(m, &xv)| *m += xv);
+                    }
+                }
+            }
+        }
+        mass
+    }
+
+    /// Pulls the chunk `out` — nodes `lo..lo + out.len() / w`, `w` lanes
+    /// per row — from the previous iterate: each lane of node `v` becomes
+    /// `α·Σ_{u→v} gather(u) + base·t(v)`, its sum accumulated in
+    /// in-neighbor order. A lane's value depends on nothing but its own
+    /// column, so it is bitwise what a one-lane pull computes, however
+    /// the lanes are grouped and the node range chunked.
+    #[allow(clippy::too_many_arguments)]
+    fn pull_rows<L: Lanes>(
+        &self,
+        lanes: L,
+        gather: Gather<'_>,
         out: &mut [f64],
         lo: usize,
         alpha: f64,
         bases: &[f64],
         tel: &[f64],
-        lanes: usize,
     ) {
-        for (off, slots) in out.chunks_exact_mut(lanes).enumerate() {
-            let i = lo + off;
-            let v = NodeId::from_usize(i);
-            // Accumulate the damped in-neighbor sums directly in the
-            // output row, then fold in teleport and dangling mass in
-            // place — per-lane expression shape and accumulation order
-            // match the single-vector `pull`/`pull_chunk` exactly.
-            slots.iter_mut().for_each(|s| *s = 0.0);
-            match self.view.in_arrays(v) {
-                Some((nbrs, Some(ws))) => {
-                    for (j, &u) in nbrs.iter().enumerate() {
-                        let (wj, inv) = (ws[j], self.inv_wsum[u.index()]);
-                        let row = &x[u.index() * lanes..u.index() * lanes + lanes];
-                        for (s, &xv) in slots.iter_mut().zip(row) {
-                            *s += xv * wj * inv;
+        let w = lanes.width();
+        let inv_wsum: &[f64] = &self.inv_wsum;
+        let mut acc = L::Acc::default();
+        let acc = &mut acc.as_mut()[..w];
+        let tel = &tel[lo * w..lo * w + out.len()];
+        for (off, (slots, t)) in out.chunks_exact_mut(w).zip(tel.chunks_exact(w)).enumerate() {
+            let v = NodeId::from_usize(lo + off);
+            acc.fill(0.0);
+            match gather {
+                Gather::Prescaled(y) => match self.view.in_neighbors(v) {
+                    Neighbors::Slice(nbrs) => {
+                        for &u in nbrs {
+                            acc.iter_mut().zip(row(y, u, w)).for_each(|(a, &yv)| *a += yv);
                         }
                     }
-                }
-                Some((nbrs, None)) => {
-                    for &u in nbrs {
-                        let inv = self.inv_wsum[u.index()];
-                        let row = &x[u.index() * lanes..u.index() * lanes + lanes];
-                        for (s, &xv) in slots.iter_mut().zip(row) {
-                            *s += xv * inv;
+                    Neighbors::Compact(nbrs) => {
+                        for (u, _) in nbrs {
+                            acc.iter_mut().zip(row(y, u, w)).for_each(|(a, &yv)| *a += yv);
                         }
                     }
-                }
-                // Compact tier: decode the stream once per node row; the
-                // unweighted decode yields w = 1.0, and `xv * 1.0 * inv`
-                // is bitwise `xv * inv`.
-                None => {
-                    for (u, w) in self.view.in_edges(v) {
-                        let inv = self.inv_wsum[u.index()];
-                        let row = &x[u.index() * lanes..u.index() * lanes + lanes];
-                        for (s, &xv) in slots.iter_mut().zip(row) {
-                            *s += xv * w * inv;
+                },
+                Gather::PerEdge(x) => match self.view.in_edges(v) {
+                    Edges::Slice { ids, ws: Some(ws) } => {
+                        for (&u, &wt) in ids.zip(ws) {
+                            let inv = inv_wsum[u.index()];
+                            acc.iter_mut()
+                                .zip(row(x, u, w))
+                                .for_each(|(a, &xv)| *a += xv * wt * inv);
                         }
                     }
-                }
+                    // The compact tier decodes the stream; an unweighted
+                    // row yields w = 1.0, and `x·1.0·(1/W)` is bitwise
+                    // `x·(1/W)`.
+                    edges => {
+                        for (u, wt) in edges {
+                            let inv = inv_wsum[u.index()];
+                            acc.iter_mut()
+                                .zip(row(x, u, w))
+                                .for_each(|(a, &xv)| *a += xv * wt * inv);
+                        }
+                    }
+                },
             }
-            let tel_row = &tel[i * lanes..i * lanes + lanes];
-            for ((slot, &base), &t) in slots.iter_mut().zip(bases).zip(tel_row) {
-                *slot = alpha * *slot + base * t;
+            for (((s, &a), &base), &t) in slots.iter_mut().zip(&*acc).zip(bases).zip(t) {
+                *s = alpha * a + base * t;
             }
         }
     }
+}
+
+/// A sweep's last pass: each lane's L1 change `Σ|x − next|`, accumulated
+/// in node-index order.
+fn residual_pass<L: Lanes>(lanes: L, x: &[f64], next: &[f64]) -> L::Acc {
+    let w = lanes.width();
+    let mut delta = L::Acc::default();
+    let d = &mut delta.as_mut()[..w];
+    for (xr, nr) in x.chunks_exact(w).zip(next.chunks_exact(w)) {
+        for ((d, &a), &b) in d.iter_mut().zip(xr).zip(nr) {
+            *d += (a - b).abs();
+        }
+    }
+    delta
 }
 
 #[cfg(test)]
@@ -1124,40 +1023,67 @@ pub(crate) mod tests {
         }
     }
 
+    /// Pulls `x` over `lanes` whole and in 1, 2, 3, 4 and 7 (uneven)
+    /// chunks, through the per-edge gather and — on the unweighted view —
+    /// the prescaled one, asserting every pull bitwise equal; returns the
+    /// whole pull.
+    fn pull_every_way<L: Lanes>(
+        kernel: &SweepKernel<'_>,
+        lanes: L,
+        x: &[f64],
+        tel: &[f64],
+        bases: &[f64],
+    ) -> Vec<f64> {
+        let (n, w, alpha) = (kernel.node_count(), lanes.width(), 0.85);
+        let mut y = vec![0.0f64; n * w];
+        let mass = kernel.scale_pass(lanes, x, Some(&mut y));
+        let unscaled = kernel.scale_pass(lanes, x, None);
+        assert_eq!(mass.as_ref()[..w], unscaled.as_ref()[..w], "the gather moves the mass");
+        let mut whole = vec![0.0f64; n * w];
+        kernel.pull_rows(lanes, Gather::PerEdge(x), &mut whole, 0, alpha, bases, tel);
+        for gather in [Gather::PerEdge(x), Gather::Prescaled(&y)] {
+            for chunks in [1usize, 2, 3, 4, 7] {
+                let chunk = n.div_ceil(chunks);
+                let bounds: Vec<usize> = (0..=chunks).map(|j| (j * chunk).min(n)).collect();
+                let mut parts = vec![0.0f64; n * w];
+                for_each_chunk(&bounds, w, &mut parts, |lo, out| {
+                    kernel.pull_rows(lanes, gather, out, lo, alpha, bases, tel);
+                });
+                assert_eq!(parts, whole, "{w} lanes, {chunks} chunks diverge from one");
+            }
+        }
+        whole
+    }
+
     #[test]
     fn chunked_pull_matches_single_chunk_bitwise() {
         // The determinism-across-chunk-counts guarantee reduces to:
         // pulling a node range in several (uneven) chunks produces exactly
         // the values of one full-range pull — and, on an unweighted view,
         // gathering from the prescaled vector produces exactly the values
-        // of the per-edge `x·(1/W)` product. Exercised directly so it
-        // holds on CI runners with any core count — effective_threads
-        // would otherwise clamp high thread requests down and this path
-        // would go untested on small machines.
+        // of the per-edge `x·(1/W)` product. Checked at one lane and at
+        // three, whose every column must be its own one-lane pull.
+        // Exercised directly so it holds on CI runners with any core
+        // count — effective_threads would otherwise clamp high thread
+        // requests down and this path would go untested on small machines.
         let g = random_graph(101, 800, 11); // odd n => uneven final chunk
         let kernel = SweepKernel::new(g.view()).unwrap();
         let n = g.node_count();
-        let teleport = TeleportVector::uniform(n).unwrap().dense();
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 + 1.0) / (n * n) as f64).collect();
-        let (alpha, base) = (0.85, 0.15);
-        let per_edge = Gather::PerEdge(&x);
-        let mut y = vec![0.0f64; n];
-        let dangling = kernel.prescale(&x, &mut y);
-        assert_eq!(dangling.to_bits(), kernel.dangling_mass(&x).to_bits());
-
-        let mut whole = vec![0.0f64; n];
-        kernel.pull_chunk(per_edge, &mut whole, 0, alpha, base, &teleport);
-
-        for gather in [per_edge, Gather::Prescaled(&y)] {
-            for chunks in [1usize, 2, 3, 4, 7] {
-                let chunk = n.div_ceil(chunks);
-                let bounds: Vec<usize> = (0..=chunks).map(|j| (j * chunk).min(n)).collect();
-                let mut parts = vec![0.0f64; n];
-                for_each_chunk(&bounds, 1, &mut parts, |lo, out| {
-                    kernel.pull_chunk(gather, out, lo, alpha, base, &teleport);
-                });
-                assert_eq!(parts, whole, "{chunks} chunks diverge from one");
-            }
+        let x = |b: usize| -> Vec<f64> {
+            (0..n).map(|i| (i as f64 + 1.0 + 3.0 * b as f64) / (n * n) as f64).collect()
+        };
+        let tel = |b: usize| TeleportVector::single(n, NodeId::from_usize(5 * b)).unwrap().dense();
+        let bases = [0.15, 0.2, 0.35];
+        let singles: Vec<Vec<f64>> =
+            (0..3).map(|b| pull_every_way(&kernel, One, &x(b), &tel(b), &bases[b..=b])).collect();
+        let interleave = |lane: &dyn Fn(usize) -> Vec<f64>| -> Vec<f64> {
+            let lanes: Vec<Vec<f64>> = (0..3).map(lane).collect();
+            (0..n * 3).map(|j| lanes[j % 3][j / 3]).collect()
+        };
+        let three = pull_every_way(&kernel, Many(3), &interleave(&x), &interleave(&tel), &bases);
+        for (b, single) in singles.iter().enumerate() {
+            let column: Vec<f64> = three.iter().skip(b).step_by(3).copied().collect();
+            assert_eq!(&column, single, "lane {b} of three diverges from its one-lane pull");
         }
     }
 
@@ -1467,6 +1393,72 @@ pub(crate) mod tests {
                 assert_eq!(arena.allocations(), warmed + i);
             }
         });
+    }
+
+    #[test]
+    fn batch_detaches_exactly_one_buffer_per_lane() {
+        use crate::arena::{with_arena, SolverArena};
+        use std::sync::Arc;
+        let g = random_graph(200, 1500, 5);
+        let kernel = SweepKernel::new(g.view()).unwrap();
+        let n = g.node_count();
+        // Two groups, so the second reuses the first's interleaves.
+        let teleports: Vec<TeleportVector> = (0..MAX_FUSED_LANES as u32 + 5)
+            .map(|s| TeleportVector::single(n, NodeId::new(s)).unwrap())
+            .collect();
+        let arena = Arc::new(SolverArena::new());
+        for scheme in Scheme::ALL {
+            let cfg = SolverConfig::default().with_scheme(scheme);
+            with_arena(&arena, || {
+                kernel.solve_batch(&cfg, &teleports).unwrap(); // warm-up
+                let warmed = arena.allocations();
+                for i in 1..=3u64 {
+                    kernel.solve_batch(&cfg, &teleports).unwrap();
+                    // Each lane's escaping score vector is its only
+                    // fresh buffer.
+                    let fresh = arena.allocations() - warmed;
+                    assert_eq!(fresh, i * teleports.len() as u64, "{scheme}");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn steady_state_top_k_batches_are_allocation_free() {
+        use crate::algorithm::RelevanceAlgorithm;
+        use crate::arena::{with_arena, SolverArena};
+        use crate::builtin::{PAGERANK, PERSONALIZED_CHEIRANK, PERSONALIZED_PAGERANK};
+        use crate::runner::{Algorithm, AlgorithmParams};
+        use std::sync::Arc;
+        let g = random_graph(300, 2500, 9);
+        let seeds: Vec<NodeId> = (0..MAX_FUSED_LANES as u32 + 3).map(NodeId::new).collect();
+        let arena = Arc::new(SolverArena::new());
+        for algorithm in [&PERSONALIZED_PAGERANK, &PERSONALIZED_CHEIRANK, &PAGERANK] {
+            for scheme in Scheme::ALL {
+                // With a trace every seed takes the kernel; without one
+                // the personalized seeds try certified push first.
+                for trace in [true, false] {
+                    let params = AlgorithmParams::new(Algorithm::PersonalizedPageRank)
+                        .with_scheme(scheme)
+                        .with_trace(trace)
+                        .with_top_k(10);
+                    with_arena(&arena, || {
+                        algorithm.execute_batch(&g, &params, &seeds).unwrap(); // warm-up
+                        let warmed = arena.allocations();
+                        for _ in 0..3 {
+                            let outs = algorithm.execute_batch(&g, &params, &seeds).unwrap();
+                            assert!(outs.iter().all(|o| o.scores.is_none() && o.top.is_some()));
+                        }
+                        assert_eq!(
+                            arena.allocations(),
+                            warmed,
+                            "{} {scheme} trace={trace}: top-k batches must not allocate",
+                            algorithm.id()
+                        );
+                    });
+                }
+            }
+        }
     }
 
     #[test]

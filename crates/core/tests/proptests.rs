@@ -351,14 +351,19 @@ proptest! {
     /// sequential runs: for PPR and Pers. CheiRank on random weighted
     /// graphs, `Query::seeds([...]).run_batch()` (one fused multi-vector
     /// sweep) reproduces every score, convergence diagnostic, and ranking
-    /// of the independent `Query::run` calls exactly.
+    /// of the independent `Query::run` calls exactly — in full-rank mode
+    /// and in top-k serving mode, where each seed is served the way its
+    /// single run serves it (certified push or the exact kernel).
     #[test]
     fn batched_multi_seed_bitwise_equals_sequential(
         edges in weighted_edge_list(25, 120),
         raw_seeds in prop::collection::vec(0u32..25, 1..9),
         algo_idx in 0usize..2,
         threads in 0usize..4,
+        // 0 = full-rank mode, else top-k serving mode with that k.
+        top_k in 0usize..30,
     ) {
+        let top_k = (top_k > 0).then_some(top_k);
         let algorithm = ["ppr", "pcheirank"][algo_idx];
         let mut b = GraphBuilder::new();
         b.ensure_node(24);
@@ -369,37 +374,41 @@ proptest! {
         }
         let g = Arc::new(b.build());
         let seeds: Vec<NodeId> = raw_seeds.iter().map(|&s| NodeId::new(s)).collect();
+        let query = |q: Query| {
+            let q = q.algorithm(algorithm).threads(threads).top(5);
+            match top_k {
+                Some(k) => q.top_k(k),
+                None => q,
+            }
+        };
 
-        let batch = Query::on(&g)
-            .algorithm(algorithm)
-            .seeds(seeds.clone())
-            .threads(threads)
-            .top(5)
-            .run_batch()
-            .unwrap();
+        let batch = query(Query::on(&g)).seeds(seeds.clone()).run_batch().unwrap();
         prop_assert_eq!(batch.len(), seeds.len());
 
         for (i, &seed) in seeds.iter().enumerate() {
-            let single = Query::on(&g)
-                .algorithm(algorithm)
-                .reference(seed)
-                .threads(threads)
-                .top(5)
-                .run()
-                .unwrap();
-            let single_scores = single.scores().unwrap().as_slice();
-            let batch_scores = batch.outputs[i].scores.as_ref().unwrap().as_slice();
-            prop_assert_eq!(single_scores, batch_scores,
-                "{} seed {:?}: batched scores diverge", algorithm, seed);
-            let sum: f64 = batch_scores.iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-8,
-                "{} seed {:?}: batched scores off the simplex: {}", algorithm, seed, sum);
-            let sc = single.output.convergence.unwrap();
-            let bc = batch.outputs[i].convergence.unwrap();
+            let single = query(Query::on(&g)).reference(seed).run().unwrap();
+            let (single_out, batch_out) = (&single.output, &batch.outputs[i]);
+            prop_assert_eq!(single_out.scores.is_some(), top_k.is_none());
+            if let (Some(single_scores), Some(batch_scores)) =
+                (&single_out.scores, &batch_out.scores)
+            {
+                prop_assert_eq!(single_scores.as_slice(), batch_scores.as_slice(),
+                    "{} seed {:?}: batched scores diverge", algorithm, seed);
+                let sum: f64 = batch_scores.as_slice().iter().sum();
+                prop_assert!((sum - 1.0).abs() < 1e-8,
+                    "{} seed {:?}: batched scores off the simplex: {}", algorithm, seed, sum);
+            }
+            let bits = |top: &Option<Vec<(NodeId, f64)>>| {
+                top.as_ref().map(|t| t.iter().map(|&(n, s)| (n, s.to_bits())).collect::<Vec<_>>())
+            };
+            prop_assert_eq!(bits(&single_out.top), bits(&batch_out.top),
+                "{} seed {:?}: batched top-k pairs diverge", algorithm, seed);
+            let sc = single_out.convergence.unwrap();
+            let bc = batch_out.convergence.unwrap();
             prop_assert_eq!(sc.iterations, bc.iterations);
             prop_assert_eq!(sc.residual.to_bits(), bc.residual.to_bits());
             prop_assert_eq!(sc.converged, bc.converged);
-            prop_assert_eq!(&single.output.ranking, &batch.outputs[i].ranking);
+            prop_assert_eq!(&single_out.ranking, &batch_out.ranking);
             prop_assert_eq!(single.top_entries(), batch.top_entries(i));
         }
     }

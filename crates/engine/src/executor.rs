@@ -535,8 +535,9 @@ impl Executor {
     }
 
     /// Executes a multi-seed batch: each seed's result is served from the
-    /// [`ResultCache`] when possible, and all remaining seeds share **one**
-    /// multi-vector solve ([`Query::run_batch`]). Returns one result per
+    /// [`ResultCache`] when possible, and all remaining seeds go through
+    /// **one** [`Query::run_batch`], which answers each seed as its single
+    /// task (whose cache key it shares) would. Returns one result per
     /// seed, in seed order, addressed to the given task ids.
     pub fn execute_batch(
         &self,
@@ -1031,6 +1032,35 @@ mod tests {
         let mixed_results = ex.execute_batch(&mixed_ids, &mixed).unwrap();
         assert_eq!(mixed_results[1].source.as_deref(), Some("Roger Taylor"));
         assert_eq!(ex.cache_stats().misses, misses_before + 1);
+    }
+
+    #[test]
+    fn top_k_batch_leaves_the_cache_answering_like_a_fresh_single_task() {
+        // The batch member and the single task share one cache key, so in
+        // top-k serving mode they must be the same answer: a single task
+        // after the batch (a cache hit) equals one on a fresh executor.
+        let mut batch = BatchSpec {
+            dataset: "fixture-enwiki-2018".into(),
+            params: relcore::AlgorithmParams::new(Algorithm::PersonalizedPageRank),
+            sources: vec!["Freddie Mercury".into(), "Brian May".into()],
+            top_k: 100,
+        };
+        batch.serve_top_k(5);
+        let ex = Executor::new();
+        let ids: Vec<TaskId> = (0..2).map(|_| TaskId::fresh()).collect();
+        let batched = ex.execute_batch(&ids, &batch).unwrap();
+        for (i, member) in batched.iter().enumerate() {
+            let spec = batch.task_for(i);
+            let hits = ex.cache_stats().hits;
+            let after_batch = ex.execute(&TaskId::fresh(), &spec).unwrap();
+            assert_eq!(ex.cache_stats().hits, hits + 1, "the single task hits the batch's entry");
+            let fresh = Executor::new().execute(&TaskId::fresh(), &spec).unwrap();
+            for r in [member, &after_batch] {
+                assert_eq!(r.top, fresh.top, "{:?}", spec.source);
+                assert_eq!(r.iterations, fresh.iterations, "{:?}", spec.source);
+                assert_eq!(r.residual.map(f64::to_bits), fresh.residual.map(f64::to_bits));
+            }
+        }
     }
 
     #[test]

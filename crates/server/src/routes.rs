@@ -63,7 +63,8 @@ fn index() -> Response {
         ?sync=1 to return the result in this response: answered at once from \
         the result cache when it holds it — that task_id is not pollable — \
         otherwise solved and waited for)</li>\n\
-        <li>POST /api/batch — submit one algorithm over many seeds (one fused solve; ?top_k=k)</li>\n\
+        <li>POST /api/batch — submit one algorithm over many seeds (the seeds share one kernel sweep; \
+        ?top_k=k serves each seed as its single task would)</li>\n\
         <li>GET /api/cache/stats — result-cache hit/miss/eviction counters</li>\n\
         <li>GET /api/serving/stats — worker pool, admission queue, and load-shed counters</li>\n\
         <li>GET /api/tasks/{id} — poll status</li>\n\
