@@ -10,6 +10,7 @@
 //! ([`crate::builtin`]); nothing in the platform treats them specially.
 
 use crate::error::AlgoError;
+use crate::memo::StationaryRead;
 use crate::runner::{AlgorithmParams, RelevanceOutput};
 use relgraph::{DirectedGraph, NodeId};
 use serde::Serialize;
@@ -45,6 +46,14 @@ pub trait RelevanceAlgorithm: Send + Sync {
     /// ranking only, like 2DRank).
     fn produces_scores(&self) -> bool {
         true
+    }
+
+    /// The stationary vectors a full-rank run reads, as orientation ×
+    /// teleport. Rows of a query set that read a common vector run as one
+    /// engine job, which solves each vector once
+    /// ([`crate::memo::VectorMemo`]). The default is none.
+    fn stationary_reads(&self) -> &[StationaryRead] {
+        &[]
     }
 
     /// The parameters the algorithm reads from [`AlgorithmParams`],

@@ -2,15 +2,21 @@
 //!
 //! Three types cover the seven: [`Stationary`] (PageRank, PPR, CheiRank,
 //! Pers. CheiRank — one sweep-kernel solve, differing only in view
-//! orientation and personalization), [`TwoDRank`] (both 2DRank variants)
-//! and [`CycleRankAlgorithm`]. The registry registers the seven values at
-//! startup ([`crate::registry::AlgorithmRegistry::global`]), and the task
-//! JSON's `Algorithm` tag maps each variant to one of them (the one
-//! `match` over its variants); dispatch goes through the registry.
+//! orientation and personalization), [`TwoDRank`] (both 2DRank variants:
+//! two [`SweepKernel`] solves, unless its job already solved them) and
+//! [`CycleRankAlgorithm`]. Each declares the stationary vectors it reads
+//! ([`RelevanceAlgorithm::stationary_reads`]), and a full-rank run fetches
+//! them through the job's [`crate::memo`], so a query set's PageRank,
+//! CheiRank and 2DRank rows solve each vector once. The registry
+//! registers the seven values at startup
+//! ([`crate::registry::AlgorithmRegistry::global`]), and the task JSON's
+//! `Algorithm` tag maps each variant to one of them (the one `match` over
+//! its variants); dispatch goes through the registry.
 
 use crate::algorithm::{ParamSpec, RelevanceAlgorithm};
 use crate::cyclerank::cyclerank;
 use crate::error::AlgoError;
+use crate::memo::{self, Orientation, StationaryRead, Teleport};
 use crate::ppr::TeleportVector;
 use crate::result::{RankedList, ScoreVector};
 use crate::runner::{AlgorithmParams, RelevanceOutput};
@@ -181,9 +187,9 @@ pub struct Stationary {
     id: &'static str,
     display_name: &'static str,
     aliases: &'static [&'static str],
-    personalized: bool,
-    /// Solve on the transposed graph (the CheiRank variants).
-    transposed: bool,
+    /// The one vector it solves: the CheiRank variants solve on the
+    /// transposed graph, the personalized ones teleport to the reference.
+    read: StationaryRead,
 }
 
 /// Global PageRank.
@@ -191,8 +197,7 @@ pub const PAGERANK: Stationary = Stationary {
     id: "pagerank",
     display_name: "PageRank",
     aliases: &["pr"],
-    personalized: false,
-    transposed: false,
+    read: StationaryRead::new(Orientation::Forward, Teleport::Uniform),
 };
 
 /// Personalized PageRank.
@@ -200,8 +205,7 @@ pub const PERSONALIZED_PAGERANK: Stationary = Stationary {
     id: "ppr",
     display_name: "Pers. PageRank",
     aliases: &["personalizedpagerank", "pers.pagerank"],
-    personalized: true,
-    transposed: false,
+    read: StationaryRead::new(Orientation::Forward, Teleport::Reference),
 };
 
 /// CheiRank: PageRank on the transposed graph.
@@ -209,8 +213,7 @@ pub const CHEIRANK: Stationary = Stationary {
     id: "cheirank",
     display_name: "CheiRank",
     aliases: &[],
-    personalized: false,
-    transposed: true,
+    read: StationaryRead::new(Orientation::Transposed, Teleport::Uniform),
 };
 
 /// Personalized CheiRank.
@@ -218,19 +221,8 @@ pub const PERSONALIZED_CHEIRANK: Stationary = Stationary {
     id: "pcheirank",
     display_name: "Pers. CheiRank",
     aliases: &["personalizedcheirank"],
-    personalized: true,
-    transposed: true,
+    read: StationaryRead::new(Orientation::Transposed, Teleport::Reference),
 };
-
-impl Stationary {
-    fn view<'g>(&self, graph: &'g DirectedGraph) -> relgraph::GraphView<'g> {
-        if self.transposed {
-            graph.transposed()
-        } else {
-            graph.view()
-        }
-    }
-}
 
 impl RelevanceAlgorithm for Stationary {
     fn id(&self) -> &str {
@@ -246,7 +238,11 @@ impl RelevanceAlgorithm for Stationary {
     }
 
     fn is_personalized(&self) -> bool {
-        self.personalized
+        self.read.teleport == Teleport::Reference
+    }
+
+    fn stationary_reads(&self) -> &[StationaryRead] {
+        std::slice::from_ref(&self.read)
     }
 
     fn parameters(&self) -> Vec<ParamSpec> {
@@ -257,16 +253,28 @@ impl RelevanceAlgorithm for Stationary {
         validate_damping(params)
     }
 
+    /// A full-rank run fetches its vector through the job's memo; top-k
+    /// serving mode keeps its own path (push or an in-arena top-k), whose
+    /// answer is not the full vector's.
     fn execute(
         &self,
         graph: &DirectedGraph,
         params: &AlgorithmParams,
         reference: Option<NodeId>,
     ) -> Result<RelevanceOutput, AlgoError> {
-        let reference = effective_reference(self.personalized, reference)?;
-        let mut outputs =
-            execute_stationary(self.id, self.view(graph), params, &[reference], None)?;
-        Ok(outputs.pop().expect("one output per reference"))
+        let reference = effective_reference(self.is_personalized(), reference)?;
+        let view = self.read.orientation.view(graph);
+        if params.top_k.is_some() {
+            let mut outputs = execute_stationary(self.id, view, params, &[reference], None)?;
+            return Ok(outputs.pop().expect("one output per reference"));
+        }
+        let cfg = params.solver_config();
+        let out = memo::stationary(self.read.orientation, reference, &cfg, || {
+            let teleport = TeleportVector::for_reference(view.node_count(), reference)?;
+            SweepKernel::new(view)?.solve(&cfg, &teleport)
+        })?;
+        let out = memo::owned(out);
+        Ok(scored(self.id, out.scores, Some(out.convergence), out.trace))
     }
 
     fn execute_warm(
@@ -276,9 +284,9 @@ impl RelevanceAlgorithm for Stationary {
         reference: Option<NodeId>,
         prev: &[f64],
     ) -> Result<RelevanceOutput, AlgoError> {
-        let reference = effective_reference(self.personalized, reference)?;
-        let mut outputs =
-            execute_stationary(self.id, self.view(graph), params, &[reference], Some(prev))?;
+        let reference = effective_reference(self.is_personalized(), reference)?;
+        let view = self.read.orientation.view(graph);
+        let mut outputs = execute_stationary(self.id, view, params, &[reference], Some(prev))?;
         Ok(outputs.pop().expect("one output per reference"))
     }
 
@@ -290,9 +298,9 @@ impl RelevanceAlgorithm for Stationary {
     ) -> Result<Vec<RelevanceOutput>, AlgoError> {
         let references = references
             .iter()
-            .map(|&r| effective_reference(self.personalized, Some(r)))
+            .map(|&r| effective_reference(self.is_personalized(), Some(r)))
             .collect::<Result<Vec<_>, _>>()?;
-        execute_stationary(self.id, self.view(graph), params, &references, None)
+        execute_stationary(self.id, self.read.orientation.view(graph), params, &references, None)
     }
 }
 
@@ -304,19 +312,31 @@ pub struct TwoDRank {
     id: &'static str,
     display_name: &'static str,
     aliases: &'static [&'static str],
-    personalized: bool,
+    /// The PageRank-side and CheiRank-side vectors it combines.
+    reads: [StationaryRead; 2],
+}
+
+const fn both_orientations(teleport: Teleport) -> [StationaryRead; 2] {
+    [
+        StationaryRead::new(Orientation::Forward, teleport),
+        StationaryRead::new(Orientation::Transposed, teleport),
+    ]
 }
 
 /// Global 2DRank.
-pub const TWO_D_RANK: TwoDRank =
-    TwoDRank { id: "2drank", display_name: "2DRank", aliases: &["twodrank"], personalized: false };
+pub const TWO_D_RANK: TwoDRank = TwoDRank {
+    id: "2drank",
+    display_name: "2DRank",
+    aliases: &["twodrank"],
+    reads: both_orientations(Teleport::Uniform),
+};
 
 /// Personalized 2DRank.
 pub const PERSONALIZED_TWO_D_RANK: TwoDRank = TwoDRank {
     id: "p2drank",
     display_name: "Pers. 2DRank",
     aliases: &["personalized2drank", "personalizedtwodrank"],
-    personalized: true,
+    reads: both_orientations(Teleport::Reference),
 };
 
 impl RelevanceAlgorithm for TwoDRank {
@@ -333,11 +353,15 @@ impl RelevanceAlgorithm for TwoDRank {
     }
 
     fn is_personalized(&self) -> bool {
-        self.personalized
+        self.reads[0].teleport == Teleport::Reference
     }
 
     fn produces_scores(&self) -> bool {
         false
+    }
+
+    fn stationary_reads(&self) -> &[StationaryRead] {
+        &self.reads
     }
 
     fn parameters(&self) -> Vec<ParamSpec> {
@@ -354,7 +378,7 @@ impl RelevanceAlgorithm for TwoDRank {
         params: &AlgorithmParams,
         reference: Option<NodeId>,
     ) -> Result<RelevanceOutput, AlgoError> {
-        let reference = effective_reference(self.personalized, reference)?;
+        let reference = effective_reference(self.is_personalized(), reference)?;
         let out = crate::tworank::two_d_rank_with(graph, &params.solver_config(), reference)?;
         Ok(RelevanceOutput {
             algorithm: self.id.to_string(),

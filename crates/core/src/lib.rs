@@ -17,7 +17,8 @@
 //! plus ranking-comparison metrics ([`compare`]). The first four are one
 //! sweep-kernel solve ([`solver`]) over one graph orientation and teleport
 //! ([`ppr::TeleportVector`]); 2DRank combines two of them ([`tworank`]);
-//! CycleRank enumerates cycles ([`cyclerank`]). Each runs through
+//! CycleRank enumerates cycles ([`cyclerank`]). The rows of one engine job
+//! solve each stationary vector once through a job-scoped [`memo`]. Each runs through
 //! [`Query`] by registry id, alias or display name. Andersen–Chung–Lang
 //! forward push ([`push`]) is no solver of its own: it serves only the
 //! certified top-k path and the incremental PPR refresh ([`topk`]).
@@ -104,6 +105,7 @@ mod chunks;
 pub mod compare;
 pub mod cyclerank;
 pub mod error;
+pub mod memo;
 pub mod ppr;
 pub mod push;
 pub mod query;
@@ -128,6 +130,7 @@ pub use algorithm::{AlgorithmDescriptor, ParamSpec, RelevanceAlgorithm};
 pub use arena::{with_arena, SolverArena};
 pub use cyclerank::{CycleRankConfig, CycleRankOutput};
 pub use error::AlgoError;
+pub use memo::{with_vector_memo, Orientation, StationaryRead, Teleport, VectorMemo};
 pub use ppr::TeleportVector;
 pub use query::{BatchResult, Query, QueryError, QueryResult, QueryTarget, ReferenceSpec};
 pub use registry::{AlgorithmRegistry, RegistryError};

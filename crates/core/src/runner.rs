@@ -18,6 +18,7 @@
 use crate::algorithm::RelevanceAlgorithm;
 use crate::builtin;
 use crate::cyclerank::CycleRankConfig;
+use crate::memo::StationaryRead;
 use crate::registry::AlgorithmRegistry;
 use crate::result::{RankedList, ScoreVector};
 use crate::scoring::ScoringFunction;
@@ -90,6 +91,12 @@ impl Algorithm {
     /// produce only a ranking, as the paper notes).
     pub fn produces_scores(self) -> bool {
         self.builtin().produces_scores()
+    }
+
+    /// The stationary vectors a full-rank run of the algorithm reads
+    /// ([`RelevanceAlgorithm::stationary_reads`]).
+    pub fn stationary_reads(self) -> &'static [StationaryRead] {
+        self.builtin().stationary_reads()
     }
 
     /// Display name matching the paper's tables.

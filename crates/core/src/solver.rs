@@ -187,6 +187,7 @@ pub struct SolverConfig {
     /// Chunks (one thread each) per [`Scheme::Parallel`] sweep, clamped to
     /// available parallelism and node count; `0` plans the count per
     /// sweep from the sweep's work and the cores free (module docs).
+    // rellint: allow(cache-key) -- the chunk count changes wall time, never a vector's bits
     pub threads: usize,
     /// Record a [`ConvergenceTrace`] of per-iteration residuals.
     pub record_trace: bool,

@@ -17,9 +17,13 @@
 //! The personalized variant applies the same sweep to Personalized PageRank
 //! and Personalized CheiRank rankings for a reference node. Both variants
 //! are [`two_d_rank_with`]: two [`SweepKernel`] solves, one per view
-//! orientation, served as the registry's `2drank` and `p2drank` built-ins.
+//! orientation, unless its job already solved them — each vector is
+//! fetched through the job's [`crate::memo`], so a 2DRank row of a query
+//! set reuses the vectors its PageRank and CheiRank siblings solved.
+//! They are served as the registry's `2drank` and `p2drank` built-ins.
 
 use crate::error::AlgoError;
+use crate::memo::{self, Orientation};
 use crate::ppr::TeleportVector;
 use crate::result::{RankedList, ScoreVector};
 use crate::solver::{Convergence, ConvergenceTrace, SolverConfig, SweepKernel};
@@ -62,16 +66,22 @@ pub struct TwoDRankOutcome {
 
 /// 2DRank under an explicit solver configuration: the shared
 /// [`SweepKernel`] sweeps both view orientations with the chosen scheme
-/// and thread count, and the two rankings are combined with the square
-/// sweep. `reference` selects the personalized variant.
+/// and thread count — or the job's memo hands over vectors an earlier row
+/// solved — and the two rankings are combined with the square sweep.
+/// `reference` selects the personalized variant.
 pub fn two_d_rank_with(
     g: &DirectedGraph,
     cfg: &SolverConfig,
     reference: Option<NodeId>,
 ) -> Result<TwoDRankOutcome, AlgoError> {
     let teleport = TeleportVector::for_reference(g.node_count(), reference)?;
-    let pr = SweepKernel::new(g.view())?.solve(cfg, &teleport)?;
-    let chei = SweepKernel::new(g.transposed())?.solve(cfg, &teleport)?;
+    let solve = |orientation: Orientation| {
+        memo::stationary(orientation, reference, cfg, || {
+            SweepKernel::new(orientation.view(g))?.solve(cfg, &teleport)
+        })
+    };
+    let pr = solve(Orientation::Forward)?;
+    let chei = solve(Orientation::Transposed)?;
     let ranking = combine(g.node_count(), &pr.scores, &chei.scores);
     // Pick the binding sweep wholesale (not field-wise maxima), so the
     // reported residual always matches the reported trace's last entry.
@@ -80,7 +90,7 @@ pub fn two_d_rank_with(
         (!pc.converged, pc.iterations, pc.residual) >= (!cc.converged, cc.iterations, cc.residual);
     let binding = if pr_binds { pc } else { cc };
     let convergence = Convergence { converged: pc.converged && cc.converged, ..binding };
-    let trace = if pr_binds { pr.trace } else { chei.trace };
+    let trace = if pr_binds { &pr.trace } else { &chei.trace }.clone();
     Ok(TwoDRankOutcome { ranking, convergence, trace })
 }
 

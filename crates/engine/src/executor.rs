@@ -10,7 +10,9 @@
 //! [`relcore::AlgorithmRegistry`] executes here without engine changes.
 //! Multi-seed [`BatchSpec`]s run through [`Executor::execute_batch`]: cache
 //! hits are served immediately and the remaining seeds share one
-//! multi-vector solve.
+//! multi-vector solve. The rows of one scheduler job share a
+//! [`relcore::VectorMemo`], so a stationary vector one row solved answers
+//! the job's later rows on the same graph version.
 
 use crate::cache::{cache_key, CacheStats, ResultCache, DEFAULT_CACHE_CAPACITY};
 use crate::error::EngineError;
@@ -18,7 +20,7 @@ use crate::mutation::{EdgeOp, MutationOutcome};
 use crate::persist::GraphPersistence;
 use crate::task::{BatchSpec, TaskId, TaskSpec};
 use parking_lot::Mutex;
-use relcore::{with_arena, Query, QueryResult, SolverArena};
+use relcore::{with_arena, with_vector_memo, Query, QueryResult, SolverArena, VectorMemo};
 use relgraph::{DirectedGraph, DynamicGraph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -516,6 +518,21 @@ impl Executor {
     /// [`crate::cache::cache_key`]), otherwise through the registry-backed
     /// [`Query`] front door (and cached for the next identical request).
     pub fn execute(&self, id: &TaskId, spec: &TaskSpec) -> Result<TaskResult, EngineError> {
+        self.execute_in_job(id, spec, &VectorMemo::default())
+    }
+
+    /// Executes one row of a scheduler job, like [`Executor::execute`],
+    /// with the row's stationary solves fetched through the job's `memo`:
+    /// a vector an earlier row of the job solved on the same graph
+    /// version is reused, not solved again, and the result is the one the
+    /// row would produce alone. A memo serves the rows of one job, which
+    /// all run on one dataset.
+    pub(crate) fn execute_in_job(
+        &self,
+        id: &TaskId,
+        spec: &TaskSpec,
+        memo: &VectorMemo,
+    ) -> Result<TaskResult, EngineError> {
         let (graph, version) = self.dataset_versioned(&spec.dataset)?;
         let key = cache_key(spec, version);
         if let Some(cached) = self.results.get(&key, id) {
@@ -527,7 +544,7 @@ impl Executor {
             query = query.reference(source.as_str());
         }
         let arena = self.arena_for(&spec.dataset);
-        let result = with_arena(&arena, || query.run())
+        let result = with_arena(&arena, || with_vector_memo(memo, version, || query.run()))
             .map_err(|e| EngineError::from_query(e, &spec.dataset))?;
         let result = TaskResult::package(id, &spec.dataset, spec.source.clone(), &result);
         self.results.put(key, result.clone());
@@ -843,6 +860,49 @@ mod tests {
         // The post-mutation result is itself cached under the new version.
         ex.execute(&TaskId::fresh(), &spec).unwrap();
         assert_eq!(ex.cache_stats().hits, 2);
+    }
+
+    #[test]
+    fn a_mutation_between_rows_of_a_job_is_never_answered_from_the_old_vector() {
+        use crate::mutation::{EdgeOp, EdgeSpec};
+        let net = || {
+            let mut b = relgraph::GraphBuilder::new();
+            for (from, to) in [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("d", "a")] {
+                b.add_labeled_edge(from, to);
+            }
+            b.build()
+        };
+        let edit = [EdgeOp::Add(EdgeSpec { source: "b".into(), target: "d".into(), weight: None })];
+        let spec = |algorithm| TaskBuilder::new("net").algorithm(algorithm).build().unwrap();
+        let (pagerank, two_d) = (spec(Algorithm::PageRank), spec(Algorithm::TwoDRank));
+        let masked = |mut r: TaskResult| {
+            r.task_id = TaskId("-".into());
+            r.runtime_ms = 0;
+            r
+        };
+        // What each row answers alone on the edited graph.
+        let edited = Executor::with_cache_capacity(0);
+        edited.register_graph("net", net()).unwrap();
+        edited.mutate_dataset("net", &edit).unwrap();
+        let fresh = |s: &TaskSpec| masked(edited.execute(&TaskId::fresh(), s).unwrap());
+
+        // One job's rows: PageRank, then (after the edit) 2DRank and
+        // PageRank again, all reading the forward uniform vector.
+        let ex = Executor::with_cache_capacity(0);
+        ex.register_graph("net", net()).unwrap();
+        let rows = [&pagerank, &two_d, &pagerank];
+        let memo = VectorMemo::new(rows.iter().flat_map(|s| s.stationary_reads()).copied());
+        let before = ex.execute_in_job(&TaskId::fresh(), &pagerank, &memo).unwrap();
+        assert_eq!(memo.kept(), 1, "a later row reads the vector");
+        ex.mutate_dataset("net", &edit).unwrap();
+        let after = ex.execute_in_job(&TaskId::fresh(), &two_d, &memo).unwrap();
+        assert_eq!(memo.reused(), 0, "the version-0 vector never answers at version 1");
+        assert_eq!(masked(after), fresh(&two_d));
+        let again = ex.execute_in_job(&TaskId::fresh(), &pagerank, &memo).unwrap();
+        assert_eq!(memo.reused(), 1, "the version-1 vector answers the last row");
+        assert_eq!(masked(again), fresh(&pagerank));
+        assert_ne!(masked(before), fresh(&pagerank), "the edit moves PageRank");
+        assert_eq!(memo.kept(), 0, "nothing is kept once no read is due");
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! The Scheduler: queueing, worker pool, and result collection (Fig. 1).
 //!
-//! Tasks submitted through [`Scheduler::submit`] are queued on a crossbeam
+//! Tasks submitted through [`Scheduler::submit`] or
+//! [`Scheduler::submit_query_set`] are queued as jobs on a crossbeam
 //! channel; a pool of worker threads (the paper's "computational nodes",
 //! which "can be scaled up or down depending on the system's workload" —
-//! here via [`SchedulerBuilder::workers`]) pops tasks and executes them
-//! through a shared [`Executor`]. Each task lives in one [`StatusBoard`]
-//! entry: workers record every lifecycle transition there with its log
-//! line, and completion stores the result in the same write. Pollers read
-//! the board, and [`Scheduler::wait`] blocks until a task reaches a
-//! terminal state.
+//! here via [`SchedulerBuilder::workers`]) pops jobs and executes their
+//! rows through a shared [`Executor`]. A job is one task, or the rows of
+//! a query set that read a common stationary vector, which then solve it
+//! once. Each task lives in one [`StatusBoard`] entry: workers record
+//! every lifecycle transition there with its log line, and completion
+//! stores the result in the same write. Pollers read the board, and
+//! [`Scheduler::wait`] blocks until a task reaches a terminal state.
 
 use crate::cache::CacheStats;
 use crate::error::EngineError;
@@ -17,15 +19,86 @@ use crate::persist::GraphPersistence;
 use crate::status::{StatusBoard, TaskState};
 use crate::task::{BatchSpec, QuerySet, TaskId, TaskSpec};
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use relcore::{Scheme, StationaryRead, Teleport, VectorMemo};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 enum Job {
-    Run(TaskId, TaskSpec),
+    /// Rows run one after another on one worker, in set order, sharing
+    /// the stationary vectors they solve.
+    Run(Vec<(TaskId, TaskSpec)>),
     RunBatch(Vec<TaskId>, BatchSpec),
     Shutdown,
+}
+
+/// One stationary vector a row reads, as far as the row's spec names it.
+#[derive(PartialEq, Eq, Hash)]
+struct VectorTag<'a> {
+    dataset: &'a str,
+    read: StationaryRead,
+    /// The teleport's reference label; `None` for a uniform teleport.
+    source: Option<&'a str>,
+    /// The solver settings that change a vector's bits, as bits (the
+    /// thread count never does).
+    damping: u64,
+    tolerance: u64,
+    max_iterations: usize,
+    scheme: Scheme,
+    record_trace: bool,
+}
+
+fn vectors_read(spec: &TaskSpec) -> impl Iterator<Item = VectorTag<'_>> {
+    let p = &spec.params;
+    spec.stationary_reads().iter().map(move |&read| VectorTag {
+        dataset: &spec.dataset,
+        read,
+        source: match read.teleport {
+            Teleport::Uniform => None,
+            Teleport::Reference => spec.source.as_deref(),
+        },
+        damping: p.damping.to_bits(),
+        tolerance: p.tolerance.to_bits(),
+        max_iterations: p.max_iterations,
+        scheme: p.solver,
+        record_trace: p.record_trace,
+    })
+}
+
+/// The jobs of a set of rows, as row indices: rows that read a common
+/// stationary vector, directly or through another row, share a job; every
+/// other row is a job of its own. Jobs come in the order of their first
+/// row, and rows within a job in set order.
+fn partition(specs: &[&TaskSpec]) -> Vec<Vec<usize>> {
+    // Union-find whose root is the job's first row.
+    fn root(first: &[usize], mut i: usize) -> usize {
+        while first[i] != i {
+            i = first[i];
+        }
+        i
+    }
+    let mut first: Vec<usize> = (0..specs.len()).collect();
+    let mut first_reader: HashMap<VectorTag<'_>, usize> = HashMap::new();
+    for (i, spec) in specs.iter().enumerate() {
+        for tag in vectors_read(spec) {
+            let j = *first_reader.entry(tag).or_insert(i);
+            let (a, b) = (root(&first, i), root(&first, j));
+            first[a.max(b)] = a.min(b);
+        }
+    }
+    let mut jobs: Vec<Vec<usize>> = Vec::new();
+    let mut job_of = vec![0; specs.len()];
+    for i in 0..specs.len() {
+        let r = root(&first, i);
+        if r == i {
+            job_of[r] = jobs.len();
+            jobs.push(Vec::new());
+        }
+        jobs[job_of[r]].push(i);
+    }
+    jobs
 }
 
 /// Configures a [`Scheduler`].
@@ -113,16 +186,7 @@ fn worker_loop(worker_id: usize, rx: Receiver<Job>, executor: Arc<Executor>, boa
     while let Ok(job) = rx.recv() {
         match job {
             Job::Shutdown => break,
-            Job::Run(id, spec) => {
-                // A task canceled while queued is skipped; its log says so.
-                if !board.mark_running(&id, worker_id, &spec.display_row()) {
-                    continue;
-                }
-                match executor.execute(&id, &spec) {
-                    Ok(result) => board.mark_completed(&id, worker_id, result),
-                    Err(e) => board.mark_failed(&id, worker_id, e.to_string()),
-                }
-            }
+            Job::Run(rows) => run_rows(worker_id, &rows, &executor, &board),
             Job::RunBatch(ids, spec) => {
                 // Canceled members are still solved (the batch is one fused
                 // sweep) but skipped at fan-out: no stored result, no state
@@ -152,6 +216,41 @@ fn worker_loop(worker_id: usize, rx: Receiver<Job>, executor: Arc<Executor>, boa
                     }
                 }
             }
+        }
+    }
+}
+
+/// Runs a job's rows in order. Each row is marked running when it starts
+/// and completed or failed when it ends, so pollers see progress row by
+/// row; a row canceled while queued is skipped, and a failing row fails
+/// alone. The rows share one [`VectorMemo`], so a stationary vector an
+/// earlier row solved is not solved again, and the reusing row's log says
+/// so.
+fn run_rows(
+    worker_id: usize,
+    rows: &[(TaskId, TaskSpec)],
+    executor: &Executor,
+    board: &StatusBoard,
+) {
+    let memo = VectorMemo::new(rows.iter().flat_map(|(_, spec)| spec.stationary_reads()).copied());
+    for (id, spec) in rows {
+        // A task canceled while queued is skipped; its log says so.
+        if !board.mark_running(id, worker_id, &spec.display_row()) {
+            continue;
+        }
+        let (reads, reused) = (memo.reads(), memo.reused());
+        match executor.execute_in_job(id, spec, &memo) {
+            Ok(result) => {
+                let reused = memo.reused() - reused;
+                if reused > 0 {
+                    let reads = memo.reads() - reads;
+                    let line =
+                        format!("reused {reused} of {reads} stationary vectors solved in this job");
+                    board.note(id, worker_id, &line);
+                }
+                board.mark_completed(id, worker_id, result);
+            }
+            Err(e) => board.mark_failed(id, worker_id, e.to_string()),
         }
     }
 }
@@ -196,15 +295,41 @@ impl Scheduler {
     /// worker with the same error.
     pub fn submit(&self, spec: TaskSpec) -> TaskId {
         let id = TaskId::fresh();
-        self.board.enqueue(id.clone(), spec.clone());
-        // Send cannot fail while workers hold the receiver.
-        let _ = self.tx.send(Job::Run(id.clone(), spec));
+        self.queue_rows(vec![(id.clone(), spec)]);
         id
     }
 
     /// Submits every task of a query set; returns ids in set order.
+    ///
+    /// Rows that read a common stationary vector — same dataset, solver
+    /// configuration and teleport, directly or through another row — run
+    /// as one job, which solves each vector once: a `{PageRank, CheiRank,
+    /// 2DRank}` set makes two solves, not four. Every other row is a job
+    /// of its own, so `{PageRank, CheiRank}` alone still runs on two
+    /// workers in parallel, and rows in top-k serving mode never share.
+    /// Jobs queue in the order of their first row, and a job's rows run in
+    /// set order, each answering exactly as it would alone (its
+    /// `runtime_ms` counts its own work only). Every row polls, waits and
+    /// stores like an individually submitted task.
     pub fn submit_query_set(&self, qs: &QuerySet) -> Vec<TaskId> {
-        qs.tasks().iter().map(|t| self.submit(t.clone())).collect()
+        let rows: Vec<(TaskId, TaskSpec)> =
+            qs.tasks().iter().map(|t| (TaskId::fresh(), t.clone())).collect();
+        let ids = rows.iter().map(|(id, _)| id.clone()).collect();
+        self.queue_rows(rows);
+        ids
+    }
+
+    /// Puts every row on the board as queued, then queues the rows'
+    /// jobs ([`partition`]).
+    fn queue_rows(&self, rows: Vec<(TaskId, TaskSpec)>) {
+        for (id, spec) in &rows {
+            self.board.enqueue(id.clone(), spec.clone());
+        }
+        for job in partition(&rows.iter().map(|(_, spec)| spec).collect::<Vec<_>>()) {
+            let job = job.into_iter().map(|i| rows[i].clone()).collect();
+            // Send cannot fail while workers hold the receiver.
+            let _ = self.tx.send(Job::Run(job));
+        }
     }
 
     /// Submits a multi-seed batch; returns one task id per seed, in seed
@@ -494,6 +619,165 @@ mod tests {
         assert_eq!(results[0].algorithm, "cyclerank");
         assert_eq!(results[1].algorithm, "pagerank");
         assert_eq!(results[2].algorithm, "ppr");
+    }
+
+    /// A row of `algorithm` on `dataset`, with `source` only where the
+    /// task rules require one.
+    fn row(dataset: &str, algorithm: Algorithm, source: &str) -> TaskSpec {
+        let builder = TaskBuilder::new(dataset).algorithm(algorithm).top_k(5);
+        match algorithm.is_personalized() {
+            true => builder.source(source).build().unwrap(),
+            false => builder.build().unwrap(),
+        }
+    }
+
+    fn jobs(specs: &[TaskSpec]) -> Vec<Vec<usize>> {
+        partition(&specs.iter().collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn rows_share_a_job_only_through_a_common_vector() {
+        use Algorithm::*;
+        let d = "fixture-enwiki-2018";
+        let at = |a| row(d, a, "Freddie Mercury");
+        // PageRank and CheiRank read different vectors: two jobs, which
+        // still run in parallel.
+        assert_eq!(jobs(&[at(PageRank), at(CheiRank)]), [vec![0], vec![1]]);
+        // 2DRank reads both, so it joins them into one job.
+        assert_eq!(jobs(&[at(PageRank), at(CheiRank), at(TwoDRank)]), [vec![0, 1, 2]]);
+        // Different teleports never share.
+        let ppr = row(d, PersonalizedPageRank, "Freddie Mercury");
+        let p2d = row(d, PersonalizedTwoDRank, "Brian May");
+        assert_eq!(jobs(&[ppr, p2d]), [vec![0], vec![1]]);
+        // CycleRank reads no vector: one job per row.
+        let cycles: Vec<TaskSpec> = (3..6)
+            .map(|k| {
+                let builder = TaskBuilder::new(d).algorithm(CycleRank).max_cycle_len(k);
+                builder.source("Freddie Mercury").build().unwrap()
+            })
+            .collect();
+        assert_eq!(jobs(&cycles), [vec![0], vec![1], vec![2]]);
+        // A top-k row keeps its own job and its own path.
+        let mut top_k = at(PageRank);
+        top_k.serve_top_k(5);
+        assert_eq!(jobs(&[at(PageRank), top_k, at(TwoDRank)]), [vec![0, 2], vec![1]]);
+        // Other datasets, dampings and schemes read other vectors.
+        let mut damped = at(TwoDRank);
+        damped.params.damping = 0.5;
+        let mut power = at(TwoDRank);
+        power.params.solver = relcore::Scheme::Power;
+        let elsewhere = row("fixture-amazon-books", TwoDRank, "1984");
+        assert_eq!(
+            jobs(&[at(PageRank), damped, power, elsewhere]),
+            [vec![0], vec![1], vec![2], vec![3]]
+        );
+        // The thread count does not change a vector: those rows share.
+        let mut threaded = at(TwoDRank);
+        threaded.params.threads = 2;
+        assert_eq!(jobs(&[at(PageRank), threaded]), [vec![0, 1]]);
+        // Jobs come in the order of their first row, rows in set order.
+        let set =
+            [at(CycleRank), at(PageRank), at(PersonalizedPageRank), at(CheiRank), at(TwoDRank)];
+        assert_eq!(jobs(&set), [vec![0], vec![1, 3, 4], vec![2]]);
+    }
+
+    /// `r` with the fields that name the run, not the answer, masked.
+    fn masked(mut r: TaskResult) -> TaskResult {
+        r.task_id = TaskId("-".into());
+        r.runtime_ms = 0;
+        r
+    }
+
+    /// `spec` executed alone on a fresh executor with caching disabled.
+    fn alone(spec: &TaskSpec) -> TaskResult {
+        masked(Executor::with_cache_capacity(0).execute(&TaskId::fresh(), spec).unwrap())
+    }
+
+    /// Runs `specs` as one job on a fresh board, canceling the rows in
+    /// `canceled` first; returns the board and the row ids.
+    fn run_job(specs: &[TaskSpec], canceled: &[usize]) -> (StatusBoard, Vec<TaskId>) {
+        let (executor, board) = (Executor::with_cache_capacity(0), StatusBoard::new());
+        let rows: Vec<(TaskId, TaskSpec)> =
+            specs.iter().map(|s| (TaskId::fresh(), s.clone())).collect();
+        for (id, spec) in &rows {
+            board.enqueue(id.clone(), spec.clone());
+        }
+        for &i in canceled {
+            assert!(board.cancel_if_queued(&rows[i].0).unwrap());
+        }
+        run_rows(0, &rows, &executor, &board);
+        (board, rows.into_iter().map(|(id, _)| id).collect())
+    }
+
+    fn answer(board: &StatusBoard, id: &TaskId) -> TaskResult {
+        masked(TaskResult::clone(&board.result(id).unwrap().expect("row completed")))
+    }
+
+    #[test]
+    fn a_job_reuses_vectors_and_answers_like_rows_alone() {
+        use Algorithm::*;
+        let d = "fixture-enwiki-2018";
+        let specs = [row(d, PageRank, ""), row(d, CheiRank, ""), row(d, TwoDRank, "")];
+        let (board, ids) = run_job(&specs, &[]);
+        for (spec, id) in specs.iter().zip(&ids) {
+            assert_eq!(answer(&board, id), alone(spec), "{}", spec.display_row());
+        }
+        let log = board.log(&ids[2]).unwrap();
+        assert!(log.contains("worker 0: reused 2 of 2 stationary vectors solved in this job\n"));
+        assert!(!board.log(&ids[0]).unwrap().contains("reused"), "row 0 solved its vector");
+    }
+
+    #[test]
+    fn a_canceled_row_is_skipped_and_the_next_reader_solves_its_vector() {
+        use Algorithm::*;
+        let d = "fixture-amazon-books";
+        let specs = [
+            row(d, PersonalizedPageRank, "1984"),
+            row(d, PersonalizedCheiRank, "1984"),
+            row(d, PersonalizedTwoDRank, "1984"),
+        ];
+        let (board, ids) = run_job(&specs, &[0]);
+        assert_eq!(board.get(&ids[0]).unwrap().state, TaskState::Canceled);
+        assert!(board.result(&ids[0]).unwrap().is_none());
+        for i in [1, 2] {
+            assert_eq!(answer(&board, &ids[i]), alone(&specs[i]), "{}", specs[i].display_row());
+        }
+        // 2DRank solved the PPR vector the canceled row would have solved.
+        let log = board.log(&ids[2]).unwrap();
+        assert!(log.contains("reused 1 of 2 stationary vectors"), "{log}");
+    }
+
+    #[test]
+    fn a_failing_row_fails_alone() {
+        use Algorithm::*;
+        let d = "fixture-enwiki-2018";
+        // A global row still resolves its source: an unknown one fails.
+        let mut bad = row(d, PageRank, "");
+        bad.source = Some("No Such Page".into());
+        let specs = [bad, row(d, CheiRank, ""), row(d, TwoDRank, "")];
+        assert_eq!(jobs(&specs), [vec![0, 1, 2]]);
+        let (board, ids) = run_job(&specs, &[]);
+        assert!(matches!(board.get(&ids[0]).unwrap().state, TaskState::Failed { .. }));
+        for i in [1, 2] {
+            assert_eq!(answer(&board, &ids[i]), alone(&specs[i]), "{}", specs[i].display_row());
+        }
+        let log = board.log(&ids[2]).unwrap();
+        assert!(log.contains("reused 1 of 2 stationary vectors"), "{log}");
+    }
+
+    #[test]
+    fn a_seven_algorithm_set_solves_four_vectors() {
+        // One full-rank solve detaches one arena buffer; the set's two
+        // 2DRank rows reuse their siblings' four vectors.
+        let s = Scheduler::builder().workers(1).cache_capacity(0).build();
+        let mut set = QuerySet::new();
+        for algorithm in Algorithm::ALL {
+            set.add(row("fixture-enwiki-2018", algorithm, "Freddie Mercury"));
+        }
+        s.wait_all(&s.submit_query_set(&set), T).unwrap();
+        let warm = s.executor().arena_stats().allocations;
+        s.wait_all(&s.submit_query_set(&set), T).unwrap();
+        assert_eq!(s.executor().arena_stats().allocations - warm, 4);
     }
 
     #[test]

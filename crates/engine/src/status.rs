@@ -149,6 +149,13 @@ impl StatusBoard {
         }
     }
 
+    /// Appends `line` to a running task's log, as said by `worker`.
+    pub(crate) fn note(&self, id: &TaskId, worker: usize, line: &str) {
+        if let Some(entry) = self.inner.write().get_mut(id) {
+            entry.log.push_str(&format!("worker {worker}: {line}\n"));
+        }
+    }
+
     /// Marks a task completed on `worker` and stores its result in the
     /// same write, together with the solve's residual progress (when it
     /// has one) and the log lines that report both.

@@ -119,6 +119,16 @@ impl TaskSpec {
         self.params = self.params.with_top_k(k);
     }
 
+    /// The stationary vectors this task's solve reads: its algorithm's
+    /// ([`Algorithm::stationary_reads`]) for a full-rank task, none in
+    /// top-k serving mode, whose answer is not the full vector's.
+    pub(crate) fn stationary_reads(&self) -> &'static [relcore::StationaryRead] {
+        match self.params.top_k {
+            Some(_) => &[],
+            None => self.params.algorithm.stationary_reads(),
+        }
+    }
+
     /// Renders the row as the task-builder interface shows it
     /// (cf. Fig. 2: "enwiki 2018-03-01 | Cyclerank | Fake news | k = 3,
     /// σ = exp").

@@ -2,7 +2,8 @@
 //! repo's bugs keep violating.
 //!
 //! Clippy sees Rust; it cannot see that `cache_key` must mention every
-//! field of `TaskSpec`, that the executor's map lock must never be
+//! field of `TaskSpec` (and `vector_key` every field of `SolverConfig`),
+//! that the executor's map lock must never be
 //! taken after a per-dataset lock, or that a digest path iterating a
 //! `HashMap` silently breaks bit-deterministic replay. Those are
 //! *project* invariants, each one the root cause of a past bug, and

@@ -39,16 +39,26 @@ fn finding(rule: &str, file: &FileIndex, line: u32, message: String) -> Finding 
 
 // ---------------------------------------------------------------------------
 // Rule 1 · cache-key — every serialized field of the task-identity structs
-// must participate in `cache_key` (the PR 5 stale-cache bug class).
+// must participate in `cache_key` (the stale-cache bug class), and
+// every solver-config field in `vector_key`, the key under which a job
+// reuses a solved stationary vector.
 // ---------------------------------------------------------------------------
 
-/// Structs whose fields define task identity for result caching.
-const KEYED_STRUCTS: &[&str] = &["TaskSpec", "AlgorithmParams"];
+/// Each key function, with the structs whose fields define the identity
+/// it keys.
+const KEYED: &[(&str, &[&str])] =
+    &[("cache_key", &["TaskSpec", "AlgorithmParams"]), ("vector_key", &["SolverConfig"])];
 
 fn cache_key_completeness(ws: &Workspace, out: &mut Vec<Finding>) {
-    // The function that renders cache keys, wherever it lives.
+    for &(key_fn, structs) in KEYED {
+        key_completeness(ws, key_fn, structs, out);
+    }
+}
+
+fn key_completeness(ws: &Workspace, key_fn: &str, structs: &[&str], out: &mut Vec<Finding>) {
+    // The function that renders the key, wherever it lives.
     let key_idents: Option<Vec<String>> = ws.files.iter().find_map(|f| {
-        f.functions.iter().find(|func| func.name == "cache_key" && !func.is_test).map(|func| {
+        f.functions.iter().find(|func| func.name == key_fn && !func.is_test).map(|func| {
             f.tokens[func.body.0..=func.body.1]
                 .iter()
                 .filter(|t| t.kind == crate::lexer::TokenKind::Ident)
@@ -58,7 +68,7 @@ fn cache_key_completeness(ws: &Workspace, out: &mut Vec<Finding>) {
     });
     let mut any_struct = false;
     for file in &ws.files {
-        for s in file.structs.iter().filter(|s| KEYED_STRUCTS.contains(&s.name.as_str())) {
+        for s in file.structs.iter().filter(|s| structs.contains(&s.name.as_str())) {
             any_struct = true;
             let Some(idents) = &key_idents else { continue };
             for field in &s.fields {
@@ -72,9 +82,9 @@ fn cache_key_completeness(ws: &Workspace, out: &mut Vec<Finding>) {
                         file,
                         field.line,
                         format!(
-                            "serialized field `{}.{}` does not participate in `cache_key`; \
-                             a task differing only in this field would collide with a cached \
-                             result (add it to the key, `#[serde(skip)]` it, or exempt it \
+                            "serialized field `{}.{}` does not participate in `{key_fn}`; \
+                             a value differing only in this field would collide with a cached \
+                             one (add it to the key, `#[serde(skip)]` it, or exempt it \
                              with a reasoned pragma)",
                             s.name, field.name
                         ),
@@ -87,13 +97,12 @@ fn cache_key_completeness(ws: &Workspace, out: &mut Vec<Finding>) {
         // The structs exist but the key renderer is gone — that is itself
         // a completeness failure, anchored at the first keyed struct.
         for file in &ws.files {
-            if let Some(s) = file.structs.iter().find(|s| KEYED_STRUCTS.contains(&s.name.as_str()))
-            {
+            if let Some(s) = file.structs.iter().find(|s| structs.contains(&s.name.as_str())) {
                 out.push(finding(
                     "cache-key",
                     file,
                     s.line,
-                    format!("found keyed struct `{}` but no `cache_key` function to audit", s.name),
+                    format!("found keyed struct `{}` but no `{key_fn}` function to audit", s.name),
                 ));
                 return;
             }

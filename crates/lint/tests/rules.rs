@@ -83,6 +83,55 @@ fn cache_key_fires_when_the_key_function_vanishes() {
     assert_eq!(hits[0].0, "cache-key");
 }
 
+const SOLVER_CONFIG: &str = "
+pub struct SolverConfig {
+    pub damping: f64,
+    pub tolerance: f64,
+    // rellint: allow(cache-key) -- the chunk count changes wall time, never a vector's bits
+    pub threads: usize,
+}
+";
+
+#[test]
+fn vector_key_fires_when_a_solver_config_field_is_missing() {
+    let ws = Workspace::from_sources(&[
+        ("crates/core/src/solver.rs", SOLVER_CONFIG),
+        (
+            "crates/core/src/memo.rs",
+            // `damping` dropped from the key: a vector solved at one
+            // damping would answer a read at another.
+            "fn vector_key(version: u64, cfg: &SolverConfig) -> VectorKey {
+                 VectorKey { version, tolerance: cfg.tolerance.to_bits() }
+             }",
+        ),
+    ]);
+    let hits = rules_hit(&ws);
+    assert_eq!(hits, [("cache-key".to_string(), 3)], "anchored at `damping`");
+}
+
+#[test]
+fn vector_key_quiet_when_every_field_but_the_exempt_one_participates() {
+    let ws = Workspace::from_sources(&[
+        ("crates/core/src/solver.rs", SOLVER_CONFIG),
+        (
+            "crates/core/src/memo.rs",
+            "fn vector_key(version: u64, cfg: &SolverConfig) -> VectorKey {
+                 VectorKey { version, damping: cfg.damping.to_bits(), tolerance: cfg.tolerance.to_bits() }
+             }",
+        ),
+    ]);
+    let report = ws.run(&[]);
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    assert_eq!(report.suppressed, 1, "`threads` is exempt by its pragma");
+}
+
+#[test]
+fn vector_key_fires_when_the_key_function_vanishes() {
+    let ws = Workspace::from_sources(&[("crates/core/src/solver.rs", SOLVER_CONFIG)]);
+    let hits = rules_hit(&ws);
+    assert_eq!(hits, [("cache-key".to_string(), 2)]);
+}
+
 // -------------------------------------------------------------------------
 // Rule 2 · lock-order
 // -------------------------------------------------------------------------

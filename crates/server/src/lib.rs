@@ -23,7 +23,7 @@
 //! | GET  | `/api/tasks/{id}` | poll a task's status |
 //! | GET  | `/api/tasks/{id}/result` | fetch a completed task's result |
 //! | GET  | `/api/tasks/{id}/log` | fetch a task's execution log |
-//! | POST | `/api/query-sets` | submit an array of tasks as one query set |
+//! | POST | `/api/query-sets` | submit an array of tasks as one query set (`?top_k=k` serves every row top-k-only) |
 //! | GET  | `/api/serving/stats` | worker pool, admission queue, and load-shed counters |
 //!
 //! ```no_run

@@ -70,7 +70,9 @@ fn index() -> Response {
         <li>GET /api/tasks/{id} — poll status</li>\n\
         <li>GET /api/tasks/{id}/result — fetch result</li>\n\
         <li>GET /api/tasks/{id}/log — fetch log</li>\n\
-        <li>POST /api/query-sets — submit a comparison</li>\n\
+        <li>POST /api/query-sets — submit a comparison (rows that read a common \
+        stationary vector run as one job, which solves it once; ?top_k=k serves \
+        every row in top-k mode, each row alone)</li>\n\
         </ul></body></html>\n";
     Response {
         status: StatusCode::Ok,
@@ -346,9 +348,10 @@ fn query_param<'a>(req: &'a Request, name: &str) -> Option<&'a str> {
     })
 }
 
-/// Parses the `?top_k=` query parameter shared by `POST /api/tasks` and
-/// `POST /api/batch`: `Ok(Some(k))` enables top-k-only serving mode with
-/// `k` entries, `Ok(None)` means the parameter is absent.
+/// Parses the `?top_k=` query parameter shared by `POST /api/tasks`,
+/// `POST /api/batch` and `POST /api/query-sets`: `Ok(Some(k))` enables
+/// top-k-only serving mode with `k` entries, `Ok(None)` means the
+/// parameter is absent.
 fn top_k_param(req: &Request) -> Result<Option<usize>, Response> {
     match query_param(req, "top_k") {
         None => Ok(None),
@@ -494,12 +497,17 @@ fn submit_query_set(req: &Request, engine: &Arc<Scheduler>) -> Response {
         Ok(b) => b,
         Err(e) => return Response::error(StatusCode::BadRequest, e),
     };
-    let specs: Vec<TaskSpec> = match serde_json::from_str(body) {
+    let mut specs: Vec<TaskSpec> = match serde_json::from_str(body) {
         Ok(s) => s,
         Err(e) => return Response::error(StatusCode::BadRequest, format!("bad query set: {e}")),
     };
     if specs.is_empty() {
         return Response::error(StatusCode::BadRequest, "query set is empty");
+    }
+    match top_k_param(req) {
+        Ok(Some(k)) => specs.iter_mut().for_each(|spec| spec.serve_top_k(k)),
+        Ok(None) => {}
+        Err(bad) => return bad,
     }
     // All rows are checked before any is queued: a bad row rejects the set.
     for (row, spec) in specs.iter().enumerate() {
@@ -927,6 +935,49 @@ mod tests {
             r#"{"error":"query set row 1: personalized algorithm requires a source"}"#
         );
         assert_eq!(e.metrics().total, tracked, "a rejected set queues nothing");
+    }
+
+    #[test]
+    fn query_set_rows_serve_top_k_like_sync_tasks() {
+        // `?top_k=5` puts every row in top-k serving mode: each row answers
+        // as `POST /api/tasks?sync=1&top_k=5` does, and no row shares.
+        let post_with = |path: &str, query: &str, body: &str, e: &Arc<Scheduler>| {
+            let mut req = post(path, body);
+            req.query = query.into();
+            route(&req, e)
+        };
+        let rows: Vec<String> = relcore::Algorithm::ALL
+            .into_iter()
+            .map(|algorithm| {
+                let builder =
+                    relengine::TaskBuilder::new("fixture-enwiki-2018").algorithm(algorithm);
+                let builder = match algorithm.is_personalized() {
+                    true => builder.source("Freddie Mercury"),
+                    false => builder,
+                };
+                serde_json::to_string(&builder.build().unwrap()).unwrap()
+            })
+            .collect();
+        let e = engine();
+        let r = post_with("/api/query-sets", "top_k=5", &format!("[{}]", rows.join(",")), &e);
+        assert_eq!(r.status, StatusCode::Accepted, "{}", body_str(&r));
+        let v: serde_json::Value = serde_json::from_slice(&r.body).unwrap();
+        let masked = |mut r: relengine::TaskResult| {
+            r.task_id = TaskId(String::new());
+            r.runtime_ms = 0;
+            r
+        };
+        let fresh = engine();
+        for (id, row) in v["task_ids"].as_array().unwrap().iter().zip(&rows) {
+            let id = TaskId(id.as_str().unwrap().to_string());
+            let served = e.wait(&id, std::time::Duration::from_secs(60)).unwrap();
+            assert_eq!(served.top.len(), 5, "{row}");
+            assert!(!e.board().log(&id).unwrap().contains("reused"), "{row}");
+            let sync = post_with("/api/tasks", "sync=1&top_k=5", row, &fresh);
+            assert_eq!(sync.status, StatusCode::Ok, "{}", body_str(&sync));
+            let sync = serde_json::from_slice(&sync.body).unwrap();
+            assert_eq!(masked(served), masked(sync), "{row}");
+        }
     }
 
     #[test]

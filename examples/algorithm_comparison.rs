@@ -1,7 +1,9 @@
 //! The paper's *algorithm comparison* use case (§IV-D, Tables I–II):
 //! run all seven algorithms on one dataset and reference node through the
 //! execution engine, exactly as the demo's task builder would, and print
-//! the side-by-side top-5 table.
+//! the side-by-side top-5 table. The engine runs the rows that read a
+//! common stationary vector as one job, so the two 2DRank rows reuse the
+//! four vectors their siblings solved: four kernel solves, not eight.
 //!
 //! ```sh
 //! cargo run --example algorithm_comparison
@@ -53,5 +55,17 @@ fn main() {
     println!("\nruntimes:");
     for r in &results {
         println!("  {:<12} {:>6} ms", r.algorithm, r.runtime_ms);
+    }
+
+    // Rows that read a common stationary vector ran as one job: each
+    // 2DRank row combined the vectors its PageRank and CheiRank siblings
+    // had solved, and its log says so.
+    println!("\nreuse:");
+    for (id, r) in ids.iter().zip(&results) {
+        let log = engine.board().log(id).expect("task log");
+        let reused = log.lines().find(|line| line.contains("reused"));
+        println!("  {:<12} {}", r.algorithm, reused.unwrap_or("-"));
+        let two_d = r.algorithm.ends_with("2drank");
+        assert_eq!(reused.is_some(), two_d, "{}: {log}", r.algorithm);
     }
 }

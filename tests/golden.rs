@@ -394,6 +394,7 @@ fn submission_rejections_match_golden() {
             ("/api/batch", "", &oversized),
             ("/api/query-sets", "", "[]"),
             ("/api/query-sets", "", &row_one_missing),
+            ("/api/query-sets", "top_k=lots", &format!("[{ppr}]")),
         ],
     );
     assert_eq!(engine.metrics().total, 0, "a rejected submission queues nothing");
