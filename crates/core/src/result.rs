@@ -97,9 +97,10 @@ impl ScoreVector {
 
     /// Full ranking of all nodes (descending score, ascending id ties).
     ///
-    /// One index sort — not an `n`-entry heap-select — so an all-tied
-    /// vector (CycleRank far from its reference) ranks in a single
-    /// already-sorted pass.
+    /// Sorts only the non-zero support and appends the `+0.0` block in
+    /// id order, which is its place in the total order — so a sparse
+    /// vector (CycleRank far from its reference is mostly zeros) ranks in
+    /// `O(n + s log s)` for `s` non-zero scores, not an `n`-entry sort.
     pub fn ranking(&self) -> RankedList {
         RankedList::new(ranked_indices(&self.values).into_iter().map(NodeId::new).collect())
     }
@@ -155,12 +156,29 @@ pub fn top_k_pairs(values: &[f64], k: usize) -> Vec<(NodeId, f64)> {
 
 /// Every index of `values` in rank order — the total key of
 /// [`top_k_pairs`] (descending score by `total_cmp`, ascending id), which
-/// has no equal elements, so the unstable sort is deterministic.
+/// has no equal elements, so the unstable sorts are deterministic.
+///
+/// Only the non-zero support is sorted. In that order the exact `+0.0`
+/// entries sit between everything above them and every negative-signed
+/// entry (`-0.0` included), and among themselves by ascending id, so they
+/// are appended as one block in a single pass: a CycleRank vector with a
+/// handful of cycle members among `n` nodes ranks in `O(n)`.
 fn ranked_indices(values: &[f64]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..values.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        values[b as usize].total_cmp(&values[a as usize]).then(a.cmp(&b))
-    });
+    let by_rank =
+        |&a: &u32, &b: &u32| values[b as usize].total_cmp(&values[a as usize]).then(a.cmp(&b));
+    let mut order = Vec::with_capacity(values.len());
+    let mut negative = Vec::new();
+    for (i, v) in values.iter().enumerate() {
+        if v.is_sign_negative() {
+            negative.push(i as u32);
+        } else if *v != 0.0 {
+            order.push(i as u32);
+        }
+    }
+    order.sort_unstable_by(by_rank);
+    order.extend((0..values.len() as u32).filter(|&i| values[i as usize].to_bits() == 0));
+    negative.sort_unstable_by(by_rank);
+    order.append(&mut negative);
     order
 }
 

@@ -22,6 +22,25 @@ fn weighted_edge_list(
     prop::collection::vec((0..max_nodes, 0..max_nodes, 0.1f64..10.0), 1..max_edges)
 }
 
+/// Scores the ranking proptest draws from: both zeros (+0.0 twice, so
+/// ties are common), ties, subnormals of either sign, infinities and NaNs.
+const RANKING_PALETTE: [f64; 14] = [
+    0.0,
+    0.0,
+    -0.0,
+    0.25,
+    0.25,
+    1e-3,
+    -0.5,
+    f64::MIN_POSITIVE / 2.0,
+    -f64::MIN_POSITIVE / 4.0,
+    5e-324,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+];
+
 /// The four stationary built-ins, and whether each solve sweeps the
 /// transposed view.
 const STATIONARY: [(Algorithm, bool); 4] = [
@@ -345,6 +364,27 @@ proptest! {
         prop_assert!((relcore::compare::rank_biased_overlap(&r, &r, 0.9) - 1.0).abs() < 1e-9);
         prop_assert_eq!(relcore::compare::spearman_footrule(&r, &r), 1.0);
         prop_assert_eq!(relcore::compare::jaccard_at_k(&r, &r, 5), 1.0);
+    }
+
+    /// `ScoreVector::ranking` sorts only the non-zero support; it equals
+    /// the full total-order index sort (descending `total_cmp`, ascending
+    /// id) on vectors mixing +0.0, -0.0, ties, subnormals, infinities,
+    /// NaNs and negatives, and on all-zero vectors of either sign.
+    #[test]
+    fn ranking_equals_the_full_total_order_sort(
+        picks in prop::collection::vec(0usize..RANKING_PALETTE.len(), 0..80),
+        fill in 0u8..4,
+    ) {
+        let values: Vec<f64> = match fill {
+            0 => vec![0.0; picks.len()],
+            1 => vec![-0.0; picks.len()],
+            _ => picks.iter().map(|&p| RANKING_PALETTE[p]).collect(),
+        };
+        let mut want: Vec<u32> = (0..values.len() as u32).collect();
+        want.sort_by(|&a, &b| values[b as usize].total_cmp(&values[a as usize]).then(a.cmp(&b)));
+        let got: Vec<u32> =
+            ScoreVector::new(values).ranking().as_slice().iter().map(|n| n.raw()).collect();
+        prop_assert_eq!(got, want);
     }
 
     /// Batched multi-seed queries are **bit-for-bit** equal to per-seed

@@ -142,19 +142,20 @@ impl TaskResult {
 pub struct Executor {
     /// Per-dataset dynamic graphs: registry datasets are generated on
     /// first use and wrapped (version 0); uploads are wrapped at
-    /// registration. Queries run over the cached CSR snapshot
+    /// registration. Queries run over the current CSR snapshot
     /// ([`relgraph::DynamicGraph::snapshot`]); edge mutations
     /// ([`Executor::mutate_dataset`]) bump the version every cache key
-    /// embeds. Each slot carries its **own** lock so post-mutation
-    /// snapshot materialization (O(V + E)) and mutation batches block
-    /// only traffic on that dataset — the outer map lock is held just
-    /// long enough to clone the slot `Arc`.
+    /// embeds. Each slot carries its **own** lock so the first read after
+    /// an edit — which splices the edit into the previous CSR, one pass
+    /// of array copies — and mutation batches block only traffic on that
+    /// dataset; the outer map lock is held just long enough to clone the
+    /// slot `Arc`.
     datasets: Mutex<HashMap<String, Arc<Mutex<DynamicGraph>>>>,
     results: ResultCache,
     /// Optional durable store: when attached, uploads snapshot on
     /// registration, every applied mutation batch is journaled (fsynced)
     /// *before* its in-memory commit, and the journal rotates into a
-    /// fresh snapshot once it reaches the dataset's compaction threshold.
+    /// fresh snapshot once it holds [`rotation_threshold`] records.
     persist: Option<Arc<GraphPersistence>>,
     /// Per-dataset solver arenas: every task or batch on a dataset draws
     /// its solver working buffers from that dataset's arena, so
@@ -389,14 +390,14 @@ impl Executor {
     /// one graph state can never answer queries against another.
     pub fn dataset_versioned(&self, id: &str) -> Result<(Arc<DirectedGraph>, u64), EngineError> {
         let slot = self.slot(id)?;
-        // Snapshot under the per-dataset lock only: a post-mutation
-        // materialization blocks this dataset's traffic, nobody else's.
+        // Snapshot under the per-dataset lock only: the splice of a
+        // pending edit blocks this dataset's traffic, nobody else's.
         let mut dynamic = slot.lock();
         Ok((dynamic.snapshot(), dynamic.version()))
     }
 
     /// The slot `Arc` for `id`, generating a registry dataset on first
-    /// use. Never materializes a pending post-mutation snapshot.
+    /// use. Never splices a pending edit into a snapshot.
     fn slot(&self, id: &str) -> Result<Arc<Mutex<DynamicGraph>>, EngineError> {
         if let Some(slot) = self.slot_if_cached(id) {
             return Ok(slot);
@@ -422,8 +423,8 @@ impl Executor {
     /// registry datasets some task has touched). Unlike
     /// [`Executor::dataset`] this never generates — metadata endpoints
     /// use it to avoid pinning every dataset a client merely *inspects*.
-    /// (It may still *materialize* a pending post-mutation snapshot, but
-    /// only under that dataset's own lock.)
+    /// (It may still *splice* a pending edit into a snapshot, but only
+    /// under that dataset's own lock.)
     pub fn dataset_if_cached(&self, id: &str) -> Option<Arc<DirectedGraph>> {
         self.slot_if_cached(id).map(|slot| slot.lock().snapshot())
     }
@@ -495,11 +496,10 @@ impl Executor {
         *guard = staged;
         if mutated {
             if let Some(persist) = &self.persist {
-                // Rotation mirrors the graph's own compaction threshold:
-                // once the journal accumulates that many batches, fold
-                // them into a fresh snapshot. Best-effort — the journal
-                // stays authoritative if the snapshot write fails.
-                if journal_records >= guard.compact_threshold() as u64 {
+                // Once the journal accumulates enough batches, fold them
+                // into a fresh snapshot. Best-effort — the journal stays
+                // authoritative if the snapshot write fails.
+                if journal_records >= rotation_threshold(guard.edge_count()) {
                     let version = guard.version();
                     let snap = guard.snapshot();
                     let _ = persist.write_snapshot(id, &snap, version);
@@ -604,6 +604,13 @@ impl Executor {
             })
             .collect()
     }
+}
+
+/// Journal records after which a dataset of `edges` edges rotates its
+/// journal into a fresh snapshot: one per eighth of the edges, at least
+/// 64, so replay after a crash stays a fraction of a full load.
+fn rotation_threshold(edges: usize) -> u64 {
+    (edges / 8).max(64) as u64
 }
 
 /// Seconds (rounded up, at least 1) until `next_probe`, or 0 when due.

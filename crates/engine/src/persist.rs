@@ -103,8 +103,8 @@ impl GraphPersistence {
 
     /// Appends a committed batch (journal + fsync). `version` is the graph
     /// version the batch produced. Returns the journal's record count,
-    /// which the caller compares against the dataset's compaction
-    /// threshold to schedule rotation.
+    /// which the caller compares against its rotation threshold to
+    /// schedule rotation.
     pub fn append(&self, id: &str, version: u64, ops: &[EdgeOp]) -> Result<u64, EngineError> {
         let record = JournalRecord { version, ops: ops.iter().map(to_wire).collect() };
         self.store.append_batch(id, &record).map_err(storage)

@@ -8,6 +8,7 @@ use crate::csr::DirectedGraph;
 use crate::error::GraphError;
 use crate::labels::LabelTable;
 use crate::node::NodeId;
+use std::sync::Arc;
 
 /// How parallel (duplicate) edges are combined during [`GraphBuilder::build`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -261,7 +262,7 @@ impl GraphBuilder {
             in_weights,
             out_weight_sums,
             in_weight_sums,
-            labels: self.labels,
+            labels: Arc::new(self.labels),
         })
     }
 

@@ -567,7 +567,7 @@ impl CompactGraph {
             in_weights,
             out_weight_sums,
             in_weight_sums,
-            labels: self.labels.clone(),
+            labels: Arc::new(self.labels.clone()),
         }
     }
 }

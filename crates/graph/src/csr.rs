@@ -7,6 +7,7 @@
 use crate::labels::LabelTable;
 use crate::node::NodeId;
 use crate::view::GraphView;
+use std::sync::Arc;
 
 /// An immutable directed graph in CSR form, optionally edge-weighted and
 /// node-labeled.
@@ -33,7 +34,9 @@ pub struct DirectedGraph {
     /// Per-node Σ of in-edge weights (the out-weight sums of the
     /// transposed view, used by CheiRank-family sweeps).
     pub(crate) in_weight_sums: Option<Vec<f64>>,
-    pub(crate) labels: LabelTable,
+    /// Shared, copy-on-write: a dynamic graph's snapshot reuses its
+    /// predecessor's table unless an edit created a node.
+    pub(crate) labels: Arc<LabelTable>,
 }
 
 impl DirectedGraph {
@@ -169,10 +172,11 @@ impl DirectedGraph {
     }
 
     /// Mutable access to node labels (e.g. to attach titles after loading a
-    /// bare edge list).
+    /// bare edge list). Copies the table first when another graph shares
+    /// it.
     #[inline]
     pub fn labels_mut(&mut self) -> &mut LabelTable {
-        &mut self.labels
+        Arc::make_mut(&mut self.labels)
     }
 
     /// Resolves a label to a node id.

@@ -10,8 +10,8 @@
 //! 1. a **monotonically increasing [`DynamicGraph::version`]** that changes
 //!    exactly when the graph changes, so result caches can key on it and
 //!    stale entries become unreachable the moment an edge lands;
-//! 2. **amortized cost**: per-event work proportional to the delta, not to
-//!    the graph.
+//! 2. **cost proportional to the delta**: an edit and the next read never
+//!    sort or rebuild the graph.
 //!
 //! [`DynamicGraph`] layers insert/delete deltas over an immutable base
 //! CSR. Structure queries ([`DynamicGraph::has_edge`],
@@ -20,34 +20,39 @@
 //! the solver kernels normalize by are kept consistent incrementally on
 //! every mutation, never recomputed by walking adjacency.
 //!
-//! # Snapshots and compaction
+//! # Snapshots splice the delta
 //!
 //! Solvers run over CSR ([`crate::GraphView`]), so query execution calls
-//! [`DynamicGraph::snapshot`], which materializes base + deltas into a
-//! fresh `DirectedGraph`. The snapshot is **cached** until the next
-//! mutation: an arbitrary number of queries between two edge events share
-//! one materialization (and one `Arc`). When the staged delta grows past
-//! the compaction threshold (default: `max(64, base_edges / 8)`,
-//! overridable via [`DynamicGraph::set_compact_threshold`]), the snapshot
-//! is *promoted*: it becomes the new base and the delta empties — so the
-//! overlay never degrades into a second adjacency structure, and the
-//! total materialization work over any event stream stays amortized
-//! `O(E)` per `E/8` events.
+//! [`DynamicGraph::snapshot`], which builds the current CSR from the base
+//! by **splicing**:
+//!
+//! - row blocks the delta does not name are copied wholesale from the
+//!   base's out- and in-arrays, their offsets shifted by a running
+//!   constant;
+//! - only the rows the delta names are merged, in sorted order;
+//! - weight sums are copied for untouched rows and re-summed in row order
+//!   for touched ones — the order [`crate::GraphBuilder`] sums in, so the
+//!   snapshot is bit-identical to a builder rebuild of the same edges;
+//! - the label table is shared with the base through an `Arc` and copied
+//!   only when the delta created a node.
+//!
+//! The snapshot then **becomes the new base** and the overlay empties, so
+//! the overlay only ever holds the edits since the last read. A snapshot
+//! costs one pass of memory copies over the arrays plus `O(Δ log Δ)` merge
+//! work; reads between two edits share one snapshot (one `Arc`).
 //!
 //! # u32 node-id audit
 //!
 //! Node ids are `u32` end to end ([`NodeId`]). `DynamicGraph` accepts
 //! endpoints only as `NodeId`, grows its node count with `usize`
 //! arithmetic on `id + 1` (which cannot overflow from a `u32` id), and
-//! never casts a `usize` count down to `u32` unguarded: materialization
-//! calling `ensure_node(node_count - 1)` is safe because the count came
-//! from a `u32` id plus one, and [`DynamicGraph::add_labeled_node`] —
-//! the one operation that *mints* an id from the count — returns
-//! [`crate::GraphError::TooManyNodes`] when the id space is exhausted.
-//! This is the same hazard class [`crate::reorder::Permutation`] guards
-//! with the same error.
+//! never casts a `usize` count down to `u32` unguarded: a splice writes
+//! only ids it read from the base or the delta, and
+//! [`DynamicGraph::add_labeled_node`] — the one operation that *mints* an
+//! id from the count — returns [`crate::GraphError::TooManyNodes`] when
+//! the id space is exhausted. This is the same hazard class
+//! [`crate::reorder::Permutation`] guards with the same error.
 
-use crate::builder::{DuplicatePolicy, GraphBuilder};
 use crate::csr::DirectedGraph;
 use crate::error::GraphError;
 use crate::node::NodeId;
@@ -75,14 +80,15 @@ pub struct EdgeMutation {
     pub inserted: bool,
 }
 
-/// A mutable graph: an immutable CSR base plus a bounded delta overlay.
+/// A mutable graph: an immutable CSR base plus the edits since it.
 ///
 /// See the [module docs](self) for the design; in short — mutations are
-/// `O(log delta)`, structure reads are overlay-aware, [`Self::snapshot`]
-/// materializes (cached per version), and large deltas compact back into
-/// the base CSR automatically.
+/// `O(log delta)`, structure reads are overlay-aware, and
+/// [`Self::snapshot`] splices the edits into a new CSR that becomes the
+/// base.
 #[derive(Debug, Clone)]
 pub struct DynamicGraph {
+    /// The last snapshot (the wrapped graph until the first edit is read).
     base: Arc<DirectedGraph>,
     /// Staged inserts / weight overrides, keyed `(source, target)`.
     added: BTreeMap<(u32, u32), f64>,
@@ -97,14 +103,10 @@ pub struct DynamicGraph {
     out_wsum_delta: HashMap<u32, f64>,
     /// Per-node Σ in-weight adjustment relative to the base cache.
     in_wsum_delta: HashMap<u32, f64>,
-    /// Labels of nodes created after the base was frozen.
+    /// Labels of nodes created since the base.
     extra_labels: HashMap<String, u32>,
     extra_label_of: HashMap<u32, String>,
     version: u64,
-    /// Explicit threshold override; `None` derives from the base size.
-    compact_threshold: Option<usize>,
-    /// Cached materialization of the current version.
-    snapshot: Option<Arc<DirectedGraph>>,
 }
 
 impl DynamicGraph {
@@ -119,7 +121,6 @@ impl DynamicGraph {
         DynamicGraph {
             node_count: base.node_count(),
             weighted: base.is_weighted(),
-            snapshot: Some(Arc::clone(&base)),
             base,
             added: BTreeMap::new(),
             removed: BTreeSet::new(),
@@ -129,10 +130,8 @@ impl DynamicGraph {
             extra_labels: HashMap::new(),
             extra_label_of: HashMap::new(),
             version: 0,
-            compact_threshold: None,
         }
     }
-
     /// The mutation counter: starts at 0, increases by exactly 1 for every
     /// applied mutation (no-ops — inserting an identical edge, removing an
     /// absent one — do **not** bump it). Cache keys derived from
@@ -175,22 +174,6 @@ impl DynamicGraph {
     #[inline]
     pub fn is_weighted(&self) -> bool {
         self.weighted
-    }
-
-    /// Number of staged delta entries (inserts + removals) since the last
-    /// compaction.
-    pub fn delta_len(&self) -> usize {
-        self.added.len() + self.removed.len()
-    }
-
-    /// The compaction threshold currently in effect.
-    pub fn compact_threshold(&self) -> usize {
-        self.compact_threshold.unwrap_or_else(|| (self.base.edge_count() / 8).max(64))
-    }
-
-    /// Overrides the derived compaction threshold (`max(64, base_edges/8)`).
-    pub fn set_compact_threshold(&mut self, threshold: usize) {
-        self.compact_threshold = Some(threshold.max(1));
     }
 
     /// Weight of the edge in the *base* CSR only (ignoring the overlay).
@@ -270,16 +253,6 @@ impl DynamicGraph {
         self.extra_label_of.insert(id, label.to_string());
         self.touch();
         Ok(NodeId::new(id))
-    }
-
-    /// Ensures node indices `0..=idx` exist; bumps the version when the
-    /// node count grows.
-    pub fn ensure_node(&mut self, idx: NodeId) {
-        let needed = idx.index() + 1;
-        if needed > self.node_count {
-            self.node_count = needed;
-            self.touch();
-        }
     }
 
     /// Inserts edge `u → v` with weight `w` (use `1.0` on unweighted
@@ -382,95 +355,363 @@ impl DynamicGraph {
 
     fn touch(&mut self) {
         self.version += 1;
-        self.snapshot = None;
     }
 
-    /// The immutable CSR of the current version: cached until the next
-    /// mutation, so any number of solves between two edge events share one
-    /// materialization. Triggers [`DynamicGraph::compact`] automatically
-    /// once the staged delta reaches the compaction threshold.
+    /// The immutable CSR of the current version. Edits since the last
+    /// snapshot are spliced into it (see the [module docs](self)) and the
+    /// result becomes the new base; without edits the last snapshot is
+    /// returned as is, so any number of solves between two edge events
+    /// share one `Arc`. The version does not move.
     pub fn snapshot(&mut self) -> Arc<DirectedGraph> {
-        if let Some(s) = &self.snapshot {
-            return Arc::clone(s);
+        if !self.overlay_is_empty() {
+            self.base = Arc::new(self.splice());
+            self.added.clear();
+            self.removed.clear();
+            self.added_beyond_base = 0;
+            self.out_wsum_delta.clear();
+            self.in_wsum_delta.clear();
+            // The splice wrote the extra labels into the new base table.
+            self.extra_labels.clear();
+            self.extra_label_of.clear();
         }
-        let g = Arc::new(self.materialize());
-        self.snapshot = Some(Arc::clone(&g));
-        if self.delta_len() >= self.compact_threshold() {
-            self.promote(Arc::clone(&g));
-        }
-        g
+        Arc::clone(&self.base)
     }
 
-    /// Folds the staged delta into the base CSR immediately (the
-    /// amortized path does this automatically past the threshold).
-    pub fn compact(&mut self) {
-        let g = self.snapshot();
-        self.promote(g);
+    /// True when a splice would reproduce the base: no staged edge, no
+    /// node created since it, and the same weightedness.
+    fn overlay_is_empty(&self) -> bool {
+        self.added.is_empty()
+            && self.removed.is_empty()
+            && self.node_count == self.base.node_count()
+            && self.snapshot_weighted() == self.base.is_weighted()
     }
 
-    /// Makes `g` (a materialization of the current version) the new base
-    /// and empties every delta structure.
-    fn promote(&mut self, g: Arc<DirectedGraph>) {
-        self.base = g;
-        self.added.clear();
-        self.removed.clear();
-        self.added_beyond_base = 0;
-        self.out_wsum_delta.clear();
-        self.in_wsum_delta.clear();
-        // Materialization wrote the extra labels into the new base table.
-        self.extra_labels.clear();
-        self.extra_label_of.clear();
+    /// Whether the snapshot carries weight arrays: like
+    /// [`crate::GraphBuilder`], only when an edge exists to carry one.
+    fn snapshot_weighted(&self) -> bool {
+        self.weighted && self.edge_count() > 0
     }
 
-    /// Rebuilds a CSR for base + delta. `O(V + E log E)`; callers go
-    /// through the cached [`DynamicGraph::snapshot`].
-    fn materialize(&self) -> DirectedGraph {
-        let mut b = GraphBuilder::with_capacity(self.node_count, self.edge_count());
-        // Added entries are emitted before base rows; KeepFirst makes an
-        // override win over the base edge it shadows.
-        b.duplicate_policy(DuplicatePolicy::KeepFirst);
-        if self.node_count > 0 {
-            // Safe down-cast: node_count grew only from u32 ids + 1 (see
-            // the module-level u32 audit), so node_count - 1 fits u32.
-            debug_assert!(self.node_count - 1 <= u32::MAX as usize);
-            b.ensure_node((self.node_count - 1) as u32);
+    /// Builds the CSR of base + delta by splicing the delta's rows into
+    /// copies of the base's arrays, both directions.
+    fn splice(&self) -> DirectedGraph {
+        let (n, m, weighted) = (self.node_count, self.edge_count(), self.snapshot_weighted());
+        // The delta as (row, column, weight), a removal weighing `None`:
+        // first keyed by source for the out-side, then by target.
+        let mut delta: Vec<(u32, u32, Option<f64>)> =
+            self.added.iter().map(|(&(u, v), &w)| (u, v, Some(w))).collect();
+        delta.extend(self.removed.iter().map(|&(u, v)| (u, v, None)));
+        delta.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        let base = &*self.base;
+        let out = Rows {
+            offsets: &base.out_offsets[..],
+            adj: &base.out_targets[..],
+            weights: base.out_weights.as_deref(),
+            sums: base.out_weight_sums.as_deref(),
         }
-        if self.weighted {
-            for (&(u, v), &w) in &self.added {
-                b.add_weighted_edge(NodeId::new(u), NodeId::new(v), w);
-            }
-            for (u, v, w) in self.base.weighted_edges() {
-                if !self.removed.contains(&(u.raw(), v.raw())) {
-                    b.add_weighted_edge(u, v, w);
-                }
-            }
+        .splice(&delta, n, m, weighted);
+        for entry in &mut delta {
+            (entry.0, entry.1) = (entry.1, entry.0);
+        }
+        delta.sort_unstable_by_key(|&(v, u, _)| (v, u));
+        let inn = Rows {
+            offsets: &base.in_offsets[..],
+            adj: &base.in_sources[..],
+            weights: base.in_weights.as_deref(),
+            sums: base.in_weight_sums.as_deref(),
+        }
+        .splice(&delta, n, m, weighted);
+        let labels = if self.extra_label_of.is_empty() {
+            Arc::clone(&base.labels)
         } else {
-            for &(u, v) in self.added.keys() {
-                b.add_edge(NodeId::new(u), NodeId::new(v));
+            let mut labels = (*base.labels).clone();
+            for (&u, l) in &self.extra_label_of {
+                labels.set(NodeId::new(u), l.clone());
             }
-            for (u, v) in self.base.edges() {
-                if !self.removed.contains(&(u.raw(), v.raw())) {
-                    b.add_edge(u, v);
+            Arc::new(labels)
+        };
+        DirectedGraph {
+            out_offsets: out.offsets,
+            out_targets: out.adj,
+            out_weights: out.weights,
+            in_offsets: inn.offsets,
+            in_sources: inn.adj,
+            in_weights: inn.weights,
+            out_weight_sums: out.sums,
+            in_weight_sums: inn.sums,
+            labels,
+        }
+    }
+}
+
+/// One direction of a CSR — offsets, adjacency, and the weights and
+/// per-row weight sums of a weighted graph — borrowed from the base or
+/// owned by a splice.
+struct Rows<O, A, W> {
+    offsets: O,
+    adj: A,
+    weights: W,
+    sums: W,
+}
+
+impl<'a> Rows<&'a [usize], &'a [NodeId], Option<&'a [f64]>> {
+    /// The base row `row` and its weights (`None` when unweighted); empty
+    /// past the base's last node.
+    fn row(&self, row: usize) -> (&'a [NodeId], Option<&'a [f64]>) {
+        if row + 1 >= self.offsets.len() {
+            return (&[], None);
+        }
+        let (s, e) = (self.offsets[row], self.offsets[row + 1]);
+        (&self.adj[s..e], self.weights.map(|w| &w[s..e]))
+    }
+
+    /// These rows with `delta` — `(row, column, weight)` entries sorted by
+    /// row then column, a `None` weight removing the column — spliced in,
+    /// grown to `n` rows holding `m` entries. `weighted` says whether the
+    /// result carries weights; an unweighted base's entries weigh 1.0.
+    fn splice(
+        &self,
+        delta: &[(u32, u32, Option<f64>)],
+        n: usize,
+        m: usize,
+        weighted: bool,
+    ) -> Rows<Vec<usize>, Vec<NodeId>, Option<Vec<f64>>> {
+        let base_rows = self.offsets.len() - 1;
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut adj = Vec::with_capacity(m);
+        let mut weights = weighted.then(|| Vec::with_capacity(m));
+        let mut sums = weighted.then(|| Vec::with_capacity(n));
+        let (mut row, mut rest) = (0, delta);
+        while row < n {
+            // Rows `row..next` are untouched: copy the base's block
+            // wholesale, then pad rows past the base with empty ones.
+            let next = rest.first().map_or(n, |&(r, _, _)| r as usize);
+            let copied = next.min(base_rows).max(row);
+            if row < copied {
+                let (s, e, start) = (self.offsets[row], self.offsets[copied], adj.len());
+                adj.extend_from_slice(&self.adj[s..e]);
+                offsets.extend(self.offsets[row + 1..=copied].iter().map(|&o| o - s + start));
+                if let (Some(ws), Some(ss)) = (weights.as_mut(), sums.as_mut()) {
+                    match (self.weights, self.sums) {
+                        (Some(bw), Some(bs)) => {
+                            ws.extend_from_slice(&bw[s..e]);
+                            ss.extend_from_slice(&bs[row..copied]);
+                        }
+                        // An unweighted base: every edge weighs 1.0, so a
+                        // row sums to its degree.
+                        _ => {
+                            ws.resize(ws.len() + (e - s), 1.0);
+                            ss.extend(
+                                self.offsets[row..=copied].windows(2).map(|w| (w[1] - w[0]) as f64),
+                            );
+                        }
+                    }
                 }
             }
+            for _ in copied..next {
+                offsets.push(adj.len());
+                if let Some(ss) = sums.as_mut() {
+                    ss.push(0.0);
+                }
+            }
+            if next == n {
+                break;
+            }
+            let touched = rest.iter().take_while(|&&(r, _, _)| r as usize == next).count();
+            let start = adj.len();
+            merge_row(self.row(next), &rest[..touched], &mut adj, weights.as_mut());
+            offsets.push(adj.len());
+            if let (Some(ws), Some(ss)) = (weights.as_ref(), sums.as_mut()) {
+                ss.push(ws[start..].iter().fold(0.0, |sum, &w| sum + w));
+            }
+            (row, rest) = (next + 1, &rest[touched..]);
         }
-        let mut g = b.build();
-        for (u, l) in self.base.labels().iter() {
-            g.labels_mut().set(u, l.to_owned());
+        debug_assert_eq!(adj.len(), m, "the splice must land the overlay's edge count");
+        Rows { offsets, adj, weights, sums }
+    }
+}
+
+/// Appends base row `(columns, weights)` merged with its `delta` entries
+/// (sorted by column) to `adj` and, for a weighted result, `weights`: a
+/// delta entry overrides or removes the base column it equals.
+fn merge_row(
+    (columns, base_weights): (&[NodeId], Option<&[f64]>),
+    delta: &[(u32, u32, Option<f64>)],
+    adj: &mut Vec<NodeId>,
+    mut weights: Option<&mut Vec<f64>>,
+) {
+    let mut push = |column: u32, w: f64| {
+        adj.push(NodeId::new(column));
+        if let Some(ws) = weights.as_mut() {
+            ws.push(w);
         }
-        for (&u, l) in &self.extra_label_of {
-            g.labels_mut().set(NodeId::new(u), l.clone());
+    };
+    let mut delta = delta.iter().peekable();
+    for (i, c) in columns.iter().map(|c| c.raw()).enumerate() {
+        let mut base_entry = Some(base_weights.map_or(1.0, |w| w[i]));
+        while let Some(&(_, column, w)) = delta.next_if(|&&(_, column, _)| column <= c) {
+            if column == c {
+                base_entry = None;
+            }
+            if let Some(w) = w {
+                push(column, w);
+            }
         }
-        g
+        if let Some(w) = base_entry {
+            push(c, w);
+        }
+    }
+    for &(_, column, w) in delta {
+        if let Some(w) = w {
+            push(column, w);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::{DuplicatePolicy, GraphBuilder};
+    use proptest::prelude::*;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    /// The test oracle: base + overlay rebuilt through [`GraphBuilder`]
+    /// (`O(V + E log E)`), which every snapshot must equal bit for bit.
+    fn materialize(g: &DynamicGraph) -> DirectedGraph {
+        let mut b = GraphBuilder::with_capacity(g.node_count, g.edge_count());
+        // Added entries are emitted before base rows; KeepFirst makes an
+        // override win over the base edge it shadows.
+        b.duplicate_policy(DuplicatePolicy::KeepFirst);
+        if g.node_count > 0 {
+            b.ensure_node((g.node_count - 1) as u32);
+        }
+        let kept = |u: NodeId, v: NodeId| !g.removed.contains(&(u.raw(), v.raw()));
+        if g.weighted {
+            for (&(u, v), &w) in &g.added {
+                b.add_weighted_edge(n(u), n(v), w);
+            }
+            for (u, v, w) in g.base.weighted_edges().filter(|&(u, v, _)| kept(u, v)) {
+                b.add_weighted_edge(u, v, w);
+            }
+        } else {
+            for &(u, v) in g.added.keys() {
+                b.add_edge(n(u), n(v));
+            }
+            for (u, v) in g.base.edges().filter(|&(u, v)| kept(u, v)) {
+                b.add_edge(u, v);
+            }
+        }
+        let mut out = b.build();
+        for (u, l) in g.base.labels().iter() {
+            out.labels_mut().set(u, l.to_owned());
+        }
+        for (&u, l) in &g.extra_label_of {
+            out.labels_mut().set(n(u), l.clone());
+        }
+        out
+    }
+
+    fn bits(values: &Option<Vec<f64>>) -> Option<Vec<u64>> {
+        values.as_ref().map(|v| v.iter().map(|x| x.to_bits()).collect())
+    }
+
+    /// Every array of `got` equals `want`'s — weights and weight sums by
+    /// their bits — and both tables label and resolve every node alike.
+    fn assert_same_csr(got: &DirectedGraph, want: &DirectedGraph) -> Result<(), TestCaseError> {
+        prop_assert_eq!(&got.out_offsets, &want.out_offsets, "out offsets");
+        prop_assert_eq!(&got.out_targets, &want.out_targets, "out targets");
+        prop_assert_eq!(bits(&got.out_weights), bits(&want.out_weights), "out weights");
+        prop_assert_eq!(bits(&got.out_weight_sums), bits(&want.out_weight_sums), "out sums");
+        prop_assert_eq!(&got.in_offsets, &want.in_offsets, "in offsets");
+        prop_assert_eq!(&got.in_sources, &want.in_sources, "in sources");
+        prop_assert_eq!(bits(&got.in_weights), bits(&want.in_weights), "in weights");
+        prop_assert_eq!(bits(&got.in_weight_sums), bits(&want.in_weight_sums), "in sums");
+        for u in want.nodes() {
+            let label = want.labels().get(u);
+            prop_assert_eq!(got.labels().get(u), label, "label of {}", u.raw());
+            if let Some(l) = label {
+                prop_assert_eq!(got.labels().resolve(l), want.labels().resolve(l), "{}", l);
+            }
+        }
+        Ok(())
+    }
+
+    /// A base graph: empty (kind 0), unweighted (1) or weighted (2), on
+    /// up to eight nodes, its nodes labeled when `labeled`.
+    fn base_graph(kind: u8, edges: &[(u32, u32, u8)], labeled: bool) -> DirectedGraph {
+        let mut b = GraphBuilder::new();
+        if kind > 0 {
+            for &(u, v, w) in edges {
+                match kind {
+                    1 => b.add_edge(n(u), n(v)),
+                    _ => b.add_weighted_edge(n(u), n(v), WEIGHTS[w as usize]),
+                };
+            }
+        }
+        let mut g = b.build();
+        if labeled {
+            for u in 0..g.node_count() as u32 {
+                g.labels_mut().set(n(u), format!("n{u}"));
+            }
+        }
+        g
+    }
+
+    /// Weights the proptest draws from: unit, and three that flip an
+    /// unweighted graph weighted.
+    const WEIGHTS: [f64; 4] = [1.0, 0.5, 2.0, 3.25];
+
+    proptest! {
+        /// Random edit sequences with snapshots interleaved: every
+        /// snapshot equals the builder oracle of the overlay it spliced,
+        /// array for array and bit for bit.
+        #[test]
+        fn splice_equals_the_builder_oracle(
+            kind in 0u8..3,
+            labeled in any::<bool>(),
+            edges in prop::collection::vec((0u32..8, 0u32..8, 0u8..4), 0..24),
+            ops in prop::collection::vec((0u8..9, 0u32..11, 0u32..11, 0u8..4), 0..40),
+        ) {
+            let original = base_graph(kind, &edges, labeled);
+            let base_edges: Vec<(NodeId, NodeId, f64)> = original.weighted_edges().collect();
+            let mut g = DynamicGraph::new(original);
+            for (op, a, b, w) in ops {
+                let (u, v) = (n(a), n(b));
+                match op {
+                    // Insert or upsert, by index: may grow the graph.
+                    0 | 1 => drop(g.insert_edge(u, v, WEIGHTS[w as usize])),
+                    2 => drop(g.insert_edge(u, u, WEIGHTS[w as usize])),
+                    // Removal; endpoints past the node count are rejected.
+                    3 => drop(g.remove_edge(u, v)),
+                    // Restore, override or remove an original base edge.
+                    4..=6 if !base_edges.is_empty() => {
+                        let (u, v, bw) = base_edges[a as usize % base_edges.len()];
+                        match op {
+                            4 => drop(g.insert_edge(u, v, bw)),
+                            5 => drop(g.insert_edge(u, v, bw + 1.0)),
+                            _ => drop(g.remove_edge(u, v)),
+                        }
+                    }
+                    7 => drop(g.add_labeled_node(&format!("x{a}"))),
+                    8 => {
+                        let want = materialize(&g);
+                        assert_same_csr(&g.snapshot(), &want)?;
+                        prop_assert!(g.overlay_is_empty());
+                    }
+                    _ => {}
+                }
+            }
+            let want = materialize(&g);
+            let (version, edges) = (g.version(), g.edge_count());
+            let got = g.snapshot();
+            assert_same_csr(&got, &want)?;
+            prop_assert_eq!(g.version(), version, "a snapshot does not move the version");
+            prop_assert_eq!(got.edge_count(), edges);
+        }
     }
 
     fn diamond() -> DynamicGraph {
@@ -637,40 +878,53 @@ mod tests {
     }
 
     #[test]
-    fn compaction_folds_delta_into_base() {
+    fn every_snapshot_becomes_the_new_base() {
         let mut g = diamond();
-        g.set_compact_threshold(3);
         g.insert_edge(n(1), n(0), 1.0).unwrap();
         g.insert_edge(n(2), n(0), 1.0).unwrap();
-        assert_eq!(g.delta_len(), 2);
-        g.snapshot();
-        assert_eq!(g.delta_len(), 2, "below threshold: delta stays");
-
         g.insert_edge(n(3), n(2), 1.0).unwrap();
-        assert_eq!(g.delta_len(), 3);
+        assert!(!g.overlay_is_empty());
         let s = g.snapshot();
-        assert_eq!(g.delta_len(), 0, "threshold reached: delta compacted");
-        assert_eq!(g.version(), 3, "compaction is invisible to the version");
+        assert!(g.overlay_is_empty(), "the snapshot is the new base");
+        assert!(Arc::ptr_eq(&s, &g.base));
+        assert_eq!(g.version(), 3, "promotion is invisible to the version");
         assert_eq!(g.edge_count(), s.edge_count());
-        // The compacted base answers overlay queries directly.
+        // The promoted base answers overlay queries directly.
         assert!(g.has_edge(n(3), n(2)));
+        assert_eq!(g.out_weight_sum(n(3)), 2.0);
         // And further mutation keeps working on the promoted base.
         g.remove_edge(n(3), n(2)).unwrap();
         assert!(!g.has_edge(n(3), n(2)));
         assert!(!g.snapshot().has_edge(n(3), n(2)));
+        assert_eq!(g.version(), 4);
     }
 
     #[test]
-    fn explicit_compact_and_labels_after_promotion() {
+    fn labels_survive_promotion() {
         let mut b = GraphBuilder::new();
         b.add_labeled_edge("A", "B");
         let mut g = DynamicGraph::new(b.build());
         let c = g.add_labeled_node("C").unwrap();
         g.insert_edge(c, g.node_by_label("A").unwrap(), 1.0).unwrap();
-        g.compact();
-        assert_eq!(g.delta_len(), 0);
+        let s = g.snapshot();
+        assert!(g.overlay_is_empty());
+        assert_eq!(g.version(), 2, "promotion is invisible to the version");
         assert_eq!(g.node_by_label("C"), Some(c), "extra labels survive promotion");
-        assert_eq!(g.snapshot().node_by_label("C"), Some(c));
+        assert_eq!(g.label_of(c), Some("C"));
+        assert_eq!(s.node_by_label("C"), Some(c));
+        assert_eq!(s.node_by_label("A"), Some(n(0)));
+    }
+
+    #[test]
+    fn a_snapshot_without_new_nodes_shares_the_label_table() {
+        let mut b = GraphBuilder::new();
+        b.add_labeled_edge("A", "B");
+        let base = Arc::new(b.build());
+        let mut g = DynamicGraph::from_arc(Arc::clone(&base));
+        g.insert_edge(n(1), n(0), 1.0).unwrap();
+        let s = g.snapshot();
+        assert!(!Arc::ptr_eq(&s, &base));
+        assert!(Arc::ptr_eq(&s.labels, &base.labels), "no node created: no label copied");
     }
 
     #[test]
@@ -683,7 +937,7 @@ mod tests {
         // Back to the base weight: the override entry disappears.
         g.insert_edge(n(0), n(1), 2.0).unwrap();
         assert_eq!(g.edge_weight(n(0), n(1)), Some(2.0));
-        assert_eq!(g.delta_len(), 0);
+        assert!(g.overlay_is_empty());
         assert!((g.out_weight_sum(n(0)) - 2.0).abs() < 1e-12);
         assert_eq!(g.edge_count(), 1);
     }

@@ -134,32 +134,38 @@ fn get_dataset(id: &str, engine: &Arc<Scheduler>) -> Response {
     let Some(s) = reldata::registry::spec(id) else {
         return Response::error(StatusCode::NotFound, format!("unknown dataset {id:?}"));
     };
-    // Registry datasets are deterministic, so the footprint figures are
-    // computed once per process and memoized. Reuse an already-loaded
-    // graph when the executor has one, but never *pin* one for a metadata
-    // read: a client sweeping the catalog would otherwise force-load and
-    // permanently cache all 50 datasets. Uncached entries are measured
-    // from a temporary load that is dropped after measuring.
+    // A loaded dataset answers from its current snapshot, as `/stats`
+    // does: registry datasets are mutable, so figures memoized at version
+    // 0 go stale after the first edit. Only catalog entries nothing has
+    // loaded (still at version 0) go through the per-process memo, which
+    // measures a temporary load and drops it: a client sweeping the
+    // catalog would otherwise force-load and permanently cache all 50
+    // datasets for a metadata read.
     type Footprint = (usize, usize, usize, f64);
     static FOOTPRINTS: std::sync::OnceLock<
         std::sync::Mutex<std::collections::HashMap<String, Footprint>>,
     > = std::sync::OnceLock::new();
-    let footprints = FOOTPRINTS.get_or_init(Default::default);
-    let cached = footprints.lock().unwrap_or_else(|e| e.into_inner()).get(id).copied();
-    let footprint = match cached {
-        Some(f) => Ok(f),
+    let measure = |g: &relgraph::DirectedGraph| -> Footprint {
+        (g.node_count(), g.edge_count(), g.memory_bytes(), g.mean_edge_span())
+    };
+    let footprint = match engine.executor().dataset_if_cached(id) {
+        Some(g) => Ok(measure(&g)),
         None => {
-            let loaded = match engine.executor().dataset_if_cached(id) {
-                Some(g) => Some(g),
-                None => reldata::load_dataset(id).map(Arc::new),
-            };
-            match loaded {
-                Some(g) => {
-                    let f = (g.node_count(), g.edge_count(), g.memory_bytes(), g.mean_edge_span());
-                    footprints.lock().unwrap_or_else(|e| e.into_inner()).insert(id.to_string(), f);
-                    Ok(f)
-                }
-                None => Err(format!("dataset {id:?} failed to load")),
+            let footprints = FOOTPRINTS.get_or_init(Default::default);
+            let cached = footprints.lock().unwrap_or_else(|e| e.into_inner()).get(id).copied();
+            match cached {
+                Some(f) => Ok(f),
+                None => match reldata::load_dataset(id) {
+                    Some(g) => {
+                        let f = measure(&g);
+                        footprints
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .insert(id.to_string(), f);
+                        Ok(f)
+                    }
+                    None => Err(format!("dataset {id:?} failed to load")),
+                },
             }
         }
     };
@@ -639,6 +645,30 @@ mod tests {
         assert!(v["mean_edge_span"].as_f64().unwrap() > 0.0);
         assert!(v["reorder"].is_null(), "fixtures keep generation order");
         assert_eq!(route(&get("/api/datasets/nope"), &e).status, StatusCode::NotFound);
+    }
+
+    #[test]
+    fn dataset_detail_reports_the_edited_graph() {
+        let e = engine();
+        let id = "fixture-enwiki-2018";
+        let json = |r: &Response| serde_json::from_slice::<serde_json::Value>(&r.body).unwrap();
+        let before = json(&route(&get(&format!("/api/datasets/{id}")), &e));
+        // Two new edges, one of them to a node the edit creates.
+        let edges = r#"{"edges": [
+            {"source": "Freddie Mercury", "target": "A node the edit creates"},
+            {"source": "Brian May", "target": "Freddie Mercury"}
+        ]}"#;
+        let edit = route(&post(&format!("/api/datasets/{id}/edges"), edges), &e);
+        assert_eq!(edit.status, StatusCode::Ok, "{}", body_str(&edit));
+        let edit = json(&edit);
+        let detail = json(&route(&get(&format!("/api/datasets/{id}")), &e));
+        let stats = json(&route(&get(&format!("/api/datasets/{id}/stats")), &e));
+        assert_eq!(detail["nodes"], stats["nodes"], "{detail} vs {stats}");
+        assert_eq!(detail["edges"], stats["edges"], "{detail} vs {stats}");
+        assert_eq!(detail["nodes"], edit["nodes"]);
+        assert_eq!(detail["edges"], edit["edges"]);
+        assert_eq!(detail["nodes"].as_u64(), before["nodes"].as_u64().map(|n| n + 1));
+        assert!(detail["edges"].as_u64() > before["edges"].as_u64(), "{before} -> {detail}");
     }
 
     #[test]

@@ -340,7 +340,7 @@ impl DatasetStore {
 
     /// Appends one committed batch to `id`'s journal (fsynced before
     /// returning). Returns the journal's record count after the append,
-    /// which the engine compares against its compaction threshold to
+    /// which the engine compares against its rotation threshold to
     /// decide when to rotate.
     pub fn append_batch(&self, id: &str, record: &JournalRecord) -> std::io::Result<u64> {
         let mut writers = self.writers();
