@@ -18,7 +18,7 @@ use crate::cyclerank::cyclerank;
 use crate::error::AlgoError;
 use crate::memo::{self, Orientation, StationaryRead, Teleport};
 use crate::ppr::TeleportVector;
-use crate::result::{RankedList, ScoreVector};
+use crate::result::ScoreVector;
 use crate::runner::{AlgorithmParams, RelevanceOutput};
 use crate::solver::{Convergence, ConvergenceTrace, SweepKernel};
 use crate::topk;
@@ -32,7 +32,7 @@ fn scored(
 ) -> RelevanceOutput {
     RelevanceOutput {
         algorithm: id.to_string(),
-        ranking: s.ranking(),
+        order: None,
         scores: Some(s),
         top: None,
         convergence: c,
@@ -41,8 +41,8 @@ fn scored(
     }
 }
 
-/// Packages top-k pairs as the top-k serving mode's output shape: a
-/// k-entry ranking plus the pairs themselves, no full score vector.
+/// Packages top-k pairs as the top-k serving mode's output shape: the
+/// pairs themselves, no full score vector.
 fn scored_top_k(
     id: &str,
     top: Vec<(NodeId, f64)>,
@@ -51,7 +51,7 @@ fn scored_top_k(
 ) -> RelevanceOutput {
     RelevanceOutput {
         algorithm: id.to_string(),
-        ranking: RankedList::new(top.iter().map(|&(n, _)| n).collect()),
+        order: None,
         scores: None,
         top: Some(top),
         convergence: c,
@@ -382,7 +382,7 @@ impl RelevanceAlgorithm for TwoDRank {
         let out = crate::tworank::two_d_rank_with(graph, &params.solver_config(), reference)?;
         Ok(RelevanceOutput {
             algorithm: self.id.to_string(),
-            ranking: out.ranking,
+            order: Some(out.ranking),
             scores: None,
             top: None,
             convergence: Some(out.convergence),
@@ -439,7 +439,7 @@ impl RelevanceAlgorithm for CycleRankAlgorithm {
         let out = cyclerank(graph, r, &params.cyclerank_config())?;
         Ok(RelevanceOutput {
             algorithm: self.id().to_string(),
-            ranking: out.scores.ranking(),
+            order: None,
             scores: Some(out.scores),
             top: None,
             convergence: None,

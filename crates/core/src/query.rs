@@ -339,8 +339,9 @@ impl Query {
     }
 
     /// How many top entries [`QueryResult::top_entries`] returns
-    /// (default 100). The algorithm still computes the full ranking; use
-    /// [`Query::top_k`] when only the top-k is needed at all.
+    /// (default 100), heap-selected from the full score vector without
+    /// ranking every node. The algorithm still computes the full vector;
+    /// use [`Query::top_k`] when only the top-k is needed at all.
     pub fn top(mut self, n: usize) -> Self {
         self.top = n;
         self
@@ -595,9 +596,11 @@ impl QueryResult {
         self.output.scores.as_ref()
     }
 
-    /// The full ranking, most relevant first.
-    pub fn ranking(&self) -> &RankedList {
-        &self.output.ranking
+    /// The ranking, most relevant first, built on each call
+    /// ([`RelevanceOutput::ranking`]): every node for a full-rank run, the
+    /// `k` entries of a top-k-only run ([`Query::top_k`]).
+    pub fn ranking(&self) -> RankedList {
+        self.output.ranking()
     }
 }
 
@@ -695,7 +698,7 @@ mod tests {
             let result =
                 Query::on(&g).algorithm(algo).reference(NodeId::new(0)).top(3).run().unwrap();
             assert_eq!(result.algorithm, algo.id());
-            assert_eq!(result.output.ranking.len(), g.node_count());
+            assert_eq!(result.ranking().len(), g.node_count());
             assert_eq!(result.scores().is_some(), algo.produces_scores());
             assert_eq!(result.top_entries().len(), 3);
         }

@@ -101,7 +101,7 @@ struct Inner {
 ///         );
 ///         Ok(RelevanceOutput {
 ///             algorithm: self.id().to_string(),
-///             ranking: scores.ranking(),
+///             order: None,
 ///             scores: Some(scores),
 ///             top: None,
 ///             convergence: None,

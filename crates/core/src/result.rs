@@ -95,7 +95,9 @@ impl ScoreVector {
         top_k_pairs(&self.values, k)
     }
 
-    /// Full ranking of all nodes (descending score, ascending id ties).
+    /// Full ranking of all nodes (descending score by `total_cmp`,
+    /// ascending id ties), computed on each call: the order whose first
+    /// `k` entries [`Self::top_k`] selects.
     ///
     /// Sorts only the non-zero support and appends the `+0.0` block in
     /// id order, which is its place in the total order — so a sparse
@@ -112,34 +114,49 @@ impl ScoreVector {
 }
 
 /// Top-`k` `(node, score)` pairs of a raw dense score slice — descending
-/// score, ties by ascending node id; the heap-select core behind
-/// [`ScoreVector::top_k`], exposed so the solver's top-k serving path can
-/// rank directly out of an arena buffer without materializing a
-/// `ScoreVector`.
+/// score by `total_cmp`, ties by ascending node id, the order of
+/// [`ScoreVector::ranking`]; the selection behind [`ScoreVector::top_k`],
+/// exposed so the solver's top-k serving path can rank directly out of an
+/// arena buffer without materializing a `ScoreVector`.
 ///
-/// Pruned heap-select: one pass over `values` maintaining a `k`-entry
-/// heap whose root is the weakest kept candidate, so most elements are
-/// rejected with a single comparison — O(n log k) worst case, O(n)
-/// typical, and only O(k) scratch (no O(n) index vector), which keeps the
-/// arena-backed top-k solve path allocation-free in `n`.
+/// Heap-selects among the positive entries only: one pass keeps a
+/// `k`-entry heap whose root is the weakest kept candidate, so most
+/// entries are rejected with a single comparison. When fewer than `k`
+/// entries are positive, the `+0.0` block follows in id order, then the
+/// negative-signed entries (`-0.0` first) — their places in the total
+/// order. A sparse vector (CycleRank far from its reference is mostly
+/// zeros) therefore costs one scan, not `n` heap comparisons. `O(n log k)`
+/// worst case and only `O(k)` scratch (no `O(n)` index vector), which
+/// keeps the arena-backed top-k solve path allocation-free in `n`.
 pub fn top_k_pairs(values: &[f64], k: usize) -> Vec<(NodeId, f64)> {
+    let n = values.len();
+    let top = if k >= n {
+        // Nothing to prune: a heap would push and pop every element.
+        ranked_indices(values)
+    } else {
+        let mut top = heap_select(values, k, |v| !v.is_sign_negative() && v != 0.0);
+        let zeros = (0..n as u32).filter(|&i| values[i as usize].to_bits() == 0);
+        top.extend(zeros.take(k - top.len()));
+        if top.len() < k {
+            top.extend(heap_select(values, k - top.len(), f64::is_sign_negative));
+        }
+        top
+    };
+    top.into_iter().map(|i| (NodeId::new(i), values[i as usize])).collect()
+}
+
+/// The best `k` indices of `values` whose score passes `keep`, in rank
+/// order: a pruned heap-select holding at most `k` candidates.
+fn heap_select(values: &[f64], k: usize, keep: impl Fn(f64) -> bool) -> Vec<u32> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
-    let n = values.len();
-    if k >= n {
-        // Nothing to prune: a heap would push and pop every element.
-        return ranked_indices(values)
-            .into_iter()
-            .map(|i| (NodeId::new(i), values[i as usize]))
-            .collect();
-    }
     if k == 0 {
         return Vec::new();
     }
     // Rank key: smaller = better (descending score, ascending id). The
     // max-heap root is therefore the weakest of the kept candidates.
     let mut heap: BinaryHeap<(Reverse<OrderedF64>, u32)> = BinaryHeap::with_capacity(k + 1);
-    for (i, &v) in values.iter().enumerate() {
+    for (i, &v) in values.iter().enumerate().filter(|&(_, &v)| keep(v)) {
         let key = (Reverse(ordered(v)), i as u32);
         if heap.len() < k {
             heap.push(key);
@@ -148,15 +165,12 @@ pub fn top_k_pairs(values: &[f64], k: usize) -> Vec<(NodeId, f64)> {
             heap.push(key);
         }
     }
-    heap.into_sorted_vec()
-        .into_iter()
-        .map(|(Reverse(OrderedF64(v)), i)| (NodeId::new(i), v))
-        .collect()
+    heap.into_sorted_vec().into_iter().map(|(_, i)| i).collect()
 }
 
-/// Every index of `values` in rank order — the total key of
-/// [`top_k_pairs`] (descending score by `total_cmp`, ascending id), which
-/// has no equal elements, so the unstable sorts are deterministic.
+/// Every index of `values` in rank order — descending score by
+/// `total_cmp`, ascending id — a total key with no equal elements, so the
+/// unstable sorts are deterministic.
 ///
 /// Only the non-zero support is sorted. In that order the exact `+0.0`
 /// entries sit between everything above them and every negative-signed

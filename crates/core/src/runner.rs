@@ -282,16 +282,20 @@ impl AlgorithmParams {
     }
 }
 
-/// The uniform output of every [`crate::algorithm::RelevanceAlgorithm`].
+/// The uniform output of every [`crate::algorithm::RelevanceAlgorithm`]:
+/// scores, top-k pairs or an explicit order, never an eagerly built
+/// ranking — [`Self::ranking`] builds one on demand, and serving paths
+/// select only the entries they return ([`Self::top_k_labeled`]).
 #[derive(Debug, Clone)]
 pub struct RelevanceOutput {
     /// Id of the algorithm that produced this (e.g. `cyclerank`). A
     /// `String` rather than the closed [`Algorithm`] enum, so registered
     /// third-party algorithms use the same output type.
     pub algorithm: String,
-    /// The ranking, most relevant first — all nodes for full-rank runs,
-    /// exactly `k` entries in top-k serving mode.
-    pub ranking: RankedList,
+    /// The explicit order of a ranking-only algorithm (2DRank), which has
+    /// no scores to rank; `None` when the ranking derives from
+    /// [`Self::scores`] or [`Self::top`] (see [`Self::ranking`]).
+    pub order: Option<RankedList>,
     /// Raw scores, when the algorithm produces them (not for 2DRank, and
     /// not in top-k serving mode, where the full vector intentionally
     /// never leaves the solver arena — see [`RelevanceOutput::top`]).
@@ -309,15 +313,33 @@ pub struct RelevanceOutput {
 }
 
 impl RelevanceOutput {
+    /// The ranking, most relevant first, built on each call: exactly the
+    /// `k` entries of [`Self::top`] in top-k serving mode, the full
+    /// [`ScoreVector::ranking`] of [`Self::scores`] otherwise, and a
+    /// ranking-only algorithm's [`Self::order`]. Serving paths read
+    /// [`Self::top_k_labeled`], which never ranks all nodes.
+    pub fn ranking(&self) -> RankedList {
+        if let Some(top) = &self.top {
+            return RankedList::new(top.iter().map(|&(n, _)| n).collect());
+        }
+        match (&self.scores, &self.order) {
+            (Some(s), _) => s.ranking(),
+            (None, order) => order.clone().unwrap_or_else(|| RankedList::new(Vec::new())),
+        }
+    }
+
     /// Top-`k` entries as `(label, score)` pairs; ranking-only algorithms
     /// report `NaN`-free pseudo-scores of 0.
     pub fn top_k_labeled(&self, g: &DirectedGraph, k: usize) -> Vec<(String, f64)> {
         if let Some(top) = &self.top {
             return top.iter().take(k).map(|&(n, s)| (g.display_name(n), s)).collect();
         }
-        match &self.scores {
-            Some(s) => s.top_k_labeled(g, k),
-            None => self.ranking.top_k_labeled(g, k).into_iter().map(|l| (l, 0.0)).collect(),
+        match (&self.scores, &self.order) {
+            (Some(s), _) => s.top_k_labeled(g, k),
+            (None, Some(order)) => {
+                order.top_k_labeled(g, k).into_iter().map(|l| (l, 0.0)).collect()
+            }
+            (None, None) => Vec::new(),
         }
     }
 }
@@ -353,7 +375,7 @@ mod tests {
             let params = AlgorithmParams::new(algo);
             let out = run(&g, &params, Some(NodeId::new(0))).unwrap();
             assert_eq!(out.algorithm, algo.id());
-            assert_eq!(out.ranking.len(), g.node_count());
+            assert_eq!(out.ranking().len(), g.node_count());
             assert_eq!(out.scores.is_some(), algo.produces_scores());
         }
     }
@@ -376,7 +398,7 @@ mod tests {
         let params = AlgorithmParams::new(Algorithm::PageRank);
         let a = run(&g, &params, None).unwrap();
         let b = run(&g, &params, Some(NodeId::new(2))).unwrap();
-        assert_eq!(a.ranking, b.ranking);
+        assert_eq!(a.ranking(), b.ranking());
     }
 
     #[test]

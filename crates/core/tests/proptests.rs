@@ -4,12 +4,22 @@ use proptest::prelude::*;
 use relcore::cyclerank::{cyclerank, CycleRankConfig};
 use relcore::ppr::TeleportVector;
 use relcore::push::{ppr_push_full, PushConfig};
-use relcore::runner::Algorithm;
+use relcore::result::top_k_pairs;
+use relcore::runner::{Algorithm, AlgorithmParams};
 use relcore::solver::{Scheme, SolverConfig, SweepKernel};
+use relcore::tworank::two_d_rank_with;
 use relcore::{AlgorithmRegistry, Query, ScoreVector, ScoringFunction};
 use relgraph::{DirectedGraph, GraphBuilder, NodeId};
 use std::str::FromStr;
 use std::sync::Arc;
+
+/// Every index of `values` by descending `total_cmp`, then ascending id:
+/// the ranking oracle, one full sort.
+fn total_order_sort(values: &[f64]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..values.len() as u32).collect();
+    order.sort_by(|&a, &b| values[b as usize].total_cmp(&values[a as usize]).then(a.cmp(&b)));
+    order
+}
 
 fn edge_list(max_nodes: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
     prop::collection::vec((0..max_nodes, 0..max_nodes), 1..max_edges)
@@ -208,8 +218,10 @@ proptest! {
         }
     }
 
-    /// The Query front door produces a full permutation ranking for every
-    /// algorithm.
+    /// The Query front door ranks every node for every algorithm, on
+    /// demand, in the order an eagerly built ranking held: the full
+    /// total-order sort of the scores, or 2DRank's square sweep of its two
+    /// stationary vectors.
     #[test]
     fn query_rankings_are_permutations(edges in edge_list(12, 60), r in 0u32..12) {
         let g = GraphBuilder::from_edge_indices(edges);
@@ -217,10 +229,21 @@ proptest! {
         let g = Arc::new(g);
         for algo in Algorithm::ALL {
             let out = Query::on(&g).algorithm(algo).reference(r).run().unwrap();
-            let mut ids: Vec<u32> = out.output.ranking.as_slice().iter().map(|n| n.raw()).collect();
+            let got: Vec<u32> = out.ranking().as_slice().iter().map(|n| n.raw()).collect();
+            let want: Vec<u32> = match out.scores() {
+                Some(s) => total_order_sort(s.as_slice()),
+                None => {
+                    let cfg = AlgorithmParams::new(algo).solver_config();
+                    let reference = algo.is_personalized().then_some(r);
+                    let two_d = two_d_rank_with(&g, &cfg, reference).unwrap().ranking;
+                    two_d.as_slice().iter().map(|n| n.raw()).collect()
+                }
+            };
+            prop_assert_eq!(&got, &want, "{} ranking", algo);
+            let mut ids = got;
             ids.sort_unstable();
-            let want: Vec<u32> = (0..g.node_count() as u32).collect();
-            prop_assert_eq!(ids, want, "{} ranking not a permutation", algo);
+            let all: Vec<u32> = (0..g.node_count() as u32).collect();
+            prop_assert_eq!(ids, all, "{} ranking not a permutation", algo);
         }
     }
 
@@ -380,11 +403,38 @@ proptest! {
             1 => vec![-0.0; picks.len()],
             _ => picks.iter().map(|&p| RANKING_PALETTE[p]).collect(),
         };
-        let mut want: Vec<u32> = (0..values.len() as u32).collect();
-        want.sort_by(|&a, &b| values[b as usize].total_cmp(&values[a as usize]).then(a.cmp(&b)));
+        let want = total_order_sort(&values);
         let got: Vec<u32> =
             ScoreVector::new(values).ranking().as_slice().iter().map(|n| n.raw()).collect();
         prop_assert_eq!(got, want);
+    }
+
+    /// `top_k_pairs` heap-selects the positive support, then appends the
+    /// `+0.0` block and the negative-signed entries: it equals the first
+    /// `k` of the full total-order sort, ids and score bits, for every `k`
+    /// around the positive support's size `s` and the length `n`.
+    #[test]
+    fn top_k_equals_the_first_k_of_the_full_total_order_sort(
+        picks in prop::collection::vec(0usize..RANKING_PALETTE.len(), 0..80),
+        fill in 0u8..4,
+    ) {
+        let values: Vec<f64> = match fill {
+            0 => vec![0.0; picks.len()],
+            1 => vec![-0.0; picks.len()],
+            _ => picks.iter().map(|&p| RANKING_PALETTE[p]).collect(),
+        };
+        // The positive support: every entry above +0.0 in the total order.
+        let s = values.iter().filter(|v| v.total_cmp(&0.0).is_gt()).count();
+        let n = values.len();
+        let want: Vec<(u32, u64)> = total_order_sort(&values)
+            .into_iter()
+            .map(|i| (i, values[i as usize].to_bits()))
+            .collect();
+        for k in [0, 1, s.saturating_sub(1), s, s + 1, n.saturating_sub(1), n, n + 3] {
+            let got: Vec<(u32, u64)> =
+                top_k_pairs(&values, k).into_iter().map(|(i, v)| (i.raw(), v.to_bits())).collect();
+            prop_assert_eq!(&got[..], &want[..k.min(n)], "k = {}", k);
+        }
     }
 
     /// Batched multi-seed queries are **bit-for-bit** equal to per-seed
@@ -448,7 +498,7 @@ proptest! {
             prop_assert_eq!(sc.iterations, bc.iterations);
             prop_assert_eq!(sc.residual.to_bits(), bc.residual.to_bits());
             prop_assert_eq!(sc.converged, bc.converged);
-            prop_assert_eq!(&single_out.ranking, &batch_out.ranking);
+            prop_assert_eq!(single_out.ranking(), batch_out.ranking());
             prop_assert_eq!(single.top_entries(), batch.top_entries(i));
         }
     }

@@ -146,10 +146,10 @@ pub struct Executor {
     /// ([`relgraph::DynamicGraph::snapshot`]); edge mutations
     /// ([`Executor::mutate_dataset`]) bump the version every cache key
     /// embeds. Each slot carries its **own** lock so the first read after
-    /// an edit — which splices the edit into the previous CSR, one pass
-    /// of array copies — and mutation batches block only traffic on that
-    /// dataset; the outer map lock is held just long enough to clone the
-    /// slot `Arc`.
+    /// an edit — which splices the edit into the previous CSR in place,
+    /// moving the arrays' tail behind the first touched row — and
+    /// mutation batches block only traffic on that dataset; the outer map
+    /// lock is held just long enough to clone the slot `Arc`.
     datasets: Mutex<HashMap<String, Arc<Mutex<DynamicGraph>>>>,
     results: ResultCache,
     /// Optional durable store: when attached, uploads snapshot on
@@ -454,7 +454,8 @@ impl Executor {
         // Per-dataset lock: the batch (and its clone) stalls only this
         // dataset's traffic. Work on a copy so a mid-batch failure leaves
         // the dataset (and its version) untouched; deltas are small, so
-        // the copy is cheap.
+        // the copy is cheap. It shares the base `Arc` until the commit
+        // drops the old copy: a splice before then would copy the graph.
         let mut guard = slot.lock();
         let mut staged = guard.clone();
         let applied = apply_ops(&mut staged, id, ops)?;
@@ -910,6 +911,44 @@ mod tests {
         assert_eq!(masked(again), fresh(&pagerank));
         assert_ne!(masked(before), fresh(&pagerank), "the edit moves PageRank");
         assert_eq!(memo.kept(), 0, "nothing is kept once no read is due");
+    }
+
+    /// With no reader holding the last snapshot, an edit and the read
+    /// after it splice the dataset's base in its own allocation.
+    /// `mutate_dataset` stages on a clone that shares the base, so a
+    /// snapshot taken while both are alive would copy the whole graph on
+    /// every edit; the commit drops the old copy before any read. Memory
+    /// only and durable alike.
+    #[test]
+    fn an_edit_and_the_read_after_it_reuse_the_base_allocation() {
+        use crate::mutation::{EdgeOp, EdgeSpec};
+        let root = std::env::temp_dir().join(format!("relengine-reuse-{}", crate::id::new_uuid()));
+        let mut durable = Executor::new();
+        durable.attach_persistence(Arc::new(GraphPersistence::open(&root).unwrap()));
+        for ex in [Executor::new(), durable] {
+            let mut b = relgraph::GraphBuilder::new();
+            for (from, to) in [("a", "b"), ("b", "c"), ("c", "a")] {
+                b.add_labeled_edge(from, to);
+            }
+            ex.register_graph("net", b.build()).unwrap();
+            let spec = TaskBuilder::new("net")
+                .algorithm(Algorithm::CycleRank)
+                .source("a")
+                .build()
+                .unwrap();
+            ex.execute(&TaskId::fresh(), &spec).unwrap();
+            let base = Arc::as_ptr(&ex.dataset("net").unwrap());
+            for (from, to) in [("b", "a"), ("a", "c"), ("c", "b")] {
+                let edge = EdgeSpec { source: from.into(), target: to.into(), weight: None };
+                ex.mutate_dataset("net", &[EdgeOp::Add(edge)]).unwrap();
+                ex.execute(&TaskId::fresh(), &spec).unwrap();
+                let (g, _) = ex.dataset_versioned("net").unwrap();
+                assert_eq!(Arc::as_ptr(&g), base, "the read after {from}->{to} copied the graph");
+                let (u, v) = (g.node_by_label(from).unwrap(), g.node_by_label(to).unwrap());
+                assert!(g.has_edge(u, v));
+            }
+        }
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

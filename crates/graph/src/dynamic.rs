@@ -23,23 +23,31 @@
 //! # Snapshots splice the delta
 //!
 //! Solvers run over CSR ([`crate::GraphView`]), so query execution calls
-//! [`DynamicGraph::snapshot`], which builds the current CSR from the base
-//! by **splicing**:
+//! [`DynamicGraph::snapshot`], which **splices** the delta into the base's
+//! own arrays, one direction at a time:
 //!
-//! - row blocks the delta does not name are copied wholesale from the
-//!   base's out- and in-arrays, their offsets shifted by a running
-//!   constant;
-//! - only the rows the delta names are merged, in sorted order;
-//! - weight sums are copied for untouched rows and re-summed in row order
-//!   for touched ones — the order [`crate::GraphBuilder`] sums in, so the
-//!   snapshot is bit-identical to a builder rebuild of the same edges;
-//! - the label table is shared with the base through an `Arc` and copied
-//!   only when the delta created a node.
+//! - the rows the delta names are merged into scratch, in sorted order,
+//!   from the unchanged arrays;
+//! - the blocks of rows between them move in place by the net length
+//!   change of the touched rows before them: left-shifted blocks front to
+//!   back, then right-shifted blocks back to front, so no block overwrites
+//!   a source that has not moved yet;
+//! - the touched rows are written at their new starts, and the offsets are
+//!   rewritten from the first touched row on;
+//! - weight sums of touched rows are re-summed in row order — the order
+//!   [`crate::GraphBuilder`] sums in, so the snapshot is bit-identical to a
+//!   builder rebuild of the same edges;
+//! - the label table is shared through an `Arc` and written only when the
+//!   delta created a node.
 //!
-//! The snapshot then **becomes the new base** and the overlay empties, so
-//! the overlay only ever holds the edits since the last read. A snapshot
-//! costs one pass of memory copies over the arrays plus `O(Δ log Δ)` merge
-//! work; reads between two edits share one snapshot (one `Arc`).
+//! The base is taken copy-on-write (`Arc::make_mut`): it is cloned first
+//! only while a reader still holds it as an earlier snapshot, and a held
+//! snapshot never changes. The spliced base is the new snapshot and the
+//! overlay empties, so the overlay only ever holds the edits since the
+//! last read. With no reader holding the base, a snapshot allocates
+//! nothing in `n` or `m`: it moves the arrays' tail behind the first
+//! touched row plus `O(Δ log Δ)` merge work, and reads between two edits
+//! share one snapshot (one `Arc`).
 //!
 //! # u32 node-id audit
 //!
@@ -84,8 +92,8 @@ pub struct EdgeMutation {
 ///
 /// See the [module docs](self) for the design; in short — mutations are
 /// `O(log delta)`, structure reads are overlay-aware, and
-/// [`Self::snapshot`] splices the edits into a new CSR that becomes the
-/// base.
+/// [`Self::snapshot`] splices the edits into the base in place,
+/// copy-on-write.
 #[derive(Debug, Clone)]
 pub struct DynamicGraph {
     /// The last snapshot (the wrapped graph until the first edit is read).
@@ -358,21 +366,18 @@ impl DynamicGraph {
     }
 
     /// The immutable CSR of the current version. Edits since the last
-    /// snapshot are spliced into it (see the [module docs](self)) and the
-    /// result becomes the new base; without edits the last snapshot is
-    /// returned as is, so any number of solves between two edge events
-    /// share one `Arc`. The version does not move.
+    /// snapshot are spliced into the base in place (see the [module
+    /// docs](self)); without edits the last snapshot is returned as is, so
+    /// any number of solves between two edge events share one `Arc`. The
+    /// version does not move.
     pub fn snapshot(&mut self) -> Arc<DirectedGraph> {
         if !self.overlay_is_empty() {
-            self.base = Arc::new(self.splice());
+            self.splice();
             self.added.clear();
             self.removed.clear();
             self.added_beyond_base = 0;
             self.out_wsum_delta.clear();
             self.in_wsum_delta.clear();
-            // The splice wrote the extra labels into the new base table.
-            self.extra_labels.clear();
-            self.extra_label_of.clear();
         }
         Arc::clone(&self.base)
     }
@@ -392,9 +397,10 @@ impl DynamicGraph {
         self.weighted && self.edge_count() > 0
     }
 
-    /// Builds the CSR of base + delta by splicing the delta's rows into
-    /// copies of the base's arrays, both directions.
-    fn splice(&self) -> DirectedGraph {
+    /// Splices the delta into the base's own arrays, both directions.
+    /// Copy-on-write: the base is cloned first only while a reader still
+    /// holds it as an earlier snapshot.
+    fn splice(&mut self) {
         let (n, m, weighted) = (self.node_count, self.edge_count(), self.snapshot_weighted());
         // The delta as (row, column, weight), a removal weighing `None`:
         // first keyed by source for the out-side, then by target.
@@ -402,134 +408,148 @@ impl DynamicGraph {
             self.added.iter().map(|(&(u, v), &w)| (u, v, Some(w))).collect();
         delta.extend(self.removed.iter().map(|&(u, v)| (u, v, None)));
         delta.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        let base = &*self.base;
-        let out = Rows {
-            offsets: &base.out_offsets[..],
-            adj: &base.out_targets[..],
-            weights: base.out_weights.as_deref(),
-            sums: base.out_weight_sums.as_deref(),
+        let g = Arc::make_mut(&mut self.base);
+        Rows {
+            offsets: &mut g.out_offsets,
+            adj: &mut g.out_targets,
+            weights: &mut g.out_weights,
+            sums: &mut g.out_weight_sums,
         }
         .splice(&delta, n, m, weighted);
         for entry in &mut delta {
             (entry.0, entry.1) = (entry.1, entry.0);
         }
         delta.sort_unstable_by_key(|&(v, u, _)| (v, u));
-        let inn = Rows {
-            offsets: &base.in_offsets[..],
-            adj: &base.in_sources[..],
-            weights: base.in_weights.as_deref(),
-            sums: base.in_weight_sums.as_deref(),
+        Rows {
+            offsets: &mut g.in_offsets,
+            adj: &mut g.in_sources,
+            weights: &mut g.in_weights,
+            sums: &mut g.in_weight_sums,
         }
         .splice(&delta, n, m, weighted);
-        let labels = if self.extra_label_of.is_empty() {
-            Arc::clone(&base.labels)
-        } else {
-            let mut labels = (*base.labels).clone();
-            for (&u, l) in &self.extra_label_of {
-                labels.set(NodeId::new(u), l.clone());
+        if !self.extra_label_of.is_empty() {
+            let labels = g.labels_mut();
+            for (u, l) in self.extra_label_of.drain() {
+                labels.set(NodeId::new(u), l);
             }
-            Arc::new(labels)
-        };
-        DirectedGraph {
-            out_offsets: out.offsets,
-            out_targets: out.adj,
-            out_weights: out.weights,
-            in_offsets: inn.offsets,
-            in_sources: inn.adj,
-            in_weights: inn.weights,
-            out_weight_sums: out.sums,
-            in_weight_sums: inn.sums,
-            labels,
+            self.extra_labels.clear();
         }
     }
 }
 
-/// One direction of a CSR — offsets, adjacency, and the weights and
-/// per-row weight sums of a weighted graph — borrowed from the base or
-/// owned by a splice.
-struct Rows<O, A, W> {
-    offsets: O,
-    adj: A,
-    weights: W,
-    sums: W,
+/// One direction of a CSR, borrowed from the graph a splice rewrites:
+/// offsets, adjacency, and the weights and per-row weight sums of a
+/// weighted graph.
+struct Rows<'a> {
+    offsets: &'a mut Vec<usize>,
+    adj: &'a mut Vec<NodeId>,
+    weights: &'a mut Option<Vec<f64>>,
+    sums: &'a mut Option<Vec<f64>>,
 }
 
-impl<'a> Rows<&'a [usize], &'a [NodeId], Option<&'a [f64]>> {
-    /// The base row `row` and its weights (`None` when unweighted); empty
-    /// past the base's last node.
-    fn row(&self, row: usize) -> (&'a [NodeId], Option<&'a [f64]>) {
+impl Rows<'_> {
+    /// Row `row` and its weights (`None` when unweighted); empty past the
+    /// last node.
+    fn row(&self, row: usize) -> (&[NodeId], Option<&[f64]>) {
         if row + 1 >= self.offsets.len() {
             return (&[], None);
         }
         let (s, e) = (self.offsets[row], self.offsets[row + 1]);
-        (&self.adj[s..e], self.weights.map(|w| &w[s..e]))
+        (&self.adj[s..e], self.weights.as_deref().map(|w| &w[s..e]))
     }
 
-    /// These rows with `delta` — `(row, column, weight)` entries sorted by
-    /// row then column, a `None` weight removing the column — spliced in,
-    /// grown to `n` rows holding `m` entries. `weighted` says whether the
-    /// result carries weights; an unweighted base's entries weigh 1.0.
-    fn splice(
-        &self,
-        delta: &[(u32, u32, Option<f64>)],
-        n: usize,
-        m: usize,
-        weighted: bool,
-    ) -> Rows<Vec<usize>, Vec<NodeId>, Option<Vec<f64>>> {
-        let base_rows = self.offsets.len() - 1;
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut adj = Vec::with_capacity(m);
-        let mut weights = weighted.then(|| Vec::with_capacity(m));
-        let mut sums = weighted.then(|| Vec::with_capacity(n));
-        let (mut row, mut rest) = (0, delta);
-        while row < n {
-            // Rows `row..next` are untouched: copy the base's block
-            // wholesale, then pad rows past the base with empty ones.
-            let next = rest.first().map_or(n, |&(r, _, _)| r as usize);
-            let copied = next.min(base_rows).max(row);
-            if row < copied {
-                let (s, e, start) = (self.offsets[row], self.offsets[copied], adj.len());
-                adj.extend_from_slice(&self.adj[s..e]);
-                offsets.extend(self.offsets[row + 1..=copied].iter().map(|&o| o - s + start));
-                if let (Some(ws), Some(ss)) = (weights.as_mut(), sums.as_mut()) {
-                    match (self.weights, self.sums) {
-                        (Some(bw), Some(bs)) => {
-                            ws.extend_from_slice(&bw[s..e]);
-                            ss.extend_from_slice(&bs[row..copied]);
-                        }
-                        // An unweighted base: every edge weighs 1.0, so a
-                        // row sums to its degree.
-                        _ => {
-                            ws.resize(ws.len() + (e - s), 1.0);
-                            ss.extend(
-                                self.offsets[row..=copied].windows(2).map(|w| (w[1] - w[0]) as f64),
-                            );
-                        }
-                    }
-                }
-            }
-            for _ in copied..next {
-                offsets.push(adj.len());
-                if let Some(ss) = sums.as_mut() {
-                    ss.push(0.0);
-                }
-            }
-            if next == n {
-                break;
-            }
-            let touched = rest.iter().take_while(|&&(r, _, _)| r as usize == next).count();
-            let start = adj.len();
-            merge_row(self.row(next), &rest[..touched], &mut adj, weights.as_mut());
-            offsets.push(adj.len());
-            if let (Some(ws), Some(ss)) = (weights.as_ref(), sums.as_mut()) {
-                ss.push(ws[start..].iter().fold(0.0, |sum, &w| sum + w));
-            }
-            (row, rest) = (next + 1, &rest[touched..]);
+    /// Splices `delta` — `(row, column, weight)` entries sorted by row then
+    /// column, a `None` weight removing the column — into these rows in
+    /// place, grown to `n` rows holding `m` entries. `weighted` says
+    /// whether the result carries weights.
+    ///
+    /// Touched rows are merged into scratch first, from the unmoved
+    /// arrays. The block of untouched rows after each touched row then
+    /// moves by the net length change of the touched rows up to it
+    /// ([`shift_blocks`]), the touched rows land in the gaps, and the
+    /// offsets from the first touched row on shift with their blocks.
+    fn splice(self, delta: &[(u32, u32, Option<f64>)], n: usize, m: usize, weighted: bool) {
+        if weighted != self.weights.is_some() {
+            // The unweighted → weighted flip: every edge so far weighs
+            // 1.0, so a row sums to its degree. Removing the last edge
+            // of a weighted graph drops both arrays, as a rebuild would.
+            *self.weights = weighted.then(|| vec![1.0; self.adj.len()]);
+            *self.sums =
+                weighted.then(|| self.offsets.windows(2).map(|w| (w[1] - w[0]) as f64).collect());
         }
-        debug_assert_eq!(adj.len(), m, "the splice must land the overlay's edge count");
-        Rows { offsets, adj, weights, sums }
+        let (base_rows, base_len) = (self.offsets.len() - 1, self.adj.len());
+        // Start of `row` in the unmoved arrays: rows past the base start,
+        // empty, at the end.
+        let old_start = |row: usize| self.offsets[row.min(base_rows)];
+        // Each touched row as (row, end of its merged entries in scratch,
+        // its new start, the net shift of the entries after it).
+        let (mut adj, mut weights) = (Vec::new(), weighted.then(Vec::new));
+        let mut touched: Vec<(usize, usize, usize, isize)> = Vec::new();
+        let (mut shift, mut rest) = (0isize, delta);
+        while let Some(&(row, _, _)) = rest.first() {
+            let row = row as usize;
+            let count = rest.iter().take_while(|&&(r, _, _)| r as usize == row).count();
+            let start = adj.len();
+            merge_row(self.row(row), &rest[..count], &mut adj, weights.as_mut());
+            let to = old_start(row).wrapping_add_signed(shift);
+            shift += (adj.len() - start) as isize - (old_start(row + 1) - old_start(row)) as isize;
+            touched.push((row, adj.len(), to, shift));
+            rest = &rest[count..];
+        }
+        debug_assert_eq!(base_len.wrapping_add_signed(shift), m, "the splice must land m entries");
+        // The untouched block after each touched row: its range in the
+        // unmoved arrays, and its shift.
+        let blocks: Vec<(usize, usize, isize)> = touched
+            .iter()
+            .enumerate()
+            .map(|(i, &(row, _, _, shift))| {
+                let next = touched.get(i + 1).map_or(n, |t| t.0);
+                (old_start(row + 1), old_start(next), shift)
+            })
+            .collect();
+        shift_blocks(self.adj, &blocks, m, NodeId::new(0));
+        if let Some(w) = self.weights.as_mut() {
+            shift_blocks(w, &blocks, m, 0.0);
+        }
+        self.offsets.resize(n + 1, base_len);
+        if let Some(sums) = self.sums.as_mut() {
+            sums.resize(n, 0.0);
+        }
+        let mut from = 0;
+        for (i, &(row, end, to, shift)) in touched.iter().enumerate() {
+            self.adj[to..to + end - from].copy_from_slice(&adj[from..end]);
+            if let (Some(w), Some(sums), Some(scratch)) =
+                (self.weights.as_mut(), self.sums.as_mut(), weights.as_ref())
+            {
+                w[to..to + end - from].copy_from_slice(&scratch[from..end]);
+                // Re-summed in row order, the order the builder sums in.
+                sums[row] = scratch[from..end].iter().fold(0.0, |sum, &w| sum + w);
+            }
+            let next = touched.get(i + 1).map_or(n, |t| t.0);
+            for offset in &mut self.offsets[row + 1..=next] {
+                *offset = offset.wrapping_add_signed(shift);
+            }
+            from = end;
+        }
     }
+}
+
+/// Moves each `(start, end, shift)` block of `v` by `shift` and sizes `v`
+/// to `len` (growth filled with `fill` until a block or touched row lands
+/// there). Left-shifted blocks move first, front to back; right-shifted
+/// ones next, back to front. Blocks are disjoint, ascending, and land
+/// disjoint and ascending, so no block overwrites a source that has not
+/// moved yet.
+fn shift_blocks<T: Copy>(v: &mut Vec<T>, blocks: &[(usize, usize, isize)], len: usize, fill: T) {
+    if len > v.len() {
+        v.resize(len, fill);
+    }
+    let mut move_block = |&(start, end, shift): &(usize, usize, isize)| {
+        v.copy_within(start..end, start.wrapping_add_signed(shift));
+    };
+    blocks.iter().filter(|b| b.2 < 0).for_each(&mut move_block);
+    blocks.iter().rev().filter(|b| b.2 > 0).for_each(&mut move_block);
+    v.truncate(len);
 }
 
 /// Appends base row `(columns, weights)` merged with its `delta` entries
@@ -668,17 +688,21 @@ mod tests {
     proptest! {
         /// Random edit sequences with snapshots interleaved: every
         /// snapshot equals the builder oracle of the overlay it spliced,
-        /// array for array and bit for bit.
+        /// array for array and bit for bit. Some snapshots are held by a
+        /// reader: later splices copy before writing, so each held one
+        /// stays bit for bit what it was, and an unheld base is spliced in
+        /// its own allocation.
         #[test]
         fn splice_equals_the_builder_oracle(
             kind in 0u8..3,
             labeled in any::<bool>(),
             edges in prop::collection::vec((0u32..8, 0u32..8, 0u8..4), 0..24),
-            ops in prop::collection::vec((0u8..9, 0u32..11, 0u32..11, 0u8..4), 0..40),
+            ops in prop::collection::vec((0u8..10, 0u32..11, 0u32..11, 0u8..4), 0..40),
         ) {
             let original = base_graph(kind, &edges, labeled);
             let base_edges: Vec<(NodeId, NodeId, f64)> = original.weighted_edges().collect();
             let mut g = DynamicGraph::new(original);
+            let mut held: Vec<(Arc<DirectedGraph>, DirectedGraph)> = Vec::new();
             for (op, a, b, w) in ops {
                 let (u, v) = (n(a), n(b));
                 match op {
@@ -697,10 +721,22 @@ mod tests {
                         }
                     }
                     7 => drop(g.add_labeled_node(&format!("x{a}"))),
-                    8 => {
+                    8 | 9 => {
                         let want = materialize(&g);
-                        assert_same_csr(&g.snapshot(), &want)?;
+                        let in_place = !g.overlay_is_empty() && Arc::strong_count(&g.base) == 1;
+                        let before = Arc::as_ptr(&g.base);
+                        let got = g.snapshot();
+                        assert_same_csr(&got, &want)?;
                         prop_assert!(g.overlay_is_empty());
+                        if in_place {
+                            prop_assert_eq!(Arc::as_ptr(&got), before, "unheld: spliced in place");
+                        }
+                        if op == 9 {
+                            held.push((Arc::clone(&got), (*got).clone()));
+                        }
+                        for (snapshot, copy) in &held {
+                            assert_same_csr(snapshot, copy)?;
+                        }
                     }
                     _ => {}
                 }
@@ -711,6 +747,9 @@ mod tests {
             assert_same_csr(&got, &want)?;
             prop_assert_eq!(g.version(), version, "a snapshot does not move the version");
             prop_assert_eq!(got.edge_count(), edges);
+            for (snapshot, copy) in &held {
+                assert_same_csr(snapshot, copy)?;
+            }
         }
     }
 

@@ -3,7 +3,9 @@
 //! Supports exactly what the demo's API needs: GET/POST/DELETE, path +
 //! query string, `Content-Length`-framed bodies, keep-alive connection
 //! reuse, and JSON responses. Not a general-purpose HTTP implementation —
-//! requests the parser does not understand produce `400 Bad Request`, and
+//! requests the parser does not understand produce `400 Bad Request`
+//! (among them any `Transfer-Encoding` header, and two `Content-Length`
+//! headers that disagree, so a body is never mistaken for a request), and
 //! oversized headers or bodies produce `413 Payload Too Large` before the
 //! payload is buffered (so one client cannot balloon a worker's memory).
 
@@ -129,7 +131,21 @@ impl Request {
                 break;
             }
             if let Some((k, v)) = h.split_once(':') {
-                headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
+                let (k, v) = (k.trim().to_ascii_lowercase(), v.trim().to_string());
+                // Bodies are framed by `Content-Length` alone. A request
+                // framed any other way is refused, not read as empty: its
+                // body would otherwise be parsed as the next request.
+                if k == "transfer-encoding" {
+                    return Err(HttpError::bad(format!(
+                        "unsupported transfer-encoding header ({v}): frame the body with content-length"
+                    )));
+                }
+                if let Some(first) = headers.get(&k).filter(|f| k == "content-length" && **f != v) {
+                    return Err(HttpError::bad(format!(
+                        "conflicting content-length headers ({first} and {v})"
+                    )));
+                }
+                headers.insert(k, v);
             }
         }
 
@@ -413,6 +429,27 @@ mod tests {
         assert!(parse("GET /x\r\n\r\n").is_err());
         assert!(parse("GET /x SMTP\r\n\r\n").is_err());
         assert!(parse("POST /x HTTP/1.1\r\nContent-Length: zebra\r\n\r\n").is_err());
+    }
+
+    #[test]
+    fn rejects_bodies_not_framed_by_one_content_length() {
+        for raw in [
+            "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+            "POST /x HTTP/1.1\r\nContent-Length: 3\r\ntransfer-encoding: chunked\r\n\r\nabc",
+            "GET /x HTTP/1.1\r\nTRANSFER-ENCODING: identity\r\n\r\n",
+        ] {
+            let err = parse(raw).unwrap_err();
+            assert_eq!(err.status, StatusCode::BadRequest, "{raw:?}");
+            assert!(err.message.contains("transfer-encoding"), "{}", err.message);
+        }
+        let err = parse("POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nabc")
+            .unwrap_err();
+        assert_eq!(err.status, StatusCode::BadRequest);
+        assert!(err.message.contains("conflicting content-length"), "{}", err.message);
+        // Repeating one value frames the body one way: accepted.
+        let r =
+            parse("POST /x HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nhi").unwrap();
+        assert_eq!(r.body, b"hi");
     }
 
     #[test]

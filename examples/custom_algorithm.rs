@@ -45,7 +45,7 @@ impl RelevanceAlgorithm for DegreeRank {
         );
         Ok(RelevanceOutput {
             algorithm: self.id().to_string(),
-            ranking: scores.ranking(),
+            order: None, // ranked on demand from the scores
             scores: Some(scores),
             top: None,
             convergence: None,

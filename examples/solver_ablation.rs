@@ -62,8 +62,9 @@ fn main() {
                 let r = run(&graph, scheme, tolerance, seed);
                 sweeps += r.output.convergence.map_or(0, |c| c.iterations);
                 let gains = reference.scores().expect("ppr scores").as_slice();
-                jacc = jacc.min(jaccard_at_k(reference.ranking(), r.ranking(), 10));
-                ndcg = ndcg.min(ndcg_at_k(r.ranking(), gains, 10));
+                let ranking = r.ranking();
+                jacc = jacc.min(jaccard_at_k(&reference.ranking(), &ranking, 10));
+                ndcg = ndcg.min(ndcg_at_k(&ranking, gains, 10));
             }
             println!(
                 "{:<9} {:>9.0e} {:>7} {:>9.2} {:>9.3} {:>9.4}",

@@ -45,8 +45,8 @@ fn main() {
         let (a, b) = (w[0], w[1]);
         let ga = engine.executor().dataset(&format!("wiki-sv-{a}")).unwrap();
         let gb = engine.executor().dataset(&format!("wiki-sv-{b}")).unwrap();
-        let ra = Query::on(ga).algorithm("pagerank").run().unwrap().output.ranking;
-        let rb = Query::on(gb).algorithm("pagerank").run().unwrap().output.ranking;
+        let ra = Query::on(ga).algorithm("pagerank").run().unwrap().ranking();
+        let rb = Query::on(gb).algorithm("pagerank").run().unwrap().ranking();
         println!(
             "{:<14} {:>10.3} {:>8.3}",
             format!("{a} vs {b}"),

@@ -50,8 +50,8 @@ fn uploaded_graph_roundtrips_through_all_formats_and_algorithms() {
             .run()
             .expect("algorithm on loaded");
         // Same labels in the same ranked order.
-        let la: Vec<String> = a.output.ranking.top_k_labeled(&original, 5);
-        let lb: Vec<String> = b.output.ranking.top_k_labeled(&loaded, 5);
+        let la: Vec<String> = a.ranking().top_k_labeled(&original, 5);
+        let lb: Vec<String> = b.ranking().top_k_labeled(&loaded, 5);
         assert_eq!(la, lb, "{algo} ranking differs across format round-trip");
     }
 }

@@ -309,3 +309,34 @@ fn oversized_requests_get_413() {
     assert!(stats["rejected_payload"].as_u64().unwrap() >= 2, "{stats}");
     h.stop();
 }
+
+/// A chunked request is answered once, with a `400` naming the header,
+/// and the connection closes: the chunks are never read as a request,
+/// so a body holding `GET /api/health` smuggles nothing through.
+#[test]
+fn transfer_encoding_gets_one_400_then_eof() {
+    let h = start(ServingConfig {
+        workers: 1,
+        queue_depth: 4,
+        max_expensive: 1,
+        keep_alive: Duration::from_secs(5),
+        retry_after_secs: 1,
+    });
+    let smuggled = "GET /api/health HTTP/1.1\r\n\r\n";
+    for body in [COLD_SOLVE, smuggled] {
+        let (mut s, mut reader) = connect(h.addr());
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let raw = format!(
+            "POST /api/tasks?sync=1 HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n{:x}\r\n{body}\r\n0\r\n\r\n",
+            body.len()
+        );
+        s.write_all(raw.as_bytes()).unwrap();
+        let r = read_response(&mut reader);
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.json()["error"].as_str().unwrap().contains("transfer-encoding"), "{}", r.body);
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).expect("the server closes the connection");
+        assert!(rest.is_empty(), "a second response: {}", String::from_utf8_lossy(&rest));
+    }
+    h.stop();
+}
