@@ -501,6 +501,24 @@ fn cli_batch_json_matches_golden() {
     assert_golden("cli_batch_json.txt", include_str!("golden/cli_batch_json.txt"), &actual);
 }
 
+#[test]
+fn cli_compare_matches_golden() {
+    let args = [
+        "compare",
+        "--dataset",
+        "fixture-enwiki-2018",
+        "--source",
+        "Freddie Mercury",
+        "--top",
+        "5",
+    ];
+    let stdout = relrank(&args);
+    let (id_line, table) = stdout.split_once('\n').expect("a comparison id line");
+    assert!(id_line.starts_with("Comparison id: "), "{id_line}");
+    let actual = format!("# relrank {}\nComparison id: <masked>\n{table}", args.join(" "));
+    assert_golden("cli_compare.txt", include_str!("golden/cli_compare.txt"), &actual);
+}
+
 const UPLOAD: &str = r#"{"name": "golden-net", "content": "*Vertices 2\n1 \"me\"\n2 \"friend\"\n*Arcs\n1 2\n2 1\n"}"#;
 
 #[test]
@@ -541,8 +559,9 @@ fn datasets_listing_with_uploads_keys_match_golden() {
 #[test]
 fn algorithm_spellings_match_golden() {
     // Each front door that takes an algorithm name, side by side: the
-    // registry (`Query::run`), the task builder (`TaskSpec::from_query`)
-    // and `Algorithm::from_str` (`relrank batch`, the scenario runner).
+    // registry (`Query::run`), the query conversion (`TaskSpec::from_query`),
+    // the task builder over a parsed name (`relrank batch`, `run`,
+    // `compare`) and `Algorithm::from_str` (the scenario runner).
     // A cell is the resolved id, or the error text.
     let mut b = GraphBuilder::new();
     b.add_labeled_edge("a", "b");
@@ -589,15 +608,28 @@ fn algorithm_spellings_match_golden() {
                 Ok(spec) => spec.params.algorithm.id().to_string(),
                 Err(e) => e.to_string(),
             };
+            let builder = name.parse::<Algorithm>().and_then(|algorithm| {
+                TaskBuilder::new("fixture-enwiki-2018")
+                    .algorithm(algorithm)
+                    .source("Freddie Mercury")
+                    .build()
+                    .map_err(|e| e.to_string())
+            });
+            let builder = match builder {
+                Ok(spec) => spec.params.algorithm.id().to_string(),
+                Err(e) => e,
+            };
             let from_str = match name.parse::<Algorithm>() {
                 Ok(algorithm) => algorithm.id().to_string(),
                 Err(e) => e,
             };
-            format!("{name:?}\t{run}\t{from_query}\t{from_str}")
+            format!("{name:?}\t{run}\t{from_query}\t{builder}\t{from_str}")
         })
         .collect();
-    let actual =
-        format!("spelling\tQuery::run\tTaskSpec::from_query\tfrom_str\n{}", rows.join("\n"));
+    let actual = format!(
+        "spelling\tQuery::run\tTaskSpec::from_query\tTaskBuilder\tfrom_str\n{}",
+        rows.join("\n")
+    );
     assert_golden(
         "algorithm_spellings.txt",
         include_str!("golden/algorithm_spellings.txt"),
