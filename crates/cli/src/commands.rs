@@ -119,44 +119,46 @@ fn known_algorithm(name: &str) -> Result<(), String> {
 /// disk and queried directly (the task wire format names datasets).
 pub fn run_task(spec: RunSpec) -> Result<String, String> {
     known_algorithm(&spec.algorithm)?;
-    let target: relcore::QueryTarget = match &spec.file {
-        Some(path) => Arc::new(relformats::load_graph(path).map_err(|e| e.to_string())?).into(),
-        None => spec.dataset.as_str().into(),
-    };
-    let mut query = Query::on(target).algorithm(spec.algorithm.as_str()).top(spec.top);
+    let graph =
+        spec.file.as_deref().map(relformats::load_graph).transpose().map_err(|e| e.to_string())?;
+    let mut task = TaskBuilder::new(spec.dataset.as_str())
+        .algorithm(spec.algorithm.parse()?)
+        .top_k(spec.top)
+        .trace(spec.trace);
     if let Some(s) = spec.scheme {
-        query = query.scheme(s);
+        task = task.scheme(s);
     }
     if let Some(n) = spec.threads {
-        query = query.threads(n);
+        task = task.threads(n);
     }
-    if let Some(k) = spec.top_k {
-        query = query.top_k(k);
-    }
-    query = query.trace(spec.trace);
     if let Some(a) = spec.alpha {
-        query = query.alpha(a);
+        task = task.damping(a);
     }
     if let Some(k) = spec.k {
-        query = query.k(k);
+        task = task.max_cycle_len(k);
     }
     if let Some(s) = &spec.sigma {
-        query = query.scoring(s.parse()?);
+        task = task.scoring(s.parse()?);
     }
     if let Some(s) = &spec.source {
-        query = query.reference(s.as_str());
+        task = task.source(s.as_str());
+    }
+    let mut task = task.build().map_err(|e| e.to_string())?;
+    if let Some(k) = spec.top_k {
+        task.serve_top_k(k);
     }
     let id = TaskId::fresh();
-    let result = match &spec.file {
-        Some(_) => {
+    let result = match graph {
+        Some(g) => {
+            let mut query = Query::on(g).params(task.params).top(task.top_k);
+            if let Some(s) = &task.source {
+                query = query.reference(s.as_str());
+            }
             let r =
-                query.run().map_err(|e| EngineError::from_query(e, &spec.dataset).to_string())?;
-            TaskResult::package(&id, &spec.dataset, spec.source.clone(), &r)
+                query.run().map_err(|e| EngineError::from_query(e, &task.dataset).to_string())?;
+            TaskResult::package(&id, &task.dataset, task.source, &r)
         }
-        None => {
-            let task = TaskSpec::from_query(&query).map_err(|e| e.to_string())?;
-            Executor::new().execute(&id, &task).map_err(|e| e.to_string())?
-        }
+        None => Executor::new().execute(&id, &task).map_err(|e| e.to_string())?,
     };
 
     if spec.json {
@@ -390,16 +392,14 @@ pub fn compare(spec: CompareSpec) -> Result<String, String> {
     let mut qs = QuerySet::new();
     for name in &spec.algorithms {
         known_algorithm(name)?;
-        let query = Query::on(spec.dataset.as_str()).algorithm(name.as_str()).top(spec.top);
+        let algorithm: Algorithm = name.parse()?;
+        let mut task = TaskBuilder::new(spec.dataset.as_str()).algorithm(algorithm).top_k(spec.top);
         // A row takes the reference only where the engine's task rules
         // require one (personalized algorithms), as in Fig. 2.
-        let task = match TaskSpec::from_query(&query) {
-            Err(EngineError::MissingSource) => {
-                TaskSpec::from_query(&query.reference(spec.source.as_str()))
-            }
-            other => other,
-        };
-        qs.add(task.map_err(|e| e.to_string())?);
+        if algorithm.is_personalized() {
+            task = task.source(spec.source.as_str());
+        }
+        qs.add(task.build().map_err(|e| e.to_string())?);
     }
     let ids = engine.submit_query_set(&qs);
     let results = engine.wait_all(&ids, WAIT).map_err(|e| e.to_string())?;

@@ -22,10 +22,9 @@
 //! assert_eq!(result.top_entries()[1].0, "Italy");
 //! ```
 //!
-//! A query targets either an in-memory graph or a *named dataset*. Named
-//! datasets resolve through a pluggable [`install_dataset_resolver`] hook
-//! so this crate stays independent of the dataset registry; linking
-//! `reldata` (or running inside the engine) installs the hook.
+//! A query runs on an in-memory graph. A catalog dataset is loaded first
+//! (`reldata::load_dataset`); a dataset *name* — with its uploads, edits
+//! and versions — resolves only in the engine (`relengine::Executor`).
 
 use crate::error::AlgoError;
 use crate::registry::AlgorithmRegistry;
@@ -34,79 +33,31 @@ use crate::runner::{Algorithm, AlgorithmParams, RelevanceOutput};
 use crate::scoring::ScoringFunction;
 use relgraph::{DirectedGraph, NodeId};
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-// -------------------------------------------------------- dataset resolving
-
-type Resolver = dyn Fn(&str) -> Option<Arc<DirectedGraph>> + Send + Sync;
-
-fn resolvers() -> &'static RwLock<Vec<Box<Resolver>>> {
-    static RESOLVERS: std::sync::OnceLock<RwLock<Vec<Box<Resolver>>>> = std::sync::OnceLock::new();
-    RESOLVERS.get_or_init(|| RwLock::new(Vec::new()))
-}
-
-/// Installs a named-dataset resolver consulted (most recent first) by
-/// [`Query::run`] when the target is a dataset id. `reldata` installs the
-/// 50-dataset registry through this hook; uploads and caches can stack
-/// their own.
-pub fn install_dataset_resolver(
-    f: impl Fn(&str) -> Option<Arc<DirectedGraph>> + Send + Sync + 'static,
-) {
-    resolvers().write().unwrap_or_else(|e| e.into_inner()).push(Box::new(f));
-}
-
-fn resolve_dataset(id: &str) -> Result<Arc<DirectedGraph>, QueryError> {
-    let resolvers = resolvers().read().unwrap_or_else(|e| e.into_inner());
-    if resolvers.is_empty() {
-        return Err(QueryError::NoDatasetResolver(id.to_string()));
-    }
-    for resolver in resolvers.iter().rev() {
-        if let Some(g) = resolver(id) {
-            return Ok(g);
-        }
-    }
-    Err(QueryError::UnknownDataset(id.to_string()))
-}
 
 // ----------------------------------------------------------------- inputs
 
-/// What a query runs on.
-#[derive(Clone)]
-pub enum QueryTarget {
-    /// An in-memory graph.
-    Graph(Arc<DirectedGraph>),
-    /// A named dataset, resolved at [`Query::run`] time.
-    Dataset(String),
-}
-
-impl From<&str> for QueryTarget {
-    fn from(id: &str) -> Self {
-        QueryTarget::Dataset(id.to_string())
-    }
-}
-
-impl From<String> for QueryTarget {
-    fn from(id: String) -> Self {
-        QueryTarget::Dataset(id)
-    }
-}
+/// The graph a query runs on, converted from an owned, borrowed or shared
+/// [`DirectedGraph`] (`Arc<DirectedGraph>` has no `From` impl for the
+/// borrowed forms, so [`Query::on`] takes this instead).
+pub struct QueryTarget(Arc<DirectedGraph>);
 
 impl From<DirectedGraph> for QueryTarget {
     fn from(g: DirectedGraph) -> Self {
-        QueryTarget::Graph(Arc::new(g))
+        QueryTarget(Arc::new(g))
     }
 }
 
 impl From<Arc<DirectedGraph>> for QueryTarget {
     fn from(g: Arc<DirectedGraph>) -> Self {
-        QueryTarget::Graph(g)
+        QueryTarget(g)
     }
 }
 
 impl From<&Arc<DirectedGraph>> for QueryTarget {
     fn from(g: &Arc<DirectedGraph>) -> Self {
-        QueryTarget::Graph(Arc::clone(g))
+        QueryTarget(Arc::clone(g))
     }
 }
 
@@ -114,7 +65,7 @@ impl From<&DirectedGraph> for QueryTarget {
     /// Clones the graph; prefer `Arc<DirectedGraph>` for repeated queries
     /// on large graphs.
     fn from(g: &DirectedGraph) -> Self {
-        QueryTarget::Graph(Arc::new(g.clone()))
+        QueryTarget(Arc::new(g.clone()))
     }
 }
 
@@ -173,11 +124,6 @@ impl From<Algorithm> for AlgorithmSel {
 pub enum QueryError {
     /// The algorithm name resolved to nothing in the registry.
     UnknownAlgorithm(String),
-    /// The dataset id resolved to nothing.
-    UnknownDataset(String),
-    /// A dataset id was given but no resolver is installed (link `reldata`
-    /// or run through the engine).
-    NoDatasetResolver(String),
     /// The reference did not match a node label or index.
     UnknownReference(String),
     /// A personalized algorithm was queried without a reference.
@@ -195,13 +141,6 @@ impl fmt::Display for QueryError {
             QueryError::UnknownAlgorithm(name) => {
                 write!(f, "unknown algorithm {name:?} (see AlgorithmRegistry::global().list())")
             }
-            QueryError::UnknownDataset(id) => write!(f, "unknown dataset {id:?}"),
-            QueryError::NoDatasetResolver(id) => write!(
-                f,
-                "cannot resolve dataset {id:?}: no dataset resolver installed \
-                 (call reldata::connect_query_api(), touch the dataset catalog, \
-                 build an engine, or pass a graph to Query::on)"
-            ),
             QueryError::UnknownReference(r) => {
                 write!(f, "no node labeled {r:?} (and not a valid node index)")
             }
@@ -226,12 +165,12 @@ impl From<AlgoError> for QueryError {
 
 /// A fluent, registry-backed algorithm invocation.
 ///
-/// Built with [`Query::on`], configured with chained setters, executed
-/// with [`Query::run`]. Every consumer in the workspace — engine executor,
-/// HTTP routes, CLI, bench harness — funnels through this type, so a newly
-/// registered algorithm is immediately available everywhere.
+/// Built on a graph with [`Query::on`], configured with chained setters,
+/// executed with [`Query::run`]. Every consumer in the workspace — engine
+/// executor, HTTP routes, CLI, bench harness — funnels through this type,
+/// so a newly registered algorithm is immediately available everywhere.
 pub struct Query {
-    target: QueryTarget,
+    graph: Arc<DirectedGraph>,
     algorithm: String,
     params: AlgorithmParams,
     reference: Option<ReferenceSpec>,
@@ -241,10 +180,10 @@ pub struct Query {
 }
 
 impl Query {
-    /// Starts a query on a graph or named dataset.
-    pub fn on(target: impl Into<QueryTarget>) -> Self {
+    /// Starts a query on a graph.
+    pub fn on(graph: impl Into<QueryTarget>) -> Self {
         Query {
-            target: target.into(),
+            graph: graph.into().0,
             algorithm: "pagerank".to_string(),
             params: AlgorithmParams::new(Algorithm::PageRank),
             reference: None,
@@ -388,11 +327,6 @@ impl Query {
 
     // ------------------------------------------------------------- access
 
-    /// The target (dataset id or graph).
-    pub fn target(&self) -> &QueryTarget {
-        &self.target
-    }
-
     /// The selected algorithm name (as given; resolved at run time).
     pub fn algorithm_name(&self) -> &str {
         &self.algorithm
@@ -420,8 +354,8 @@ impl Query {
 
     // ---------------------------------------------------------------- run
 
-    /// Resolves the algorithm, dataset, and reference, validates
-    /// parameters, and executes.
+    /// Resolves the algorithm and reference, validates parameters, and
+    /// executes.
     pub fn run(self) -> Result<QueryResult, QueryError> {
         self.run_with(AlgorithmRegistry::global())
     }
@@ -433,11 +367,7 @@ impl Query {
             .get(&self.algorithm)
             .ok_or_else(|| QueryError::UnknownAlgorithm(self.algorithm.clone()))?;
 
-        let graph = match &self.target {
-            QueryTarget::Graph(g) => Arc::clone(g),
-            QueryTarget::Dataset(id) => resolve_dataset(id)?,
-        };
-
+        let graph = self.graph;
         let reference = match &self.reference {
             None => None,
             Some(ReferenceSpec::Node(n)) => Some(*n),
@@ -499,10 +429,7 @@ impl Query {
             )));
         }
 
-        let graph = match &self.target {
-            QueryTarget::Graph(g) => Arc::clone(g),
-            QueryTarget::Dataset(id) => resolve_dataset(id)?,
-        };
+        let graph = self.graph;
         let seeds = self
             .seeds
             .iter()
@@ -763,16 +690,6 @@ mod tests {
             Query::on(sample()).algorithm("cyclerank").reference(NodeId::new(0)).k(1).run(),
             Err(QueryError::Algorithm(AlgoError::InvalidMaxCycleLength(1)))
         ));
-    }
-
-    #[test]
-    fn named_dataset_without_resolver_reports_clearly() {
-        // Dataset resolution is exercised end-to-end in reldata/relengine;
-        // relcore alone reports an actionable error for unknown ids. (A
-        // resolver may already be installed by another test binary linking
-        // reldata, so accept either error shape.)
-        let err = Query::on("no-such-dataset-id").run().unwrap_err();
-        assert!(matches!(err, QueryError::NoDatasetResolver(_) | QueryError::UnknownDataset(_)));
     }
 
     #[test]

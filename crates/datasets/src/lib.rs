@@ -36,50 +36,3 @@ pub mod twitter;
 pub mod wikilink;
 
 pub use registry::{catalog, load_dataset, DatasetKind, DatasetSpec};
-
-/// Installs this crate's 50-dataset registry as a `relcore::Query` dataset
-/// resolver, so `Query::on("wiki-en-2018")` works anywhere in the process.
-///
-/// Idempotent. On Linux/ELF targets this runs automatically before `main`
-/// (see `AUTO_CONNECT` below), and it is also triggered by [`catalog`],
-/// [`load_dataset`], and `relengine`'s scheduler construction — explicit
-/// calls are only needed on other platforms when querying datasets by
-/// name before touching any of those.
-pub fn connect_query_api() {
-    use std::collections::HashMap;
-    use std::sync::{Arc, Mutex, Once};
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        // Datasets are deterministic, so memoize generated graphs: direct
-        // `Query::on("<id>")` users get the same amortized cost as the
-        // engine executor's cache instead of regenerating per query.
-        let cache: Mutex<HashMap<String, Arc<relgraph::DirectedGraph>>> =
-            Mutex::new(HashMap::new());
-        relcore::query::install_dataset_resolver(move |id| {
-            let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(g) = cache.get(id) {
-                return Some(Arc::clone(g));
-            }
-            let g = Arc::new(registry::load_dataset(id)?);
-            cache.insert(id.to_string(), Arc::clone(&g));
-            Some(g)
-        });
-    });
-}
-
-/// Life-before-main registration on ELF platforms: linking `reldata` is
-/// enough for dataset-name queries, with no ordering contract on which
-/// API gets touched first. (The same `.init_array` mechanism the `ctor`
-/// crate uses; other platforms fall back to the lazy hooks above.)
-///
-/// The body must stay trivial — allocation and lock setup only, no I/O,
-/// no panics — because it runs before Rust's runtime is fully set up.
-#[cfg(target_os = "linux")]
-#[used]
-#[link_section = ".init_array"]
-static AUTO_CONNECT: extern "C" fn() = {
-    extern "C" fn auto_connect() {
-        connect_query_api();
-    }
-    auto_connect
-};

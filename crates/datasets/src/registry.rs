@@ -140,7 +140,6 @@ fn built_catalog() -> &'static Catalog {
 
 /// The full 50-entry catalog, in display order.
 pub fn catalog() -> Vec<DatasetSpec> {
-    crate::connect_query_api();
     built_catalog().entries.clone()
 }
 
@@ -249,7 +248,6 @@ fn build_entries() -> Vec<DatasetSpec> {
 
 /// Looks up a catalog entry by id.
 pub fn spec(id: &str) -> Option<DatasetSpec> {
-    crate::connect_query_api();
     let catalog = built_catalog();
     catalog.by_id.get(id).map(|&i| catalog.entries[i].clone())
 }
@@ -260,7 +258,6 @@ pub fn spec(id: &str) -> Option<DatasetSpec> {
 /// relabeled for cache locality at load time, with node identity pinned
 /// by labels (see [`apply_reorder`]).
 pub fn load_dataset(id: &str) -> Option<DirectedGraph> {
-    crate::connect_query_api();
     let g = load_raw(id)?;
     match spec(id).and_then(|s| s.reorder) {
         Some(ordering) => Some(apply_reorder(g, ordering)),

@@ -32,8 +32,6 @@ pub enum EngineError {
     TaskFailed(String),
     /// Durable graph store failure.
     Storage(String),
-    /// A `Query` cannot be expressed as a schedulable task spec.
-    UnsupportedQuery(String),
     /// A dataset edge mutation could not be applied (unresolvable
     /// endpoint, invalid weight, out-of-range node).
     InvalidMutation(String),
@@ -64,7 +62,6 @@ impl fmt::Display for EngineError {
             EngineError::Timeout(t) => write!(f, "timed out waiting for task {t:?}"),
             EngineError::TaskFailed(e) => write!(f, "task failed: {e}"),
             EngineError::Storage(e) => write!(f, "storage error: {e}"),
-            EngineError::UnsupportedQuery(e) => write!(f, "unsupported query: {e}"),
             EngineError::InvalidMutation(e) => write!(f, "invalid mutation: {e}"),
             EngineError::Degraded { dataset, retry_after_secs, reason } => write!(
                 f,
@@ -116,9 +113,6 @@ mod tests {
         assert!(EngineError::TaskFailed("boom".into()).to_string().contains("boom"));
         assert!(EngineError::Storage("io".into()).to_string().contains("io"));
         assert!(EngineError::UnknownTask("id".into()).to_string().contains("id"));
-        assert!(EngineError::UnsupportedQuery("graph target".into())
-            .to_string()
-            .contains("graph target"));
         assert!(EngineError::InvalidMutation("bad endpoint".into())
             .to_string()
             .contains("bad endpoint"));

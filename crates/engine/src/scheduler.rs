@@ -156,9 +156,6 @@ impl SchedulerBuilder {
     /// Like [`SchedulerBuilder::build`], surfacing durable-store errors
     /// instead of panicking. Without a data dir this cannot fail.
     pub fn try_build(self) -> Result<Scheduler, EngineError> {
-        // Dataset-name queries (Query::on("wiki-en-2018")) resolve through
-        // the registry once any engine exists in the process.
-        reldata::connect_query_api();
         let (tx, rx) = unbounded::<Job>();
         let mut executor = Executor::with_cache_capacity(self.cache_capacity);
         if let Some(persist) = self.persistence {

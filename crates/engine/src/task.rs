@@ -8,8 +8,7 @@
 
 use crate::error::EngineError;
 use crate::id;
-use relcore::runner::{Algorithm, AlgorithmParams};
-use relcore::{Query, QueryTarget, ReferenceSpec};
+use relcore::runner::AlgorithmParams;
 use serde::{Deserialize, Serialize};
 
 /// Opaque task identifier (UUID-shaped).
@@ -54,53 +53,6 @@ fn default_top_k() -> usize {
 }
 
 impl TaskSpec {
-    /// Converts a [`Query`] against a *named dataset* into the
-    /// serializable spec the scheduler queues.
-    ///
-    /// Fails with [`EngineError::UnsupportedQuery`] for graph-target
-    /// queries (run those directly with [`Query::run`]) and for algorithm
-    /// ids outside the seven task-JSON algorithms (the spec's wire format
-    /// tags algorithms with the closed [`Algorithm`] enum; custom
-    /// registrations run through [`Query::run`]), and like
-    /// [`TaskSpec::validate`] for specs that break a task rule.
-    pub fn from_query(query: &Query) -> Result<TaskSpec, EngineError> {
-        let dataset = match query.target() {
-            QueryTarget::Dataset(id) => id.clone(),
-            QueryTarget::Graph(_) => {
-                return Err(EngineError::UnsupportedQuery(
-                    "the scheduler queues named-dataset queries; run graph-target \
-                     queries directly with Query::run()"
-                        .into(),
-                ))
-            }
-        };
-        // `Algorithm::from_str` resolves through the registry, so every
-        // spelling `Query::run` accepts (aliases, display names) works here;
-        // a registered third-party id has no wire tag and is refused.
-        let algorithm: Algorithm =
-            query.algorithm_name().parse().map_err(EngineError::UnsupportedQuery)?;
-        let mut params = *query.params_ref();
-        params.algorithm = algorithm;
-        let source = match query.reference_ref() {
-            None => None,
-            Some(ReferenceSpec::Label(l)) => Some(l.clone()),
-            // The wire format's `source` string resolves label-first, so a
-            // numeric rendering of a NodeId could silently bind to a node
-            // whose *label* is that number. Refuse rather than mis-target.
-            Some(ReferenceSpec::Node(n)) => {
-                return Err(EngineError::UnsupportedQuery(format!(
-                    "task specs identify references by label; node id {} cannot be \
-                     expressed unambiguously — use .reference(\"<label>\") or run the \
-                     query directly with Query::run()",
-                    n.raw()
-                )))
-            }
-        };
-        let spec = TaskSpec { dataset, params, source, top_k: query.top_limit() };
-        spec.validate()?;
-        Ok(spec)
-    }
-
     /// Checks the task rules every front door shares: a personalized
     /// algorithm needs a source, or the task fails with
     /// [`EngineError::MissingSource`].
@@ -120,7 +72,7 @@ impl TaskSpec {
     }
 
     /// The stationary vectors this task's solve reads: its algorithm's
-    /// ([`Algorithm::stationary_reads`]) for a full-rank task, none in
+    /// ([`relcore::Algorithm::stationary_reads`]) for a full-rank task, none in
     /// top-k serving mode, whose answer is not the full vector's.
     pub(crate) fn stationary_reads(&self) -> &'static [relcore::StationaryRead] {
         match self.params.top_k {
@@ -312,11 +264,6 @@ mod tests {
                 MISSING,
             ),
             (
-                "from_query",
-                TaskSpec::from_query(&Query::on("d").algorithm("ppr")).map(drop),
-                MISSING,
-            ),
-            (
                 "unvalidated Executor::execute",
                 crate::Executor::new()
                     .execute(&TaskId::fresh(), &task_json("personalized_chei_rank"))
@@ -342,22 +289,6 @@ mod tests {
         assert_eq!(task_json("page_rank").validate(), Ok(()));
         assert_eq!(spec("d", Algorithm::CycleRank).validate(), Ok(()));
         assert_eq!(batch(Algorithm::PersonalizedPageRank, &["x"]).validate(), Ok(()));
-    }
-
-    #[test]
-    fn from_query_rejects_inexpressible_queries() {
-        // Graph targets cannot be queued by name.
-        let g = relgraph::GraphBuilder::from_edge_indices([(0, 1), (1, 0)]);
-        assert!(matches!(
-            TaskSpec::from_query(&Query::on(g).algorithm("pagerank")),
-            Err(EngineError::UnsupportedQuery(_))
-        ));
-        // Node-id references would resolve label-first on the worker and
-        // could silently bind to the wrong node; refused up front.
-        let by_node = Query::on("fixture-fakenews-it")
-            .algorithm("cyclerank")
-            .reference(relgraph::NodeId::new(3));
-        assert!(matches!(TaskSpec::from_query(&by_node), Err(EngineError::UnsupportedQuery(_))));
     }
 
     #[test]

@@ -65,15 +65,9 @@ fn main() {
     }
 
     // The custom id runs through the ordinary Query front door, on a
-    // catalog dataset. Dataset-name resolution needs the catalog hooked
-    // up once per process (touching `catalog()`/`load_dataset` or
-    // building an engine also does this).
-    cyclerank_platform::datasets::connect_query_api();
-    let result = Query::on("fixture-enwiki-2018")
-        .algorithm("degreerank")
-        .top(5)
-        .run()
-        .expect("degreerank runs");
+    // catalog dataset.
+    let graph = load_dataset("fixture-enwiki-2018").expect("a catalog dataset");
+    let result = Query::on(graph).algorithm("degreerank").top(5).run().expect("degreerank runs");
     println!("\nTop-5 best-connected articles by {}:", result.algorithm);
     for (label, score) in result.top_entries() {
         println!("  {score:>5.0}  {label}");

@@ -7,17 +7,19 @@
 //! ```
 
 use cyclerank_platform::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     // 1. Pick a dataset from the 50-entry registry (here: the labelled
-    //    stand-in for the English Wikipedia snapshot behind Table I).
-    //    Browsing the catalog also wires dataset-name queries up.
+    //    stand-in for the English Wikipedia snapshot behind Table I) and
+    //    load it once; both queries below share the graph.
     let n = catalog().len();
     println!("catalog holds {n} datasets");
+    let graph = Arc::new(load_dataset("fixture-enwiki-2018").expect("a catalog dataset"));
 
     // 2. CycleRank: relevance from bounded-length cycles (K = 3, σ = e⁻ⁿ).
-    //    `Query` resolves the dataset id and the reference label for us.
-    let cr = Query::on("fixture-enwiki-2018")
+    //    `Query` resolves the reference label for us.
+    let cr = Query::on(&graph)
         .algorithm("cyclerank")
         .reference("Freddie Mercury")
         .k(3)
@@ -36,7 +38,7 @@ fn main() {
     }
 
     // 3. Personalized PageRank on the same query (α = 0.3, as in Table I).
-    let ppr = Query::on("fixture-enwiki-2018")
+    let ppr = Query::on(&graph)
         .algorithm("ppr")
         .reference("Freddie Mercury")
         .alpha(0.3)
@@ -54,7 +56,6 @@ fn main() {
     // 4. The contrast the paper demonstrates: PPR surfaces globally popular
     //    pages the reference merely links to; CycleRank requires mutual
     //    (cyclic) linkage.
-    let graph = &cr.graph;
     let tribute = graph.node_by_label("The FM Tribute Concert").unwrap();
     println!(
         "\n'The FM Tribute Concert': PPR score {:.5}, CycleRank score {:.5}",

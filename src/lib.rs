@@ -24,9 +24,8 @@
 //! ## Quickstart: the `Query` API
 //!
 //! Every algorithm invocation goes through one fluent front door,
-//! [`Query`](relcore::Query): pick a target (an in-memory graph or a
-//! catalog dataset id), an algorithm by registry name, parameters, and
-//! run.
+//! [`Query`](relcore::Query): pick a graph (built in memory or loaded
+//! from the catalog), an algorithm by registry name, parameters, and run.
 //!
 //! ```
 //! use cyclerank_platform::prelude::*;
@@ -48,14 +47,13 @@
 //! assert_eq!(result.top_entries()[1].0, "Italy");
 //! ```
 //!
-//! Named datasets from the 50-entry catalog work the same way (the
-//! catalog installs its resolver on first touch):
+//! Datasets from the 50-entry catalog load into the same kind of graph:
 //!
 //! ```
 //! use cyclerank_platform::prelude::*;
 //!
 //! assert_eq!(catalog().len(), 50);
-//! let result = Query::on("fixture-enwiki-2018")
+//! let result = Query::on(load_dataset("fixture-enwiki-2018").unwrap())
 //!     .algorithm("cyclerank")
 //!     .reference("Freddie Mercury")
 //!     .k(3)

@@ -559,9 +559,9 @@ fn datasets_listing_with_uploads_keys_match_golden() {
 #[test]
 fn algorithm_spellings_match_golden() {
     // Each front door that takes an algorithm name, side by side: the
-    // registry (`Query::run`), the query conversion (`TaskSpec::from_query`),
-    // the task builder over a parsed name (`relrank batch`, `run`,
-    // `compare`) and `Algorithm::from_str` (the scenario runner).
+    // registry (`Query::run`), the task builder over a parsed name
+    // (`relrank batch`, `run`, `compare`) and `Algorithm::from_str` (the
+    // scenario runner).
     // A cell is the resolved id, or the error text.
     let mut b = GraphBuilder::new();
     b.add_labeled_edge("a", "b");
@@ -602,12 +602,6 @@ fn algorithm_spellings_match_golden() {
                 Ok(result) => result.algorithm,
                 Err(e) => e.to_string(),
             };
-            let query =
-                Query::on("fixture-enwiki-2018").algorithm(name).reference("Freddie Mercury");
-            let from_query = match TaskSpec::from_query(&query) {
-                Ok(spec) => spec.params.algorithm.id().to_string(),
-                Err(e) => e.to_string(),
-            };
             let builder = name.parse::<Algorithm>().and_then(|algorithm| {
                 TaskBuilder::new("fixture-enwiki-2018")
                     .algorithm(algorithm)
@@ -623,13 +617,10 @@ fn algorithm_spellings_match_golden() {
                 Ok(algorithm) => algorithm.id().to_string(),
                 Err(e) => e,
             };
-            format!("{name:?}\t{run}\t{from_query}\t{builder}\t{from_str}")
+            format!("{name:?}\t{run}\t{builder}\t{from_str}")
         })
         .collect();
-    let actual = format!(
-        "spelling\tQuery::run\tTaskSpec::from_query\tTaskBuilder\tfrom_str\n{}",
-        rows.join("\n")
-    );
+    let actual = format!("spelling\tQuery::run\tTaskBuilder\tfrom_str\n{}", rows.join("\n"));
     assert_golden(
         "algorithm_spellings.txt",
         include_str!("golden/algorithm_spellings.txt"),
