@@ -4,8 +4,10 @@
 //! query string, `Content-Length`-framed bodies, keep-alive connection
 //! reuse, and JSON responses. Not a general-purpose HTTP implementation —
 //! requests the parser does not understand produce `400 Bad Request`
-//! (among them any `Transfer-Encoding` header, and two `Content-Length`
-//! headers that disagree, so a body is never mistaken for a request), and
+//! (among them a header line that is not `name: value` — no colon, an
+//! empty name, whitespace before the colon, or an obs-fold continuation —
+//! any `Transfer-Encoding` header, and two `Content-Length` headers that
+//! disagree, so a body is never mistaken for a request), and
 //! oversized headers or bodies produce `413 Payload Too Large` before the
 //! payload is buffered (so one client cannot balloon a worker's memory).
 
@@ -126,27 +128,37 @@ impl Request {
                     HttpError::bad("truncated headers")
                 });
             }
+            // A line that starts with whitespace is an obs-fold
+            // continuation (or junk): refused, since reading it as a
+            // header of its own could frame the body (RFC 9112 §5.2).
+            if h.starts_with([' ', '\t']) {
+                return Err(HttpError::bad("header line starts with whitespace (obs-fold)"));
+            }
             let h = h.trim_end();
             if h.is_empty() {
                 break;
             }
-            if let Some((k, v)) = h.split_once(':') {
-                let (k, v) = (k.trim().to_ascii_lowercase(), v.trim().to_string());
-                // Bodies are framed by `Content-Length` alone. A request
-                // framed any other way is refused, not read as empty: its
-                // body would otherwise be parsed as the next request.
-                if k == "transfer-encoding" {
-                    return Err(HttpError::bad(format!(
-                        "unsupported transfer-encoding header ({v}): frame the body with content-length"
-                    )));
-                }
-                if let Some(first) = headers.get(&k).filter(|f| k == "content-length" && **f != v) {
-                    return Err(HttpError::bad(format!(
-                        "conflicting content-length headers ({first} and {v})"
-                    )));
-                }
-                headers.insert(k, v);
+            // `name: value`, with a non-empty name and no whitespace
+            // before the colon (RFC 9112 §5.1).
+            let (k, v) = match h.split_once(':') {
+                Some((k, v)) if !k.is_empty() && !k.ends_with([' ', '\t']) => (k, v),
+                _ => return Err(HttpError::bad("malformed header line (expected name: value)")),
+            };
+            let (k, v) = (k.to_ascii_lowercase(), v.trim().to_string());
+            // Bodies are framed by `Content-Length` alone. A request
+            // framed any other way is refused, not read as empty: its
+            // body would otherwise be parsed as the next request.
+            if k == "transfer-encoding" {
+                return Err(HttpError::bad(format!(
+                    "unsupported transfer-encoding header ({v}): frame the body with content-length"
+                )));
             }
+            if let Some(first) = headers.get(&k).filter(|f| k == "content-length" && **f != v) {
+                return Err(HttpError::bad(format!(
+                    "conflicting content-length headers ({first} and {v})"
+                )));
+            }
+            headers.insert(k, v);
         }
 
         let len: usize = headers
@@ -450,6 +462,26 @@ mod tests {
         let r =
             parse("POST /x HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nhi").unwrap();
         assert_eq!(r.body, b"hi");
+    }
+
+    #[test]
+    fn rejects_header_lines_that_are_not_one_name_colon_value() {
+        for raw in [
+            "GET /x HTTP/1.1\r\nthis line has no colon\r\n\r\n",
+            "GET /x HTTP/1.1\r\nX-A: 1\r\n folded continuation\r\n\r\n",
+            "POST /x HTTP/1.1\r\nX-A: 1\r\n Content-Length: 5\r\n\r\nhello",
+            "POST /x HTTP/1.1\r\nX-A: 1\r\n\tContent-Length: 5\r\n\r\nhello",
+            "GET /x HTTP/1.1\r\n   \r\n\r\n",
+            "GET /x HTTP/1.1\r\n: no name\r\n\r\n",
+            "POST /x HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello",
+            "POST /x HTTP/1.1\r\nContent-Length\t: 5\r\n\r\nhello",
+        ] {
+            let err = parse(raw).unwrap_err();
+            assert_eq!(err.status, StatusCode::BadRequest, "{raw:?}");
+        }
+        // Whitespace after the colon and at the line's end is the value's.
+        let r = parse("POST /x HTTP/1.1\r\nContent-Length:2 \r\nX-Empty:\r\n\r\nhi").unwrap();
+        assert_eq!((r.body.as_slice(), r.headers["x-empty"].as_str()), (&b"hi"[..], ""));
     }
 
     #[test]

@@ -310,6 +310,37 @@ fn oversized_requests_get_413() {
     h.stop();
 }
 
+/// A header line that is not `name: value` is answered once, with a
+/// `400`, and the connection closes: a line without a colon is not
+/// skipped, and an obs-fold continuation carrying `Content-Length` does
+/// not frame a body, so the bytes after it are never read as a request.
+#[test]
+fn malformed_header_lines_get_one_400_then_eof() {
+    let h = start(ServingConfig {
+        workers: 1,
+        queue_depth: 4,
+        max_expensive: 1,
+        keep_alive: Duration::from_secs(5),
+        retry_after_secs: 1,
+    });
+    let smuggled = "GET /api/health HTTP/1.1\r\n\r\n";
+    let folded = format!(
+        "GET /api/health HTTP/1.1\r\nX-A: 1\r\n Content-Length: {}\r\n\r\n{smuggled}",
+        smuggled.len()
+    );
+    for raw in ["GET /api/health HTTP/1.1\r\nthis line has no colon\r\n\r\n", folded.as_str()] {
+        let (mut s, mut reader) = connect(h.addr());
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.write_all(raw.as_bytes()).unwrap();
+        let r = read_response(&mut reader);
+        assert_eq!(r.status, 400, "{raw:?}: {}", r.body);
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).expect("the server closes the connection");
+        assert!(rest.is_empty(), "a second response: {}", String::from_utf8_lossy(&rest));
+    }
+    h.stop();
+}
+
 /// A chunked request is answered once, with a `400` naming the header,
 /// and the connection closes: the chunks are never read as a request,
 /// so a body holding `GET /api/health` smuggles nothing through.
