@@ -197,11 +197,6 @@ impl Query {
     /// `Algorithm` tag.
     pub fn algorithm(mut self, algo: impl Into<AlgorithmSel>) -> Self {
         self.algorithm = algo.into().0;
-        // Keep the wire tag in sync when the name is a built-in, so
-        // conversions to engine task specs stay lossless.
-        if let Ok(a) = self.algorithm.parse::<Algorithm>() {
-            self.params.algorithm = a;
-        }
         self
     }
 
@@ -323,33 +318,6 @@ impl Query {
     pub fn warm_start(mut self, prev: impl Into<Arc<ScoreVector>>) -> Self {
         self.warm_start = Some(prev.into());
         self
-    }
-
-    // ------------------------------------------------------------- access
-
-    /// The selected algorithm name (as given; resolved at run time).
-    pub fn algorithm_name(&self) -> &str {
-        &self.algorithm
-    }
-
-    /// The parameter payload.
-    pub fn params_ref(&self) -> &AlgorithmParams {
-        &self.params
-    }
-
-    /// The reference spec, if set.
-    pub fn reference_ref(&self) -> Option<&ReferenceSpec> {
-        self.reference.as_ref()
-    }
-
-    /// The batch seed specs (empty for single-shot queries).
-    pub fn seeds_ref(&self) -> &[ReferenceSpec] {
-        &self.seeds
-    }
-
-    /// The configured display limit ([`Query::top`] / [`Query::top_k`]).
-    pub fn top_limit(&self) -> usize {
-        self.top
     }
 
     // ---------------------------------------------------------------- run
