@@ -72,8 +72,8 @@ impl TaskSpec {
     }
 
     /// The stationary vectors this task's solve reads: its algorithm's
-    /// ([`relcore::Algorithm::stationary_reads`]) for a full-rank task, none in
-    /// top-k serving mode, whose answer is not the full vector's.
+    /// ([`relcore::Algorithm::stationary_reads`]) for a full-rank task,
+    /// none in top-k serving mode, whose answer is not the full vector's.
     pub(crate) fn stationary_reads(&self) -> &'static [relcore::StationaryRead] {
         match self.params.top_k {
             Some(_) => &[],

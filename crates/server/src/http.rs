@@ -479,7 +479,7 @@ mod tests {
             let err = parse(raw).unwrap_err();
             assert_eq!(err.status, StatusCode::BadRequest, "{raw:?}");
         }
-        // Whitespace after the colon and at the line's end is the value's.
+        // Optional whitespace around a value is accepted and trimmed.
         let r = parse("POST /x HTTP/1.1\r\nContent-Length:2 \r\nX-Empty:\r\n\r\nhi").unwrap();
         assert_eq!((r.body.as_slice(), r.headers["x-empty"].as_str()), (&b"hi"[..], ""));
     }
