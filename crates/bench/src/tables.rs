@@ -262,7 +262,9 @@ mod tests {
         for block in &blocks {
             assert_eq!(block.measured[0].entries, TABLE2_PAPER_PR.to_vec());
             // CycleRank column: same 5 items as the paper (order may differ
-            // in the middle; see EXPERIMENTS.md).
+            // in the middle; the measured order is in
+            // `tests/golden/reproduce.txt`, and the README gives the
+            // `reproduce` command that prints it).
             let paper: std::collections::HashSet<&str> = block.paper[1].1.iter().copied().collect();
             let measured: std::collections::HashSet<&str> =
                 block.measured[1].entries.iter().map(String::as_str).collect();

@@ -21,12 +21,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// `cargo run --release -p relbench --bin sweep -- cutover` prints the
 /// table it is read off (the README's solver section keeps a copy): on
 /// the 2-vCPU reference host a lone solve's two-chunk sweep breaks even
-/// between 60k and 90k work (140 vs 187 µs at 59k, 215 vs 189 µs at 90k)
-/// and wins from there on, hence two chunks from `2 × 50_000`. With a
-/// second solve in flight one chunk wins at every size up to 1M work
-/// (2.6 vs 2.8 ms), which is why the planner divides the cores by
-/// the solves in flight. A 16-lane batch sweep breaks even between 60k
-/// and 120k work, about where one lane does, so the constant serves both.
+/// between 60k and 90k work (92 vs 97 µs at 59k, 159 vs 121 µs at 90k;
+/// medians of three runs with the two-row pull) and wins from there on,
+/// hence two chunks from `2 × 50_000`. The cheaper pull did not move that
+/// point: before it the same cells read 113 vs 122 and 194 vs 145 µs.
+/// With a second solve in flight one chunk wins at every size up to 1M
+/// work (2.0 vs 2.4 ms), which is why the planner divides the cores by
+/// the solves in flight. A 16-lane batch sweep breaks even between 90k
+/// and 120k work, near where one lane does, so the constant serves both.
 pub const CHUNK_MIN_WORK: usize = 50_000;
 
 /// Parallel-scheme solves currently running in this process, counted
@@ -179,7 +181,7 @@ pub(crate) fn for_each_chunk<T: Send>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ppr::TeleportVector;
     use crate::solver::tests::random_graph;
@@ -199,7 +201,7 @@ mod tests {
 
     /// Runs `f` with every planner built on this thread taking exactly
     /// `chunks` chunks per sweep, whatever the host's core count.
-    fn with_chunks<R>(chunks: usize, f: impl FnOnce() -> R) -> R {
+    pub(crate) fn with_chunks<R>(chunks: usize, f: impl FnOnce() -> R) -> R {
         FORCED_CHUNKS.with(|c| c.set(Some(chunks)));
         let out = f();
         FORCED_CHUNKS.with(|c| c.set(None));

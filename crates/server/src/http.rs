@@ -115,7 +115,7 @@ impl Request {
             None => (target.to_string(), String::new()),
         };
 
-        let mut headers = HashMap::new();
+        let mut headers: HashMap<String, String> = HashMap::new();
         loop {
             let mut h = String::new();
             limited.read_line(&mut h).map_err(|e| HttpError::bad(format!("read header: {e}")))?;
@@ -158,7 +158,18 @@ impl Request {
                     "conflicting content-length headers ({first} and {v})"
                 )));
             }
-            headers.insert(k, v);
+            // `Connection` is a comma-separated option list, and repeated
+            // lines extend it (RFC 9110 §5.3): a later line must not hide
+            // an earlier `close`.
+            match headers.get_mut(&k) {
+                Some(list) if k == "connection" => {
+                    list.push_str(", ");
+                    list.push_str(&v);
+                }
+                _ => {
+                    headers.insert(k, v);
+                }
+            }
         }
 
         let len: usize = headers
@@ -188,9 +199,13 @@ impl Request {
     }
 
     /// Whether the client asked to close the connection after this
-    /// request (`Connection: close`). HTTP/1.1 defaults to keep-alive.
+    /// request: any `Connection` option is `close`, in any case and on any
+    /// of the header's lines (RFC 9112 §9.6). HTTP/1.1 defaults to
+    /// keep-alive.
     pub fn wants_close(&self) -> bool {
-        self.headers.get("connection").map(|v| v.eq_ignore_ascii_case("close")).unwrap_or(false)
+        self.headers
+            .get("connection")
+            .is_some_and(|v| v.split(',').any(|o| o.trim().eq_ignore_ascii_case("close")))
     }
 }
 
@@ -526,6 +541,20 @@ mod tests {
         assert!(c.wants_close());
         // Clean end-of-stream: no request, no error.
         assert!(Request::read_buffered(&mut reader).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_close_option_anywhere_in_connection_closes() {
+        let wants_close = |headers: &str| {
+            parse(&format!("GET /a HTTP/1.1\r\n{headers}\r\n")).unwrap().wants_close()
+        };
+        assert!(wants_close("Connection: close\r\nConnection: keep-alive\r\n"));
+        assert!(wants_close("Connection: keep-alive\r\nConnection: CLOSE\r\n"));
+        assert!(wants_close("Connection: keep-alive, close\r\n"));
+        assert!(wants_close("connection: Upgrade ,Close \r\n"));
+        assert!(!wants_close("Connection: keep-alive\r\nConnection: upgrade\r\n"));
+        assert!(!wants_close("Connection: closed, keep-alive\r\n"));
+        assert!(!wants_close("Host: close\r\n"));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The headline reproduction assertions: the regenerated tables agree with
-//! the paper at the documented level (see EXPERIMENTS.md).
+//! the paper at the levels asserted below. The measured tables are pinned
+//! whole in `tests/golden/reproduce.txt`; the README's "Building and
+//! testing" section gives the `reproduce` command that prints them.
 
 use relbench::tables;
 

@@ -208,6 +208,32 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     h.stop();
 }
 
+/// A `close` option closes the connection whether it comes on an earlier
+/// `Connection` line than a `keep-alive` one or inside one list with it.
+#[test]
+fn a_close_option_closes_even_beside_keep_alive() {
+    let h = start(ServingConfig {
+        workers: 2,
+        queue_depth: 8,
+        max_expensive: 1,
+        keep_alive: Duration::from_secs(10),
+        retry_after_secs: 1,
+    });
+    for headers in
+        ["connection: close\r\nconnection: keep-alive\r\n", "connection: keep-alive, close\r\n"]
+    {
+        let (mut s, mut reader) = connect(h.addr());
+        s.write_all(format!("GET /api/health HTTP/1.1\r\n{headers}\r\n").as_bytes()).unwrap();
+        let r = read_response(&mut reader);
+        assert_eq!(r.status, 200, "{headers:?}");
+        assert_eq!(r.header("connection"), Some("close"), "{headers:?}");
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).expect("server closes");
+        assert!(rest.is_empty(), "{headers:?}: no bytes after a closed response");
+    }
+    h.stop();
+}
+
 /// Tentpole acceptance: when every worker is pinned and the admission
 /// queue is full, further connections are shed at accept time with a
 /// `429` and `Retry-After` instead of queueing without bound — and a
