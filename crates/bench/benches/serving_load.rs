@@ -98,8 +98,10 @@ impl Client {
     }
 
     fn send(&mut self, method: &str, path: &str, body: &str) -> (u16, String) {
-        let raw =
-            format!("{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}", body.len());
+        let raw = format!(
+            "{method} {path} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        );
         self.request(&raw)
     }
 

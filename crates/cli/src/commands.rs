@@ -224,9 +224,10 @@ fn expand_seeds(arg: &str) -> Result<Vec<String>, String> {
     })
 }
 
-/// `batch`: one personalized algorithm over many seeds, solved in a single
-/// multi-vector sweep through the engine's executor — the request-serving
-/// path for high-QPS personalization, on the command line. `--json`
+/// `batch`: one personalized algorithm over many seeds, run as one job
+/// through the engine's executor, where PPR and Pers. CheiRank seeds share
+/// a single multi-vector sweep — the request-serving path for high-QPS
+/// personalization, on the command line. `--json`
 /// prints one task result per seed, as `GET /api/tasks/{id}/result`
 /// returns each batch member.
 pub fn batch(spec: BatchSpecArgs) -> Result<String, String> {
@@ -250,10 +251,14 @@ pub fn batch(spec: BatchSpecArgs) -> Result<String, String> {
     let ex = Executor::new();
     // Load before the clock starts: the timing below is the solve.
     let graph = ex.dataset(&task.dataset).map_err(|e| e.to_string())?;
-    let ids: Vec<TaskId> = task.sources.iter().map(|_| TaskId::fresh()).collect();
+    let rows: Vec<(TaskId, TaskSpec)> =
+        task.rows().into_iter().map(|row| (TaskId::fresh(), row)).collect();
+    let mut ended = vec![None; rows.len()];
     let started = Instant::now();
-    let results = ex.execute_batch(&ids, &task).map_err(|e| e.to_string())?;
+    ex.execute_job(&rows, |_| true, |i, outcome, _| ended[i] = Some(outcome));
     let runtime = started.elapsed();
+    let results: Vec<_> =
+        ended.into_iter().flatten().collect::<Result<_, _>>().map_err(|e| e.to_string())?;
 
     if spec.json {
         return serde_json::to_string_pretty(&results).map_err(|e| e.to_string());

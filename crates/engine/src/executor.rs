@@ -8,18 +8,20 @@
 //! dispatch, reference resolution, and parameter validation happen inside
 //! the registry-backed `Query` front door, so any algorithm registered in
 //! [`relcore::AlgorithmRegistry`] executes here without engine changes.
-//! Multi-seed [`BatchSpec`]s run through [`Executor::execute_batch`]: cache
-//! hits are served immediately and the remaining seeds share one
-//! multi-vector solve. The rows of one scheduler job share a
-//! [`relcore::VectorMemo`], so a stationary vector one row solved answers
-//! the job's later rows on the same graph version.
+//! [`Executor::execute_job`] runs the rows of one scheduler job: rows that
+//! differ only in seed (a multi-seed [`crate::BatchSpec`]'s rows) are
+//! served from the result cache where they can be, and the rest share one
+//! multi-vector solve; every other row runs through a
+//! [`relcore::VectorMemo`] the job's rows share, so a stationary vector one
+//! row solved answers the job's later rows on the same graph version.
 
 use crate::cache::{cache_key, CacheStats, ResultCache, DEFAULT_CACHE_CAPACITY};
 use crate::error::EngineError;
 use crate::mutation::{EdgeOp, MutationOutcome};
 use crate::persist::GraphPersistence;
-use crate::task::{BatchSpec, TaskId, TaskSpec};
+use crate::task::{lane_groups, TaskId, TaskSpec};
 use parking_lot::Mutex;
+use relcore::query::resolve_reference;
 use relcore::{with_arena, with_vector_memo, Query, QueryResult, SolverArena, VectorMemo};
 use relgraph::{DirectedGraph, DynamicGraph, NodeId};
 use serde::{Deserialize, Serialize};
@@ -519,16 +521,52 @@ impl Executor {
     /// [`crate::cache::cache_key`]), otherwise through the registry-backed
     /// [`Query`] front door (and cached for the next identical request).
     pub fn execute(&self, id: &TaskId, spec: &TaskSpec) -> Result<TaskResult, EngineError> {
-        self.execute_in_job(id, spec, &VectorMemo::default())
+        self.run_row(id, spec, &VectorMemo::default())
     }
 
-    /// Executes one row of a scheduler job, like [`Executor::execute`],
-    /// with the row's stationary solves fetched through the job's `memo`:
-    /// a vector an earlier row of the job solved on the same graph
-    /// version is reused, not solved again, and the result is the one the
-    /// row would produce alone. A memo serves the rows of one job, which
-    /// all run on one dataset.
-    pub(crate) fn execute_in_job(
+    /// Executes the rows of one job, reporting each row by its index:
+    /// `start(i)` as row `i` starts (`false` skips it: a task canceled
+    /// while queued), then `end(i, outcome, note)` with its result or error
+    /// and a log line worth adding. A failing row fails alone, and every
+    /// row answers as it would alone. Rows of PPR or Pers. CheiRank that
+    /// differ only in seed form a lane group, started at its first row:
+    /// its cache misses share one [`Query::run_batch`]. Every other row
+    /// runs like [`Executor::execute`], through one [`VectorMemo`] for the
+    /// job, so a stationary vector an earlier row solved is reused.
+    pub fn execute_job(
+        &self,
+        rows: &[(TaskId, TaskSpec)],
+        mut start: impl FnMut(usize) -> bool,
+        mut end: impl FnMut(usize, Result<TaskResult, EngineError>, Option<String>),
+    ) {
+        let specs: Vec<&TaskSpec> = rows.iter().map(|(_, spec)| spec).collect();
+        let groups = lane_groups(&specs);
+        let alone = groups.iter().filter(|group| group.len() == 1).map(|group| specs[group[0]]);
+        let memo = VectorMemo::new(alone.flat_map(|spec| spec.stationary_reads()).copied());
+        for group in &groups {
+            let live: Vec<usize> = group.iter().copied().filter(|&i| start(i)).collect();
+            if group.len() > 1 {
+                self.run_lanes(rows, &live, &mut end);
+                continue;
+            }
+            for i in live {
+                let (id, spec) = &rows[i];
+                let (reads, reused) = (memo.reads(), memo.reused());
+                let outcome = self.run_row(id, spec, &memo);
+                let reused = memo.reused() - reused;
+                let note = (reused > 0).then(|| {
+                    let reads = memo.reads() - reads;
+                    format!("reused {reused} of {reads} stationary vectors solved in this job")
+                });
+                end(i, outcome, note);
+            }
+        }
+    }
+
+    /// One row, like [`Executor::execute`], with the row's stationary
+    /// solves fetched through its job's `memo`. A memo serves the rows of
+    /// one job, which all run on one dataset.
+    fn run_row(
         &self,
         id: &TaskId,
         spec: &TaskSpec,
@@ -552,58 +590,62 @@ impl Executor {
         Ok(result)
     }
 
-    /// Executes a multi-seed batch: each seed's result is served from the
-    /// [`ResultCache`] when possible, and all remaining seeds go through
-    /// **one** [`Query::run_batch`], which answers each seed as its single
-    /// task (whose cache key it shares) would. Returns one result per
-    /// seed, in seed order, addressed to the given task ids.
-    pub fn execute_batch(
+    /// The started rows `live` of one lane group: each is answered from
+    /// the result cache, or fails alone when its seed does not resolve,
+    /// and the seeds of the rest are the lanes of one [`Query::run_batch`].
+    fn run_lanes(
         &self,
-        ids: &[TaskId],
-        spec: &BatchSpec,
-    ) -> Result<Vec<TaskResult>, EngineError> {
-        assert_eq!(ids.len(), spec.sources.len(), "one task id per batch seed");
-        let (graph, version) = self.dataset_versioned(&spec.dataset)?;
-        let mut slots: Vec<Option<TaskResult>> = Vec::with_capacity(ids.len());
-        let mut keys = Vec::with_capacity(ids.len());
-        let mut missed = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            let key = cache_key(&spec.task_for(i), version);
-            slots.push(self.results.get(&key, id));
-            if slots[i].is_none() {
-                missed.push(i);
+        rows: &[(TaskId, TaskSpec)],
+        live: &[usize],
+        end: &mut impl FnMut(usize, Result<TaskResult, EngineError>, Option<String>),
+    ) {
+        let Some(&first) = live.first() else { return };
+        let (dataset, spec) = (&rows[first].1.dataset, &rows[first].1);
+        let (graph, version) = match self.dataset_versioned(dataset) {
+            Ok(versioned) => versioned,
+            Err(e) => return live.iter().for_each(|&i| end(i, Err(e.clone()), None)),
+        };
+        let mut misses = Vec::with_capacity(live.len());
+        for &i in live {
+            let (id, row) = &rows[i];
+            let key = cache_key(row, version);
+            if let Some(cached) = self.results.get(&key, id) {
+                end(i, Ok(cached), None);
+                continue;
             }
-            keys.push(key);
-        }
-
-        if !missed.is_empty() {
-            let arena = self.arena_for(&spec.dataset);
-            let query = Query::on(Arc::clone(&graph))
-                .params(spec.params)
-                .top(spec.top_k)
-                .seeds(missed.iter().map(|&i| spec.sources[i].as_str()));
-            let batch = with_arena(&arena, || query.run_batch())
-                .map_err(|e| EngineError::from_query(e, &spec.dataset))?;
-            for (&i, result) in missed.iter().zip(batch.into_results()) {
-                let r = TaskResult::package(
-                    &ids[i],
-                    &spec.dataset,
-                    Some(spec.sources[i].clone()),
-                    &result,
-                );
-                self.results.put(keys[i].clone(), r.clone());
-                slots[i] = Some(r);
+            // Lane rows have a source (`lane_groups`).
+            let source = row.source.clone().unwrap_or_default();
+            match resolve_reference(&graph, &source) {
+                Some(seed) => misses.push((i, key, seed)),
+                None => {
+                    let unknown = EngineError::UnknownSource { dataset: dataset.clone(), source };
+                    end(i, Err(unknown), None);
+                }
             }
         }
-        slots
-            .into_iter()
-            .zip(ids)
-            .map(|(s, id)| {
-                s.ok_or_else(|| {
-                    EngineError::TaskFailed(format!("batch left slot for task {id} unfilled"))
-                })
-            })
-            .collect()
+        if misses.is_empty() {
+            return;
+        }
+        let query = Query::on(graph)
+            .params(spec.params)
+            .top(spec.top_k)
+            .seeds(misses.iter().map(|&(_, _, seed)| seed));
+        let arena = self.arena_for(dataset);
+        let batch = match with_arena(&arena, || query.run_batch()) {
+            Ok(batch) => batch,
+            Err(e) => {
+                let e = EngineError::from_query(e, dataset);
+                return misses.iter().for_each(|&(i, ..)| end(i, Err(e.clone()), None));
+            }
+        };
+        let fused = misses.len();
+        let note = (fused > 1).then(|| format!("solved in a {fused}-seed lane group"));
+        for ((i, key, _), result) in misses.into_iter().zip(batch.into_results()) {
+            let (id, row) = &rows[i];
+            let result = TaskResult::package(id, dataset, row.source.clone(), &result);
+            self.results.put(key, result.clone());
+            end(i, Ok(result), note.clone());
+        }
     }
 }
 
@@ -708,6 +750,7 @@ fn mutation_error(dataset: &str, endpoint: &str, detail: String) -> EngineError 
 mod tests {
     use super::*;
     use crate::builder::TaskBuilder;
+    use crate::task::BatchSpec;
     use relcore::runner::Algorithm;
 
     fn exec(spec: TaskSpec) -> Result<TaskResult, EngineError> {
@@ -900,13 +943,13 @@ mod tests {
         ex.register_graph("net", net()).unwrap();
         let rows = [&pagerank, &two_d, &pagerank];
         let memo = VectorMemo::new(rows.iter().flat_map(|s| s.stationary_reads()).copied());
-        let before = ex.execute_in_job(&TaskId::fresh(), &pagerank, &memo).unwrap();
+        let before = ex.run_row(&TaskId::fresh(), &pagerank, &memo).unwrap();
         assert_eq!(memo.kept(), 1, "a later row reads the vector");
         ex.mutate_dataset("net", &edit).unwrap();
-        let after = ex.execute_in_job(&TaskId::fresh(), &two_d, &memo).unwrap();
+        let after = ex.run_row(&TaskId::fresh(), &two_d, &memo).unwrap();
         assert_eq!(memo.reused(), 0, "the version-0 vector never answers at version 1");
         assert_eq!(masked(after), fresh(&two_d));
-        let again = ex.execute_in_job(&TaskId::fresh(), &pagerank, &memo).unwrap();
+        let again = ex.run_row(&TaskId::fresh(), &pagerank, &memo).unwrap();
         assert_eq!(memo.reused(), 1, "the version-1 vector answers the last row");
         assert_eq!(masked(again), fresh(&pagerank));
         assert_ne!(masked(before), fresh(&pagerank), "the edit moves PageRank");
@@ -1097,6 +1140,22 @@ mod tests {
         assert_eq!(stats.evictions, 1);
     }
 
+    /// `rows` run as one job on `ex`, every row started: each row's
+    /// outcome and log note, in row order.
+    fn job(
+        ex: &Executor,
+        rows: &[(TaskId, TaskSpec)],
+    ) -> Vec<(Result<TaskResult, EngineError>, Option<String>)> {
+        let mut ended = vec![None; rows.len()];
+        ex.execute_job(rows, |_| true, |i, outcome, note| ended[i] = Some((outcome, note)));
+        ended.into_iter().map(|row| row.expect("every started row ends")).collect()
+    }
+
+    /// `batch`'s rows, each under a fresh id.
+    fn batch_rows(batch: &BatchSpec) -> Vec<(TaskId, TaskSpec)> {
+        batch.rows().into_iter().map(|spec| (TaskId::fresh(), spec)).collect()
+    }
+
     #[test]
     fn batch_execute_matches_singles_and_caches() {
         let ex = Executor::new();
@@ -1107,24 +1166,25 @@ mod tests {
             sources: sources.iter().map(|s| s.to_string()).collect(),
             top_k: 5,
         };
-        let ids: Vec<TaskId> = (0..3).map(|_| TaskId::fresh()).collect();
-        let results = ex.execute_batch(&ids, &batch).unwrap();
+        let rows = batch_rows(&batch);
+        let results = job(&ex, &rows);
         assert_eq!(results.len(), 3);
-        for ((id, source), r) in ids.iter().zip(&sources).zip(&results) {
+        for ((id, spec), (r, note)) in rows.iter().zip(&results) {
+            let r = r.as_ref().unwrap();
             assert_eq!(&r.task_id, id);
-            assert_eq!(r.source.as_deref(), Some(*source));
+            assert_eq!(r.source, spec.source);
+            assert_eq!(note.as_deref(), Some("solved in a 3-seed lane group"));
             // The batch member equals the individually executed task.
-            let single_spec = batch.task_for(sources.iter().position(|s| s == source).unwrap());
-            let single = Executor::new().execute(&TaskId::fresh(), &single_spec).unwrap();
-            assert_eq!(single.top, r.top, "{source}");
-            assert_eq!(single.iterations, r.iterations, "{source}");
+            let single = Executor::new().execute(&TaskId::fresh(), spec).unwrap();
+            assert_eq!(single.top, r.top, "{:?}", spec.source);
+            assert_eq!(single.iterations, r.iterations, "{:?}", spec.source);
         }
         // All three seeds were cached by the batch: re-running them as
         // singles (or batched) hits.
         let before = ex.cache_stats();
         assert_eq!(before.entries, 3);
-        let again = ex.execute_batch(&ids, &batch).unwrap();
-        assert_eq!(again.len(), 3);
+        let again = job(&ex, &rows);
+        assert!(again.iter().all(|(r, note)| r.is_ok() && note.is_none()));
         assert_eq!(ex.cache_stats().hits, before.hits + 3);
 
         // Partial overlap: one cached seed, one new — only the new one
@@ -1133,10 +1193,9 @@ mod tests {
             sources: vec!["Freddie Mercury".into(), "Roger Taylor".into()],
             ..batch.clone()
         };
-        let mixed_ids: Vec<TaskId> = (0..2).map(|_| TaskId::fresh()).collect();
         let misses_before = ex.cache_stats().misses;
-        let mixed_results = ex.execute_batch(&mixed_ids, &mixed).unwrap();
-        assert_eq!(mixed_results[1].source.as_deref(), Some("Roger Taylor"));
+        let mixed_results = job(&ex, &batch_rows(&mixed));
+        assert_eq!(mixed_results[1].0.as_ref().unwrap().source.as_deref(), Some("Roger Taylor"));
         assert_eq!(ex.cache_stats().misses, misses_before + 1);
     }
 
@@ -1153,15 +1212,14 @@ mod tests {
         };
         batch.serve_top_k(5);
         let ex = Executor::new();
-        let ids: Vec<TaskId> = (0..2).map(|_| TaskId::fresh()).collect();
-        let batched = ex.execute_batch(&ids, &batch).unwrap();
-        for (i, member) in batched.iter().enumerate() {
-            let spec = batch.task_for(i);
+        let rows = batch_rows(&batch);
+        for ((_, spec), (member, _)) in rows.iter().zip(job(&ex, &rows)) {
+            let member = member.unwrap();
             let hits = ex.cache_stats().hits;
-            let after_batch = ex.execute(&TaskId::fresh(), &spec).unwrap();
+            let after_batch = ex.execute(&TaskId::fresh(), spec).unwrap();
             assert_eq!(ex.cache_stats().hits, hits + 1, "the single task hits the batch's entry");
-            let fresh = Executor::new().execute(&TaskId::fresh(), &spec).unwrap();
-            for r in [member, &after_batch] {
+            let fresh = Executor::new().execute(&TaskId::fresh(), spec).unwrap();
+            for r in [&member, &after_batch] {
                 assert_eq!(r.top, fresh.top, "{:?}", spec.source);
                 assert_eq!(r.iterations, fresh.iterations, "{:?}", spec.source);
                 assert_eq!(r.residual.map(f64::to_bits), fresh.residual.map(f64::to_bits));
@@ -1170,25 +1228,31 @@ mod tests {
     }
 
     #[test]
-    fn batch_execute_propagates_errors() {
+    fn a_batch_seed_that_does_not_resolve_fails_alone_and_the_rest_still_fuse() {
         let ex = Executor::new();
         let batch = BatchSpec {
             dataset: "fixture-enwiki-2018".into(),
             params: relcore::AlgorithmParams::new(Algorithm::PersonalizedPageRank),
-            sources: vec!["Freddie Mercury".into(), "No Such Page".into()],
+            sources: vec!["Freddie Mercury".into(), "No Such Page".into(), "Brian May".into()],
             top_k: 5,
         };
-        let ids: Vec<TaskId> = (0..2).map(|_| TaskId::fresh()).collect();
-        match ex.execute_batch(&ids, &batch) {
+        let rows = batch_rows(&batch);
+        let results = job(&ex, &rows);
+        match &results[1].0 {
             Err(EngineError::UnknownSource { source, .. }) => assert_eq!(source, "No Such Page"),
             other => panic!("unexpected {other:?}"),
         }
-        // Unknown datasets error before any solve.
+        for i in [0, 2] {
+            let (r, note) = &results[i];
+            let alone = Executor::new().execute(&TaskId::fresh(), &rows[i].1).unwrap();
+            assert_eq!(r.as_ref().unwrap().top, alone.top);
+            assert_eq!(note.as_deref(), Some("solved in a 2-seed lane group"));
+        }
+        // An unknown dataset fails every row with the single task's error.
         let bad = BatchSpec { dataset: "no-such-dataset".into(), ..batch };
-        assert!(matches!(
-            ex.execute_batch(&ids, &bad),
-            Err(EngineError::UnknownDataset(_) | EngineError::UnknownSource { .. })
-        ));
+        for (r, _) in job(&ex, &batch_rows(&bad)) {
+            assert!(matches!(r, Err(EngineError::UnknownDataset(_))), "{r:?}");
+        }
     }
 
     #[test]

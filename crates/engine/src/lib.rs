@@ -6,14 +6,17 @@
 //! 1. *"a task — a triple of dataset, algorithm and parameters — is built
 //!    by the Task Builder and sent to the Scheduler"* →
 //!    [`task::TaskSpec`], [`builder::TaskBuilder`], [`task::QuerySet`]
-//!    (the Fig. 2 interface), [`scheduler::Scheduler::submit`]; the task
-//!    rules every front door applies live in [`task::TaskSpec::validate`]
-//!    and [`task::BatchSpec::validate`];
+//!    (the Fig. 2 interface; a multi-seed [`task::BatchSpec`] is a query
+//!    set of its [`task::BatchSpec::rows`]), [`scheduler::Scheduler::submit`];
+//!    the task rules every front door applies live in
+//!    [`task::TaskSpec::validate`] and [`task::BatchSpec::validate`];
 //! 2. *"the Scheduler fetches the dataset and invokes an Executor node"* →
-//!    the worker pool in [`scheduler`] and the dataset registry in
-//!    [`executor::Executor`], the one in-memory home of every graph;
-//!    with a data dir, [`persist`] (over `relstore`) is its one durable
-//!    home;
+//!    the worker pool in [`scheduler`], which runs every submission as one
+//!    kind of job ([`executor::Executor::execute_job`]: rows that share a
+//!    stationary vector solve it once, rows that differ only in seed share
+//!    one multi-vector sweep), and the dataset registry in
+//!    [`executor::Executor`], the one in-memory home of every graph; with
+//!    a data dir, [`persist`] (over `relstore`) is its one durable home;
 //! 3. *"the computation is off-loaded to worker nodes; the Status
 //!    component polls for progress"* → worker threads over crossbeam
 //!    channels, [`status::StatusBoard`];

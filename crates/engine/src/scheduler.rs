@@ -5,11 +5,14 @@
 //! channel; a pool of worker threads (the paper's "computational nodes",
 //! which "can be scaled up or down depending on the system's workload" —
 //! here via [`SchedulerBuilder::workers`]) pops jobs and executes their
-//! rows through a shared [`Executor`]. A job is one task, or the rows of
-//! a query set that read a common stationary vector, which then solve it
-//! once. Each task lives in one [`StatusBoard`] entry: workers record
-//! every lifecycle transition there with its log line, and completion
-//! stores the result in the same write. Pollers read the board, and
+//! rows through a shared [`Executor`]. There is one kind of job: a row of
+//! its own, or the rows of a query set that share work — rows that read a
+//! common stationary vector, which then solve it once, and rows that
+//! differ only in seed, which solve as the lanes of one sweep. A
+//! multi-seed batch is such a query set ([`crate::task::BatchSpec::rows`]).
+//! Each task lives in one [`StatusBoard`] entry: workers record every
+//! lifecycle transition there with its log line, and completion stores the
+//! result in the same write. Pollers read the board, and
 //! [`Scheduler::wait`] blocks until a task reaches a terminal state.
 
 use crate::cache::CacheStats;
@@ -17,9 +20,9 @@ use crate::error::EngineError;
 use crate::executor::{Executor, TaskResult};
 use crate::persist::GraphPersistence;
 use crate::status::{StatusBoard, TaskState};
-use crate::task::{BatchSpec, QuerySet, TaskId, TaskSpec};
+use crate::task::{lane_groups, QuerySet, TaskId, TaskSpec};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use relcore::{Scheme, StationaryRead, Teleport, VectorMemo};
+use relcore::{Scheme, StationaryRead, Teleport};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -27,10 +30,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 enum Job {
-    /// Rows run one after another on one worker, in set order, sharing
-    /// the stationary vectors they solve.
+    /// Rows run on one worker, in set order, sharing the stationary
+    /// vectors they solve and fusing the seeds of each lane group.
     Run(Vec<(TaskId, TaskSpec)>),
-    RunBatch(Vec<TaskId>, BatchSpec),
     Shutdown,
 }
 
@@ -68,9 +70,10 @@ fn vectors_read(spec: &TaskSpec) -> impl Iterator<Item = VectorTag<'_>> {
 }
 
 /// The jobs of a set of rows, as row indices: rows that read a common
-/// stationary vector, directly or through another row, share a job; every
-/// other row is a job of its own. Jobs come in the order of their first
-/// row, and rows within a job in set order.
+/// stationary vector or share a lane group ([`lane_groups`]), directly or
+/// through another row, share a job; every other row is a job of its own.
+/// Jobs come in the order of their first row, and rows within a job in
+/// set order.
 fn partition(specs: &[&TaskSpec]) -> Vec<Vec<usize>> {
     // Union-find whose root is the job's first row.
     fn root(first: &[usize], mut i: usize) -> usize {
@@ -80,12 +83,19 @@ fn partition(specs: &[&TaskSpec]) -> Vec<Vec<usize>> {
         i
     }
     let mut first: Vec<usize> = (0..specs.len()).collect();
+    let mut join = |i: usize, j: usize| {
+        let (a, b) = (root(&first, i), root(&first, j));
+        first[a.max(b)] = a.min(b);
+    };
     let mut first_reader: HashMap<VectorTag<'_>, usize> = HashMap::new();
     for (i, spec) in specs.iter().enumerate() {
         for tag in vectors_read(spec) {
-            let j = *first_reader.entry(tag).or_insert(i);
-            let (a, b) = (root(&first, i), root(&first, j));
-            first[a.max(b)] = a.min(b);
+            join(i, *first_reader.entry(tag).or_insert(i));
+        }
+    }
+    for group in lane_groups(specs) {
+        for pair in group.windows(2) {
+            join(pair[0], pair[1]);
         }
     }
     let mut jobs: Vec<Vec<usize>> = Vec::new();
@@ -180,76 +190,38 @@ impl SchedulerBuilder {
 }
 
 fn worker_loop(worker_id: usize, rx: Receiver<Job>, executor: Arc<Executor>, board: StatusBoard) {
-    while let Ok(job) = rx.recv() {
-        match job {
-            Job::Shutdown => break,
-            Job::Run(rows) => run_rows(worker_id, &rows, &executor, &board),
-            Job::RunBatch(ids, spec) => {
-                // Canceled members are still solved (the batch is one fused
-                // sweep) but skipped at fan-out: no stored result, no state
-                // change past `canceled`.
-                let what = format!(
-                    "in a {}-seed batch ({} | {})",
-                    ids.len(),
-                    spec.dataset,
-                    spec.params.algorithm.display_name(),
-                );
-                let live: Vec<bool> =
-                    ids.iter().map(|id| board.mark_running(id, worker_id, &what)).collect();
-                match executor.execute_batch(&ids, &spec) {
-                    Ok(results) => {
-                        for ((id, result), live) in ids.iter().zip(results).zip(&live) {
-                            if *live {
-                                board.mark_completed(id, worker_id, result);
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        for (id, &live) in ids.iter().zip(&live) {
-                            if live {
-                                board.mark_failed(id, worker_id, e.to_string());
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    while let Ok(Job::Run(rows)) = rx.recv() {
+        run_rows(worker_id, &rows, &executor, &board);
     }
 }
 
-/// Runs a job's rows in order. Each row is marked running when it starts
-/// and completed or failed when it ends, so pollers see progress row by
-/// row; a row canceled while queued is skipped, and a failing row fails
-/// alone. The rows share one [`VectorMemo`], so a stationary vector an
-/// earlier row solved is not solved again, and the reusing row's log says
-/// so.
+/// Runs a job's rows ([`Executor::execute_job`]). Each row is marked
+/// running when it starts and completed or failed when it ends, so pollers
+/// see progress row by row; a row canceled while queued is skipped, and a
+/// failing row fails alone. A row that reused a vector an earlier row
+/// solved, or was solved in a lane group, says so in its log.
 fn run_rows(
     worker_id: usize,
     rows: &[(TaskId, TaskSpec)],
     executor: &Executor,
     board: &StatusBoard,
 ) {
-    let memo = VectorMemo::new(rows.iter().flat_map(|(_, spec)| spec.stationary_reads()).copied());
-    for (id, spec) in rows {
-        // A task canceled while queued is skipped; its log says so.
-        if !board.mark_running(id, worker_id, &spec.display_row()) {
-            continue;
-        }
-        let (reads, reused) = (memo.reads(), memo.reused());
-        match executor.execute_in_job(id, spec, &memo) {
-            Ok(result) => {
-                let reused = memo.reused() - reused;
-                if reused > 0 {
-                    let reads = memo.reads() - reads;
-                    let line =
-                        format!("reused {reused} of {reads} stationary vectors solved in this job");
-                    board.note(id, worker_id, &line);
+    executor.execute_job(
+        rows,
+        |i| board.mark_running(&rows[i].0, worker_id, &rows[i].1.display_row()),
+        |i, outcome, note| {
+            let id = &rows[i].0;
+            match outcome {
+                Ok(result) => {
+                    if let Some(line) = note {
+                        board.note(id, worker_id, &line);
+                    }
+                    board.mark_completed(id, worker_id, result);
                 }
-                board.mark_completed(id, worker_id, result);
+                Err(e) => board.mark_failed(id, worker_id, e.to_string()),
             }
-            Err(e) => board.mark_failed(id, worker_id, e.to_string()),
-        }
-    }
+        },
+    );
 }
 
 /// The running engine: submit tasks, poll status, fetch results.
@@ -296,18 +268,22 @@ impl Scheduler {
         id
     }
 
-    /// Submits every task of a query set; returns ids in set order.
+    /// Submits every task of a query set; returns ids in set order. A
+    /// multi-seed batch submits its rows here ([`crate::BatchSpec::rows`]).
     ///
     /// Rows that read a common stationary vector — same dataset, solver
     /// configuration and teleport, directly or through another row — run
     /// as one job, which solves each vector once: a `{PageRank, CheiRank,
-    /// 2DRank}` set makes two solves, not four. Every other row is a job
-    /// of its own, so `{PageRank, CheiRank}` alone still runs on two
-    /// workers in parallel, and rows in top-k serving mode never share.
-    /// Jobs queue in the order of their first row, and a job's rows run in
-    /// set order, each answering exactly as it would alone (its
-    /// `runtime_ms` counts its own work only). Every row polls, waits and
-    /// stores like an individually submitted task.
+    /// 2DRank}` set makes two solves, not four. Rows of PPR or Pers.
+    /// CheiRank whose specs differ only in seed, top-k serving rows
+    /// included, run as one job too, and the seeds that miss the result
+    /// cache solve as the lanes of one sweep. Every other row is a job of
+    /// its own, so `{PageRank, CheiRank}` alone still runs on two workers
+    /// in parallel. Jobs queue in the order of their first row, and a
+    /// job's rows run in set order (a lane group's at its first row), each
+    /// answering exactly as it would alone (its `runtime_ms` counts its
+    /// own work only, a fused row's an even share of its sweep). Every
+    /// row polls, waits and stores like an individually submitted task.
     pub fn submit_query_set(&self, qs: &QuerySet) -> Vec<TaskId> {
         let rows: Vec<(TaskId, TaskSpec)> =
             qs.tasks().iter().map(|t| (TaskId::fresh(), t.clone())).collect();
@@ -327,22 +303,6 @@ impl Scheduler {
             // Send cannot fail while workers hold the receiver.
             let _ = self.tx.send(Job::Run(job));
         }
-    }
-
-    /// Submits a multi-seed batch; returns one task id per seed, in seed
-    /// order, immediately.
-    ///
-    /// The batch is scheduled as a single job: seeds missing from the
-    /// result cache share one multi-vector solve, and every seed's result
-    /// fans back out to its own id — each polls, waits, and stores exactly
-    /// like an individually submitted task.
-    pub fn submit_batch(&self, spec: BatchSpec) -> Vec<TaskId> {
-        let ids: Vec<TaskId> = (0..spec.sources.len()).map(|_| TaskId::fresh()).collect();
-        for (i, id) in ids.iter().enumerate() {
-            self.board.enqueue(id.clone(), spec.task_for(i));
-        }
-        let _ = self.tx.send(Job::RunBatch(ids.clone(), spec));
-        ids
     }
 
     /// Hit/miss/eviction counters of the executor's result cache.
@@ -454,6 +414,7 @@ impl Drop for Scheduler {
 mod tests {
     use super::*;
     use crate::builder::TaskBuilder;
+    use crate::task::BatchSpec;
     use relcore::runner::Algorithm;
 
     const T: Duration = Duration::from_secs(60);
@@ -510,7 +471,7 @@ mod tests {
             sources: sources.iter().map(|s| s.to_string()).collect(),
             top_k: 5,
         };
-        let ids = s.submit_batch(batch);
+        let ids = s.submit_query_set(&batch.rows().into_iter().collect());
         assert_eq!(ids.len(), 4);
         let results = s.wait_all(&ids, T).unwrap();
         for (r, source) in results.iter().zip(&sources) {
@@ -522,7 +483,7 @@ mod tests {
         // Every member polls like an ordinary task: status, result, log.
         for id in &ids {
             assert_eq!(s.status(id).unwrap(), TaskState::Completed);
-            assert!(s.board().log(id).unwrap().contains("batch"));
+            assert!(s.board().log(id).unwrap().contains("solved in a 4-seed lane group"));
         }
         let m = s.metrics();
         assert_eq!(m.completed, 4);
@@ -535,7 +496,7 @@ mod tests {
             sources: sources.iter().map(|s| s.to_string()).collect(),
             top_k: 5,
         };
-        let ids2 = s.submit_batch(batch2);
+        let ids2 = s.submit_query_set(&batch2.rows().into_iter().collect());
         let again = s.wait_all(&ids2, T).unwrap();
         assert_eq!(s.cache_stats().hits, before.hits + 4);
         for (a, b) in results.iter().zip(&again) {
@@ -544,7 +505,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_failure_marks_all_members() {
+    fn a_batch_seed_that_does_not_resolve_fails_alone() {
         let s = Scheduler::builder().workers(1).build();
         let batch = BatchSpec {
             dataset: "fixture-enwiki-2018".into(),
@@ -552,11 +513,13 @@ mod tests {
             sources: vec!["Freddie Mercury".into(), "No Such Page".into()],
             top_k: 3,
         };
-        let ids = s.submit_batch(batch);
-        for id in &ids {
-            assert!(matches!(s.wait(id, T), Err(EngineError::TaskFailed(_))));
+        let ids = s.submit_query_set(&batch.rows().into_iter().collect());
+        assert_eq!(s.wait(&ids[0], T).unwrap().top[0].0, "Freddie Mercury");
+        match s.wait(&ids[1], T) {
+            Err(EngineError::TaskFailed(e)) => assert!(e.contains("No Such Page"), "{e}"),
+            other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(s.metrics().failed, 2);
+        assert_eq!((s.metrics().completed, s.metrics().failed), (1, 1));
     }
 
     #[test]
@@ -676,6 +639,92 @@ mod tests {
         let set =
             [at(CycleRank), at(PageRank), at(PersonalizedPageRank), at(CheiRank), at(TwoDRank)];
         assert_eq!(jobs(&set), [vec![0], vec![1, 3, 4], vec![2]]);
+    }
+
+    #[test]
+    fn rows_that_differ_only_in_seed_share_a_job() {
+        use Algorithm::*;
+        let d = "fixture-enwiki-2018";
+        let seeds = ["Freddie Mercury", "Brian May", "Queen (band)"];
+        let at = |a, seed| row(d, a, seed);
+        // PPR and Pers. CheiRank rows fuse across seeds, top-k rows too.
+        for algorithm in [PersonalizedPageRank, PersonalizedCheiRank] {
+            let set = seeds.map(|seed| at(algorithm, seed));
+            assert_eq!(jobs(&set), [vec![0, 1, 2]], "{algorithm}");
+            let top_k = set.map(|mut spec| {
+                spec.serve_top_k(5);
+                spec
+            });
+            assert_eq!(jobs(&top_k), [vec![0, 1, 2]], "{algorithm} top-k");
+        }
+        // Any other difference keeps rows apart: algorithm, top-k mode,
+        // result size, every parameter (the thread count too) and dataset.
+        let mut top_k = at(PersonalizedPageRank, seeds[1]);
+        top_k.serve_top_k(5);
+        let mut longer = at(PersonalizedPageRank, seeds[1]);
+        longer.top_k = 6;
+        let mut damped = at(PersonalizedPageRank, seeds[1]);
+        damped.params.damping = 0.5;
+        let mut threaded = at(PersonalizedPageRank, seeds[1]);
+        threaded.params.threads = 2;
+        let elsewhere = row("fixture-amazon-books", PersonalizedPageRank, "1984");
+        for other in
+            [at(PersonalizedCheiRank, seeds[1]), top_k, longer, damped, threaded, elsewhere]
+        {
+            let set = [at(PersonalizedPageRank, seeds[0]), other];
+            assert_eq!(jobs(&set), [vec![0], vec![1]], "{}", set[1].display_row());
+        }
+        // Pers. 2DRank reads two vectors and CycleRank none: their seeds
+        // gain nothing from fusing, so each row keeps its own job.
+        for algorithm in [PersonalizedTwoDRank, CycleRank] {
+            let set = seeds.map(|seed| at(algorithm, seed));
+            assert_eq!(jobs(&set), [vec![0], vec![1], vec![2]], "{algorithm}");
+        }
+        // A lane group and a vector sharer join through their common row.
+        let set = [at(PersonalizedPageRank, seeds[0]), at(PersonalizedPageRank, seeds[1])];
+        let p2d = at(PersonalizedTwoDRank, seeds[0]);
+        assert_eq!(jobs(&[set[0].clone(), p2d, set[1].clone()]), [vec![0, 1, 2]]);
+    }
+
+    #[test]
+    fn the_fig2_comparison_keeps_its_jobs() {
+        // Seven algorithms × two datasets, in the order the comparison
+        // workload submits them: no two rows differ only in seed, so the
+        // rows group by shared vectors alone.
+        let mut set = Vec::new();
+        for algorithm in Algorithm::ALL {
+            for (dataset, source) in
+                [("fixture-enwiki-2018", "Freddie Mercury"), ("fixture-amazon-books", "1984")]
+            {
+                set.push(row(dataset, algorithm, source));
+            }
+        }
+        let expected =
+            [vec![0, 4, 8], vec![1, 5, 9], vec![2, 6, 10], vec![3, 7, 11], vec![12], vec![13]];
+        assert_eq!(jobs(&set), expected);
+    }
+
+    #[test]
+    fn a_lane_group_skips_canceled_rows_and_fails_unknown_seeds_alone() {
+        let d = "fixture-enwiki-2018";
+        let seeds = ["Freddie Mercury", "Queen (band)", "No Such Page", "Brian May"];
+        let specs = seeds.map(|seed| row(d, Algorithm::PersonalizedPageRank, seed));
+        assert_eq!(jobs(&specs), [vec![0, 1, 2, 3]]);
+        let (board, ids) = run_job(&specs, &[1]);
+        assert_eq!(board.get(&ids[1]).unwrap().state, TaskState::Canceled);
+        assert!(board.result(&ids[1]).unwrap().is_none());
+        match board.get(&ids[2]).unwrap().state {
+            TaskState::Failed { error } => assert!(error.contains("No Such Page"), "{error}"),
+            other => panic!("unexpected {other:?}"),
+        }
+        // The two live seeds that resolve are the group's two lanes.
+        for i in [0, 3] {
+            assert_eq!(answer(&board, &ids[i]), alone(&specs[i]), "{}", specs[i].display_row());
+            let log = board.log(&ids[i]).unwrap();
+            assert!(log.contains(&format!("running {}\n", specs[i].display_row())), "{log}");
+            assert!(log.contains("worker 0: solved in a 2-seed lane group\n"), "{log}");
+        }
+        assert!(!board.log(&ids[1]).unwrap().contains("lane group"));
     }
 
     /// `r` with the fields that name the run, not the answer, masked.

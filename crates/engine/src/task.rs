@@ -9,7 +9,10 @@
 use crate::error::EngineError;
 use crate::id;
 use relcore::runner::AlgorithmParams;
+use relcore::Teleport;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Opaque task identifier (UUID-shaped).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -95,14 +98,58 @@ impl TaskSpec {
     }
 }
 
+/// A fusable row's spec without its seed: rows with equal tags differ
+/// only in `source`.
+struct LaneTag<'a>(&'a TaskSpec);
+
+impl PartialEq for LaneTag<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.0, other.0);
+        a.dataset == b.dataset && a.params == b.params && a.top_k == b.top_k
+    }
+}
+
+impl Eq for LaneTag<'_> {}
+
+impl Hash for LaneTag<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (&self.0.dataset, self.0.params.algorithm, self.0.top_k).hash(state);
+    }
+}
+
+/// The lane groups of a set of rows, as row indices: rows with a source
+/// whose specs are equal in every other field, and whose algorithm reads
+/// exactly one stationary vector, teleporting to the reference (PPR,
+/// Pers. CheiRank), share a group and solve as the lanes of one sweep.
+/// Every other row is a group of its own. Groups come in the order of
+/// their first row, and rows within a group in set order.
+pub(crate) fn lane_groups(specs: &[&TaskSpec]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::with_capacity(specs.len());
+    let mut group_of: HashMap<LaneTag<'_>, usize> = HashMap::new();
+    for (i, spec) in specs.iter().enumerate() {
+        let fuses = spec.source.is_some()
+            && matches!(spec.params.algorithm.stationary_reads(), [read] if read.teleport == Teleport::Reference);
+        let group = match fuses {
+            true => *group_of.entry(LaneTag(spec)).or_insert(groups.len()),
+            false => groups.len(),
+        };
+        if group == groups.len() {
+            groups.push(Vec::new());
+        }
+        groups[group].push(i);
+    }
+    groups
+}
+
 /// A multi-seed batch: one dataset, one algorithm + parameters, many
 /// source (seed) nodes — the high-QPS personalization shape where the
 /// same graph answers a seed-node query per user.
 ///
-/// A batch executes as **one** multi-vector solve (seeds that miss the
-/// result cache share a single sweep over the edge arrays) but fans back
-/// out to one [`crate::executor::TaskResult`] per seed, each under its own
-/// [`TaskId`], so pollers see ordinary per-task results on the status board.
+/// A batch is the wire form of a query set whose rows differ only in
+/// seed ([`BatchSpec::rows`]): each seed is an ordinary task under its own
+/// [`TaskId`]. For PPR and Pers. CheiRank the seeds that miss the result
+/// cache fuse into one lane group, a single sweep over the edge arrays;
+/// other algorithms' seeds run as tasks of their own.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchSpec {
     /// Dataset id from the registry (e.g. `wiki-en-2018`).
@@ -117,15 +164,19 @@ pub struct BatchSpec {
 }
 
 impl BatchSpec {
-    /// The single-task spec of seed `i` — the task whose result the batch
-    /// member is interchangeable with (also the result-cache identity).
-    pub fn task_for(&self, i: usize) -> TaskSpec {
-        TaskSpec {
-            dataset: self.dataset.clone(),
-            params: self.params,
-            source: Some(self.sources[i].clone()),
-            top_k: self.top_k,
-        }
+    /// The batch's rows, one task per seed in seed order: each is the
+    /// single task its seed's answer is interchangeable with (also the
+    /// result-cache identity).
+    pub fn rows(&self) -> Vec<TaskSpec> {
+        self.sources
+            .iter()
+            .map(|source| TaskSpec {
+                dataset: self.dataset.clone(),
+                params: self.params,
+                source: Some(source.clone()),
+                top_k: self.top_k,
+            })
+            .collect()
     }
 
     /// Checks the batch rules: at least one source, and a personalized
@@ -217,6 +268,13 @@ impl Default for QuerySet {
     }
 }
 
+impl FromIterator<TaskSpec> for QuerySet {
+    /// A query set of `tasks`, in order, under a fresh permalink id.
+    fn from_iter<I: IntoIterator<Item = TaskSpec>>(tasks: I) -> Self {
+        QuerySet { id: id::new_uuid(), tasks: tasks.into_iter().collect() }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,7 +362,7 @@ mod tests {
         };
         b.serve_top_k(7);
         assert_eq!((b.top_k, b.params.top_k), (7, Some(7)));
-        assert_eq!(b.task_for(0).params.top_k, Some(7));
+        assert_eq!(b.rows()[0].params.top_k, Some(7));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use error::GraphError;
 pub use labels::LabelTable;
 pub use node::NodeId;
 pub use reorder::{NodeOrdering, Permutation};
-pub use scc::{condensation, tarjan_scc, SccResult};
+pub use scc::{tarjan_scc, SccResult};
 pub use stats::GraphStats;
 pub use subgraph::{induced_subgraph, SubgraphMap};
 pub use traversal::{bfs_distances, bfs_distances_bounded, bfs_distances_bounded_rev, Direction};

@@ -1,4 +1,4 @@
-//! Strongly connected components (iterative Tarjan) and condensation.
+//! Strongly connected components (iterative Tarjan).
 //!
 //! Every cycle through a reference node `r` lies entirely inside `r`'s
 //! strongly connected component, so CycleRank first restricts the search to
@@ -130,23 +130,6 @@ pub fn tarjan_scc(g: &DirectedGraph) -> SccResult {
     SccResult { component, count: scc_count as usize }
 }
 
-/// Builds the condensation DAG: one node per SCC, one edge per pair of SCCs
-/// connected by at least one original edge. The returned graph has
-/// `scc.count` nodes; self-edges (intra-SCC) are omitted.
-pub fn condensation(g: &DirectedGraph, scc: &SccResult) -> DirectedGraph {
-    let mut b = crate::builder::GraphBuilder::new();
-    if scc.count > 0 {
-        b.ensure_node(scc.count as u32 - 1);
-    }
-    for (u, v) in g.edges() {
-        let (cu, cv) = (scc.component_of(u), scc.component_of(v));
-        if cu != cv {
-            b.add_edge_indices(cu, cv);
-        }
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,27 +199,11 @@ mod tests {
     }
 
     #[test]
-    fn condensation_structure() {
-        // SCC {0,1} -> SCC {2,3}
-        let g = GraphBuilder::from_edge_indices([(0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (0, 3)]);
-        let scc = tarjan_scc(&g);
-        let dag = condensation(&g, &scc);
-        assert_eq!(dag.node_count(), 2);
-        // Two original bridges collapse into one condensation edge.
-        assert_eq!(dag.edge_count(), 1);
-        let c01 = scc.component_of(NodeId::new(0));
-        let c23 = scc.component_of(NodeId::new(2));
-        assert!(dag.has_edge(NodeId::new(c01), NodeId::new(c23)));
-    }
-
-    #[test]
     fn empty_graph() {
         let g = GraphBuilder::new().build();
         let scc = tarjan_scc(&g);
         assert_eq!(scc.count, 0);
         assert_eq!(scc.largest_size(), 0);
-        let dag = condensation(&g, &scc);
-        assert!(dag.is_empty());
     }
 
     #[test]

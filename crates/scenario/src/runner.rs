@@ -331,17 +331,20 @@ impl Harness {
         if spec.validate().is_err() {
             return Ok(()); // rejected by the batch rules (no seeds, global algorithm)
         }
-        let ids: Vec<TaskId> = sources.iter().map(|_| TaskId::fresh()).collect();
-        let results = match ex.execute_batch(&ids, &spec) {
-            Ok(results) => results,
-            Err(e) if rejected(&e) => return Ok(()),
-            Err(e) => return Err(format!("batch execute failed: {e}")),
-        };
-        for (i, r) in results.iter().enumerate() {
-            let task = spec.task_for(i);
+        let rows: Vec<(TaskId, TaskSpec)> =
+            spec.rows().into_iter().map(|row| (TaskId::fresh(), row)).collect();
+        let mut ended = vec![None; rows.len()];
+        ex.execute_job(&rows, |_| true, |i, outcome, _| ended[i] = Some(outcome));
+        for ((_, task), outcome) in rows.iter().zip(ended) {
+            let r = match outcome {
+                Some(Ok(r)) => r,
+                Some(Err(e)) if rejected(&e) => continue,
+                Some(Err(e)) => return Err(format!("batch execute failed: {e}")),
+                None => return Err(format!("batch seed {:?} never ended", task.source)),
+            };
             let bound = score_bound(&task.params, r.residual);
-            oracle_check(ex, &task, &r.top, bound)
-                .map_err(|e| format!("batch seed {:?}: {e}", spec.sources[i]))?;
+            oracle_check(ex, task, &r.top, bound)
+                .map_err(|e| format!("batch seed {:?}: {e}", task.source))?;
         }
         Ok(())
     }
@@ -474,7 +477,8 @@ fn score_bound(params: &AlgorithmParams, residual: Option<f64>) -> f64 {
 
 /// Whether an execute error is a legitimate rejection of a valid spec:
 /// the dataset or a source does not resolve on the graph the engine holds.
-/// Any other failure (a broken kernel, an unfilled batch slot) is a bug.
+/// Any other failure (a broken kernel, a batch row that never ended) is a
+/// bug.
 fn rejected(e: &EngineError) -> bool {
     matches!(e, EngineError::UnknownDataset(_) | EngineError::UnknownSource { .. })
 }

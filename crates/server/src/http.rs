@@ -7,7 +7,8 @@
 //! (among them a header line that is not `name: value` — no colon, an
 //! empty name, whitespace before the colon, or an obs-fold continuation —
 //! any `Transfer-Encoding` header, and two `Content-Length` headers that
-//! disagree, so a body is never mistaken for a request), and
+//! disagree, so a body is never mistaken for a request; two `Host`
+//! headers, or none in an HTTP/1.1 request), and
 //! oversized headers or bodies produce `413 Payload Too Large` before the
 //! payload is buffered (so one client cannot balloon a worker's memory).
 
@@ -107,9 +108,12 @@ impl Request {
             None => return Err(HttpError::bad("empty request line")),
         };
         let target = parts.next().ok_or_else(|| HttpError::bad("missing request target"))?;
-        if parts.next().map(|v| !v.starts_with("HTTP/1.")).unwrap_or(true) {
-            return Err(HttpError::bad("not HTTP/1.x"));
-        }
+        let version = parts
+            .next()
+            .filter(|v| v.starts_with("HTTP/1."))
+            .ok_or_else(|| HttpError::bad("not HTTP/1.x"))?;
+        // Only HTTP/1.0 may omit `Host` (RFC 9112 §3.2).
+        let needs_host = version != "HTTP/1.0";
         let (path, query) = match target.split_once('?') {
             Some((p, q)) => (p.to_string(), q.to_string()),
             None => (target.to_string(), String::new()),
@@ -158,6 +162,11 @@ impl Request {
                     "conflicting content-length headers ({first} and {v})"
                 )));
             }
+            // One `Host` names the target (RFC 9112 §3.2): a second line
+            // is refused, not allowed to replace the first.
+            if k == "host" && headers.contains_key("host") {
+                return Err(HttpError::bad("more than one host header"));
+            }
             // `Connection` is a comma-separated option list, and repeated
             // lines extend it (RFC 9110 §5.3): a later line must not hide
             // an earlier `close`.
@@ -170,6 +179,10 @@ impl Request {
                     headers.insert(k, v);
                 }
             }
+        }
+
+        if needs_host && !headers.contains_key("host") {
+            return Err(HttpError::bad(format!("{version} request without a host header")));
         }
 
         let len: usize = headers
@@ -403,8 +416,10 @@ mod tests {
     #[test]
     fn parses_post_with_body() {
         let body = r#"{"a":1}"#;
-        let raw =
-            format!("POST /api/tasks HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+        let raw = format!(
+            "POST /api/tasks HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
         let r = parse(&raw).unwrap();
         assert_eq!(r.method, Method::Post);
         assert_eq!(r.body_str().unwrap(), body);
@@ -412,7 +427,7 @@ mod tests {
 
     #[test]
     fn percent_decoding_in_path() {
-        let r = parse("GET /api/datasets/Fake%20news HTTP/1.1\r\n\r\n").unwrap();
+        let r = parse("GET /api/datasets/Fake%20news HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
         assert_eq!(r.path, "/api/datasets/Fake news");
         assert_eq!(percent_decode("a+b%2Fc"), "a b/c");
         assert_eq!(percent_decode("100%"), "100%");
@@ -438,13 +453,13 @@ mod tests {
 
     #[test]
     fn parses_a_path_with_an_incomplete_escape_before_a_multibyte_char() {
-        let r = parse("GET /api/datasets/%aé HTTP/1.1\r\n\r\n").unwrap();
+        let r = parse("GET /api/datasets/%aé HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
         assert_eq!(r.segments(), vec!["api", "datasets", "%aé"]);
     }
 
     #[test]
     fn parses_delete() {
-        let r = parse("DELETE /api/datasets/d/edges HTTP/1.1\r\n\r\n").unwrap();
+        let r = parse("DELETE /api/datasets/d/edges HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
         assert_eq!(r.method, Method::Delete);
         assert_eq!(r.segments(), vec!["api", "datasets", "d", "edges"]);
     }
@@ -455,7 +470,7 @@ mod tests {
         assert!(parse("\r\n").is_err());
         assert!(parse("GET /x\r\n\r\n").is_err());
         assert!(parse("GET /x SMTP\r\n\r\n").is_err());
-        assert!(parse("POST /x HTTP/1.1\r\nContent-Length: zebra\r\n\r\n").is_err());
+        assert!(parse("POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: zebra\r\n\r\n").is_err());
     }
 
     #[test]
@@ -474,8 +489,10 @@ mod tests {
         assert_eq!(err.status, StatusCode::BadRequest);
         assert!(err.message.contains("conflicting content-length"), "{}", err.message);
         // Repeating one value frames the body one way: accepted.
-        let r =
-            parse("POST /x HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nhi").unwrap();
+        let r = parse(
+            "POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nhi",
+        )
+        .unwrap();
         assert_eq!(r.body, b"hi");
     }
 
@@ -495,13 +512,32 @@ mod tests {
             assert_eq!(err.status, StatusCode::BadRequest, "{raw:?}");
         }
         // Optional whitespace around a value is accepted and trimmed.
-        let r = parse("POST /x HTTP/1.1\r\nContent-Length:2 \r\nX-Empty:\r\n\r\nhi").unwrap();
+        let r = parse("POST /x HTTP/1.1\r\nHost: x\r\nContent-Length:2 \r\nX-Empty:\r\n\r\nhi")
+            .unwrap();
         assert_eq!((r.body.as_slice(), r.headers["x-empty"].as_str()), (&b"hi"[..], ""));
     }
 
     #[test]
+    fn an_http11_request_names_one_host() {
+        for raw in [
+            "GET /x HTTP/1.1\r\n\r\n",
+            "GET /x HTTP/1.1\r\nHost: a\r\nHost: b\r\n\r\n",
+            "GET /x HTTP/1.1\r\nHost: a\r\nhost: a\r\n\r\n",
+            "GET /x HTTP/1.0\r\nHost: a\r\nHOST: b\r\n\r\n",
+        ] {
+            let err = parse(raw).unwrap_err();
+            assert_eq!(err.status, StatusCode::BadRequest, "{raw:?}");
+            assert!(err.message.contains("host header"), "{raw:?}: {err}");
+        }
+        // HTTP/1.0 predates `Host`: a request without one stays legal.
+        let r = parse("GET /x HTTP/1.0\r\n\r\n").unwrap();
+        assert!(!r.headers.contains_key("host"));
+    }
+
+    #[test]
     fn rejects_oversized_body() {
-        let raw = format!("POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
+        let raw =
+            format!("POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
         assert!(parse(&raw).is_err());
         // The typed path reports 413, before any body byte is buffered.
         let mut reader = Cursor::new(raw.into_bytes());
@@ -527,8 +563,9 @@ mod tests {
 
     #[test]
     fn buffered_reads_parse_sequential_requests() {
-        let raw = "GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi\
-                   GET /c HTTP/1.1\r\nConnection: close\r\n\r\n";
+        let raw = "GET /a HTTP/1.1\r\nHost: x\r\n\r\n\
+                   POST /b HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\nhi\
+                   GET /c HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
         let mut reader = Cursor::new(raw.as_bytes().to_vec());
         let a = Request::read_buffered(&mut reader).unwrap().unwrap();
         assert_eq!(a.path, "/a");
@@ -546,7 +583,7 @@ mod tests {
     #[test]
     fn a_close_option_anywhere_in_connection_closes() {
         let wants_close = |headers: &str| {
-            parse(&format!("GET /a HTTP/1.1\r\n{headers}\r\n")).unwrap().wants_close()
+            parse(&format!("GET /a HTTP/1.1\r\nHost: x\r\n{headers}\r\n")).unwrap().wants_close()
         };
         assert!(wants_close("Connection: close\r\nConnection: keep-alive\r\n"));
         assert!(wants_close("Connection: keep-alive\r\nConnection: CLOSE\r\n"));
@@ -554,7 +591,7 @@ mod tests {
         assert!(wants_close("connection: Upgrade ,Close \r\n"));
         assert!(!wants_close("Connection: keep-alive\r\nConnection: upgrade\r\n"));
         assert!(!wants_close("Connection: closed, keep-alive\r\n"));
-        assert!(!wants_close("Host: close\r\n"));
+        assert!(!parse("GET /a HTTP/1.1\r\nHost: close\r\n\r\n").unwrap().wants_close());
     }
 
     #[test]
@@ -623,7 +660,7 @@ mod tests {
 
     #[test]
     fn truncated_body_errors() {
-        let raw = "POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
+        let raw = "POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\nabc";
         assert!(parse(raw).is_err());
     }
 

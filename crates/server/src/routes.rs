@@ -63,7 +63,7 @@ fn index() -> Response {
         ?sync=1 to return the result in this response: answered at once from \
         the result cache when it holds it — that task_id is not pollable — \
         otherwise solved and waited for)</li>\n\
-        <li>POST /api/batch — submit one algorithm over many seeds (the seeds share one kernel sweep; \
+        <li>POST /api/batch — submit one algorithm over many seeds (PPR and Pers. CheiRank seeds share one kernel sweep; \
         ?top_k=k serves each seed as its single task would)</li>\n\
         <li>GET /api/cache/stats — result-cache hit/miss/eviction counters</li>\n\
         <li>GET /api/serving/stats — worker pool, admission queue, and load-shed counters</li>\n\
@@ -451,8 +451,9 @@ fn bad_request(e: relengine::EngineError) -> Response {
 /// `POST /api/batch`: many seeds, one dataset, one (personalized)
 /// algorithm. Body is a [`BatchSpec`]: `{dataset, params, sources,
 /// top_k?}`, checked by [`BatchSpec::validate`] after the per-request
-/// fan-out bound. Seeds missing from the result cache share one
-/// multi-vector solve; each seed gets its own task id to poll.
+/// fan-out bound. The batch's rows queue as a query set, one task id per
+/// seed to poll; for PPR and Pers. CheiRank the seeds missing from the
+/// result cache share one multi-vector solve.
 fn submit_batch(req: &Request, engine: &Arc<Scheduler>) -> Response {
     #[derive(Serialize)]
     struct BatchSubmitted {
@@ -460,7 +461,7 @@ fn submit_batch(req: &Request, engine: &Arc<Scheduler>) -> Response {
     }
     match batch_spec(req) {
         Ok(spec) => {
-            let ids = engine.submit_batch(spec);
+            let ids = engine.submit_query_set(&spec.rows().into_iter().collect());
             let task_ids = ids.into_iter().map(|i| i.to_string()).collect();
             Response::json(StatusCode::Accepted, &BatchSubmitted { task_ids })
         }
@@ -521,10 +522,7 @@ fn submit_query_set(req: &Request, engine: &Arc<Scheduler>) -> Response {
             return Response::error(StatusCode::BadRequest, format!("query set row {row}: {e}"));
         }
     }
-    let mut qs = relengine::QuerySet::new();
-    for s in specs {
-        qs.add(s);
-    }
+    let qs: relengine::QuerySet = specs.into_iter().collect();
     let ids = engine.submit_query_set(&qs);
     Response::json(
         StatusCode::Accepted,

@@ -167,7 +167,10 @@ mod tests {
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 std::thread::spawn(move || {
-                    request(addr, "GET /api/algorithms HTTP/1.1\r\nConnection: close\r\n\r\n")
+                    request(
+                        addr,
+                        "GET /api/algorithms HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+                    )
                 })
             })
             .collect();
@@ -189,8 +192,10 @@ mod tests {
     #[test]
     fn serving_stats_route_reports_pool_config() {
         let h = start();
-        let resp =
-            request(h.addr(), "GET /api/serving/stats HTTP/1.1\r\nConnection: close\r\n\r\n");
+        let resp = request(
+            h.addr(),
+            "GET /api/serving/stats HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        );
         assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
         let body = resp.split("\r\n\r\n").nth(1).unwrap();
         let v: serde_json::Value = serde_json::from_str(body).unwrap();
@@ -224,7 +229,7 @@ mod tests {
         // Leave a keep-alive connection idle so the drop also has to win
         // against a worker mid-connection.
         let mut idle = TcpStream::connect(addr).unwrap();
-        idle.write_all(b"GET /api/health HTTP/1.1\r\n\r\n").unwrap();
+        idle.write_all(b"GET /api/health HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
         let mut buf = [0u8; 16];
         idle.read_exact(&mut buf).unwrap();
         drop(h); // must not leak the accept thread or hang

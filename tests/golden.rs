@@ -693,14 +693,17 @@ fn parity_rows(dataset: &str, source: &str, batch_seeds: [&str; 4]) -> String {
                 sources: batch_seeds.iter().map(|s| s.to_string()).collect(),
                 top_k: 20,
             };
-            let ids = vec![id.clone(); batch_seeds.len()];
-            let results = ex.execute_batch(&ids, &batch).expect("parity batch");
-            for (seed, result) in batch_seeds.iter().zip(&results) {
+            let rows: Vec<(TaskId, TaskSpec)> =
+                batch.rows().into_iter().map(|row| (id.clone(), row)).collect();
+            let mut results = vec![None; rows.len()];
+            ex.execute_job(&rows, |_| true, |i, outcome, _| results[i] = Some(outcome));
+            for (seed, result) in batch_seeds.iter().zip(results) {
+                let result = result.expect("every row ends").expect("parity batch");
                 let spec = parity_spec(dataset, algorithm, scheme, 0, seed);
                 let single = ex.execute(&id, &spec).expect("parity task");
                 assert_eq!(
                     render_parity_row(&single),
-                    render_parity_row(result),
+                    render_parity_row(&result),
                     "{dataset} {algorithm} {scheme} batch seed {seed:?}"
                 );
             }

@@ -70,14 +70,14 @@ fn one_shot(addr: SocketAddr, raw: &str) -> Resp {
 }
 
 fn get(addr: SocketAddr, path: &str) -> Resp {
-    one_shot(addr, &format!("GET {path} HTTP/1.1\r\nconnection: close\r\n\r\n"))
+    one_shot(addr, &format!("GET {path} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n"))
 }
 
 fn post(addr: SocketAddr, path: &str, body: &str) -> Resp {
     one_shot(
         addr,
         &format!(
-            "POST {path} HTTP/1.1\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
+            "POST {path} HTTP/1.1\r\nhost: t\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
             body.len()
         ),
     )
@@ -179,7 +179,7 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     let (mut s, mut reader) = connect(addr);
 
     for i in 0..3 {
-        s.write_all(b"GET /api/health HTTP/1.1\r\n\r\n").unwrap();
+        s.write_all(b"GET /api/health HTTP/1.1\r\nhost: t\r\n\r\n").unwrap();
         let r = read_response(&mut reader);
         assert_eq!(r.status, 200, "request {i}");
         assert_eq!(r.header("connection"), Some("keep-alive"));
@@ -187,7 +187,7 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     // A POST with a body works mid-connection too.
     let body = r#"{"edges": [{"source": "Fake news", "target": "CNN"}]}"#;
     let raw = format!(
-        "POST /api/datasets/fixture-fakenews-it/edges HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+        "POST /api/datasets/fixture-fakenews-it/edges HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
         body.len()
     );
     s.write_all(raw.as_bytes()).unwrap();
@@ -198,7 +198,7 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     assert!(stats["keep_alive_reuses"].as_u64().unwrap() >= 3, "{stats}");
 
     // `Connection: close` ends the connection after the response.
-    s.write_all(b"GET /api/health HTTP/1.1\r\nconnection: close\r\n\r\n").unwrap();
+    s.write_all(b"GET /api/health HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n").unwrap();
     let r = read_response(&mut reader);
     assert_eq!(r.status, 200);
     assert_eq!(r.header("connection"), Some("close"));
@@ -223,7 +223,8 @@ fn a_close_option_closes_even_beside_keep_alive() {
         ["connection: close\r\nconnection: keep-alive\r\n", "connection: keep-alive, close\r\n"]
     {
         let (mut s, mut reader) = connect(h.addr());
-        s.write_all(format!("GET /api/health HTTP/1.1\r\n{headers}\r\n").as_bytes()).unwrap();
+        s.write_all(format!("GET /api/health HTTP/1.1\r\nhost: t\r\n{headers}\r\n").as_bytes())
+            .unwrap();
         let r = read_response(&mut reader);
         assert_eq!(r.status, 200, "{headers:?}");
         assert_eq!(r.header("connection"), Some("close"), "{headers:?}");
@@ -231,6 +232,50 @@ fn a_close_option_closes_even_beside_keep_alive() {
         reader.read_to_end(&mut rest).expect("server closes");
         assert!(rest.is_empty(), "{headers:?}: no bytes after a closed response");
     }
+    h.stop();
+}
+
+/// Sends `raw` on a fresh connection and expects one `400` whose error
+/// names the host header, then EOF: the request is never served.
+fn one_400_then_eof(addr: SocketAddr, raw: &str) {
+    let (mut s, mut reader) = connect(addr);
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(raw.as_bytes()).unwrap();
+    let r = read_response(&mut reader);
+    assert_eq!(r.status, 400, "{raw:?}: {}", r.body);
+    assert!(r.json()["error"].as_str().unwrap().contains("host header"), "{}", r.body);
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("the server closes the connection");
+    assert!(rest.is_empty(), "a second response: {}", String::from_utf8_lossy(&rest));
+}
+
+fn one_worker() -> cyclerank_platform::server::server::ServerHandle {
+    start(ServingConfig {
+        workers: 1,
+        queue_depth: 4,
+        max_expensive: 1,
+        keep_alive: Duration::from_secs(5),
+        retry_after_secs: 1,
+    })
+}
+
+/// Two `Host` lines get one `400`, then close (RFC 9112 §3.2): the
+/// second line does not silently replace the first.
+#[test]
+fn two_host_headers_get_one_400_then_eof() {
+    let h = one_worker();
+    one_400_then_eof(h.addr(), "GET /api/health HTTP/1.1\r\nhost: a\r\nhost: b\r\n\r\n");
+    h.stop();
+}
+
+/// An HTTP/1.1 request without `Host` gets one `400`, then close; an
+/// HTTP/1.0 one, which predates the header, is served.
+#[test]
+fn an_http11_request_without_host_gets_one_400_then_eof() {
+    let h = one_worker();
+    one_400_then_eof(h.addr(), "GET /api/health HTTP/1.1\r\nconnection: keep-alive\r\n\r\n");
+    let r = one_shot(h.addr(), "GET /api/health HTTP/1.0\r\nconnection: close\r\n\r\n");
+    assert_eq!(r.status, 200, "{}", r.body);
     h.stop();
 }
 
@@ -252,7 +297,7 @@ fn full_admission_queue_sheds_connections_with_retry_after() {
     // Pin the only worker: a keep-alive connection holds it between
     // requests until closed.
     let (mut pin, mut pin_reader) = connect(addr);
-    pin.write_all(b"GET /api/health HTTP/1.1\r\n\r\n").unwrap();
+    pin.write_all(b"GET /api/health HTTP/1.1\r\nhost: t\r\n\r\n").unwrap();
     assert_eq!(read_response(&mut pin_reader).status, 200);
 
     // Fills the queue's single slot; no worker will pick it up yet.
@@ -260,7 +305,7 @@ fn full_admission_queue_sheds_connections_with_retry_after() {
 
     // Queue full: the acceptor itself answers 429 and closes.
     let (mut shed, mut shed_reader) = connect(addr);
-    shed.write_all(b"GET /api/health HTTP/1.1\r\n\r\n").unwrap();
+    shed.write_all(b"GET /api/health HTTP/1.1\r\nhost: t\r\n\r\n").unwrap();
     let r = read_response(&mut shed_reader);
     assert_eq!(r.status, 429, "{}", r.body);
     assert_eq!(r.header("retry-after"), Some("2"));
@@ -271,7 +316,9 @@ fn full_admission_queue_sheds_connections_with_retry_after() {
     // serves the queued connection.
     drop(pin_reader);
     drop(pin);
-    queued.write_all(b"GET /api/serving/stats HTTP/1.1\r\nconnection: close\r\n\r\n").unwrap();
+    queued
+        .write_all(b"GET /api/serving/stats HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n")
+        .unwrap();
     let r = read_response(&mut queued_reader);
     assert_eq!(r.status, 200, "queued connection served after worker frees: {}", r.body);
     let stats = r.json();
@@ -299,7 +346,7 @@ fn bad_percent_escape_in_the_path_leaves_the_worker_serving() {
     // A dead worker would leave this connection queued forever.
     let (mut s, mut reader) = connect(addr);
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.write_all(b"GET /api/health HTTP/1.1\r\nconnection: close\r\n\r\n").unwrap();
+    s.write_all(b"GET /api/health HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n").unwrap();
     assert_eq!(read_response(&mut reader).status, 200);
     h.stop();
 }
@@ -320,13 +367,16 @@ fn oversized_requests_get_413() {
     // Declared body beyond the 1 MiB cap: refused on the headers alone.
     let r = one_shot(
         addr,
-        &format!("POST /api/datasets HTTP/1.1\r\ncontent-length: {}\r\n\r\n", (1 << 20) + 1),
+        &format!(
+            "POST /api/datasets HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n",
+            (1 << 20) + 1
+        ),
     );
     assert_eq!(r.status, 413, "{}", r.body);
 
     // An endless header line: refused after the 16 KiB header cap.
     let (mut s, mut reader) = connect(addr);
-    s.write_all(b"GET /api/health HTTP/1.1\r\nx-junk: ").unwrap();
+    s.write_all(b"GET /api/health HTTP/1.1\r\nhost: t\r\nx-junk: ").unwrap();
     s.write_all(&vec![b'a'; 64 << 10]).ok(); // server may close mid-write
     let r = read_response(&mut reader);
     assert_eq!(r.status, 413, "{}", r.body);
@@ -349,12 +399,14 @@ fn malformed_header_lines_get_one_400_then_eof() {
         keep_alive: Duration::from_secs(5),
         retry_after_secs: 1,
     });
-    let smuggled = "GET /api/health HTTP/1.1\r\n\r\n";
+    let smuggled = "GET /api/health HTTP/1.1\r\nhost: t\r\n\r\n";
     let folded = format!(
-        "GET /api/health HTTP/1.1\r\nX-A: 1\r\n Content-Length: {}\r\n\r\n{smuggled}",
+        "GET /api/health HTTP/1.1\r\nhost: t\r\nX-A: 1\r\n Content-Length: {}\r\n\r\n{smuggled}",
         smuggled.len()
     );
-    for raw in ["GET /api/health HTTP/1.1\r\nthis line has no colon\r\n\r\n", folded.as_str()] {
+    for raw in
+        ["GET /api/health HTTP/1.1\r\nhost: t\r\nthis line has no colon\r\n\r\n", folded.as_str()]
+    {
         let (mut s, mut reader) = connect(h.addr());
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         s.write_all(raw.as_bytes()).unwrap();
@@ -379,12 +431,12 @@ fn transfer_encoding_gets_one_400_then_eof() {
         keep_alive: Duration::from_secs(5),
         retry_after_secs: 1,
     });
-    let smuggled = "GET /api/health HTTP/1.1\r\n\r\n";
+    let smuggled = "GET /api/health HTTP/1.1\r\nhost: t\r\n\r\n";
     for body in [COLD_SOLVE, smuggled] {
         let (mut s, mut reader) = connect(h.addr());
         s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         let raw = format!(
-            "POST /api/tasks?sync=1 HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n{:x}\r\n{body}\r\n0\r\n\r\n",
+            "POST /api/tasks?sync=1 HTTP/1.1\r\nhost: t\r\ntransfer-encoding: chunked\r\n\r\n{:x}\r\n{body}\r\n0\r\n\r\n",
             body.len()
         );
         s.write_all(raw.as_bytes()).unwrap();

@@ -41,7 +41,7 @@ fn many_concurrent_clients() {
                         r#"{{"dataset":"fixture-fakenews-{lang}","params":{{"algorithm":"{algo}"}},"source":"{title}","top_k":3}}"#
                     );
                     let req = format!(
-                        "POST /api/tasks HTTP/1.1\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
+                        "POST /api/tasks HTTP/1.1\r\nhost: t\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{body}",
                         body.len()
                     );
                     let (status, resp) = http(addr, req);
@@ -55,7 +55,7 @@ fn many_concurrent_clients() {
                     loop {
                         let (status, body) = http(
                             addr,
-                            format!("GET /api/tasks/{id} HTTP/1.1\r\nconnection: close\r\n\r\n"),
+                            format!("GET /api/tasks/{id} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n"),
                         );
                         assert_eq!(status, 200);
                         let v: serde_json::Value = serde_json::from_str(&body).unwrap();
